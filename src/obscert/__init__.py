@@ -6,7 +6,7 @@ data, computes every constant in the certified lower bound, and verifies the
 observability inequality end to end at desk scale (dimension 1 or 2).
 """
 
-from . import certify, classical, phasespace, potentials, quantum, scenario, transport
+from . import certify, classical, phasespace, potentials, quantum, scenario
 
 __version__ = "0.1.0"
 

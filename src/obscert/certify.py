@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classical, phasespace, quantum
-from .classical import CompactSet, IndicatorCutoff, RampCutoff, Region
+from .classical import CompactSet, GeometricSummary, IndicatorCutoff, Region
 from .phasespace import ToeplitzState
 from .potentials import Potential
 from .quantum import Grid, WaveFunction
@@ -263,25 +263,24 @@ def _ct_fields(lower: float, T: float):
 
 def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
                        deltas: Sequence[float], psi: WaveFunction, *,
-                       dt: float, dt_flow: float,
+                       dt: float, geo: GeometricSummary,
                        husimi_spacing: Optional[float] = None,
                        scenario: str = "") -> list[CertificationReport]:
     """Certificates for a pure initial state over a list of enlargement radii.
 
     lower bound:   c_geo * husimi_mass - 8 D(T, lip) * spread / delta
     measured side: observed mass on the delta-enlargement of the region.
+    ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
     """
     if abs(psi.norm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
     deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    if tuple(deltas) != geo.deltas:
+        raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
     lip = V.lip_grad
     dim = psi.grid.dim
 
-    c_geo, c_geo_delta = classical.geometric_constant_refined(
-        V, K, IndicatorCutoff(omega), T, dt_flow)
-    gc = classical.check_geometric_condition(V, K, omega, T, dt_flow)
+    c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
     h_K, h_delta = phasespace.husimi_mass_refined(psi, K, husimi_spacing)
     delta_psi = quantum.spread(psi)
     D = spread_coefficient(T, lip)
@@ -295,7 +294,6 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
 
     reports = []
     for j, delta in enumerate(deltas):
-        chi_geo = classical.geometric_constant(V, K, RampCutoff(omega, delta), T, dt_flow)
         corr_used = 8.0 * D * delta_psi / delta
         lower = c_geo * h_K - corr_used
         eps = float(eps_prop[j] + eps_time[j] + eps_space[j]
@@ -313,8 +311,8 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
         reports.append(CertificationReport(
             schema_version=SCHEMA_VERSION, scenario=scenario, kind="pure",
             dim=dim, hbar=psi.hbar, T=T, delta=delta, lam=1.0, lip_grad=lip,
-            d_K=K.diameter, gc_satisfied=gc.satisfied,
-            c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=chi_geo,
+            d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
+            c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
             lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
             verdict=_verdict(lower, m, eps),
             err_budget={
@@ -331,7 +329,7 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
             implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
             ct_marginal=ct_marginal,
             delta_min_baseline=dm_base, delta_min_state=dm_state,
-            left_box=gc.table.left_box,
+            left_box=geo.left_box,
         ))
     return reports
 
@@ -340,30 +338,30 @@ def certify_pure(V: Potential, K: CompactSet, omega: Region, T: float,
                  delta: float, psi: WaveFunction, *, dt: float, dt_flow: float,
                  husimi_spacing: Optional[float] = None,
                  scenario: str = "") -> CertificationReport:
-    return certify_pure_sweep(V, K, omega, T, [delta], psi, dt=dt, dt_flow=dt_flow,
+    geo = classical.geometric_summary(V, K, omega, T, [delta], dt_flow)
+    return certify_pure_sweep(V, K, omega, T, [delta], psi, dt=dt, geo=geo,
                               husimi_spacing=husimi_spacing, scenario=scenario)[0]
 
 
 def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
                            deltas: Sequence[float], R: ToeplitzState, grid: Grid, *,
-                           dt: float, dt_flow: float,
+                           dt: float, geo: GeometricSummary,
                            scenario: str = "") -> list[CertificationReport]:
     """Certificates for a Toeplitz initial state (atomized symbol in K).
 
     lower bound:   c_geo - C(T, lip) * sqrt(2 dim hbar) / delta
     measured side: weighted observed mass of the propagated atoms.
+    ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
     """
     deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    if tuple(deltas) != geo.deltas:
+        raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
     if not np.all(K.contains(R.atoms)):
         raise ValueError("all Toeplitz atoms must lie inside K")
     lip = V.lip_grad
     dim = R.dim
 
-    c_geo, c_geo_delta = classical.geometric_constant_refined(
-        V, K, IndicatorCutoff(omega), T, dt_flow)
-    gc = classical.check_geometric_condition(V, K, omega, T, dt_flow)
+    c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
     c_tl, lam_star = toeplitz_coefficient_details(T, lip)
 
     chis = [IndicatorCutoff(omega.enlarged(d)) for d in deltas]
@@ -385,7 +383,6 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
 
     reports = []
     for j, delta in enumerate(deltas):
-        chi_geo = classical.geometric_constant(V, K, RampCutoff(omega, delta), T, dt_flow)
         lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
         eps = float(eps_prop[j] + eps_time[j] + eps_space[j] + c_geo_delta)
         m = float(measured[j])
@@ -395,8 +392,8 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
         reports.append(CertificationReport(
             schema_version=SCHEMA_VERSION, scenario=scenario, kind="toeplitz",
             dim=dim, hbar=R.hbar, T=T, delta=delta, lam=lam_star, lip_grad=lip,
-            d_K=K.diameter, gc_satisfied=gc.satisfied,
-            c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=chi_geo,
+            d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
+            c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
             lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
             verdict=_verdict(lower, m, eps),
             err_budget={
@@ -408,7 +405,7 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
             c_tl=c_tl, admissible=admissible,
             implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
             ct_marginal=ct_marginal,
-            left_box=gc.table.left_box,
+            left_box=geo.left_box,
         ))
     return reports
 
@@ -417,8 +414,9 @@ def certify_toeplitz(V: Potential, K: CompactSet, omega: Region, T: float,
                      delta: float, R: ToeplitzState, grid: Grid, *,
                      dt: float, dt_flow: float,
                      scenario: str = "") -> CertificationReport:
-    return certify_toeplitz_sweep(V, K, omega, T, [delta], R, grid, dt=dt,
-                                  dt_flow=dt_flow, scenario=scenario)[0]
+    geo = classical.geometric_summary(V, K, omega, T, [delta], dt_flow)
+    return certify_toeplitz_sweep(V, K, omega, T, [delta], R, grid, dt=dt, geo=geo,
+                                  scenario=scenario)[0]
 
 
 def observability_margin(psi: WaveFunction, K: CompactSet, omega: Region, T: float,
@@ -430,8 +428,9 @@ def observability_margin(psi: WaveFunction, K: CompactSet, omega: Region, T: flo
     phase-space mass on K, minus the spread penalty.  Returns (value, value >= 1/c_obs)."""
     if c_obs <= 0:
         raise ValueError("c_obs must be positive")
-    c_enl = classical.geometric_constant(
-        V, K, IndicatorCutoff(omega.enlarged(delta)), T, dt_flow)
+    c_enl = float(classical.occupation_batch(
+        V, K.sample_grid(), T, [IndicatorCutoff(omega.enlarged(delta))], dt_flow)
+        .occupation.min())
     h_K = phasespace.husimi_mass(psi, K, husimi_spacing)
     D = spread_coefficient(T, V.lip_grad)
     value = c_enl * h_K - D * quantum.spread(psi) / delta

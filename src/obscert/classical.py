@@ -4,8 +4,9 @@ The flow X' = Xi, Xi' = -grad V(X) is integrated with the Stoermer-Verlet
 scheme (symplectic, second order).  Occupation times under an indicator
 cutoff locate entry/exit events by bisection inside a step so the quadrature
 error stays O(dt^2) instead of O(dt); continuous cutoffs use the composite
-trapezoid rule.  The infimum over a compact phase-space set K is discretized
-as a minimum over a sample lattice, with a refinement delta reported so
+trapezoid rule.  One pass integrates each trajectory once for any number of
+cutoffs.  The infimum over a compact phase-space set K is discretized as a
+minimum over a sample lattice, with a refinement delta reported so
 certificates stay honest about the gap.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -302,63 +303,64 @@ def _bisect_crossing(V: Potential, x0: Array, xi0: Array, h: float,
     return 0.5 * (lo + hi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OccupationResult:
     points: Array            # (m, 2*dim) initial phase points
-    occupation: Array        # (m,) time spent weighted by chi
-    first_hit: Array         # (m,) first time with chi > 0 (nan if never)
-    left_box: bool           # any trajectory left the potential's working box
+    occupation: Array        # (m, k) time spent weighted by each of the k cutoffs
+    first_hit: Array         # (m, k) first time with chi > 0 (nan if never)
+    left_box: Array          # (m,) trajectory left the potential's working box
 
 
-def occupation_batch(V: Potential, points: Array, T: float, chi: Cutoff,
+def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff],
                      dt: float) -> OccupationResult:
-    """Integrate all trajectories and accumulate int_0^T chi(X(t)) dt per sample.
+    """Integrate all trajectories once; accumulate int_0^T chi(X(t)) dt per
+    sample and per cutoff, each column equal to a one-cutoff pass bit for bit.
 
     Indicator cutoffs get exact crossing splits (bisection to dt*1e-3);
     smooth cutoffs use trapezoid weights at the integrator substeps.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(pts)
     dim = pts.shape[1] // 2
     x = pts[:, :dim].copy()
     xi = pts[:, dim:].copy()
     n, h = _steps_for(T, dt)
     tol = h * 1e-3
-
-    occ = np.zeros(m)
-    first_hit = np.full(m, np.nan)
-    vals = chi(x)
-    if chi.is_indicator:
-        first_hit[vals > 0.5] = 0.0
-    left_box = bool(np.any(~V.inside_box(x)))
+    occ = np.zeros((len(pts), len(chi)))
+    first_hit = np.full(occ.shape, np.nan)
+    vals = np.stack([c(x) for c in chi], axis=1)
+    for j, c in enumerate(chi):
+        if c.is_indicator:
+            first_hit[vals[:, j] > 0.5, j] = 0.0
+    left_box = ~V.inside_box(x)
 
     t = 0.0
     for _ in range(n):
         x_new, xi_new = verlet_step(V, x, xi, h)
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError("flow blew up: dt too large or pathological potential")
-        vals_new = chi(x_new)
-        if chi.is_indicator:
-            inside_old = vals > 0.5
-            inside_new = vals_new > 0.5
-            same = inside_old == inside_new
-            occ[same & inside_old] += h
-            for i in np.nonzero(~same)[0]:
-                s = _bisect_crossing(V, x[i], xi[i], h, chi, bool(inside_old[i]), tol)
-                if inside_old[i]:
-                    occ[i] += s                      # exits at t + s
-                else:
-                    occ[i] += h - s                  # enters at t + s
-                    if np.isnan(first_hit[i]):
-                        first_hit[i] = t + s
-        else:
-            occ += 0.5 * h * (vals + vals_new)
-            newly = np.isnan(first_hit) & (vals_new > 0)
-            first_hit[newly] = t + h
+        vals_new = np.stack([c(x_new) for c in chi], axis=1)
+        for j, c in enumerate(chi):
+            if c.is_indicator:
+                inside_old = vals[:, j] > 0.5
+                inside_new = vals_new[:, j] > 0.5
+                same = inside_old == inside_new
+                occ[same & inside_old, j] += h
+                for i in np.nonzero(~same)[0]:
+                    s = _bisect_crossing(V, x[i], xi[i], h, c, bool(inside_old[i]), tol)
+                    if inside_old[i]:
+                        occ[i, j] += s                   # exits at t + s
+                    else:
+                        occ[i, j] += h - s               # enters at t + s
+                        if np.isnan(first_hit[i, j]):
+                            first_hit[i, j] = t + s
+            else:
+                occ[:, j] += 0.5 * h * (vals[:, j] + vals_new[:, j])
+                newly = np.isnan(first_hit[:, j]) & (vals_new[:, j] > 0)
+                first_hit[newly, j] = t + h
         x, xi = x_new, xi_new
         vals = vals_new
         t += h
-        left_box = left_box or bool(np.any(~V.inside_box(x)))
+        left_box |= ~V.inside_box(x)
 
     np.clip(occ, 0.0, T, out=occ)
     return OccupationResult(points=pts, occupation=occ, first_hit=first_hit,
@@ -369,51 +371,44 @@ def occupation_time(V: Potential, p0: PhasePoint, T: float, chi: Cutoff,
                     dt: float) -> float:
     """Time-in-cutoff along one trajectory: int_0^T chi(X(t; p0)) dt."""
     pt = np.concatenate([p0.x, p0.xi])[None, :]
-    return float(occupation_batch(V, pt, T, chi, dt).occupation[0])
+    return float(occupation_batch(V, pt, T, [chi], dt).occupation[0, 0])
 
 
 # ---------------------------------------------------------------------------
-# geometric constant and the geometric condition
+# the hbar-independent side of a certificate
 # ---------------------------------------------------------------------------
 
-def geometric_constant_table(V: Potential, K: CompactSet, chi: Cutoff, T: float,
-                             dt: float, spacing: Optional[float] = None) -> OccupationResult:
-    return occupation_batch(V, K.sample_grid(spacing), T, chi, dt)
+@dataclass(frozen=True)
+class GeometricSummary:
+    """What a certificate takes from the flow over K's sample lattice."""
+
+    deltas: tuple
+    c_geo: float                 # min occupation time of omega (indicator)
+    c_geo_refine_delta: float    # |c_geo - the same min on the half-spacing lattice|
+    gc_satisfied: bool           # every sample is in omega at some t < T (t = 0 counts)
+    chi_geo: tuple               # min ramp-cutoff occupation time, per delta
+    left_box: bool               # some trajectory left V's working box
+    table: OccupationResult      # the indicator pass (one cutoff column)
 
 
-def geometric_constant(V: Potential, K: CompactSet, chi: Cutoff, T: float,
-                       dt: float) -> float:
-    """Discretized inf over K of the occupation time (min over the sample lattice)."""
-    return float(geometric_constant_table(V, K, chi, T, dt).occupation.min())
-
-
-def geometric_constant_refined(V: Potential, K: CompactSet, chi: Cutoff, T: float,
-                               dt: float) -> tuple[float, float]:
-    """(value at spacing h, |value(h) - value(h/2)|) - the grid refinement delta."""
-    coarse = geometric_constant(V, K, chi, T, dt)
-    fine = float(occupation_batch(V, K.sample_grid(K.spacing / 2), T, chi, dt)
-                 .occupation.min())
-    return coarse, abs(coarse - fine)
-
-
-@dataclass
-class GcResult:
-    satisfied: bool
-    table: OccupationResult
-
-    @property
-    def first_hits(self) -> Array:
-        return self.table.first_hit
-
-
-def check_geometric_condition(V: Potential, K: CompactSet, omega: Region, T: float,
-                              dt: float) -> GcResult:
-    """True iff every sampled trajectory from K enters omega at some t in (0, T).
-
-    A sample starting inside the open region satisfies the condition (the
-    trajectory stays in it for a positive time); its recorded hit time is 0.
-    """
-    table = occupation_batch(V, K.sample_grid(), T, IndicatorCutoff(omega), dt)
-    hits = table.first_hit
-    ok = bool(np.all(np.isfinite(hits) & (hits < T)))
-    return GcResult(satisfied=ok, table=table)
+def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
+                      deltas: Sequence[float], dt: float) -> GeometricSummary:
+    """The classical side for every delta, from one flow pass over K's
+    lattice stacked on its half-spacing refinement."""
+    deltas = tuple(float(d) for d in deltas)
+    coarse = K.sample_grid()
+    m = len(coarse)
+    res = occupation_batch(V, np.concatenate([coarse, K.sample_grid(K.spacing / 2)]), T,
+                           [IndicatorCutoff(omega)] + [RampCutoff(omega, d) for d in deltas],
+                           dt)
+    c_geo = float(res.occupation[:m, 0].min())
+    return GeometricSummary(
+        deltas=deltas,
+        c_geo=c_geo,
+        c_geo_refine_delta=abs(c_geo - float(res.occupation[m:, 0].min())),
+        gc_satisfied=bool(np.all(res.first_hit[:m, 0] < T)),     # nan: never hit
+        chi_geo=tuple(float(v) for v in res.occupation[:m, 1:].min(axis=0)),
+        left_box=bool(res.left_box[:m].any()),
+        table=OccupationResult(points=res.points[:m], occupation=res.occupation[:m, :1],
+                               first_hit=res.first_hit[:m, :1], left_box=res.left_box[:m]),
+    )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import certify, classical, phasespace, quantum, scenario
 from .certify import CertificationReport, _json_ready
-from .classical import IndicatorCutoff, RampCutoff
+from .classical import IndicatorCutoff
 from .phasespace import ToeplitzState
 from .scenario import ConfigError
 
@@ -49,18 +49,10 @@ def _print_reports(reports) -> None:
               f"{r.lower_bound:>12.5g}{r.measured:>12.5g}{r.margin:>12.5g}  {r.verdict}")
 
 
-def _scenario_objects(cfg):
-    V = scenario.build_potential(cfg)
-    K = scenario.build_compact_set(cfg, V.dim)
-    omega = scenario.build_region(cfg, V.dim)
-    num = scenario.parse_numerics(cfg.get("numerics", {}))
-    return V, K, omega, num
-
-
 def _sample_table_rows(table):
     dim = table.points.shape[1] // 2
     rows = []
-    for pt, occ, hit in zip(table.points, table.occupation, table.first_hit):
+    for pt, occ, hit in zip(table.points, table.occupation[:, 0], table.first_hit[:, 0]):
         rows.append([*(float(v) for v in pt),
                      float(occ), "" if math.isnan(hit) else float(hit)])
     header = ([f"x{i+1}" for i in range(dim)] + [f"xi{i+1}" for i in range(dim)]
@@ -113,38 +105,35 @@ def cmd_sweep(args) -> int:
 
 def cmd_gcc(args) -> int:
     cfg = scenario.load_config(args.config)
-    V, K, omega, num = _scenario_objects(cfg)
+    V, K, omega, num = scenario.build_objects(cfg)
     T = float(cfg["T"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gc = classical.check_geometric_condition(V, K, omega, T, num.dt_flow)
-    c_geo, refine = classical.geometric_constant_refined(
-        V, K, IndicatorCutoff(omega), T, num.dt_flow)
-    header, rows = _sample_table_rows(gc.table)
+    geo = classical.geometric_summary(V, K, omega, T, cfg["deltas"], num.dt_flow)
+    header, rows = _sample_table_rows(geo.table)
     _write_csv(out / "gcc.csv", header, rows)
     summary = {
         "scenario": cfg.get("scenario", "scenario"),
-        "gc_satisfied": gc.satisfied,
-        "c_geo": c_geo,
-        "c_geo_refine_delta": refine,
-        "chi_geo": {str(d): classical.geometric_constant(
-            V, K, RampCutoff(omega, float(d)), T, num.dt_flow) for d in cfg["deltas"]},
+        "gc_satisfied": geo.gc_satisfied,
+        "c_geo": geo.c_geo,
+        "c_geo_refine_delta": geo.c_geo_refine_delta,
+        "chi_geo": {str(d): c for d, c in zip(cfg["deltas"], geo.chi_geo)},
         "samples": len(rows),
     }
     _write_json(out / "gcc.json", summary)
-    print(f"GC satisfied: {gc.satisfied}   C_geo = {c_geo:.6g} "
-          f"(refinement delta {refine:.2e})")
+    print(f"GC satisfied: {geo.gc_satisfied}   C_geo = {geo.c_geo:.6g} "
+          f"(refinement delta {geo.c_geo_refine_delta:.2e})")
     return 0
 
 
 def cmd_flow(args) -> int:
     cfg = scenario.load_config(args.config)
-    V, K, omega, num = _scenario_objects(cfg)
+    V, K, omega, num = scenario.build_objects(cfg)
     T = float(cfg["T"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = classical.geometric_constant_table(
-        V, K, IndicatorCutoff(omega), T, num.dt_flow)
+    table = classical.occupation_batch(
+        V, K.sample_grid(), T, [IndicatorCutoff(omega)], num.dt_flow)
     header, rows = _sample_table_rows(table)
     _write_csv(out / "flow.csv", header, rows)
     print(f"wrote {out / 'flow.csv'} ({len(rows)} samples)")
@@ -153,7 +142,7 @@ def cmd_flow(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = scenario.load_config(args.config)
-    V, K, omega, num = _scenario_objects(cfg)
+    V, K, omega, num = scenario.build_objects(cfg)
     grid = scenario.build_grid(num, V.dim)
     hbar = float(sorted(cfg["hbars"])[0])
     state = scenario.build_state(cfg["state"], grid, hbar, K)
@@ -186,7 +175,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_husimi(args) -> int:
     cfg = scenario.load_config(args.config)
-    V, K, omega, num = _scenario_objects(cfg)
+    V, K, omega, num = scenario.build_objects(cfg)
     if V.dim != 1:
         print("husimi fields are emitted for dim 1 only", file=sys.stderr)
         return 2
@@ -219,7 +208,7 @@ def cmd_husimi(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = scenario.load_config(args.config)
-    V, K, omega, num = _scenario_objects(cfg)
+    V, K, omega, num = scenario.build_objects(cfg)
     T = float(cfg["T"])
     lip = V.lip_grad
     c_tl, lam_star = certify.toeplitz_coefficient_details(T, lip)

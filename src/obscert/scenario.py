@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import certify, phasespace, potentials, quantum
+from . import certify, classical, phasespace, potentials, quantum
 from .certify import CertificationReport
-from .classical import CompactSet, Region
+from .classical import CompactSet, GeometricSummary, Region
 from .phasespace import ToeplitzState
 from .quantum import Grid
 
@@ -43,10 +43,20 @@ def _positive(value, where: str) -> float:
     return v
 
 
+def _positive_int(value, where: str) -> int:
+    v = _positive(value, where)
+    if not v.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(v)
+
+
 def _positive_list(values, where: str) -> list[float]:
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{where}: expected a nonempty list")
-    return [_positive(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    out = [_positive(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    if len({f"{v:g}" for v in out}) < len(out):
+        raise ConfigError(f"{where}: values must differ in report file names (format :g)")
+    return out
 
 
 def _norm_boxes(raw, dim: int, where: str) -> np.ndarray:
@@ -78,7 +88,7 @@ class Numerics:
 
 def parse_numerics(cfg: dict) -> Numerics:
     cfg = cfg or {}
-    n = int(cfg.get("n", 1024))
+    n = _positive_int(cfg.get("n", 1024), "numerics.n")
     if n < 4 or (n & (n - 1)) != 0:
         raise ConfigError("numerics.n: must be a power of two, at least 4")
     num = Numerics(
@@ -88,7 +98,7 @@ def parse_numerics(cfg: dict) -> Numerics:
         dt_flow=_positive(cfg.get("dt_flow", 1e-3), "numerics.dt_flow"),
         husimi_spacing=(None if cfg.get("husimi_spacing") is None
                         else _positive(cfg["husimi_spacing"], "numerics.husimi_spacing")),
-        slices=int(cfg.get("slices", 9)),
+        slices=_positive_int(cfg.get("slices", 9), "numerics.slices"),
         phase_grid=cfg.get("phase_grid"),
     )
     if num.slices < 2:
@@ -117,6 +127,13 @@ def build_region(cfg: dict, dim: int) -> Region:
     raw = _require(cfg, "omega", "$")
     boxes = _norm_boxes(_require(raw, "boxes", "$.omega"), dim, "$.omega.boxes")
     return Region(boxes=boxes)
+
+
+def build_objects(cfg: dict):
+    """(V, K, omega, numerics) of a validated config."""
+    V = build_potential(cfg)
+    return (V, build_compact_set(cfg, V.dim), build_region(cfg, V.dim),
+            parse_numerics(cfg.get("numerics", {})))
 
 
 def build_grid(num: Numerics, dim: int) -> Grid:
@@ -171,10 +188,8 @@ def build_state(state_cfg: dict, grid: Grid, hbar: float,
     if kind == "toeplitz_uniform":
         if K is None:
             raise ConfigError("$.state: toeplitz_uniform needs the scenario's K")
-        per_axis = int(state_cfg.get("per_axis", 3))
-        if per_axis < 1:
-            raise ConfigError("$.state.per_axis: must be at least 1")
-        points, weights = phasespace.uniform_atomization(K, per_axis)
+        points, weights = phasespace.uniform_atomization(
+            K, _positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis"))
         return phasespace.ToeplitzState(points, weights, hbar)
     raise ConfigError(f"$.state.kind: unknown '{kind}'")
 
@@ -197,6 +212,8 @@ def _validate_state_shallow(state_cfg) -> None:
                           f"(expected one of {sorted(_STATE_KINDS)})")
     for key in _STATE_KINDS[kind]:
         _require(state_cfg, key, "$.state")
+    if kind == "toeplitz_uniform":
+        _positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
 
 
 def validate(cfg: dict) -> dict:
@@ -206,14 +223,11 @@ def validate(cfg: dict) -> dict:
     name = cfg.get("scenario", "scenario")
     if not isinstance(name, str) or not name:
         raise ConfigError("$.scenario: must be a nonempty string")
-    V = build_potential(cfg)
-    build_compact_set(cfg, V.dim)
-    build_region(cfg, V.dim)
+    build_objects(cfg)
     _positive(_require(cfg, "T", "$"), "$.T")
     _positive_list(_require(cfg, "deltas", "$"), "$.deltas")
     _positive_list(_require(cfg, "hbars", "$"), "$.hbars")
     _validate_state_shallow(_require(cfg, "state", "$"))
-    parse_numerics(cfg.get("numerics", {}))
     return cfg
 
 
@@ -231,25 +245,22 @@ def load_config(path) -> dict:
 # running
 # ---------------------------------------------------------------------------
 
-def _run_group(cfg: dict, hbar: float) -> list[CertificationReport]:
-    """All (delta) cells of one hbar column; safe to run in a worker process."""
-    V = build_potential(cfg)
-    K = build_compact_set(cfg, V.dim)
-    omega = build_region(cfg, V.dim)
-    num = parse_numerics(cfg.get("numerics", {}))
+def _run_group(cfg: dict, geo: GeometricSummary, hbar: float) -> list[CertificationReport]:
+    """All (delta) cells of one hbar column; safe to run in a worker process
+    (a Potential holds lambdas and does not pickle, so it is rebuilt from cfg)."""
+    V, K, omega, num = build_objects(cfg)
     grid = build_grid(num, V.dim)
     T = float(cfg["T"])
-    deltas = sorted(float(d) for d in cfg["deltas"])
     name = cfg.get("scenario", "scenario")
     try:
         state = build_state(cfg["state"], grid, hbar, K)
         if isinstance(state, ToeplitzState):
             return certify.certify_toeplitz_sweep(
-                V, K, omega, T, deltas, state, grid,
-                dt=num.dt, dt_flow=num.dt_flow, scenario=name)
+                V, K, omega, T, geo.deltas, state, grid,
+                dt=num.dt, geo=geo, scenario=name)
         return certify.certify_pure_sweep(
-            V, K, omega, T, deltas, state,
-            dt=num.dt, dt_flow=num.dt_flow, husimi_spacing=num.husimi_spacing,
+            V, K, omega, T, geo.deltas, state,
+            dt=num.dt, geo=geo, husimi_spacing=num.husimi_spacing,
             scenario=name)
     except quantum.NumericsError as exc:
         raise type(exc)(f"scenario '{name}', hbar={hbar:g}: {exc}") from exc
@@ -258,16 +269,21 @@ def _run_group(cfg: dict, hbar: float) -> list[CertificationReport]:
 def run_scenario(cfg: dict, jobs: int = 1, seed: int = 0) -> list[CertificationReport]:
     """Run every (hbar, delta) cell; reports come back sorted by (hbar, delta).
 
-    The seed is accepted for interface stability; the pipeline itself is
+    The classical side does not depend on hbar and is computed once for all
+    columns.  The seed is accepted for interface stability; the pipeline itself is
     deterministic (analytic Lipschitz bounds, fixed lattices, ordered sums).
     """
     validate(cfg)
+    V, K, omega, num = build_objects(cfg)
+    geo = classical.geometric_summary(V, K, omega, float(cfg["T"]),
+                                      sorted(float(d) for d in cfg["deltas"]), num.dt_flow)
     hbars = sorted(float(h) for h in cfg["hbars"])
     if jobs > 1 and len(hbars) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_run_group, [cfg] * len(hbars), hbars))
+            groups = list(pool.map(_run_group, [cfg] * len(hbars), [geo] * len(hbars),
+                                   hbars))
     else:
-        groups = [_run_group(cfg, h) for h in hbars]
+        groups = [_run_group(cfg, geo, h) for h in hbars]
     reports = [r for group in groups for r in group]
     reports.sort(key=lambda r: (r.hbar, r.delta))
     return reports

@@ -361,12 +361,13 @@ def test_criterion_10_sweep_monotonicity_and_scaling():
     om_m = Region(np.array([[[-0.3, 0.3]]]))
     deltas_m = [1.9, 2.3, 2.8]
     rows_m = []
+    geo_m = classical.geometric_summary(harm, K_m, om_m, 2.0, deltas_m, 1e-3)
     for hbar, n in [(0.0125, 4096), (0.05, 2048), (0.2, 2048)]:
         grid = Grid(dim=1, n=n, length=16.0)
         R = phasespace.toeplitz_from_density(
             [(0.0, 3.0, 0.5), (0.0, -3.0, 0.5)], hbar)
         reps = certify.certify_toeplitz_sweep(
-            harm, K_m, om_m, 2.0, deltas_m, R, grid, dt=1e-3, dt_flow=1e-3,
+            harm, K_m, om_m, 2.0, deltas_m, R, grid, dt=1e-3, geo=geo_m,
             scenario="sweep_margin")
         margins = [r.margin for r in reps]
         assert all(b >= a - 1e-9 for a, b in zip(margins, margins[1:])), \
@@ -386,7 +387,8 @@ def test_criterion_10_sweep_monotonicity_and_scaling():
         psi = coherent_state(grid, hbar, -2.5, 1.25)
         deltas = [d * math.sqrt(hbar / 0.0125) for d in base]
         reps = certify.certify_pure_sweep(
-            free, K_s, om_s, 2.0, deltas, psi, dt=1e-3, dt_flow=1e-3,
+            free, K_s, om_s, 2.0, deltas, psi, dt=1e-3,
+            geo=classical.geometric_summary(free, K_s, om_s, 2.0, deltas, 1e-3),
             scenario="sweep_scaling")
         certified = [r.delta for r in reps if r.verdict == "certified"]
         vacuous = [r.delta for r in reps if r.verdict == "vacuous"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from obscert import certify, phasespace, potentials, quantum
+from obscert import certify, classical, phasespace, potentials, quantum
 from obscert.certify import (
     balanced_growth_root, certify_pure, certify_pure_sweep, certify_toeplitz,
     lambda_equals_lip_bounds, minimal_delta,
@@ -149,8 +149,9 @@ def test_certify_pure_vacuous_below_delta_threshold(free):
 
 def test_certify_pure_monotone_in_delta(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
-    reps = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [0.5, 1.5, 4.0, 8.0],
-                              psi, dt=2e-3, dt_flow=2e-3)
+    deltas = [0.5, 1.5, 4.0, 8.0]
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
+    reps = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, psi, dt=2e-3, geo=geo)
     lows = [r.lower_bound for r in reps]
     meas = [r.measured for r in reps]
     assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
@@ -194,6 +195,14 @@ def test_certify_toeplitz_rejects_atoms_outside_K(free):
     with pytest.raises(ValueError, match="inside K"):
         certify_toeplitz(free, K_FREE, OM_FREE, 2.0, 2.0, R, GRID,
                          dt=2e-3, dt_flow=2e-3)
+
+
+def test_sweep_rejects_summary_for_other_deltas(free):
+    R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
+    with pytest.raises(ValueError, match="deltas"):
+        certify.certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], R, GRID,
+                                       dt=2e-3, geo=geo)
 
 
 def test_stiff_potential_yields_vacuous_not_nan(dwell):
@@ -243,9 +252,10 @@ def test_margin_functional_large_delta(free):
     value, meets = observability_margin(psi, K_FREE, OM_FREE, 2.0, 50.0, 4.0,
                                         free, dt_flow=2e-3)
     # the spread penalty vanishes; what remains is occupation times mass on K
-    from obscert.classical import IndicatorCutoff, geometric_constant
-    c_enl = geometric_constant(free, K_FREE,
-                               IndicatorCutoff(OM_FREE.enlarged(50.0)), 2.0, 2e-3)
+    from obscert.classical import IndicatorCutoff
+    c_enl = classical.occupation_batch(free, K_FREE.sample_grid(), 2.0,
+                                       [IndicatorCutoff(OM_FREE.enlarged(50.0))],
+                                       2e-3).occupation.min()
     h = phasespace.husimi_mass(psi, K_FREE)
     assert value == pytest.approx(c_enl * h, abs=1e-2)
     assert meets

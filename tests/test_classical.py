@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from obscert import classical
 from obscert.classical import (
     CompactSet, ConstantCutoff, IndicatorCutoff, PhasePoint, RampCutoff, Region,
-    check_geometric_condition, flow, geometric_constant, geometric_constant_refined,
-    hamiltonian, occupation_time, verlet_step,
+    flow, geometric_summary, hamiltonian, occupation_batch, occupation_time, verlet_step,
 )
 
 
@@ -15,6 +13,11 @@ def interval(lo, hi):
 
 def phys_box(qlo, qhi, plo, phi, spacing=0.05):
     return CompactSet(np.array([[[qlo, qhi], [plo, phi]]]), spacing)
+
+
+def geometric_constant(V, K, chi, T, dt, spacing=None):
+    """Minimum occupation time over K's sample lattice, from a one-cutoff pass."""
+    return float(occupation_batch(V, K.sample_grid(spacing), T, [chi], dt).occupation.min())
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +137,7 @@ def test_geometric_constant_refinement_oracle(free):
     K = phys_box(-0.1, 0.1, 0.9, 1.1, spacing=0.05)
     chi = IndicatorCutoff(interval(0.5, 1.5))
     coarse = geometric_constant(free, K, chi, 2.0, 1e-3)
-    table = classical.geometric_constant_table(free, K, chi, 2.0, 1e-3, spacing=0.005)
-    dense = table.occupation.min()
+    dense = geometric_constant(free, K, chi, 2.0, 1e-3, spacing=0.005)
     assert abs(coarse - dense) <= 5e-2
     # analytic worst case: full crossing at the top speed, occupation 1.0/1.1
     assert dense == pytest.approx(1.0 / 1.1, abs=1e-3)
@@ -153,15 +155,14 @@ def test_indicator_below_ramp(free, harm):
     K = phys_box(-0.1, 0.1, 0.9, 1.1)
     om = interval(0.5, 1.5)
     for V in (free, harm):
-        ind = geometric_constant(V, K, IndicatorCutoff(om), 2.0, 1e-3)
-        ramp = geometric_constant(V, K, RampCutoff(om, 0.5), 2.0, 1e-3)
-        assert ind <= ramp + 1e-9
+        geo = geometric_summary(V, K, om, 2.0, [0.5], 1e-3)
+        assert geo.c_geo <= geo.chi_geo[0] + 1e-9
 
 
 def test_refinement_delta_reported(free):
     K = phys_box(-0.1, 0.1, 0.9, 1.1, spacing=0.1)
-    chi = IndicatorCutoff(interval(0.5, 1.5))
-    value, delta = geometric_constant_refined(free, K, chi, 2.0, 1e-3)
+    geo = geometric_summary(free, K, interval(0.5, 1.5), 2.0, [], 1e-3)
+    value, delta = geo.c_geo, geo.c_geo_refine_delta
     assert value >= 0 and delta >= 0
     assert delta <= 0.1
 
@@ -172,40 +173,89 @@ def test_refinement_delta_reported(free):
 
 def test_gc_true_case(free):
     K = phys_box(-0.1, 0.1, 0.9, 1.1)
-    res = check_geometric_condition(free, K, interval(0.5, 1.5), 2.0, 1e-3)
-    assert res.satisfied
-    assert np.all(np.isfinite(res.first_hits))
-    assert np.all(res.first_hits < 2.0)
+    res = geometric_summary(free, K, interval(0.5, 1.5), 2.0, [], 1e-3)
+    assert res.gc_satisfied
+    assert np.all(np.isfinite(res.table.first_hit))
+    assert np.all(res.table.first_hit < 2.0)
 
 
 def test_gc_false_when_unreachable(free):
     K = phys_box(-0.1, 0.1, -0.1, 0.1)
-    res = check_geometric_condition(free, K, interval(5.0, 6.0), 1.0, 1e-3)
-    assert not res.satisfied
-    assert np.all(np.isnan(res.first_hits))
+    res = geometric_summary(free, K, interval(5.0, 6.0), 1.0, [], 1e-3)
+    assert not res.gc_satisfied
+    assert np.all(np.isnan(res.table.first_hit))
 
 
 def test_gc_harmonic_oracle(harm):
     # rotation carries (1, 0) into (-1.5, -0.5) near t = pi (enters at t = 2pi/3)
     K = phys_box(0.9, 1.1, -0.1, 0.1)
-    res = check_geometric_condition(harm, K, interval(-1.5, -0.5), np.pi + 0.5, 1e-3)
-    assert res.satisfied
-    assert res.first_hits.max() < np.pi + 0.5
-    assert res.first_hits.min() > 1.5
+    res = geometric_summary(harm, K, interval(-1.5, -0.5), np.pi + 0.5, [], 1e-3)
+    assert res.gc_satisfied
+    assert res.table.first_hit.max() < np.pi + 0.5
+    assert res.table.first_hit.min() > 1.5
 
 
 def test_gc_implies_positive_constant(free):
     K = phys_box(-0.1, 0.1, 0.9, 1.1)
     om = interval(0.5, 1.5)
-    res = check_geometric_condition(free, K, om, 2.0, 1e-3)
-    assert res.satisfied
-    assert geometric_constant(free, K, IndicatorCutoff(om), 2.0, 1e-3) > 0
+    res = geometric_summary(free, K, om, 2.0, [], 1e-3)
+    assert res.gc_satisfied
+    assert res.c_geo > 0
 
 
 def test_zero_when_cutoff_missed(free):
     K = phys_box(-0.1, 0.1, -0.1, 0.1)
     c = geometric_constant(free, K, IndicatorCutoff(interval(5.0, 6.0)), 1.0, 1e-3)
     assert c == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one pass, several cutoffs
+# ---------------------------------------------------------------------------
+
+def test_occupation_batch_columns_match_single_cutoff_passes(harm):
+    K = phys_box(0.7, 1.3, -0.3, 0.3, spacing=0.1)
+    om = interval(0.2, 2.0)
+    cutoffs = [RampCutoff(om, 0.4), IndicatorCutoff(om), ConstantCutoff(0.5),
+               IndicatorCutoff(om.enlarged(0.3))]
+    fused = occupation_batch(harm, K.sample_grid(), np.pi / 2, cutoffs, 1e-3)
+    for j, chi in enumerate(cutoffs):
+        single = occupation_batch(harm, K.sample_grid(), np.pi / 2, [chi], 1e-3)
+        np.testing.assert_array_equal(fused.occupation[:, j], single.occupation[:, 0])
+        np.testing.assert_array_equal(fused.first_hit[:, j], single.first_hit[:, 0])
+        np.testing.assert_array_equal(fused.left_box, single.left_box)
+
+
+# the first K stays inside the double well's working box [-2, 2]; in the
+# second, samples with |xi| above ~4.2 have the energy to leave it
+@pytest.mark.parametrize("plo, phi, leaves", [(-0.2, 0.2, False), (3.5, 5.0, True)])
+def test_geometric_summary_matches_single_cutoff_passes(dwell, plo, phi, leaves):
+    K = phys_box(0.8, 1.2, plo, phi, spacing=0.25)
+    om = interval(0.5, 1.5)
+    T, dt, deltas = 1.0, 1e-3, [0.3, 2.0]
+    geo = geometric_summary(dwell, K, om, T, deltas, dt)
+
+    def single(chi, spacing=None):
+        return occupation_batch(dwell, K.sample_grid(spacing), T, [chi], dt)
+
+    coarse = single(IndicatorCutoff(om))
+    fine = single(IndicatorCutoff(om), K.spacing / 2)
+    c_geo = float(coarse.occupation.min())
+    assert geo.deltas == tuple(deltas)
+    assert geo.c_geo == c_geo
+    assert geo.c_geo_refine_delta == abs(c_geo - float(fine.occupation.min()))
+    hits = coarse.first_hit[:, 0]
+    assert geo.gc_satisfied == bool(np.all(np.isfinite(hits) & (hits < T)))
+    assert geo.chi_geo == tuple(float(single(RampCutoff(om, d)).occupation.min())
+                                for d in deltas)
+    np.testing.assert_array_equal(geo.table.points, coarse.points)
+    np.testing.assert_array_equal(geo.table.occupation, coarse.occupation)
+    np.testing.assert_array_equal(geo.table.first_hit, coarse.first_hit)
+    np.testing.assert_array_equal(geo.table.left_box, coarse.left_box)
+    assert geo.left_box is leaves
+    # per sample: only the fast samples leave the box
+    assert not coarse.left_box.all()
+    assert coarse.left_box.any() == leaves
 
 
 # ---------------------------------------------------------------------------

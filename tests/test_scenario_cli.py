@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import obscert
-from obscert import quantum, scenario
+from obscert import classical, quantum, scenario
 from obscert.scenario import ConfigError, load_config, run_scenario, sweep_rows, validate
 
 
@@ -28,15 +28,19 @@ def base_config(**overrides):
     return cfg
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     # The child runs from a foreign cwd, where a relative PYTHONPATH (such as
     # PYTHONPATH=src) no longer resolves: hand it the directory this process
     # imported obscert from, as an absolute path.
     env = dict(os.environ)
     pkg_root = str(Path(obscert.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "obscert.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "obscert.cli", *args], cwd)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,19 @@ def test_bad_numerics_rejected():
         validate(base_config(numerics={"n": 500}))
     with pytest.raises(ConfigError, match=r"\$\.deltas"):
         validate(base_config(deltas=[-1.0]))
+    # integer fields: a config error, neither a traceback nor a truncation
+    for numerics, where in [({"n": "abc"}, "numerics.n"), ({"n": 512.5}, "numerics.n"),
+                            ({"slices": 2.9}, "numerics.slices")]:
+        with pytest.raises(ConfigError, match=where):
+            validate(base_config(numerics=numerics))
+    for per_axis in ("abc", 1.5, 0):
+        with pytest.raises(ConfigError, match=r"\$\.state\.per_axis"):
+            validate(base_config(state={"kind": "toeplitz_uniform", "per_axis": per_axis}))
+    # values that would share a report file name {scenario}_h{hbar:g}_d{delta:g}.json
+    with pytest.raises(ConfigError, match=r"\$\.hbars: values must differ"):
+        validate(base_config(hbars=[0.2, 0.2]))
+    with pytest.raises(ConfigError, match=r"\$\.deltas: values must differ"):
+        validate(base_config(deltas=[0.1234567, 3.0, 0.1234568]))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +152,20 @@ def test_sweep_rows_sorted():
     rows = sweep_rows(run_scenario(cfg))
     assert [(r["hbar"], r["delta"]) for r in rows] == \
         [(0.1, 1.0), (0.1, 4.0), (0.2, 1.0), (0.2, 4.0)]
+
+
+def test_classical_pass_runs_once_per_scenario(monkeypatch):
+    calls = []
+    original = classical.occupation_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "occupation_batch", counting)
+    reports = run_scenario(base_config(deltas=[1.0, 3.0], hbars=[0.1, 0.2]))
+    assert len(reports) == 4
+    assert len(calls) == 1
 
 
 def test_parallel_jobs_match_serial():
@@ -249,6 +280,14 @@ def test_cli_sweep_from_reports(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_import_skips_scipy_optimize(tmp_path):
+    # transport is the only user of scipy.optimize and certify never needs it
+    res = run_python(["-c", "import sys, obscert.cli; "
+                            "print('scipy.optimize' in sys.modules)"], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_demo_config_parses():
