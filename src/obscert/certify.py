@@ -261,6 +261,17 @@ def _ct_fields(lower: float, T: float):
     return None, None, None, None
 
 
+def _lip_along_flow(V: Potential, geo: GeometricSummary) -> float:
+    """Lipschitz bound of grad V valid wherever the trajectories from K go: the
+    working box's bound, or, when some trajectory left that box, the larger of
+    it and the bound recertified on the box joined with the trajectories' hull."""
+    if not geo.left_box:
+        return V.lip_grad
+    box = np.stack([np.minimum(V.working_box[:, 0], geo.hull[:, 0]),
+                    np.maximum(V.working_box[:, 1], geo.hull[:, 1])], axis=-1)
+    return max(V.lip_grad, V.with_box(box).lip_grad)
+
+
 def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
                        deltas: Sequence[float], psi: WaveFunction, *,
                        dt: float, geo: GeometricSummary,
@@ -277,7 +288,7 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
     deltas = [float(d) for d in deltas]
     if tuple(deltas) != geo.deltas:
         raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
-    lip = V.lip_grad
+    lip = _lip_along_flow(V, geo)
     dim = psi.grid.dim
 
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
@@ -358,7 +369,7 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
         raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
     if not np.all(K.contains(R.atoms)):
         raise ValueError("all Toeplitz atoms must lie inside K")
-    lip = V.lip_grad
+    lip = _lip_along_flow(V, geo)
     dim = R.dim
 
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta

@@ -248,8 +248,9 @@ class RampCutoff(Cutoff):
 def _grad(V: Potential, x: Array) -> Array:
     return V.gradient(x).reshape(x.shape)
 
-def verlet_step(V: Potential, x: Array, xi: Array, dt: float):
-    """One velocity-Verlet step of size dt for batches x, xi of shape (m, dim)."""
+def verlet_step(V: Potential, x: Array, xi: Array, dt: float | Array):
+    """One velocity-Verlet step for batches x, xi of shape (m, dim); dt is a
+    float or an (m, 1) array of per-sample step sizes."""
     half = xi - 0.5 * dt * _grad(V, x)
     x1 = x + dt * half
     xi1 = half - 0.5 * dt * _grad(V, x1)
@@ -288,18 +289,26 @@ def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
 # occupation times with event bracketing
 # ---------------------------------------------------------------------------
 
-def _bisect_crossing(V: Potential, x0: Array, xi0: Array, h: float,
-                     chi: Cutoff, inside_before: bool, tol: float) -> float:
-    """Crossing time s* in (0, h) of the indicator along the step that starts
-    at (x0, xi0), assuming the indicator differs at s=0 and s=h."""
-    lo, hi = 0.0, h
-    while hi - lo > tol:
+# Sample-steps per block: the Verlet loop fills a block of positions, then each
+# cutoff, crossing bisection and occupation sum runs once over the whole block.
+_BLOCK_SAMPLE_STEPS = 8192
+
+
+def _bisect_crossings(V: Potential, x0: Array, xi0: Array, h: float, chi: Cutoff,
+                      inside_before: Array, tol: float) -> Array:
+    """Crossing times s* in (0, h) of the indicator along the steps that start
+    at the rows of (x0, xi0), assuming the indicator differs at s=0 and s=h.
+    Each row takes the bisection sequence a one-crossing loop would take."""
+    lo = np.zeros(len(x0))
+    hi = np.full(len(x0), h)
+    active = hi - lo > tol
+    while active.any():
         mid = 0.5 * (lo + hi)
-        xm, _ = verlet_step(V, x0[None, :], xi0[None, :], mid)
-        if bool(chi(xm)[0] > 0.5) == inside_before:
-            lo = mid
-        else:
-            hi = mid
+        xm, _ = verlet_step(V, x0, xi0, mid[:, None])
+        keep = (chi(xm) > 0.5) == inside_before
+        lo = np.where(active & keep, mid, lo)
+        hi = np.where(active & ~keep, mid, hi)
+        active = hi - lo > tol
     return 0.5 * (lo + hi)
 
 
@@ -309,6 +318,7 @@ class OccupationResult:
     occupation: Array        # (m, k) time spent weighted by each of the k cutoffs
     first_hit: Array         # (m, k) first time with chi > 0 (nan if never)
     left_box: Array          # (m,) trajectory left the potential's working box
+    hull: Array              # (m, dim, 2) per-axis [min, max] of the trajectory's positions
 
 
 def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff],
@@ -317,54 +327,79 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
     sample and per cutoff, each column equal to a one-cutoff pass bit for bit.
 
     Indicator cutoffs get exact crossing splits (bisection to dt*1e-3);
-    smooth cutoffs use trapezoid weights at the integrator substeps.
+    smooth cutoffs use trapezoid weights at the integrator substeps.  Only the
+    Verlet step runs once per step; cutoffs, bisections and the time-ordered
+    sums run once per block of steps.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = pts.shape[1] // 2
-    x = pts[:, :dim].copy()
-    xi = pts[:, dim:].copy()
+    m, dim = len(pts), pts.shape[1] // 2
     n, h = _steps_for(T, dt)
     tol = h * 1e-3
-    occ = np.zeros((len(pts), len(chi)))
+    nb = max(1, _BLOCK_SAMPLE_STEPS // max(m, 1))
+    # row 0 holds the state at the block's start time ts[0]; row i the state
+    # after i steps, at ts[i]
+    X = np.empty((nb + 1, m, dim))
+    XI = np.empty((nb + 1, m, dim))
+    ts = np.empty(nb + 1)
+    X[0], XI[0] = pts[:, :dim], pts[:, dim:]
+    x, xi = X[0], XI[0]
+    occ = np.zeros((m, len(chi)))
     first_hit = np.full(occ.shape, np.nan)
-    vals = np.stack([c(x) for c in chi], axis=1)
+    vals = [c(x) for c in chi]
     for j, c in enumerate(chi):
         if c.is_indicator:
-            first_hit[vals[:, j] > 0.5, j] = 0.0
-    left_box = ~V.inside_box(x)
+            first_hit[vals[j] > 0.5, j] = 0.0
+    hull = np.stack([x, x], axis=-1)
 
     t = 0.0
-    for _ in range(n):
-        x_new, xi_new = verlet_step(V, x, xi, h)
-        if not np.all(np.isfinite(x_new)):
-            raise FloatingPointError("flow blew up: dt too large or pathological potential")
-        vals_new = np.stack([c(x_new) for c in chi], axis=1)
+    done = 0
+    while done < n:
+        b = min(nb, n - done)
+        ts[0] = t
+        for i in range(1, b + 1):
+            x, xi = verlet_step(V, x, xi, h)
+            if not np.all(np.isfinite(x)):
+                raise FloatingPointError("flow blew up: dt too large or pathological potential")
+            X[i], XI[i] = x, xi
+            t += h
+            ts[i] = t
+        done += b
+        path = X[1:b + 1]
+        np.minimum(hull[..., 0], path.min(axis=0), out=hull[..., 0])
+        np.maximum(hull[..., 1], path.max(axis=0), out=hull[..., 1])
         for j, c in enumerate(chi):
+            v = np.empty((b + 1, m))
+            v[0] = vals[j]
+            v[1:] = c(path.reshape(-1, dim)).reshape(b, m)
             if c.is_indicator:
-                inside_old = vals[:, j] > 0.5
-                inside_new = vals_new[:, j] > 0.5
-                same = inside_old == inside_new
-                occ[same & inside_old, j] += h
-                for i in np.nonzero(~same)[0]:
-                    s = _bisect_crossing(V, x[i], xi[i], h, c, bool(inside_old[i]), tol)
-                    if inside_old[i]:
-                        occ[i, j] += s                   # exits at t + s
-                    else:
-                        occ[i, j] += h - s               # enters at t + s
-                        if np.isnan(first_hit[i, j]):
-                            first_hit[i, j] = t + s
+                inside = v > 0.5
+                inc = np.where(inside[:-1] & inside[1:], h, 0.0)
+                k, i = np.nonzero(inside[:-1] != inside[1:])     # step-major order
+                if len(k):
+                    before = inside[k, i]
+                    s = _bisect_crossings(V, X[k, i], XI[k, i], h, c, before, tol)
+                    inc[k, i] = np.where(before, s, h - s)   # exits / enters at t_k + s
+                    # earliest entry per sample: its first occurrence in step-major order
+                    enter = ~before
+                    i_in, first = np.unique(i[enter], return_index=True)
+                    hit = ts[k[enter][first]] + s[enter][first]
+                    fresh = np.isnan(first_hit[i_in, j])
+                    first_hit[i_in[fresh], j] = hit[fresh]
             else:
-                occ[:, j] += 0.5 * h * (vals[:, j] + vals_new[:, j])
-                newly = np.isnan(first_hit[:, j]) & (vals_new[:, j] > 0)
-                first_hit[newly, j] = t + h
-        x, xi = x_new, xi_new
-        vals = vals_new
-        t += h
-        left_box |= ~V.inside_box(x)
+                inc = 0.5 * h * (v[:-1] + v[1:])
+                positive = v[1:] > 0
+                fresh = np.isnan(first_hit[:, j]) & positive.any(axis=0)
+                first_hit[fresh, j] = ts[positive.argmax(axis=0)[fresh] + 1]
+            # add the steps in time order, as a running sum would (np.sum pairs them)
+            inc = np.concatenate([occ[None, :, j], inc])
+            occ[:, j] = np.add.accumulate(inc, axis=0)[-1]
+            vals[j] = v[-1]
+        X[0], XI[0] = X[b], XI[b]
 
     np.clip(occ, 0.0, T, out=occ)
+    left_box = ~(V.inside_box(hull[..., 0]) & V.inside_box(hull[..., 1]))
     return OccupationResult(points=pts, occupation=occ, first_hit=first_hit,
-                            left_box=left_box)
+                            left_box=left_box, hull=hull)
 
 
 def occupation_time(V: Potential, p0: PhasePoint, T: float, chi: Cutoff,
@@ -388,6 +423,7 @@ class GeometricSummary:
     gc_satisfied: bool           # every sample is in omega at some t < T (t = 0 counts)
     chi_geo: tuple               # min ramp-cutoff occupation time, per delta
     left_box: bool               # some trajectory left V's working box
+    hull: Array                  # (dim, 2) per-axis [min, max] of all trajectories' positions
     table: OccupationResult      # the indicator pass (one cutoff column)
 
 
@@ -408,7 +444,9 @@ def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
         c_geo_refine_delta=abs(c_geo - float(res.occupation[m:, 0].min())),
         gc_satisfied=bool(np.all(res.first_hit[:m, 0] < T)),     # nan: never hit
         chi_geo=tuple(float(v) for v in res.occupation[:m, 1:].min(axis=0)),
-        left_box=bool(res.left_box[:m].any()),
+        left_box=bool(res.left_box.any()),
+        hull=np.stack([res.hull[..., 0].min(axis=0), res.hull[..., 1].max(axis=0)], axis=-1),
         table=OccupationResult(points=res.points[:m], occupation=res.occupation[:m, :1],
-                               first_hit=res.first_hit[:m, :1], left_box=res.left_box[:m]),
+                               first_hit=res.first_hit[:m, :1], left_box=res.left_box[:m],
+                               hull=res.hull[:m]),
     )

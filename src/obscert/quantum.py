@@ -201,17 +201,7 @@ def propagate(V: Potential, psi: WaveFunction, t: float, dt: float) -> WaveFunct
     """Evolve psi for time t under -hbar^2/2 Laplacian + V by Strang splitting."""
     if t == 0:
         return WaveFunction(psi.grid, psi.values.copy(), psi.hbar)
-    n_steps, h = _split_steps(t, dt)
-    stepper = _Stepper(V, psi.grid, psi.hbar, h)
-    values = stepper.run(psi.values, n_steps)
-    out = WaveFunction(psi.grid, values, psi.hbar)
-    tail = out.spectral_tail_mass()
-    if tail > ALIAS_TOL:
-        raise SpectralAliasError(
-            f"spectral tail mass {tail:.3e} exceeds {ALIAS_TOL:.0e}; refine the grid"
-        )
-    out.check_boundary()
-    return out
+    return propagate_series(V, psi, t, dt, lambda _t, _state: None)
 
 
 def _split_steps(t: float, dt: float) -> tuple[int, float]:
@@ -232,26 +222,37 @@ class _Stepper:
         self.full = self.half * self.half
         k2 = sum(km ** 2 for km in grid.k_meshes())
         self.kinetic = np.exp(-0.5j * hbar * k2 * h)
+        interior = np.zeros(grid.shape, dtype=bool)
+        interior[(slice(1, -1),) * grid.dim] = True
+        self.edge = np.flatnonzero(~interior)
+        self.edge_half = self.half.ravel()[self.edge]
 
-    def run(self, values: Array, n_steps: int) -> Array:
-        v = values * self.half
-        for step in range(n_steps):
-            v = np.fft.ifftn(self.kinetic * np.fft.fftn(v))
-            v = v * (self.half if step == n_steps - 1 else self.full)
-        return v
+    def edge_amplitude(self, v: Array) -> float:
+        """Boundary amplitude of v * half, from the edge cells alone."""
+        return float(np.abs(v.ravel()[self.edge] * self.edge_half).max())
 
 
 def propagate_series(V: Potential, psi: WaveFunction, T: float, dt: float,
                      observer: Callable[[float, WaveFunction], None]) -> WaveFunction:
-    """Propagate while calling observer(t, state) at t = 0, dt, ..., T."""
+    """Propagate while calling observer(t, state) at t = 0, dt, ..., T.
+
+    The boundary amplitude of every synchronized state is checked as it is
+    produced, and the spectral tail of the final one.  A state that fails
+    both checks reports the tail: a grid too coarse for the momenta also
+    spreads mass to the boundary, and a larger box would not help.
+    """
     n_steps, h = _split_steps(T, dt)
     stepper = _Stepper(V, psi.grid, psi.hbar, h)
-    current = psi.values.copy()
     observer(0.0, psi)
+    current = psi.values * stepper.half
     for step in range(n_steps):
-        if step == 0:
-            current = current * stepper.half
         current = np.fft.ifftn(stepper.kinetic * np.fft.fftn(current))
+        t = (step + 1) * h
+        amp = stepper.edge_amplitude(current)
+        if amp > BOUNDARY_TOL:
+            _check_spectral_tail(WaveFunction(psi.grid, current * stepper.half, psi.hbar))
+            raise BoundaryLeakError(f"boundary amplitude {amp:.3e} at t = {t:.4g} exceeds "
+                                    f"{BOUNDARY_TOL:.0e}; enlarge the box")
         if step == n_steps - 1:
             current = current * stepper.half
             state = WaveFunction(psi.grid, current, psi.hbar)
@@ -259,14 +260,17 @@ def propagate_series(V: Potential, psi: WaveFunction, T: float, dt: float,
             # observer sees the synchronized state (half phase applied)
             state = WaveFunction(psi.grid, current * stepper.half, psi.hbar)
             current = current * stepper.full
-        observer((step + 1) * h, state)
+        observer(t, state)
+    _check_spectral_tail(state)
+    return state
+
+
+def _check_spectral_tail(state: WaveFunction) -> None:
     tail = state.spectral_tail_mass()
     if tail > ALIAS_TOL:
         raise SpectralAliasError(
             f"spectral tail mass {tail:.3e} exceeds {ALIAS_TOL:.0e}; refine the grid"
         )
-    state.check_boundary()
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,32 @@ def test_sweep_rejects_summary_for_other_deltas(free):
                                        dt=2e-3, geo=geo)
 
 
+# the double-well K of test_geometric_summary_matches_single_cutoff_passes: with
+# xi in [3.5, 5] fast samples leave the working box [-2, 2], where the
+# Lipschitz bound of grad V grows
+@pytest.mark.parametrize("plo, phi, leaves", [(-0.2, 0.2, False), (3.5, 5.0, True)])
+def test_sweeps_recertify_lip_on_the_trajectory_hull(dwell, plo, phi, leaves):
+    K = phase_box(0.8, 1.2, plo, phi, spacing=0.25)
+    om = interval(0.5, 1.5)
+    T, deltas, p0 = 1.0, [2.0], 0.5 * (plo + phi)
+    geo = classical.geometric_summary(dwell, K, om, T, deltas, 1e-3)
+    assert geo.left_box is leaves
+    hull_box = [[min(-2.0, geo.hull[0, 0]), max(2.0, geo.hull[0, 1])]]
+    lip = max(dwell.lip_grad, dwell.with_box(hull_box).lip_grad)
+    assert (lip > dwell.lip_grad) is leaves
+    grid = Grid(dim=1, n=1024, length=16.0)
+    psi = coherent_state(grid, 0.05, 1.0, p0)
+    R = phasespace.toeplitz_from_density([(1.0, p0, 1.0)], 0.05)
+    pure = certify_pure_sweep(dwell, K, om, T, deltas, psi, dt=1e-3, geo=geo)[0]
+    toep = certify.certify_toeplitz_sweep(dwell, K, om, T, deltas, R, grid, dt=1e-3,
+                                          geo=geo)[0]
+    for rep in (pure, toep):
+        assert rep.left_box is leaves
+        assert rep.lip_grad == lip
+    assert pure.d_const == spread_coefficient(T, lip)
+    assert toep.c_tl == toeplitz_coefficient(T, lip)
+
+
 def test_stiff_potential_yields_vacuous_not_nan(dwell):
     grid = Grid(dim=1, n=1024, length=16.0)
     K = phase_box(0.8, 1.2, -0.2, 0.2)

@@ -1,10 +1,16 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from obscert import classical, potentials, scenario
 from obscert.classical import (
     CompactSet, ConstantCutoff, IndicatorCutoff, PhasePoint, RampCutoff, Region,
     flow, geometric_summary, hamiltonian, occupation_batch, occupation_time, verlet_step,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def interval(lo, hi):
@@ -256,6 +262,153 @@ def test_geometric_summary_matches_single_cutoff_passes(dwell, plo, phi, leaves)
     # per sample: only the fast samples leave the box
     assert not coarse.left_box.all()
     assert coarse.left_box.any() == leaves
+
+
+# ---------------------------------------------------------------------------
+# the time-blocked kernel against the per-step loop
+# ---------------------------------------------------------------------------
+
+def _bisect_crossing_loop(V, x0, xi0, h, chi, inside_before, tol):
+    lo, hi = 0.0, h
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        xm, _ = verlet_step(V, x0[None, :], xi0[None, :], mid)
+        if bool(chi(xm)[0] > 0.5) == inside_before:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def occupation_loop(V, points, T, chi, dt):
+    """Reference: one step at a time, every cutoff evaluated per step and every
+    crossing bisected on its own; returns (occupation, first_hit, left_box, hull)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = pts.shape[1] // 2
+    x = pts[:, :dim].copy()
+    xi = pts[:, dim:].copy()
+    n, h = classical._steps_for(T, dt)
+    tol = h * 1e-3
+    occ = np.zeros((len(pts), len(chi)))
+    first_hit = np.full(occ.shape, np.nan)
+    vals = np.stack([c(x) for c in chi], axis=1)
+    for j, c in enumerate(chi):
+        if c.is_indicator:
+            first_hit[vals[:, j] > 0.5, j] = 0.0
+    left_box = ~V.inside_box(x)
+    lo_hull, hi_hull = x.copy(), x.copy()
+    t = 0.0
+    for _ in range(n):
+        x_new, xi_new = verlet_step(V, x, xi, h)
+        vals_new = np.stack([c(x_new) for c in chi], axis=1)
+        for j, c in enumerate(chi):
+            if c.is_indicator:
+                inside_old = vals[:, j] > 0.5
+                inside_new = vals_new[:, j] > 0.5
+                same = inside_old == inside_new
+                occ[same & inside_old, j] += h
+                for i in np.nonzero(~same)[0]:
+                    s = _bisect_crossing_loop(V, x[i], xi[i], h, c, bool(inside_old[i]), tol)
+                    if inside_old[i]:
+                        occ[i, j] += s
+                    else:
+                        occ[i, j] += h - s
+                        if np.isnan(first_hit[i, j]):
+                            first_hit[i, j] = t + s
+            else:
+                occ[:, j] += 0.5 * h * (vals[:, j] + vals_new[:, j])
+                newly = np.isnan(first_hit[:, j]) & (vals_new[:, j] > 0)
+                first_hit[newly, j] = t + h
+        x, xi = x_new, xi_new
+        vals = vals_new
+        t += h
+        left_box |= ~V.inside_box(x)
+        lo_hull, hi_hull = np.minimum(lo_hull, x), np.maximum(hi_hull, x)
+    np.clip(occ, 0.0, T, out=occ)
+    return occ, first_hit, left_box, np.stack([lo_hull, hi_hull], axis=-1)
+
+
+def assert_matches_loop(V, points, T, chi, dt):
+    res = occupation_batch(V, points, T, chi, dt)
+    occ, first_hit, left_box, hull = occupation_loop(V, points, T, chi, dt)
+    np.testing.assert_array_equal(res.occupation, occ)
+    np.testing.assert_array_equal(res.first_hit, first_hit)
+    np.testing.assert_array_equal(res.left_box, left_box)
+    np.testing.assert_array_equal(res.hull, hull)
+    return res
+
+
+def _cutoffs(om):
+    return [IndicatorCutoff(om), RampCutoff(om, 0.3), IndicatorCutoff(om.enlarged(0.1)),
+            ConstantCutoff(0.5)]
+
+
+def test_kernel_matches_loop_on_repeated_crossings(harm):
+    # two windows on each side of the origin: every orbit of amplitude ~1
+    # crosses four window edges per period, for about two periods
+    om = Region(np.array([[[0.2, 0.6]], [[-0.9, -0.4]]]))
+    K = phys_box(0.7, 1.3, -0.3, 0.3, spacing=0.1)
+    res = assert_matches_loop(harm, K.sample_grid(), 4 * np.pi, _cutoffs(om), 1e-2)
+    assert np.all(res.occupation[:, 0] > 0) and np.all(res.occupation[:, 0] < 4 * np.pi)
+
+
+def test_kernel_matches_loop_in_two_dimensions():
+    V = potentials.harmonic(stiffness=2.0, dim=2)
+    om = Region(np.array([[[0.1, 0.8], [-0.5, 0.5]]]))
+    K = CompactSet(np.array([[[0.6, 1.0], [-0.2, 0.2], [-0.3, 0.3], [0.4, 0.8]]]), 0.2)
+    assert_matches_loop(V, K.sample_grid(), 3.0, _cutoffs(om), 1e-2)
+
+
+@pytest.mark.parametrize("budget", ["one", "three", "default"])
+def test_kernel_matches_loop_at_block_edges(free, monkeypatch, budget):
+    # dt = 0.1 and unit speed: the first sample enters (0.25, 0.65) in step 2
+    # and leaves it in step 6; with three steps per block that is the last step
+    # of the first block and the first step of the third
+    pts = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 2.0], [0.3, -1.0], [0.5, 0.0]])
+    steps = {"one": 1, "three": 3 * len(pts), "default": classical._BLOCK_SAMPLE_STEPS}
+    monkeypatch.setattr(classical, "_BLOCK_SAMPLE_STEPS", steps[budget])
+    res = assert_matches_loop(free, pts, 1.0, _cutoffs(interval(0.25, 0.65)), 0.1)
+    assert 0.2 < res.first_hit[0, 0] < 0.3
+    assert res.first_hit[0, 1] == pytest.approx(0.1)    # ramp positive from t = 0
+    assert res.occupation[0, 0] == pytest.approx(0.4, abs=1e-3)
+
+
+def test_kernel_matches_loop_when_leaving_the_box_mid_block():
+    # working box [-0.5, 0.5]: amplitudes above 0.5 leave it and come back,
+    # over half a period on one side only (the last two on the low side)
+    V = potentials.harmonic(box=(-0.5, 0.5))
+    pts = np.array([[0.0, 1.0], [0.0, 0.3], [0.4, 0.4], [-0.2, -0.6], [0.0, -1.0]])
+    res = assert_matches_loop(V, pts, np.pi, _cutoffs(interval(-0.3, 0.2)), 1e-2)
+    np.testing.assert_array_equal(res.left_box, [True, False, True, True, True])
+    assert res.hull[0, 0, 1] == pytest.approx(1.0, abs=1e-3)
+    assert res.hull[4, 0, 0] == pytest.approx(-1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("m", [1, 0])
+def test_kernel_matches_loop_on_one_and_zero_samples(dwell, m):
+    pts = np.array([[0.9, 0.4]])[:m].reshape(m, 2)
+    chi = _cutoffs(interval(0.5, 1.5))
+    res = assert_matches_loop(dwell, pts, 2.0, chi, 1e-3)
+    assert res.occupation.shape == res.first_hit.shape == (m, len(chi))
+    assert res.hull.shape == (m, 1, 2)
+
+
+def test_kernel_memory_on_the_shipped_lattice():
+    # one cutoff at a time over a block of at most 8192 sample-steps: the
+    # stacked lattice of free_coherent (872 samples) stays far below a full
+    # (steps x samples) history, which would take 14 MB per array
+    cfg = scenario.load_config(CONFIGS / "free_coherent.json")
+    V, K, om, num = scenario.build_objects(cfg)
+    pts = np.concatenate([K.sample_grid(), K.sample_grid(K.spacing / 2)])
+    chi = [IndicatorCutoff(om)] + [RampCutoff(om, d) for d in cfg["deltas"]]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        occupation_batch(V, pts, float(cfg["T"]), chi, num.dt_flow)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

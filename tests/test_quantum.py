@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obscert import classical
+from obscert import classical, potentials, quantum
 from obscert.classical import ConstantCutoff, IndicatorCutoff, PhasePoint, Region
 from obscert.quantum import (
     BoundaryLeakError, Grid, SpectralAliasError, coherent_state,
@@ -55,6 +55,24 @@ def test_boundary_monitor_trips():
     small = Grid(dim=1, n=64, length=4.0)
     with pytest.raises(BoundaryLeakError):
         coherent_state(small, 0.5, 1.5, 0.0)
+
+
+def test_boundary_monitor_sees_mid_run_leaks(grid1024, harm):
+    # the packet swings out to |x| ~ 6.5 at t ~ pi/2, where its edge amplitude
+    # peaks at 4.4e-10, and is back at the center by t = pi (7.3e-15 there):
+    # a check of the final state alone passes this run
+    psi = coherent_state(grid1024, 0.05, 0.0, 6.5)
+    with pytest.raises(BoundaryLeakError, match=r"at t = 1\.\d+ exceeds"):
+        propagate(harm, psi, np.pi, 1e-3)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_monitor_reads_the_synchronized_edges(dim, rng):
+    grid = Grid(dim=dim, n=16, length=8.0)
+    stepper = quantum._Stepper(potentials.harmonic(dim=dim), grid, HBAR, 0.1)
+    v = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    synced = quantum.WaveFunction(grid, v * stepper.half, HBAR)
+    assert stepper.edge_amplitude(v) == synced.boundary_amplitude()
 
 
 def test_grid_requires_power_of_two():

@@ -147,6 +147,23 @@ def test_numerics_abort_exit_code(tmp_path):
     assert not out.exists() or not list(out.glob("*.json"))
 
 
+def test_mid_run_boundary_leak_exit_code(tmp_path):
+    # the state touches the box edge mid-run only (test_quantum has the
+    # propagation-level case): still a numerical abort
+    cfg = base_config(potential={"kind": "harmonic", "dim": 1, "box": [-8.0, 8.0]},
+                      K={"boxes": [[[-0.2, 0.2], [6.3, 6.7]]], "spacing": 0.2},
+                      omega={"boxes": [[-1.0, 1.0]]}, T=math.pi, hbars=[0.05],
+                      state={"kind": "coherent", "q": 0.0, "p": 6.5},
+                      numerics={"n": 1024, "length": 16.0, "dt": 1e-3, "dt_flow": 1e-2})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "boundary amplitude" in res.stderr
+    assert not out.exists() or not list(out.glob("*.json"))
+
+
 def test_sweep_rows_sorted():
     cfg = base_config(deltas=[4.0, 1.0], hbars=[0.2, 0.1])
     rows = sweep_rows(run_scenario(cfg))
