@@ -261,14 +261,13 @@ def _ct_fields(lower: float, T: float):
     return None, None, None, None
 
 
-def _lip_along_flow(V: Potential, geo: GeometricSummary) -> float:
+def _lip_along_flow(V: Potential, hull: np.ndarray) -> float:
     """Lipschitz bound of grad V valid wherever the trajectories from K go: the
-    working box's bound, or, when some trajectory left that box, the larger of
-    it and the bound recertified on the box joined with the trajectories' hull."""
-    if not geo.left_box:
-        return V.lip_grad
-    box = np.stack([np.minimum(V.working_box[:, 0], geo.hull[:, 0]),
-                    np.maximum(V.working_box[:, 1], geo.hull[:, 1])], axis=-1)
+    larger of the working box's bound and the bound recertified on the box
+    joined with the trajectories' (dim, 2) hull (the same box, and so the same
+    bound, when no trajectory left the working box)."""
+    box = np.stack([np.minimum(V.working_box[:, 0], hull[:, 0]),
+                    np.maximum(V.working_box[:, 1], hull[:, 1])], axis=-1)
     return max(V.lip_grad, V.with_box(box).lip_grad)
 
 
@@ -288,7 +287,7 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
     deltas = [float(d) for d in deltas]
     if tuple(deltas) != geo.deltas:
         raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
-    lip = _lip_along_flow(V, geo)
+    lip = _lip_along_flow(V, geo.hull)
     dim = psi.grid.dim
 
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
@@ -369,7 +368,7 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
         raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
     if not np.all(K.contains(R.atoms)):
         raise ValueError("all Toeplitz atoms must lie inside K")
-    lip = _lip_along_flow(V, geo)
+    lip = _lip_along_flow(V, geo.hull)
     dim = R.dim
 
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
@@ -439,10 +438,10 @@ def observability_margin(psi: WaveFunction, K: CompactSet, omega: Region, T: flo
     phase-space mass on K, minus the spread penalty.  Returns (value, value >= 1/c_obs)."""
     if c_obs <= 0:
         raise ValueError("c_obs must be positive")
-    c_enl = float(classical.occupation_batch(
+    res = classical.occupation_batch(
         V, K.sample_grid(), T, [IndicatorCutoff(omega.enlarged(delta))], dt_flow)
-        .occupation.min())
+    c_enl = float(res.occupation.min())
     h_K = phasespace.husimi_mass(psi, K, husimi_spacing)
-    D = spread_coefficient(T, V.lip_grad)
+    D = spread_coefficient(T, _lip_along_flow(V, res.joint_hull))
     value = c_enl * h_K - D * quantum.spread(psi) / delta
     return float(value), bool(value >= 1.0 / c_obs)

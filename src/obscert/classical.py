@@ -320,6 +320,11 @@ class OccupationResult:
     left_box: Array          # (m,) trajectory left the potential's working box
     hull: Array              # (m, dim, 2) per-axis [min, max] of the trajectory's positions
 
+    @property
+    def joint_hull(self) -> Array:
+        """(dim, 2) per-axis [min, max] over all trajectories' positions."""
+        return np.stack([self.hull[..., 0].min(axis=0), self.hull[..., 1].max(axis=0)], axis=-1)
+
 
 def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff],
                      dt: float) -> OccupationResult:
@@ -445,7 +450,7 @@ def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
         gc_satisfied=bool(np.all(res.first_hit[:m, 0] < T)),     # nan: never hit
         chi_geo=tuple(float(v) for v in res.occupation[:m, 1:].min(axis=0)),
         left_box=bool(res.left_box.any()),
-        hull=np.stack([res.hull[..., 0].min(axis=0), res.hull[..., 1].max(axis=0)], axis=-1),
+        hull=res.joint_hull,
         table=OccupationResult(points=res.points[:m], occupation=res.occupation[:m, :1],
                                first_hit=res.first_hit[:m, :1], left_box=res.left_box[:m],
                                hull=res.hull[:m]),

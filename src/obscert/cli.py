@@ -20,7 +20,6 @@ import numpy as np
 from . import certify, classical, phasespace, quantum, scenario
 from .certify import CertificationReport, _json_ready
 from .classical import IndicatorCutoff
-from .phasespace import ToeplitzState
 from .scenario import ConfigError
 
 
@@ -60,18 +59,18 @@ def _sample_table_rows(table):
     return header, rows
 
 
+def _write_sweep(path: Path, rows) -> None:
+    _write_csv(path, scenario.SWEEP_FIELDS,
+               [[row[k] for k in scenario.SWEEP_FIELDS] for row in rows])
+
+
 def cmd_certify(args) -> int:
-    cfg = scenario.load_config(args.config)
-    reports = scenario.run_scenario(cfg, jobs=args.jobs, seed=args.seed)
+    reports = scenario.run_scenario(scenario.load_config(args.config), jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for r in reports:
         _write_json(out / _report_filename(r), r.to_dict())
-    _write_csv(out / "sweep.csv",
-               ["scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict"],
-               [[row["scenario"], row["hbar"], row["delta"], row["lower_bound"],
-                 row["measured"], row["margin"], row["verdict"]]
-                for row in scenario.sweep_rows(reports)])
+    _write_sweep(out / "sweep.csv", scenario.sweep_rows(reports))
     _print_reports(reports)
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
@@ -84,40 +83,32 @@ def cmd_sweep(args) -> int:
         for path in sorted(Path(args.reports).glob("*.json")):
             data = json.loads(path.read_text(encoding="utf-8"))
             if "lower_bound" in data:
-                rows.append({k: data[k] for k in
-                             ("scenario", "hbar", "delta", "lower_bound",
-                              "measured", "margin", "verdict")})
+                rows.append({k: data[k] for k in scenario.SWEEP_FIELDS})
         if not rows:
             print("no reports found", file=sys.stderr)
             return 2
         rows.sort(key=lambda r: (r["hbar"], r["delta"]))
     else:
-        cfg = scenario.load_config(args.config)
-        reports = scenario.run_scenario(cfg, jobs=args.jobs, seed=args.seed)
+        reports = scenario.run_scenario(scenario.load_config(args.config), jobs=args.jobs)
         rows = scenario.sweep_rows(reports)
-    _write_csv(out / "sweep.csv",
-               ["scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict"],
-               [[r["scenario"], r["hbar"], r["delta"], r["lower_bound"], r["measured"],
-                 r["margin"], r["verdict"]] for r in rows])
+    _write_sweep(out / "sweep.csv", rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
 
 def cmd_gcc(args) -> int:
-    cfg = scenario.load_config(args.config)
-    V, K, omega, num = scenario.build_objects(cfg)
-    T = float(cfg["T"])
+    sc = scenario.load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    geo = classical.geometric_summary(V, K, omega, T, cfg["deltas"], num.dt_flow)
+    geo = sc.geometric_summary()
     header, rows = _sample_table_rows(geo.table)
     _write_csv(out / "gcc.csv", header, rows)
     summary = {
-        "scenario": cfg.get("scenario", "scenario"),
+        "scenario": sc.name,
         "gc_satisfied": geo.gc_satisfied,
         "c_geo": geo.c_geo,
         "c_geo_refine_delta": geo.c_geo_refine_delta,
-        "chi_geo": {str(d): c for d, c in zip(cfg["deltas"], geo.chi_geo)},
+        "chi_geo": {str(d): c for d, c in zip(sc.deltas, geo.chi_geo)},
         "samples": len(rows),
     }
     _write_json(out / "gcc.json", summary)
@@ -127,13 +118,11 @@ def cmd_gcc(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cfg = scenario.load_config(args.config)
-    V, K, omega, num = scenario.build_objects(cfg)
-    T = float(cfg["T"])
+    sc = scenario.load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = classical.occupation_batch(
-        V, K.sample_grid(), T, [IndicatorCutoff(omega)], num.dt_flow)
+        sc.V, sc.K.sample_grid(), sc.T, [IndicatorCutoff(sc.omega)], sc.numerics.dt_flow)
     header, rows = _sample_table_rows(table)
     _write_csv(out / "flow.csv", header, rows)
     print(f"wrote {out / 'flow.csv'} ({len(rows)} samples)")
@@ -141,19 +130,16 @@ def cmd_flow(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    cfg = scenario.load_config(args.config)
-    V, K, omega, num = scenario.build_objects(cfg)
-    grid = scenario.build_grid(num, V.dim)
-    hbar = float(sorted(cfg["hbars"])[0])
-    state = scenario.build_state(cfg["state"], grid, hbar, K)
-    if isinstance(state, ToeplitzState):
+    sc = scenario.load_config(args.config)
+    if sc.state.kind == "toeplitz":
         print("propagate needs a pure state; pick a coherent/gaussian/superposition state",
               file=sys.stderr)
         return 2
-    T = float(cfg["T"])
+    grid, hbar, num = sc.grid, sc.hbars[0], sc.numerics
+    state = scenario.build_state(sc.state, grid, hbar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    times = np.linspace(0.0, T, num.slices)
+    times = np.linspace(0.0, sc.T, num.slices)
     rows = []
     saved = [0]
 
@@ -164,28 +150,26 @@ def cmd_propagate(args) -> int:
                 rows.append([float(t), *(float(v) for v in pt), float(d)])
             saved[0] += 1
 
-    final = quantum.propagate_series(V, state, T, num.dt, observer)
+    final = quantum.propagate_series(sc.V, state, sc.T, num.dt, observer)
     header = ["t"] + [f"x{i+1}" for i in range(grid.dim)] + ["density"]
     _write_csv(out / "density.csv", header, rows)
-    quantum.save_state(out / "final_state.qst", final, t=T)
+    quantum.save_state(out / "final_state.qst", final, t=sc.T)
     print(f"wrote {out / 'density.csv'} and {out / 'final_state.qst'} "
           f"(hbar={hbar:g}, final norm {final.norm:.12f})")
     return 0
 
 
 def cmd_husimi(args) -> int:
-    cfg = scenario.load_config(args.config)
-    V, K, omega, num = scenario.build_objects(cfg)
-    if V.dim != 1:
+    sc = scenario.load_config(args.config)
+    if sc.V.dim != 1:
         print("husimi fields are emitted for dim 1 only", file=sys.stderr)
         return 2
-    grid = scenario.build_grid(num, V.dim)
-    hbar = float(sorted(cfg["hbars"])[0])
-    state = scenario.build_state(cfg["state"], grid, hbar, K)
-    if isinstance(state, ToeplitzState):
+    if sc.state.kind == "toeplitz":
         print("husimi needs a pure state", file=sys.stderr)
         return 2
-    pg = num.phase_grid or {}
+    hbar = sc.hbars[0]
+    state = scenario.build_state(sc.state, sc.grid, hbar)
+    pg = sc.numerics.phase_grid or {}
     side = 4.0 * math.sqrt(hbar)
     q_spec = pg.get("q")
     p_spec = pg.get("p")
@@ -207,15 +191,14 @@ def cmd_husimi(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    cfg = scenario.load_config(args.config)
-    V, K, omega, num = scenario.build_objects(cfg)
-    T = float(cfg["T"])
-    lip = V.lip_grad
+    sc = scenario.load_config(args.config)
+    T = sc.T
+    lip = certify._lip_along_flow(sc.V, sc.geometric_summary().hull)
     c_tl, lam_star = certify.toeplitz_coefficient_details(T, lip)
     payload = {
         "T": T,
         "lip_grad": lip,
-        "d_K": K.diameter,
+        "d_K": sc.K.diameter,
         "spread_coefficient": certify.spread_coefficient(T, lip),
         "toeplitz_coefficient": c_tl,
         "toeplitz_coefficient_lambda": lam_star,
@@ -259,8 +242,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "sweep"))
         p.add_argument("--out", default="out")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        if name in ("certify", "sweep"):
+            p.add_argument("--jobs", type=int, default=1)
         if name == "sweep":
             p.add_argument("--reports", default=None,
                            help="tabulate existing report JSONs instead of running")

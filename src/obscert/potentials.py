@@ -10,6 +10,7 @@ estimate with a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,17 +101,40 @@ class Potential:
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 
+# The built-ins use module-level functions (bound with functools.partial) rather
+# than lambdas, so that a Potential pickles into worker processes.
+
+def _constant_lip(value: float, _box: Array) -> float:
+    return value
+
+
+def _free_value(p: Array) -> Array:
+    return np.zeros(len(p))
+
+
+def _free_grad(p: Array) -> Array:
+    return np.zeros_like(p)
+
+
 def free_particle(dim: int = 1, box=(-8.0, 8.0)) -> Potential:
     b = _box_array(box, dim)
     return Potential(
         name="free",
         dim=dim,
-        value_fn=lambda p: np.zeros(len(p)),
-        grad_fn=lambda p: np.zeros_like(p),
+        value_fn=_free_value,
+        grad_fn=_free_grad,
         lip_grad=0.0,
         working_box=b,
-        lip_on_box=lambda _b: 0.0,
+        lip_on_box=partial(_constant_lip, 0.0),
     )
+
+
+def _harmonic_value(k: float, p: Array) -> Array:
+    return 0.5 * k * np.sum(p * p, axis=-1)
+
+
+def _harmonic_grad(k: float, p: Array) -> Array:
+    return k * p
 
 
 def harmonic(stiffness: float = 1.0, dim: int = 1, box=(-8.0, 8.0)) -> Potential:
@@ -120,11 +144,11 @@ def harmonic(stiffness: float = 1.0, dim: int = 1, box=(-8.0, 8.0)) -> Potential
     return Potential(
         name="harmonic",
         dim=dim,
-        value_fn=lambda p: 0.5 * k * np.sum(p * p, axis=-1),
-        grad_fn=lambda p: k * p,
+        value_fn=partial(_harmonic_value, k),
+        grad_fn=partial(_harmonic_grad, k),
         lip_grad=k,
         working_box=b,
-        lip_on_box=lambda _b: k,
+        lip_on_box=partial(_constant_lip, k),
     )
 
 
@@ -143,14 +167,22 @@ def _double_well_lip(box: Array) -> float:
     return max(candidates)
 
 
+def _double_well_value(p: Array) -> Array:
+    return (np.sum(p * p, axis=-1) - 1.0) ** 2
+
+
+def _double_well_grad(p: Array) -> Array:
+    return 4.0 * (np.sum(p * p, axis=-1, keepdims=True) - 1.0) * p
+
+
 def double_well(dim: int = 1, box=(-2.0, 2.0)) -> Potential:
     """V(x) = (|x|^2 - 1)^2 with wells on the unit sphere and a barrier at the origin."""
     b = _box_array(box, dim)
     return Potential(
         name="double_well",
         dim=dim,
-        value_fn=lambda p: (np.sum(p * p, axis=-1) - 1.0) ** 2,
-        grad_fn=lambda p: 4.0 * (np.sum(p * p, axis=-1, keepdims=True) - 1.0) * p,
+        value_fn=_double_well_value,
+        grad_fn=_double_well_grad,
         lip_grad=_double_well_lip(b),
         working_box=b,
         lip_on_box=_double_well_lip,

@@ -2,7 +2,8 @@
 
 A scenario is one JSON document naming a potential, a compact phase-space set
 K, an observation region, a horizon T, lists of hbar and delta values, an
-initial state, and the numerical parameters.  Running it produces one
+initial state, and the numerical parameters.  ``parse`` checks every field and
+returns a frozen, picklable ``Scenario``; running it produces one
 certification report per (hbar, delta) cell, deterministically ordered.
 """
 
@@ -20,14 +21,19 @@ from . import certify, classical, phasespace, potentials, quantum
 from .certify import CertificationReport
 from .classical import CompactSet, GeometricSummary, Region
 from .phasespace import ToeplitzState
+from .potentials import Potential
 from .quantum import Grid
+
+SWEEP_FIELDS = ("scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict")
 
 
 class ConfigError(ValueError):
     """Scenario config failed validation; message carries the config path."""
 
 
-def _require(cfg: dict, key: str, where: str):
+def _require(cfg, key: str, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: must be an object")
     if key not in cfg:
         raise ConfigError(f"{where}.{key}: missing required field")
     return cfg[key]
@@ -50,13 +56,26 @@ def _positive_int(value, where: str) -> int:
     return int(v)
 
 
-def _positive_list(values, where: str) -> list[float]:
+def _positive_list(values, where: str) -> tuple[float, ...]:
+    """Distinct positive values, sorted."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{where}: expected a nonempty list")
     out = [_positive(v, f"{where}[{i}]") for i, v in enumerate(values)]
     if len({f"{v:g}" for v in out}) < len(out):
         raise ConfigError(f"{where}: values must differ in report file names (format :g)")
-    return out
+    return tuple(sorted(out))
+
+
+def _vec(value, dim: int, where: str) -> np.ndarray:
+    try:
+        v = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
+    if v.size != dim:
+        raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return v
 
 
 def _norm_boxes(raw, dim: int, where: str) -> np.ndarray:
@@ -83,11 +102,27 @@ class Numerics:
     dt_flow: float = 1e-3
     husimi_spacing: Optional[float] = None
     slices: int = 9
-    phase_grid: Optional[dict] = None
+    phase_grid: Optional[dict] = None     # {"q"|"p": [lo, hi, count]}
 
 
-def parse_numerics(cfg: dict) -> Numerics:
-    cfg = cfg or {}
+def _parse_phase_grid(raw) -> Optional[dict]:
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ConfigError("numerics.phase_grid: must be an object")
+    out = {}
+    for axis in ("q", "p"):
+        if raw.get(axis) is not None:
+            where = f"numerics.phase_grid.{axis}"
+            lo, hi, count = _vec(raw[axis], 3, where)
+            out[axis] = [float(lo), float(hi), _positive_int(count, f"{where}[2]")]
+    return out
+
+
+def parse_numerics(cfg) -> Numerics:
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise ConfigError("numerics: must be an object")
     n = _positive_int(cfg.get("n", 1024), "numerics.n")
     if n < 4 or (n & (n - 1)) != 0:
         raise ConfigError("numerics.n: must be a power of two, at least 4")
@@ -99,16 +134,18 @@ def parse_numerics(cfg: dict) -> Numerics:
         husimi_spacing=(None if cfg.get("husimi_spacing") is None
                         else _positive(cfg["husimi_spacing"], "numerics.husimi_spacing")),
         slices=_positive_int(cfg.get("slices", 9), "numerics.slices"),
-        phase_grid=cfg.get("phase_grid"),
+        phase_grid=_parse_phase_grid(cfg.get("phase_grid")),
     )
     if num.slices < 2:
         raise ConfigError("numerics.slices: need at least 2")
     return num
 
 
-def build_potential(cfg: dict):
+def build_potential(cfg: dict) -> Potential:
+    raw = _require(cfg, "potential", "$")
+    _require(raw, "kind", "$.potential")
     try:
-        return potentials.from_config(_require(cfg, "potential", "$"))
+        return potentials.from_config(raw)
     except ValueError as exc:
         raise ConfigError(f"$.potential: {exc}") from None
 
@@ -129,177 +166,185 @@ def build_region(cfg: dict, dim: int) -> Region:
     return Region(boxes=boxes)
 
 
-def build_objects(cfg: dict):
-    """(V, K, omega, numerics) of a validated config."""
-    V = build_potential(cfg)
-    return (V, build_compact_set(cfg, V.dim), build_region(cfg, V.dim),
-            parse_numerics(cfg.get("numerics", {})))
+@dataclass(frozen=True)
+class State:
+    """The hbar-independent data of an initial state.
+
+    ``kind`` is "coherent", "gaussian", "superposition" or "toeplitz" (both
+    Toeplitz config kinds); ``points`` holds one phase point (q, p) per
+    coherent component or atom, ``weights`` the superposition amplitudes or
+    the raw Toeplitz weights (ToeplitzState normalizes them).
+    """
+
+    kind: str
+    points: np.ndarray                   # (m, 2*dim)
+    weights: Optional[np.ndarray] = None
+    sigma: Optional[float] = None
 
 
-def build_grid(num: Numerics, dim: int) -> Grid:
-    return Grid(dim=dim, n=num.n, length=num.length)
+def _phase_point(q, p, dim: int, where: str) -> np.ndarray:
+    return np.concatenate([_vec(q, dim, f"{where}.q"), _vec(p, dim, f"{where}.p")])
 
 
-def _vec(value, dim: int, where: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if v.size != dim:
-        raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
-    return v
-
-
-def build_state(state_cfg: dict, grid: Grid, hbar: float,
-                K: Optional[CompactSet] = None):
-    """Returns a WaveFunction (pure kinds) or a ToeplitzState."""
+def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
+    """Check every field of the state config against the scenario's dim and K."""
     kind = _require(state_cfg, "kind", "$.state")
-    d = grid.dim
-    if kind == "coherent":
-        q = _vec(_require(state_cfg, "q", "$.state"), d, "$.state.q")
-        p = _vec(_require(state_cfg, "p", "$.state"), d, "$.state.p")
-        return quantum.coherent_state(grid, hbar, q, p)
-    if kind == "gaussian":
-        q = _vec(_require(state_cfg, "q", "$.state"), d, "$.state.q")
-        p = _vec(_require(state_cfg, "p", "$.state"), d, "$.state.p")
-        sigma = _positive(_require(state_cfg, "sigma", "$.state"), "$.state.sigma")
-        return quantum.gaussian_state(grid, hbar, q, p, sigma)
+    if kind in ("coherent", "gaussian"):
+        pt = _phase_point(_require(state_cfg, "q", "$.state"),
+                          _require(state_cfg, "p", "$.state"), dim, "$.state")
+        if kind == "coherent":
+            return State(kind, pt[None, :])
+        return State(kind, pt[None, :], sigma=_positive(
+            _require(state_cfg, "sigma", "$.state"), "$.state.sigma"))
     if kind == "superposition":
         comps = _require(state_cfg, "components", "$.state")
-        states, amps = [], []
+        if not isinstance(comps, list) or not comps:
+            raise ConfigError("$.state.components: expected a nonempty list")
+        pts, amps = [], []
         for i, comp in enumerate(comps):
-            q = _vec(_require(comp, "q", f"$.state.components[{i}]"), d, "q")
-            p = _vec(_require(comp, "p", f"$.state.components[{i}]"), d, "p")
+            where = f"$.state.components[{i}]"
+            pts.append(_phase_point(_require(comp, "q", where), _require(comp, "p", where),
+                                    dim, where))
             a = comp.get("amplitude", 1.0)
-            amp = complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
-            states.append(quantum.coherent_state(grid, hbar, q, p))
-            amps.append(amp)
-        return quantum.superposition(states, amps)
+            amps.append(complex(*_vec(a, 2 if isinstance(a, (list, tuple)) else 1,
+                                      f"{where}.amplitude")))
+        if not any(amps):
+            raise ConfigError("$.state.components: amplitudes must not all be zero")
+        return State(kind, np.array(pts), np.array(amps))
     if kind == "toeplitz":
         atoms = _require(state_cfg, "atoms", "$.state")
-        entries = []
+        if not isinstance(atoms, list) or not atoms:
+            raise ConfigError("$.state.atoms: expected a nonempty list")
+        pts, ws = [], []
         for i, entry in enumerate(atoms):
-            if len(entry) != 3:
-                raise ConfigError(f"$.state.atoms[{i}]: expected [q, p, weight]")
-            q, p, w = entry
-            entries.append((_vec(q, d, f"$.state.atoms[{i}].q"),
-                            _vec(p, d, f"$.state.atoms[{i}].p"), float(w)))
-        try:
-            return phasespace.toeplitz_from_density(entries, hbar)
-        except ValueError as exc:
-            raise ConfigError(f"$.state.atoms: {exc}") from None
+            where = f"$.state.atoms[{i}]"
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ConfigError(f"{where}: expected [q, p, weight]")
+            pts.append(_phase_point(entry[0], entry[1], dim, where))
+            ws.append(_vec(entry[2], 1, f"{where}.weight")[0])
+        points, weights = np.array(pts), np.array(ws)
+        if np.any(weights < 0) or not weights.sum() > 0:
+            raise ConfigError("$.state.atoms: weights must be nonnegative "
+                              "with a positive total")
+        outside = np.flatnonzero(~K.contains(points))
+        if outside.size:
+            raise ConfigError(f"$.state.atoms[{outside[0]}]: lies outside K")
+        return State(kind, points, weights)
     if kind == "toeplitz_uniform":
-        if K is None:
-            raise ConfigError("$.state: toeplitz_uniform needs the scenario's K")
-        points, weights = phasespace.uniform_atomization(
-            K, _positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis"))
-        return phasespace.ToeplitzState(points, weights, hbar)
-    raise ConfigError(f"$.state.kind: unknown '{kind}'")
+        per_axis = _positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
+        return State("toeplitz", *phasespace.uniform_atomization(K, per_axis))
+    raise ConfigError(f"$.state.kind: unknown '{kind}' (expected one of "
+                      "['coherent', 'gaussian', 'superposition', 'toeplitz', "
+                      "'toeplitz_uniform'])")
 
 
-_STATE_KINDS = {
-    "coherent": ("q", "p"),
-    "gaussian": ("q", "p", "sigma"),
-    "superposition": ("components",),
-    "toeplitz": ("atoms",),
-    "toeplitz_uniform": (),
-}
+def build_state(state: State, grid: Grid, hbar: float):
+    """Returns a WaveFunction (pure kinds) or a ToeplitzState."""
+    if state.kind == "toeplitz":
+        return ToeplitzState(state.points, state.weights, hbar)
+    d = grid.dim
+    q, p = state.points[:, :d], state.points[:, d:]
+    if state.kind == "gaussian":
+        return quantum.gaussian_state(grid, hbar, q[0], p[0], state.sigma)
+    packets = [quantum.coherent_state(grid, hbar, a, b) for a, b in zip(q, p)]
+    if state.kind == "superposition":
+        return quantum.superposition(packets, state.weights)
+    return packets[0]
 
 
-def _validate_state_shallow(state_cfg) -> None:
-    if not isinstance(state_cfg, dict):
-        raise ConfigError("$.state: must be an object")
-    kind = _require(state_cfg, "kind", "$.state")
-    if kind not in _STATE_KINDS:
-        raise ConfigError(f"$.state.kind: unknown '{kind}' "
-                          f"(expected one of {sorted(_STATE_KINDS)})")
-    for key in _STATE_KINDS[kind]:
-        _require(state_cfg, key, "$.state")
-    if kind == "toeplitz_uniform":
-        _positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
+@dataclass(frozen=True)
+class Scenario:
+    """A checked scenario config; frozen and picklable, so ``--jobs`` workers
+    receive it whole.  ``deltas`` and ``hbars`` are sorted."""
+
+    name: str
+    V: Potential
+    K: CompactSet
+    omega: Region
+    T: float
+    deltas: tuple
+    hbars: tuple
+    state: State
+    numerics: Numerics
+
+    @property
+    def grid(self) -> Grid:
+        return Grid(dim=self.V.dim, n=self.numerics.n, length=self.numerics.length)
+
+    def geometric_summary(self) -> GeometricSummary:
+        return classical.geometric_summary(self.V, self.K, self.omega, self.T, self.deltas,
+                                           self.numerics.dt_flow)
 
 
-def validate(cfg: dict) -> dict:
-    """Validate a scenario config dict; returns it unchanged on success."""
+def parse(cfg) -> Scenario:
+    """Check every field of a scenario config dict; the one config parser."""
     if not isinstance(cfg, dict):
         raise ConfigError("$: scenario config must be a JSON object")
     name = cfg.get("scenario", "scenario")
     if not isinstance(name, str) or not name:
         raise ConfigError("$.scenario: must be a nonempty string")
-    build_objects(cfg)
-    _positive(_require(cfg, "T", "$"), "$.T")
-    _positive_list(_require(cfg, "deltas", "$"), "$.deltas")
-    _positive_list(_require(cfg, "hbars", "$"), "$.hbars")
-    _validate_state_shallow(_require(cfg, "state", "$"))
-    return cfg
+    V = build_potential(cfg)
+    K = build_compact_set(cfg, V.dim)
+    return Scenario(
+        name=name, V=V, K=K, omega=build_region(cfg, V.dim),
+        numerics=parse_numerics(cfg.get("numerics")),
+        T=_positive(_require(cfg, "T", "$"), "$.T"),
+        deltas=_positive_list(_require(cfg, "deltas", "$"), "$.deltas"),
+        hbars=_positive_list(_require(cfg, "hbars", "$"), "$.hbars"),
+        state=parse_state(_require(cfg, "state", "$"), V.dim, K),
+    )
 
 
-def load_config(path) -> dict:
+def load_config(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return validate(cfg)
+    return parse(cfg)
 
 
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
 
-def _run_group(cfg: dict, geo: GeometricSummary, hbar: float) -> list[CertificationReport]:
-    """All (delta) cells of one hbar column; safe to run in a worker process
-    (a Potential holds lambdas and does not pickle, so it is rebuilt from cfg)."""
-    V, K, omega, num = build_objects(cfg)
-    grid = build_grid(num, V.dim)
-    T = float(cfg["T"])
-    name = cfg.get("scenario", "scenario")
+def _run_group(sc: Scenario, geo: GeometricSummary, hbar: float) -> list[CertificationReport]:
+    """All (delta) cells of one hbar column; safe to run in a worker process."""
+    num, grid = sc.numerics, sc.grid
     try:
-        state = build_state(cfg["state"], grid, hbar, K)
+        state = build_state(sc.state, grid, hbar)
         if isinstance(state, ToeplitzState):
             return certify.certify_toeplitz_sweep(
-                V, K, omega, T, geo.deltas, state, grid,
-                dt=num.dt, geo=geo, scenario=name)
+                sc.V, sc.K, sc.omega, sc.T, sc.deltas, state, grid,
+                dt=num.dt, geo=geo, scenario=sc.name)
         return certify.certify_pure_sweep(
-            V, K, omega, T, geo.deltas, state,
-            dt=num.dt, geo=geo, husimi_spacing=num.husimi_spacing,
-            scenario=name)
+            sc.V, sc.K, sc.omega, sc.T, sc.deltas, state,
+            dt=num.dt, geo=geo, husimi_spacing=num.husimi_spacing, scenario=sc.name)
     except quantum.NumericsError as exc:
-        raise type(exc)(f"scenario '{name}', hbar={hbar:g}: {exc}") from exc
+        raise type(exc)(f"scenario '{sc.name}', hbar={hbar:g}: {exc}") from exc
 
 
-def run_scenario(cfg: dict, jobs: int = 1, seed: int = 0) -> list[CertificationReport]:
+def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     """Run every (hbar, delta) cell; reports come back sorted by (hbar, delta).
 
     The classical side does not depend on hbar and is computed once for all
-    columns.  The seed is accepted for interface stability; the pipeline itself is
-    deterministic (analytic Lipschitz bounds, fixed lattices, ordered sums).
+    columns.  The pipeline is deterministic (analytic Lipschitz bounds, fixed
+    lattices, ordered sums).
     """
-    validate(cfg)
-    V, K, omega, num = build_objects(cfg)
-    geo = classical.geometric_summary(V, K, omega, float(cfg["T"]),
-                                      sorted(float(d) for d in cfg["deltas"]), num.dt_flow)
-    hbars = sorted(float(h) for h in cfg["hbars"])
-    if jobs > 1 and len(hbars) > 1:
+    geo = sc.geometric_summary()
+    if jobs > 1 and len(sc.hbars) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_run_group, [cfg] * len(hbars), [geo] * len(hbars),
-                                   hbars))
+            groups = list(pool.map(_run_group, [sc] * len(sc.hbars), [geo] * len(sc.hbars),
+                                   sc.hbars))
     else:
-        groups = [_run_group(cfg, geo, h) for h in hbars]
-    reports = [r for group in groups for r in group]
-    reports.sort(key=lambda r: (r.hbar, r.delta))
-    return reports
+        groups = [_run_group(sc, geo, h) for h in sc.hbars]
+    return [r for group in groups for r in group]
 
 
 def sweep_rows(reports: Sequence[CertificationReport]) -> list[dict]:
     """Sweep table rows sorted by (hbar, delta): the hbar/delta tradeoff view."""
     if not reports:
         raise ValueError("need at least one report")
-    rows = [{
-        "scenario": r.scenario,
-        "hbar": r.hbar,
-        "delta": r.delta,
-        "lower_bound": r.lower_bound,
-        "measured": r.measured,
-        "margin": r.margin,
-        "verdict": r.verdict,
-    } for r in sorted(reports, key=lambda r: (r.hbar, r.delta))]
-    return rows
+    return [{k: getattr(r, k) for k in SWEEP_FIELDS}
+            for r in sorted(reports, key=lambda r: (r.hbar, r.delta))]

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from . import quantum
@@ -90,20 +91,11 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     if n > MAX_ATOMS or m > MAX_ATOMS:
         raise ValueError(f"atom counts above {MAX_ATOMS} are out of scope")
     C = cost_matrix(f, mu, lam)
-    a_eq = []
-    b_eq = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m:(i + 1) * m] = 1.0
-        a_eq.append(row)
-        b_eq.append(f.weights[i])
-    for j in range(m - 1):        # last column constraint is redundant
-        col = np.zeros(n * m)
-        col[j::m] = 1.0
-        a_eq.append(col)
-        b_eq.append(mu.weights[j])
-    res = linprog(C.reshape(-1), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=(0, None), method="highs")
+    # row sums of the (n, m) plan, then column sums but the last (redundant)
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m, format="csr")[:m - 1])])
+    b_eq = np.concatenate([f.weights, mu.weights[:m - 1]])
+    res = linprog(C.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n, m)

@@ -92,7 +92,7 @@ def test_criterion_01_soundness_suite():
     start = time.time()
     reports = []
     for cfg in soundness_configs():
-        reports.extend(scenario.run_scenario(cfg))
+        reports.extend(scenario.run_scenario(scenario.parse(cfg)))
     elapsed = time.time() - start
     cells = {(r.scenario, r.hbar) for r in reports}
     assert len(cells) >= 12
@@ -140,9 +140,10 @@ def test_criterion_02_spread_identities():
     ]
     for vname, geom in GEOMS.items():
         g = Grid(dim=1, n=geom["numerics"]["n"], length=geom["numerics"]["length"])
+        K = scenario.build_compact_set(geom, 1)
         for sname, st in STATES[vname].items():
             for hbar in (0.05, 0.2):
-                built = scenario.build_state(st, g, hbar)
+                built = scenario.build_state(scenario.parse_state(st, 1, K), g, hbar)
                 if isinstance(built, quantum.WaveFunction):
                     floor_states.append(built)
     for psi in floor_states:
@@ -323,7 +324,7 @@ def test_criterion_09_second_moment_domination():
         K = scenario.build_compact_set(geom | {"K": geom["K"]}, 1)
         for hbar in (0.05, 0.2):
             for sname, st in STATES[vname].items():
-                built = scenario.build_state(st, grid, hbar)
+                built = scenario.build_state(scenario.parse_state(st, 1, K), grid, hbar)
                 for lam in (0.5, 1.0, 2.0):
                     if isinstance(built, quantum.WaveFunction):
                         q0 = np.atleast_1d(st["q"])

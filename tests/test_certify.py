@@ -287,6 +287,21 @@ def test_margin_functional_large_delta(free):
     assert meets
 
 
+def test_margin_uses_lip_along_the_flow(dwell, monkeypatch):
+    # the K of test_sweeps_recertify_lip_on_the_trajectory_hull that leaves the box
+    seen = []
+
+    def recording(T, lip):
+        seen.append(lip)
+        return spread_coefficient(T, lip)
+
+    monkeypatch.setattr(certify, "spread_coefficient", recording)
+    K = phase_box(0.8, 1.2, 3.5, 5.0, spacing=0.25)
+    psi = coherent_state(Grid(dim=1, n=1024, length=16.0), 0.05, 1.0, 4.25)
+    observability_margin(psi, K, interval(0.5, 1.5), 1.0, 2.0, 1.0, dwell, dt_flow=1e-3)
+    assert seen == [pytest.approx(50.7538, abs=1e-4)]
+
+
 def test_margin_functional_negative_without_mass(free):
     psi = coherent_state(GRID, 0.05, 3.0, -1.0)
     value, meets = observability_margin(psi, K_FREE, OM_FREE, 2.0, 3.0, 4.0,

@@ -397,14 +397,14 @@ def test_kernel_memory_on_the_shipped_lattice():
     # one cutoff at a time over a block of at most 8192 sample-steps: the
     # stacked lattice of free_coherent (872 samples) stays far below a full
     # (steps x samples) history, which would take 14 MB per array
-    cfg = scenario.load_config(CONFIGS / "free_coherent.json")
-    V, K, om, num = scenario.build_objects(cfg)
+    sc = scenario.load_config(CONFIGS / "free_coherent.json")
+    V, K, om = sc.V, sc.K, sc.omega
     pts = np.concatenate([K.sample_grid(), K.sample_grid(K.spacing / 2)])
-    chi = [IndicatorCutoff(om)] + [RampCutoff(om, d) for d in cfg["deltas"]]
+    chi = [IndicatorCutoff(om)] + [RampCutoff(om, d) for d in sc.deltas]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        occupation_batch(V, pts, float(cfg["T"]), chi, num.dt_flow)
+        occupation_batch(V, pts, sc.T, chi, sc.numerics.dt_flow)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

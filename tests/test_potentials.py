@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,18 @@ def test_nonfinite_rejected():
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError, match="not finite"):
             V.value(0.0)
+
+
+@pytest.mark.parametrize("V", [
+    potentials.free_particle(), potentials.harmonic(stiffness=2.5), potentials.double_well(),
+    potentials.harmonic(dim=2, box=[[-6.0, 6.0], [-6.0, 6.0]]), potentials.double_well(dim=2),
+], ids=lambda V: f"{V.name}{V.dim}d")
+def test_builtins_pickle(V):
+    # --jobs workers receive the potential by pickle
+    back = pickle.loads(pickle.dumps(V))
+    pts = np.linspace(-1.9, 1.9, 6 * V.dim).reshape(-1, V.dim)
+    np.testing.assert_array_equal(back.value(pts), V.value(pts))
+    np.testing.assert_array_equal(back.gradient(pts), V.gradient(pts))
+    box = np.tile([-3.0, 2.5], (V.dim, 1))
+    assert back.lip_on_box(box) == V.lip_on_box(box)
+    assert back.lip_grad == V.lip_grad

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import obscert
-from obscert import classical, quantum, scenario
-from obscert.scenario import ConfigError, load_config, run_scenario, sweep_rows, validate
+from obscert import classical, cli, phasespace, potentials, quantum, scenario
+from obscert.scenario import ConfigError, load_config, parse, run_scenario, sweep_rows
 
 
 def base_config(**overrides):
@@ -48,21 +50,19 @@ def run_cli(args, cwd):
 # ---------------------------------------------------------------------------
 
 def test_validate_minimal():
-    validate(base_config())
+    parse(base_config())
 
 
 def test_missing_field_path_in_error():
     cfg = base_config()
     del cfg["T"]
     with pytest.raises(ConfigError, match=r"\$\.T"):
-        validate(cfg)
+        parse(cfg)
 
 
 def test_unknown_state_kind():
     with pytest.raises(ConfigError, match="unknown"):
-        cfg = base_config(state={"kind": "squeezed", "q": 0, "p": 0})
-        grid = quantum.Grid(dim=1, n=512, length=20.0)
-        scenario.build_state(cfg["state"], grid, 0.1)
+        parse(base_config(state={"kind": "squeezed", "q": 0, "p": 0}))
 
 
 def test_malformed_json_reports_line(tmp_path):
@@ -74,22 +74,93 @@ def test_malformed_json_reports_line(tmp_path):
 
 def test_bad_numerics_rejected():
     with pytest.raises(ConfigError, match="power of two"):
-        validate(base_config(numerics={"n": 500}))
+        parse(base_config(numerics={"n": 500}))
     with pytest.raises(ConfigError, match=r"\$\.deltas"):
-        validate(base_config(deltas=[-1.0]))
+        parse(base_config(deltas=[-1.0]))
     # integer fields: a config error, neither a traceback nor a truncation
     for numerics, where in [({"n": "abc"}, "numerics.n"), ({"n": 512.5}, "numerics.n"),
                             ({"slices": 2.9}, "numerics.slices")]:
         with pytest.raises(ConfigError, match=where):
-            validate(base_config(numerics=numerics))
+            parse(base_config(numerics=numerics))
     for per_axis in ("abc", 1.5, 0):
         with pytest.raises(ConfigError, match=r"\$\.state\.per_axis"):
-            validate(base_config(state={"kind": "toeplitz_uniform", "per_axis": per_axis}))
+            parse(base_config(state={"kind": "toeplitz_uniform", "per_axis": per_axis}))
     # values that would share a report file name {scenario}_h{hbar:g}_d{delta:g}.json
     with pytest.raises(ConfigError, match=r"\$\.hbars: values must differ"):
-        validate(base_config(hbars=[0.2, 0.2]))
+        parse(base_config(hbars=[0.2, 0.2]))
     with pytest.raises(ConfigError, match=r"\$\.deltas: values must differ"):
-        validate(base_config(deltas=[0.1234567, 3.0, 0.1234568]))
+        parse(base_config(deltas=[0.1234567, 3.0, 0.1234568]))
+
+
+# each is rejected by load_config with its path, before any flow pass
+MALFORMED = [
+    ({"state": {"kind": "toeplitz", "atoms": [[0.0, 0.0, 1.0]]}},
+     r"\$\.state\.atoms\[0\]: lies outside K"),
+    ({"state": {"kind": "coherent", "q": [-2.5, 0.0], "p": 1.25}}, r"\$\.state\.q"),
+    ({"state": {"kind": "superposition",
+                "components": [{"q": -2.6, "p": 1.2, "amplitude": 0.0},
+                               {"q": -2.4, "p": 1.3, "amplitude": [0.0, 0.0]}]}},
+     r"\$\.state\.components: amplitudes"),
+    ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, "x"]]}},
+     r"\$\.state\.atoms\[0\]\.weight"),
+    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
+     r"numerics\.phase_grid\.q"),
+]
+
+
+@pytest.mark.parametrize("override, where", MALFORMED, ids=[
+    "atom_outside_K", "q_wrong_size", "zero_amplitudes", "weight_not_a_number",
+    "phase_grid_two_entries"])
+def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flow pass on an unchecked config")
+
+    monkeypatch.setattr(classical, "occupation_batch", no_flow)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(**override)))
+    with pytest.raises(ConfigError, match=where):
+        run_scenario(load_config(path))
+
+
+def test_cli_malformed_phase_grid_exits_2(tmp_path):
+    override, where = MALFORMED[-1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**override)))
+    res = run_cli(["husimi", "--config", str(cfg_path), "--out", str(tmp_path / "h")],
+                  cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "config error: numerics.phase_grid.q" in res.stderr
+
+
+STATES = {
+    "coherent": {"kind": "coherent", "q": -2.5, "p": 1.25},
+    "gaussian": {"kind": "gaussian", "q": -2.5, "p": 1.25, "sigma": 0.35},
+    "superposition": {"kind": "superposition",
+                      "components": [{"q": -2.6, "p": 1.2},
+                                     {"q": -2.4, "p": 1.3, "amplitude": [0.0, 1.0]}]},
+    "toeplitz": {"kind": "toeplitz", "atoms": [[-2.6, 1.0, 0.5], [-2.4, 1.5, 0.5]]},
+    "toeplitz_uniform": {"kind": "toeplitz_uniform", "per_axis": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_scenario_pickle_round_trip(kind):
+    sc = parse(base_config(state=STATES[kind]))
+    back = pickle.loads(pickle.dumps(sc))
+    assert (back.name, back.T, back.deltas, back.hbars, back.numerics) == \
+        (sc.name, sc.T, sc.deltas, sc.hbars, sc.numerics)
+    pts = sc.K.sample_grid()[:, :1]
+    np.testing.assert_array_equal(back.V.gradient(pts), sc.V.gradient(pts))
+    np.testing.assert_array_equal(back.K.boxes, sc.K.boxes)
+    np.testing.assert_array_equal(back.omega.boxes, sc.omega.boxes)
+    a = scenario.build_state(sc.state, sc.grid, 0.1)
+    b = scenario.build_state(back.state, back.grid, 0.1)
+    if isinstance(a, phasespace.ToeplitzState):
+        np.testing.assert_array_equal(b.atoms, a.atoms)
+        np.testing.assert_array_equal(b.weights, a.weights)
+    else:
+        np.testing.assert_array_equal(b.values, a.values)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +168,14 @@ def test_bad_numerics_rejected():
 # ---------------------------------------------------------------------------
 
 def test_run_minimal_scenario():
-    reports = run_scenario(base_config())
+    reports = run_scenario(parse(base_config()))
     assert len(reports) == 1
     assert reports[0].verdict in {"certified", "vacuous"}
 
 
 def test_matrix_gives_cartesian_product():
     cfg = base_config(deltas=[1.0, 2.0, 4.0], hbars=[0.08, 0.1, 0.2])
-    reports = run_scenario(cfg)
+    reports = run_scenario(parse(cfg))
     assert len(reports) == 9
     keys = [(r.hbar, r.delta) for r in reports]
     assert keys == sorted(keys)
@@ -113,7 +184,7 @@ def test_matrix_gives_cartesian_product():
 def test_toeplitz_scenario_runs():
     cfg = base_config(state={"kind": "toeplitz",
                              "atoms": [[-2.6, 1.0, 0.5], [-2.4, 1.5, 0.5]]})
-    reports = run_scenario(cfg)
+    reports = run_scenario(parse(cfg))
     assert reports[0].kind == "toeplitz"
 
 
@@ -122,14 +193,14 @@ def test_superposition_scenario_runs():
                              "components": [{"q": -2.6, "p": 1.2},
                                             {"q": -2.4, "p": 1.3,
                                              "amplitude": [0.0, 1.0]}]})
-    reports = run_scenario(cfg)
+    reports = run_scenario(parse(cfg))
     assert reports[0].kind == "pure"
 
 
 def test_toeplitz_uniform_scenario_runs():
     # atomized uniform density on K: every atom lies in K by construction
     cfg = base_config(state={"kind": "toeplitz_uniform", "per_axis": 2})
-    reports = run_scenario(cfg)
+    reports = run_scenario(parse(cfg))
     assert reports[0].kind == "toeplitz"
 
 
@@ -166,7 +237,7 @@ def test_mid_run_boundary_leak_exit_code(tmp_path):
 
 def test_sweep_rows_sorted():
     cfg = base_config(deltas=[4.0, 1.0], hbars=[0.2, 0.1])
-    rows = sweep_rows(run_scenario(cfg))
+    rows = sweep_rows(run_scenario(parse(cfg)))
     assert [(r["hbar"], r["delta"]) for r in rows] == \
         [(0.1, 1.0), (0.1, 4.0), (0.2, 1.0), (0.2, 4.0)]
 
@@ -180,15 +251,30 @@ def test_classical_pass_runs_once_per_scenario(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(classical, "occupation_batch", counting)
-    reports = run_scenario(base_config(deltas=[1.0, 3.0], hbars=[0.1, 0.2]))
+    reports = run_scenario(parse(base_config(deltas=[1.0, 3.0], hbars=[0.1, 0.2])))
     assert len(reports) == 4
     assert len(calls) == 1
 
 
+def test_config_parsed_once_per_certify_run(tmp_path, monkeypatch):
+    calls = []
+    original = potentials.from_config
+
+    def counting(raw):
+        calls.append(raw)
+        return original(raw)
+
+    monkeypatch.setattr(potentials, "from_config", counting)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(deltas=[1.0, 3.0], hbars=[0.1, 0.2])))
+    assert cli.main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_parallel_jobs_match_serial():
-    cfg = base_config(hbars=[0.1, 0.2])
-    serial = run_scenario(cfg, jobs=1)
-    parallel = run_scenario(cfg, jobs=2)
+    sc = parse(base_config(hbars=[0.1, 0.2]))
+    serial = run_scenario(sc, jobs=1)
+    parallel = run_scenario(sc, jobs=2)
     for a, b in zip(serial, parallel):
         assert a.to_dict() == b.to_dict()
 
@@ -227,8 +313,8 @@ def test_cli_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(hbars=[0.1, 0.2])))
     for d in ("a", "b"):
-        res = run_cli(["certify", "--config", str(cfg_path), "--seed", "7",
-                       "--out", str(tmp_path / d)], cwd=tmp_path)
+        res = run_cli(["certify", "--config", str(cfg_path), "--out", str(tmp_path / d)],
+                      cwd=tmp_path)
         assert res.returncode == 0, res.stderr
     for f in sorted((tmp_path / "a").iterdir()):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
@@ -286,6 +372,20 @@ def test_cli_constants(tmp_path):
     assert data["balanced_growth_root"] == pytest.approx(1.593624, abs=1e-6)
 
 
+def test_cli_constants_use_lip_along_the_flow(tmp_path):
+    # the double-well K of test_sweeps_recertify_lip_on_the_trajectory_hull:
+    # with xi in [3.5, 5] trajectories leave the working box [-2, 2]
+    cfg = base_config(potential={"kind": "double_well", "dim": 1, "box": [-2.0, 2.0]},
+                      K={"boxes": [[[0.8, 1.2], [3.5, 5.0]]], "spacing": 0.25},
+                      omega={"boxes": [[0.5, 1.5]]}, deltas=[2.0],
+                      numerics={"n": 1024, "length": 16.0, "dt_flow": 1e-3})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["constants", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 0
+    data = json.loads((tmp_path / "c" / "constants.json").read_text())
+    assert data["lip_grad"] == pytest.approx(50.7538, abs=1e-4)
+
+
 def test_cli_sweep_from_reports(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(deltas=[1.0, 4.0])))
@@ -308,6 +408,6 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
 
 
 def test_demo_config_parses():
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
-                      / "free_coherent.json")
-    assert cfg["scenario"] == "free_coherent"
+    sc = load_config(Path(__file__).resolve().parents[1] / "configs"
+                     / "free_coherent.json")
+    assert sc.name == "free_coherent"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,3 +229,53 @@ def test_pushforward_stays_below_growth_bound(grid512, harm):
             psi_t = propagate(harm, psi0, t, 1e-3)
             cost = math.sqrt(cost_expectation(psi_t, pt.x, pt.xi, lam))
             assert cost <= growth_factor(params, harm.lip_grad, t) * init + 1e-6
+
+
+def dense_transport_plan(f, mu, lam):
+    """Reference: the same LP with the equality rows built densely, one by one."""
+    from scipy.optimize import linprog
+    n, m = len(f.weights), len(mu.weights)
+    C = cost_matrix(f, mu, lam)
+    a_eq, b_eq = [], []
+    for i in range(n):
+        row = np.zeros(n * m)
+        row[i * m:(i + 1) * m] = 1.0
+        a_eq.append(row)
+        b_eq.append(f.weights[i])
+    for j in range(m - 1):
+        col = np.zeros(n * m)
+        col[j::m] = 1.0
+        a_eq.append(col)
+        b_eq.append(mu.weights[j])
+    res = linprog(C.reshape(-1), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
+                  bounds=(0, None), method="highs")
+    plan = res.x.reshape(n, m)
+    return float(np.sum(plan * C)), plan
+
+
+def random_pair(n, seed=1):
+    rng = np.random.default_rng(seed)
+    return (AtomicMeasure(rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n)),
+            AtomicMeasure(rng.standard_normal((n, 2)) + 0.3, rng.uniform(0.0, 1.0, n)))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.7])
+def test_sparse_plan_matches_dense_reference(lam):
+    f, mu = random_pair(64)
+    cost, plan = transport_plan(f, mu, lam)
+    ref_cost, ref_plan = dense_transport_plan(f, mu, lam)
+    np.testing.assert_array_equal(plan, ref_plan)
+    assert cost == ref_cost
+
+
+def test_plan_memory_at_128_atoms():
+    # the dense equality matrix alone takes 33 MB at 128 atoms
+    f, mu = random_pair(128)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        transport_plan(f, mu)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
