@@ -271,162 +271,154 @@ def _lip_along_flow(V: Potential, hull: np.ndarray) -> float:
     return max(V.lip_grad, V.with_box(box).lip_grad)
 
 
+def _observed_masses(V: Potential, omega: Region, T: float, deltas: Sequence[float],
+                     batch: quantum.WaveBatch, dt: float):
+    """Observed masses of every batch row on each delta-enlargement of omega,
+    propagated at dt and at 2 dt: (fine, coarse, eps_time, edge_peak), each
+    of shape (rows, n_delta)."""
+    chis = [IndicatorCutoff(omega.enlarged(d)) for d in deltas]
+    fine, info = quantum.observed_mass_series(V, batch, T, chis, dt)
+    coarse, _ = quantum.observed_mass_series(V, batch, T, chis, 2.0 * dt)
+    eps_time = np.stack([_time_quadrature_error(s, info["dt"], T) for s in info["series"]])
+    return fine, coarse, eps_time, info["edge_peak"]
+
+
 def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
-                       deltas: Sequence[float], psi: WaveFunction, *,
+                       deltas: Sequence[float], psis: Sequence[WaveFunction], *,
                        dt: float, geo: GeometricSummary,
                        husimi_spacing: Optional[float] = None,
                        scenario: str = "") -> list[CertificationReport]:
-    """Certificates for a pure initial state over a list of enlargement radii.
+    """Certificates for pure initial states, one per hbar column, over a list
+    of enlargement radii; reports come in (column, delta) order.
 
     lower bound:   c_geo * husimi_mass - 8 D(T, lip) * spread / delta
     measured side: observed mass on the delta-enlargement of the region.
     ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
+    All columns go to one ``observed_mass_series`` call per step size.
     """
-    if abs(psi.norm - 1.0) > 1e-8:
+    if any(abs(psi.norm - 1.0) > 1e-8 for psi in psis):
         raise ValueError("initial state must be normalized")
     deltas = [float(d) for d in deltas]
     if tuple(deltas) != geo.deltas:
         raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
     lip = _lip_along_flow(V, geo.hull)
-    dim = psi.grid.dim
-
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    h_K, h_delta = phasespace.husimi_mass_refined(psi, K, husimi_spacing)
-    delta_psi = quantum.spread(psi)
     D = spread_coefficient(T, lip)
-
-    chis = [IndicatorCutoff(omega.enlarged(d)) for d in deltas]
-    measured, info = quantum.observed_mass_series(V, psi, T, chis, dt)
-    coarse, _ = quantum.observed_mass_series(V, psi, T, chis, 2.0 * dt)
-    eps_prop = np.abs(measured - coarse) / 3.0
-    eps_time = _time_quadrature_error(info["series"], info["dt"], T)
-    eps_space = T * info["edge_peak"]
+    fine, coarse, eps_time, edge_peak = _observed_masses(
+        V, omega, T, deltas, quantum.WaveBatch.of(psis), dt)
 
     reports = []
-    for j, delta in enumerate(deltas):
-        corr_used = 8.0 * D * delta_psi / delta
-        lower = c_geo * h_K - corr_used
-        eps = float(eps_prop[j] + eps_time[j] + eps_space[j]
-                    + c_geo_delta * h_K + c_geo * h_delta)
-        m = float(measured[j])
-        c_obs, ct, ct_ok, ct_marginal = _ct_fields(lower, T)
-        dm_base = dm_state = None
-        if c_obs is not None:
-            try:
-                dm = minimal_delta(T, lip, psi.hbar, dim, c_geo, c_obs, K.diameter,
-                                   spread=delta_psi, husimi_mass=h_K)
-                dm_base, dm_state = dm.baseline, dm.state_dependent
-            except ValueError:
-                pass
-        reports.append(CertificationReport(
-            schema_version=SCHEMA_VERSION, scenario=scenario, kind="pure",
-            dim=dim, hbar=psi.hbar, T=T, delta=delta, lam=1.0, lip_grad=lip,
-            d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
-            c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
-            lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
-            verdict=_verdict(lower, m, eps),
-            err_budget={
-                "propagation": float(eps_prop[j]),
-                "time_quadrature": float(eps_time[j]),
-                "space_quadrature": float(eps_space[j]),
-                "c_geo_refinement": float(c_geo_delta),
-                "husimi_refinement": float(h_delta),
-            },
-            husimi_mass=h_K, husimi_refine_delta=h_delta, spread=delta_psi,
-            d_const=D, correction_used=corr_used,
-            correction_factor4=0.5 * corr_used,
-            correction_factor1=D * delta_psi / delta,
-            implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
-            ct_marginal=ct_marginal,
-            delta_min_baseline=dm_base, delta_min_state=dm_state,
-            left_box=geo.left_box,
-        ))
+    for c, psi in enumerate(psis):
+        dim = psi.grid.dim
+        h_K, h_delta = phasespace.husimi_mass_refined(psi, K, husimi_spacing)
+        delta_psi = quantum.spread(psi)
+        eps_prop = np.abs(fine[c] - coarse[c]) / 3.0
+        eps_space = T * edge_peak[c]
+        for j, delta in enumerate(deltas):
+            corr_used = 8.0 * D * delta_psi / delta
+            lower = c_geo * h_K - corr_used
+            eps = float(eps_prop[j] + eps_time[c, j] + eps_space[j]
+                        + c_geo_delta * h_K + c_geo * h_delta)
+            m = float(fine[c, j])
+            c_obs, ct, ct_ok, ct_marginal = _ct_fields(lower, T)
+            dm_base = dm_state = None
+            if c_obs is not None:
+                try:
+                    dm = minimal_delta(T, lip, psi.hbar, dim, c_geo, c_obs, K.diameter,
+                                       spread=delta_psi, husimi_mass=h_K)
+                    dm_base, dm_state = dm.baseline, dm.state_dependent
+                except ValueError:
+                    pass
+            reports.append(CertificationReport(
+                schema_version=SCHEMA_VERSION, scenario=scenario, kind="pure",
+                dim=dim, hbar=psi.hbar, T=T, delta=delta, lam=1.0, lip_grad=lip,
+                d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
+                c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
+                lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
+                verdict=_verdict(lower, m, eps),
+                err_budget={
+                    "propagation": float(eps_prop[j]),
+                    "time_quadrature": float(eps_time[c, j]),
+                    "space_quadrature": float(eps_space[j]),
+                    "c_geo_refinement": float(c_geo_delta),
+                    "husimi_refinement": float(h_delta),
+                },
+                husimi_mass=h_K, husimi_refine_delta=h_delta, spread=delta_psi,
+                d_const=D, correction_used=corr_used,
+                correction_factor4=0.5 * corr_used,
+                correction_factor1=D * delta_psi / delta,
+                implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
+                ct_marginal=ct_marginal,
+                delta_min_baseline=dm_base, delta_min_state=dm_state,
+                left_box=geo.left_box,
+            ))
     return reports
 
 
-def certify_pure(V: Potential, K: CompactSet, omega: Region, T: float,
-                 delta: float, psi: WaveFunction, *, dt: float, dt_flow: float,
-                 husimi_spacing: Optional[float] = None,
-                 scenario: str = "") -> CertificationReport:
-    geo = classical.geometric_summary(V, K, omega, T, [delta], dt_flow)
-    return certify_pure_sweep(V, K, omega, T, [delta], psi, dt=dt, geo=geo,
-                              husimi_spacing=husimi_spacing, scenario=scenario)[0]
-
-
 def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
-                           deltas: Sequence[float], R: ToeplitzState, grid: Grid, *,
-                           dt: float, geo: GeometricSummary,
+                           deltas: Sequence[float], Rs: Sequence[ToeplitzState],
+                           grid: Grid, *, dt: float, geo: GeometricSummary,
                            scenario: str = "") -> list[CertificationReport]:
-    """Certificates for a Toeplitz initial state (atomized symbol in K).
+    """Certificates for Toeplitz initial states (atomized symbols in K), one
+    per hbar column; reports come in (column, delta) order.
 
     lower bound:   c_geo - C(T, lip) * sqrt(2 dim hbar) / delta
     measured side: weighted observed mass of the propagated atoms.
     ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
+    Every nonzero-weight atom of every column goes to one
+    ``observed_mass_series`` call per step size.
     """
     deltas = [float(d) for d in deltas]
     if tuple(deltas) != geo.deltas:
         raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
-    if not np.all(K.contains(R.atoms)):
+    if not all(np.all(K.contains(R.atoms)) for R in Rs):
         raise ValueError("all Toeplitz atoms must lie inside K")
     lip = _lip_along_flow(V, geo.hull)
-    dim = R.dim
-
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
     c_tl, lam_star = toeplitz_coefficient_details(T, lip)
 
-    chis = [IndicatorCutoff(omega.enlarged(d)) for d in deltas]
-    measured = np.zeros(len(deltas))
-    coarse = np.zeros(len(deltas))
-    eps_time = np.zeros(len(deltas))
-    eps_space = np.zeros(len(deltas))
-    for j, w in enumerate(R.weights):
-        if w == 0.0:
-            continue
-        psi = R.atom_state(j, grid)
-        m_fine, info = quantum.observed_mass_series(V, psi, T, chis, dt)
-        m_coarse, _ = quantum.observed_mass_series(V, psi, T, chis, 2.0 * dt)
-        measured += w * m_fine
-        coarse += w * m_coarse
-        eps_time += w * _time_quadrature_error(info["series"], info["dt"], T)
-        eps_space += w * T * info["edge_peak"]
-    eps_prop = np.abs(measured - coarse) / 3.0
+    atoms = [(c, j, w) for c, R in enumerate(Rs) for j, w in enumerate(R.weights) if w != 0.0]
+    batch = quantum.WaveBatch.of([Rs[c].atom_state(j, grid) for c, j, _ in atoms],
+                                 [f"hbar={Rs[c].hbar:g}, atom {j}" for c, j, _ in atoms])
+    fine, coarse, eps_time, edge_peak = _observed_masses(V, omega, T, deltas, batch, dt)
+    # by linearity over the atoms, summed per column in atom order
+    measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(Rs), len(deltas)))
+    for r, (c, _, w) in enumerate(atoms):
+        measured[c] += w * fine[r]
+        coarse_sum[c] += w * coarse[r]
+        time_sum[c] += w * eps_time[r]
+        space_sum[c] += w * T * edge_peak[r]
 
     reports = []
-    for j, delta in enumerate(deltas):
-        lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
-        eps = float(eps_prop[j] + eps_time[j] + eps_space[j] + c_geo_delta)
-        m = float(measured[j])
-        threshold = c_geo ** 2 / (2.0 * dim * c_tl ** 2) if math.isfinite(c_tl) else 0.0
-        admissible = bool(R.hbar / delta ** 2 < threshold)
-        c_obs, ct, ct_ok, ct_marginal = _ct_fields(lower, T)
-        reports.append(CertificationReport(
-            schema_version=SCHEMA_VERSION, scenario=scenario, kind="toeplitz",
-            dim=dim, hbar=R.hbar, T=T, delta=delta, lam=lam_star, lip_grad=lip,
-            d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
-            c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
-            lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
-            verdict=_verdict(lower, m, eps),
-            err_budget={
-                "propagation": float(eps_prop[j]),
-                "time_quadrature": float(eps_time[j]),
-                "space_quadrature": float(eps_space[j]),
-                "c_geo_refinement": float(c_geo_delta),
-            },
-            c_tl=c_tl, admissible=admissible,
-            implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
-            ct_marginal=ct_marginal,
-            left_box=geo.left_box,
-        ))
+    for c, R in enumerate(Rs):
+        eps_prop = np.abs(measured[c] - coarse_sum[c]) / 3.0
+        dim = R.dim
+        for j, delta in enumerate(deltas):
+            lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
+            eps = float(eps_prop[j] + time_sum[c, j] + space_sum[c, j] + c_geo_delta)
+            m = float(measured[c, j])
+            threshold = c_geo ** 2 / (2.0 * dim * c_tl ** 2) if math.isfinite(c_tl) else 0.0
+            admissible = bool(R.hbar / delta ** 2 < threshold)
+            c_obs, ct, ct_ok, ct_marginal = _ct_fields(lower, T)
+            reports.append(CertificationReport(
+                schema_version=SCHEMA_VERSION, scenario=scenario, kind="toeplitz",
+                dim=dim, hbar=R.hbar, T=T, delta=delta, lam=lam_star, lip_grad=lip,
+                d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
+                c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
+                lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
+                verdict=_verdict(lower, m, eps),
+                err_budget={
+                    "propagation": float(eps_prop[j]),
+                    "time_quadrature": float(time_sum[c, j]),
+                    "space_quadrature": float(space_sum[c, j]),
+                    "c_geo_refinement": float(c_geo_delta),
+                },
+                c_tl=c_tl, admissible=admissible,
+                implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
+                ct_marginal=ct_marginal,
+                left_box=geo.left_box,
+            ))
     return reports
-
-
-def certify_toeplitz(V: Potential, K: CompactSet, omega: Region, T: float,
-                     delta: float, R: ToeplitzState, grid: Grid, *,
-                     dt: float, dt_flow: float,
-                     scenario: str = "") -> CertificationReport:
-    geo = classical.geometric_summary(V, K, omega, T, [delta], dt_flow)
-    return certify_toeplitz_sweep(V, K, omega, T, [delta], R, grid, dt=dt, geo=geo,
-                                  scenario=scenario)[0]
 
 
 def observability_margin(psi: WaveFunction, K: CompactSet, omega: Region, T: float,

@@ -245,15 +245,14 @@ class RampCutoff(Cutoff):
 # Stoermer-Verlet flow
 # ---------------------------------------------------------------------------
 
-def _grad(V: Potential, x: Array) -> Array:
-    return V.gradient(x).reshape(x.shape)
-
 def verlet_step(V: Potential, x: Array, xi: Array, dt: float | Array):
     """One velocity-Verlet step for batches x, xi of shape (m, dim); dt is a
-    float or an (m, 1) array of per-sample step sizes."""
-    half = xi - 0.5 * dt * _grad(V, x)
+    float or an (m, 1) array of per-sample step sizes.  Calls ``V.grad_fn``
+    on the (m, dim) arrays directly, without the checks of ``V.gradient``:
+    callers check the new state for finiteness."""
+    half = xi - 0.5 * dt * V.grad_fn(x)
     x1 = x + dt * half
-    xi1 = half - 0.5 * dt * _grad(V, x1)
+    xi1 = half - 0.5 * dt * V.grad_fn(x1)
     return x1, xi1
 
 
@@ -363,7 +362,7 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
         ts[0] = t
         for i in range(1, b + 1):
             x, xi = verlet_step(V, x, xi, h)
-            if not np.all(np.isfinite(x)):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
                 raise FloatingPointError("flow blew up: dt too large or pathological potential")
             X[i], XI[i] = x, xi
             t += h

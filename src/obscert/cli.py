@@ -143,14 +143,15 @@ def cmd_propagate(args) -> int:
     rows = []
     saved = [0]
 
-    def observer(t, psi_t):
+    def observer(t, batch):
         if saved[0] < len(times) and t >= times[saved[0]] - 1e-12:
-            dens = psi_t.density()
+            dens = batch.row(0).density()
             for pt, d in zip(grid.points(), dens.reshape(-1)):
                 rows.append([float(t), *(float(v) for v in pt), float(d)])
             saved[0] += 1
 
-    final = quantum.propagate_series(sc.V, state, sc.T, num.dt, observer)
+    final = quantum.propagate_series(sc.V, quantum.WaveBatch.of([state]), sc.T, num.dt,
+                                     observer).row(0)
     header = ["t"] + [f"x{i+1}" for i in range(grid.dim)] + ["density"]
     _write_csv(out / "density.csv", header, rows)
     quantum.save_state(out / "final_state.qst", final, t=sc.T)

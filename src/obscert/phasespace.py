@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classical import CompactSet
-from .potentials import Potential
 from . import quantum
 from .quantum import Grid, WaveFunction
 
@@ -308,14 +307,3 @@ def toeplitz_from_density(f_atoms: Sequence, hbar: float) -> ToeplitzState:
         ws.append(float(w))
     return ToeplitzState(np.array(pts), np.array(ws), hbar)
 
-
-def toeplitz_observed_mass(V: Potential, R: ToeplitzState, grid: Grid, T: float,
-                           chi, dt: float) -> float:
-    """Observed mass of an evolving Toeplitz state, by linearity over its atoms."""
-    terms = []
-    for j, w in enumerate(R.weights):
-        if w == 0.0:
-            continue
-        psi = R.atom_state(j, grid)
-        terms.append(w * quantum.observed_mass(V, psi, T, chi, dt))
-    return float(math.fsum(terms))

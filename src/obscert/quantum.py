@@ -4,11 +4,13 @@ States live on a uniform periodic lattice over [-L/2, L/2)^d with a power-of-two
 number of points per axis.  The box must be large enough that every state keeps
 boundary amplitude below 1e-12 for the whole run; a monitor aborts otherwise.
 Time stepping is Strang splitting: half potential phase, exact kinetic factor
-in Fourier space, half potential phase (unitary, global error O(dt^2)).
+in Fourier space, half potential phase (unitary, global error O(dt^2)).  One
+propagator steps a batch of states on one grid, each with its own hbar.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -123,9 +125,8 @@ class WaveFunction:
     def check_boundary(self):
         amp = self.boundary_amplitude()
         if amp > BOUNDARY_TOL:
-            raise BoundaryLeakError(
-                f"boundary amplitude {amp:.3e} exceeds {BOUNDARY_TOL:.0e}; enlarge the box"
-            )
+            raise BoundaryLeakError(f"hbar={self.hbar:g}: boundary amplitude {amp:.3e} "
+                                    f"exceeds {BOUNDARY_TOL:.0e}; enlarge the box")
 
     def spectral_tail_mass(self, fraction: float = 0.9) -> float:
         """Mass carried by modes with |k| beyond `fraction` of the Nyquist band."""
@@ -141,6 +142,57 @@ class WaveFunction:
         kx, ky = self.grid.k_meshes()
         outer = np.maximum(np.abs(kx), np.abs(ky)) > fraction * kmax
         return float(power[outer].sum() / total)
+
+
+@dataclass(frozen=True)
+class WaveBatch:
+    """Wave functions on one grid, stacked as the rows of ``values``
+    (B, *grid.shape), each with its own hbar.  ``labels`` name the rows in
+    monitor messages ("hbar=<hbar>" by default)."""
+
+    grid: Grid
+    values: Array
+    hbars: Array
+    labels: tuple = ()
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=complex)
+        hbars = np.asarray(self.hbars, dtype=float).reshape(-1)
+        if hbars.size == 0 or v.shape != (hbars.size,) + self.grid.shape:
+            raise ValueError(f"values shape {v.shape} does not hold {hbars.size} "
+                             f"row(s) of grid {self.grid.shape}")
+        if np.any(hbars <= 0):
+            raise ValueError("hbar must be positive")
+        labels = tuple(self.labels) or tuple(f"hbar={h:g}" for h in hbars)
+        if len(labels) != hbars.size:
+            raise ValueError("need one label per row")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "hbars", hbars)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def of(cls, states: Sequence[WaveFunction], labels: Sequence[str] = ()) -> "WaveBatch":
+        if not states or any(s.grid != states[0].grid for s in states):
+            raise ValueError("need a nonempty list of states on one grid")
+        return cls(states[0].grid, np.stack([s.values for s in states]),
+                   np.array([s.hbar for s in states]), tuple(labels))
+
+    def __len__(self) -> int:
+        return self.hbars.size
+
+    def row(self, r: int) -> WaveFunction:
+        return WaveFunction(self.grid, self.values[r], float(self.hbars[r]))
+
+    def take(self, rows: Sequence[int]) -> "WaveBatch":
+        return WaveBatch(self.grid, self.values[rows], self.hbars[rows],
+                         tuple(self.labels[r] for r in rows))
+
+    def with_values(self, values: Array) -> "WaveBatch":
+        """These rows with new values of the same shape, without re-checking
+        (once per Strang step)."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, values=values)
+        return out
 
 
 def inner(a: WaveFunction, b: WaveFunction) -> complex:
@@ -201,7 +253,7 @@ def propagate(V: Potential, psi: WaveFunction, t: float, dt: float) -> WaveFunct
     """Evolve psi for time t under -hbar^2/2 Laplacian + V by Strang splitting."""
     if t == 0:
         return WaveFunction(psi.grid, psi.values.copy(), psi.hbar)
-    return propagate_series(V, psi, t, dt, lambda _t, _state: None)
+    return propagate_series(V, WaveBatch.of([psi]), t, dt, lambda _t, _state: None).row(0)
 
 
 def _split_steps(t: float, dt: float) -> tuple[int, float]:
@@ -214,62 +266,86 @@ def _split_steps(t: float, dt: float) -> tuple[int, float]:
 
 
 class _Stepper:
-    """Precomputed Strang factors; consecutive half potential phases are fused."""
+    """Precomputed Strang factors, one row per hbar; consecutive half
+    potential phases are fused.  Each row's factors are computed as a lone row
+    computes them, so a batch steps every row bit for bit as it would alone."""
 
-    def __init__(self, V: Potential, grid: Grid, hbar: float, h: float):
+    def __init__(self, V: Potential, grid: Grid, hbars: Sequence[float], h: float):
         vgrid = V.value_fn(grid.points()).reshape(grid.shape)
-        self.half = np.exp(-0.5j * vgrid * h / hbar)
-        self.full = self.half * self.half
         k2 = sum(km ** 2 for km in grid.k_meshes())
-        self.kinetic = np.exp(-0.5j * hbar * k2 * h)
+        self.half = np.stack([np.exp(-0.5j * vgrid * h / hbar) for hbar in hbars])
+        self.full = self.half * self.half
+        self.kinetic = np.stack([np.exp(-0.5j * hbar * k2 * h) for hbar in hbars])
         interior = np.zeros(grid.shape, dtype=bool)
         interior[(slice(1, -1),) * grid.dim] = True
         self.edge = np.flatnonzero(~interior)
-        self.edge_half = self.half.ravel()[self.edge]
+        self.edge_half = self.half.reshape(len(self.half), -1)[:, self.edge]
 
-    def edge_amplitude(self, v: Array) -> float:
-        """Boundary amplitude of v * half, from the edge cells alone."""
-        return float(np.abs(v.ravel()[self.edge] * self.edge_half).max())
+    def edge_amplitude(self, v: Array) -> Array:
+        """Per-row boundary amplitude of v * half, from the edge cells alone."""
+        return np.abs(v.reshape(len(v), -1)[:, self.edge] * self.edge_half).max(axis=1)
+
+    def kinetic_step(self, v: Array) -> Array:
+        """Apply the exact kinetic factor in Fourier space to every row of v."""
+        if v.ndim == 2:
+            # 1-D rows: one transform pair over the stack.  The product keeps
+            # the kinetic factor as first operand, as a lone row of up to 8192
+            # points computes it: from 256 KiB on, numpy evaluates
+            # `kinetic * fft(v)` in place in the temporary with the operands
+            # swapped, and the complex product is then rounded differently.
+            ft = np.fft.fft(v)
+            return np.fft.ifft(np.multiply(self.kinetic, ft, out=ft))
+        # 2-D rows: one fftn pair per row (a stacked fftn is slower at 128^2);
+        # a lone row comes back as a view, not copied into a new stack
+        rows = [np.fft.ifftn(k * np.fft.fftn(row)) for k, row in zip(self.kinetic, v)]
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
-def propagate_series(V: Potential, psi: WaveFunction, T: float, dt: float,
-                     observer: Callable[[float, WaveFunction], None]) -> WaveFunction:
-    """Propagate while calling observer(t, state) at t = 0, dt, ..., T.
+def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
+                     observer: Callable[[float, WaveBatch], None]) -> WaveBatch:
+    """Propagate every row of a batch while calling observer(t, state) at
+    t = 0, dt, ..., T; the rows share the grid and the step size.
 
-    The boundary amplitude of every synchronized state is checked as it is
-    produced, and the spectral tail of the final one.  A state that fails
+    The boundary amplitude of every row's synchronized state is checked as it
+    is produced, and the spectral tail of every final row.  A row that fails
     both checks reports the tail: a grid too coarse for the momenta also
-    spreads mass to the boundary, and a larger box would not help.
+    spreads mass to the boundary, and a larger box would not help.  A trip
+    names the row by its label.
     """
     n_steps, h = _split_steps(T, dt)
-    stepper = _Stepper(V, psi.grid, psi.hbar, h)
+    stepper = _Stepper(V, psi.grid, psi.hbars, h)
     observer(0.0, psi)
     current = psi.values * stepper.half
     for step in range(n_steps):
-        current = np.fft.ifftn(stepper.kinetic * np.fft.fftn(current))
+        current = stepper.kinetic_step(current)
         t = (step + 1) * h
         amp = stepper.edge_amplitude(current)
-        if amp > BOUNDARY_TOL:
-            _check_spectral_tail(WaveFunction(psi.grid, current * stepper.half, psi.hbar))
-            raise BoundaryLeakError(f"boundary amplitude {amp:.3e} at t = {t:.4g} exceeds "
-                                    f"{BOUNDARY_TOL:.0e}; enlarge the box")
+        leaking = amp > BOUNDARY_TOL
+        if leaking.any():
+            r = int(leaking.argmax())
+            synced = WaveFunction(psi.grid, current[r] * stepper.half[r], psi.hbars[r])
+            _check_spectral_tail(synced, psi.labels[r])
+            raise BoundaryLeakError(f"{psi.labels[r]}: boundary amplitude {amp[r]:.3e} "
+                                    f"at t = {t:.4g} exceeds {BOUNDARY_TOL:.0e}; "
+                                    "enlarge the box")
         if step == n_steps - 1:
             current = current * stepper.half
-            state = WaveFunction(psi.grid, current, psi.hbar)
+            state = psi.with_values(current)
         else:
             # observer sees the synchronized state (half phase applied)
-            state = WaveFunction(psi.grid, current * stepper.half, psi.hbar)
+            state = psi.with_values(current * stepper.half)
             current = current * stepper.full
         observer(t, state)
-    _check_spectral_tail(state)
+    for r, label in enumerate(state.labels):
+        _check_spectral_tail(state.row(r), label)
     return state
 
 
-def _check_spectral_tail(state: WaveFunction) -> None:
+def _check_spectral_tail(state: WaveFunction, label: str) -> None:
     tail = state.spectral_tail_mass()
     if tail > ALIAS_TOL:
         raise SpectralAliasError(
-            f"spectral tail mass {tail:.3e} exceeds {ALIAS_TOL:.0e}; refine the grid"
+            f"{label}: spectral tail mass {tail:.3e} exceeds {ALIAS_TOL:.0e}; refine the grid"
         )
 
 
@@ -340,59 +416,57 @@ def second_moment(psi: WaveFunction, lam: float) -> float:
 # observed mass
 # ---------------------------------------------------------------------------
 
-def observed_mass_series(V: Potential, psi: WaveFunction, T: float,
+def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
                          chis: Sequence, dt: float):
-    """Trapezoid-in-time integrals of int chi |psi(t)|^2 dx for several cutoffs.
+    """Trapezoid-in-time integrals of int chi |psi_r(t)|^2 dx for every row r
+    of a batch and several cutoffs.
 
-    Returns (masses, info) where masses[j] is the value for chis[j] and info
-    carries the per-step series and edge-density diagnostics used for the
-    error budget.
+    1-D rows propagate as one batch.  2-D rows propagate one at a time, as
+    batches of one, so each step allocates and touches one n x n row at a
+    time and memory does not grow with the number of rows.
+
+    Returns (masses, info) where masses[r, j] is the value of row r for
+    chis[j] and info carries the per-row series and edge-density diagnostics
+    used for the error budget.  Every row's sums are taken as for a lone row.
     """
     grid = psi.grid
     pts = grid.points()
     weights = np.stack([np.asarray(chi(pts), dtype=float).reshape(-1) for chi in chis])
-    boundary_masks = []
-    for chi in chis:
-        w = np.asarray(chi(pts), dtype=float).reshape(grid.shape)
+    edge_cells = []                             # (j, flat indices) per indicator
+    for j, chi in enumerate(chis):
         if getattr(chi, "is_indicator", False):
+            w = weights[j].reshape(grid.shape)
             edge = np.zeros(grid.shape, dtype=bool)
             for ax in range(grid.dim):
                 rolled = np.roll(w, 1, axis=ax)
                 edge |= (w != rolled) | (np.roll(w, -1, axis=ax) != w)
-            boundary_masks.append(edge.reshape(-1))
-        else:
-            boundary_masks.append(np.zeros(grid.shape, dtype=bool).reshape(-1))
+            if edge.any():
+                edge_cells.append((j, np.flatnonzero(edge)))
 
-    series = []
-    edge_peak = np.zeros(len(chis))
+    rows = len(psi)
+    n_t = _split_steps(T, dt)[0] + 1
+    series = np.empty((rows, n_t, len(chis)))
+    edge_peak = np.zeros((rows, len(chis)))
+    for group in ([list(range(rows))] if grid.dim == 1 else [[r] for r in range(rows)]):
+        def observer(t, state, group=group, steps=itertools.count()):
+            k = next(steps)
+            dens = (np.abs(state.values) ** 2).reshape(len(group), -1) * grid.cell_volume
+            for i, r in enumerate(group):
+                series[r, k] = weights @ dens[i]
+                for j, idx in edge_cells:
+                    edge_peak[r, j] = max(edge_peak[r, j], float(dens[i][idx].sum()))
 
-    def observer(t, state):
-        dens = state.density().reshape(-1) * grid.cell_volume
-        series.append(weights @ dens)
-        for j, mask in enumerate(boundary_masks):
-            if mask.any():
-                edge_peak[j] = max(edge_peak[j], float(dens[mask].sum()))
-
-    final = propagate_series(V, psi, T, dt, observer)
-    arr = np.array(series)                      # (n_t, n_chi)
-    n_t = len(arr)
+        propagate_series(V, psi.take(group), T, dt, observer)
     h = T / (n_t - 1)
     w_t = np.full(n_t, h)
     w_t[0] = w_t[-1] = 0.5 * h
-    masses = w_t @ arr
+    masses = np.stack([w_t @ s for s in series])
     info = {
-        "series": arr,
+        "series": series,                       # (rows, n_t, n_chi)
         "dt": h,
         "edge_peak": edge_peak,                 # max over time of mass in edge cells
-        "final_state": final,
     }
     return masses, info
-
-
-def observed_mass(V: Potential, psi: WaveFunction, T: float, chi, dt: float) -> float:
-    """Space-time observed mass int_0^T int chi(x) |psi(t, x)|^2 dx dt."""
-    masses, _ = observed_mass_series(V, psi, T, [chi], dt)
-    return float(masses[0])
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,11 @@ def parse(cfg) -> Scenario:
 
 
 def load_config(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -309,36 +312,43 @@ def load_config(path) -> Scenario:
 # running
 # ---------------------------------------------------------------------------
 
-def _run_group(sc: Scenario, geo: GeometricSummary, hbar: float) -> list[CertificationReport]:
-    """All (delta) cells of one hbar column; safe to run in a worker process."""
+def _run_columns(sc: Scenario, geo: GeometricSummary,
+                 hbars: Sequence[float]) -> list[CertificationReport]:
+    """All (hbar, delta) cells of the given hbar columns, propagated as one
+    batch; safe to run in a worker process."""
     num, grid = sc.numerics, sc.grid
     try:
-        state = build_state(sc.state, grid, hbar)
-        if isinstance(state, ToeplitzState):
+        states = [build_state(sc.state, grid, hbar) for hbar in hbars]
+        if sc.state.kind == "toeplitz":
             return certify.certify_toeplitz_sweep(
-                sc.V, sc.K, sc.omega, sc.T, sc.deltas, state, grid,
+                sc.V, sc.K, sc.omega, sc.T, sc.deltas, states, grid,
                 dt=num.dt, geo=geo, scenario=sc.name)
         return certify.certify_pure_sweep(
-            sc.V, sc.K, sc.omega, sc.T, sc.deltas, state,
+            sc.V, sc.K, sc.omega, sc.T, sc.deltas, states,
             dt=num.dt, geo=geo, husimi_spacing=num.husimi_spacing, scenario=sc.name)
     except quantum.NumericsError as exc:
-        raise type(exc)(f"scenario '{sc.name}', hbar={hbar:g}: {exc}") from exc
+        raise type(exc)(f"scenario '{sc.name}', {exc}") from exc
 
 
 def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     """Run every (hbar, delta) cell; reports come back sorted by (hbar, delta).
 
     The classical side does not depend on hbar and is computed once for all
-    columns.  The pipeline is deterministic (analytic Lipschitz bounds, fixed
-    lattices, ordered sums).
+    columns.  The sorted hbar list is split into min(jobs, #hbar) contiguous
+    chunks; each chunk propagates as one batch, in a worker process when there
+    is more than one chunk.  Every row of a batch is computed as it would be
+    alone, so the reports do not depend on ``jobs``.  The pipeline is
+    deterministic (analytic Lipschitz bounds, fixed lattices, ordered sums).
     """
     geo = sc.geometric_summary()
-    if jobs > 1 and len(sc.hbars) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_run_group, [sc] * len(sc.hbars), [geo] * len(sc.hbars),
-                                   sc.hbars))
+    k = max(1, min(jobs, len(sc.hbars)))
+    bounds = [len(sc.hbars) * i // k for i in range(k + 1)]
+    chunks = [sc.hbars[a:b] for a, b in zip(bounds, bounds[1:])]
+    if k == 1:
+        groups = [_run_columns(sc, geo, chunks[0])]
     else:
-        groups = [_run_group(sc, geo, h) for h in sc.hbars]
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            groups = list(pool.map(_run_columns, [sc] * k, [geo] * k, chunks))
     return [r for group in groups for r in group]
 
 

@@ -19,3 +19,33 @@ def test_benchmark_tracer_finds_every_wrap_point(monkeypatch):
         assert tracer.unwrapped == []
     finally:
         tracer.unpatch()
+
+
+def test_benchmark_tracer_counts_one_propagation_per_step_size(monkeypatch):
+    # every column and atom of a 1-D config propagates as one batch per step
+    # size: two propagations, each step covering all 2 x 2 rows of the grid
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # read bench/ only
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    from obscert import scenario
+    n = 256
+    sc = scenario.parse({
+        "scenario": "traced", "potential": {"kind": "free", "dim": 1, "box": [-10.0, 10.0]},
+        "K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]]], "spacing": 0.4},
+        "omega": {"boxes": [[-2.7, 8.0]]}, "T": 0.2, "deltas": [3.0], "hbars": [0.1, 0.2],
+        "state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0], [-2.2, 1.0, 0.5]]},
+        "numerics": {"n": n, "length": 20.0, "dt": 1e-2, "dt_flow": 1e-2},
+    })
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        reports = scenario.run_scenario(sc)
+    finally:
+        tracer.unpatch()
+    assert len(reports) == 2
+    counters = tracer.counters
+    assert counters["scenario.columns"] == 2
+    assert counters["quantum.propagations"] == 2
+    assert counters["quantum.strang_steps"] == (20 + 1) + (10 + 1)
+    assert counters["quantum.step_points"] == counters["quantum.strang_steps"] * 4 * n

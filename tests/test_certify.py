@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from obscert import certify, classical, phasespace, potentials, quantum
 from obscert.certify import (
-    balanced_growth_root, certify_pure, certify_pure_sweep, certify_toeplitz,
+    balanced_growth_root, certify_pure_sweep, certify_toeplitz_sweep,
     lambda_equals_lip_bounds, minimal_delta,
     observability_margin, spread_coefficient, toeplitz_coefficient,
     toeplitz_coefficient_details, zero_lip_candidate,
@@ -121,7 +121,8 @@ OM_FREE = interval(-2.7, 8.0)
 
 def test_certify_pure_certified_case(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
-    rep = certify_pure(free, K_FREE, OM_FREE, 2.0, 4.0, psi, dt=2e-3, dt_flow=2e-3)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [4.0], 2e-3)
+    rep = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], [psi], dt=2e-3, geo=geo)[0]
     assert rep.verdict == "certified"
     assert rep.lower_bound > 0
     assert rep.margin >= 0
@@ -135,7 +136,8 @@ def test_certify_pure_certified_case(free):
 
 def test_certify_pure_vacuous_when_outside_K(free):
     psi = coherent_state(GRID, 0.05, 3.0, -1.0)      # localized away from K
-    rep = certify_pure(free, K_FREE, OM_FREE, 2.0, 4.0, psi, dt=2e-3, dt_flow=2e-3)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [4.0], 2e-3)
+    rep = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], [psi], dt=2e-3, geo=geo)[0]
     assert rep.husimi_mass < 1e-6
     assert rep.lower_bound < 0
     assert rep.verdict == "vacuous"
@@ -143,7 +145,8 @@ def test_certify_pure_vacuous_when_outside_K(free):
 
 def test_certify_pure_vacuous_below_delta_threshold(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
-    rep = certify_pure(free, K_FREE, OM_FREE, 2.0, 0.2, psi, dt=2e-3, dt_flow=2e-3)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [0.2], 2e-3)
+    rep = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [0.2], [psi], dt=2e-3, geo=geo)[0]
     assert rep.verdict == "vacuous"
 
 
@@ -151,7 +154,7 @@ def test_certify_pure_monotone_in_delta(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
     deltas = [0.5, 1.5, 4.0, 8.0]
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
-    reps = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, psi, dt=2e-3, geo=geo)
+    reps = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [psi], dt=2e-3, geo=geo)
     lows = [r.lower_bound for r in reps]
     meas = [r.measured for r in reps]
     assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
@@ -160,16 +163,19 @@ def test_certify_pure_monotone_in_delta(free):
 
 def test_certify_scaling_in_T(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
-    r1 = certify_pure(free, K_FREE, OM_FREE, 1.0, 4.0, psi, dt=2e-3, dt_flow=2e-3)
-    r2 = certify_pure(free, K_FREE, OM_FREE, 2.0, 4.0, psi, dt=2e-3, dt_flow=2e-3)
+    r1, r2 = (certify_pure_sweep(
+        free, K_FREE, OM_FREE, T, [4.0], [psi], dt=2e-3,
+        geo=classical.geometric_summary(free, K_FREE, OM_FREE, T, [4.0], 2e-3))[0]
+        for T in (1.0, 2.0))
     assert r2.c_geo >= r1.c_geo - 1e-9
     assert r2.measured >= r1.measured - 1e-9
 
 
 def test_certify_toeplitz_certified_case(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
-    rep = certify_toeplitz(free, K_FREE, OM_FREE, 2.0, 2.0, R, GRID,
-                           dt=2e-3, dt_flow=2e-3)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
+    rep = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [2.0], [R], GRID,
+                                 dt=2e-3, geo=geo)[0]
     assert rep.verdict == "certified"
     assert rep.admissible
     assert rep.measured >= rep.lower_bound - rep.eps_num
@@ -178,30 +184,87 @@ def test_certify_toeplitz_certified_case(free):
 def test_certify_toeplitz_admissible_iff_positive(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
     for delta in (0.2, 0.5, 2.0, 8.0):
-        rep = certify_toeplitz(free, K_FREE, OM_FREE, 2.0, delta, R, GRID,
-                               dt=2e-3, dt_flow=2e-3)
+        geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [delta], 2e-3)
+        rep = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [delta], [R], GRID,
+                                     dt=2e-3, geo=geo)[0]
         assert rep.admissible == (rep.lower_bound > 0)
 
 
 def test_certify_toeplitz_large_delta_limit(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
-    rep = certify_toeplitz(free, K_FREE, OM_FREE, 2.0, 1e9, R, GRID,
-                           dt=2e-3, dt_flow=2e-3)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [1e9], 2e-3)
+    rep = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [1e9], [R], GRID,
+                                 dt=2e-3, geo=geo)[0]
     assert rep.lower_bound == pytest.approx(rep.c_geo, abs=1e-8)
 
 
 def test_certify_toeplitz_rejects_atoms_outside_K(free):
     R = phasespace.toeplitz_from_density([(5.0, 1.0, 1.0)], 0.05)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
     with pytest.raises(ValueError, match="inside K"):
-        certify_toeplitz(free, K_FREE, OM_FREE, 2.0, 2.0, R, GRID,
-                         dt=2e-3, dt_flow=2e-3)
+        certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [2.0], [R], GRID,
+                               dt=2e-3, geo=geo)
+
+
+def test_sweeps_batch_columns_as_lone_columns(free):
+    # one batch over all columns (and atoms) gives each column's reports bit
+    # for bit; the Toeplitz state carries a zero-weight atom, which is skipped
+    deltas = [2.0, 4.0]
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
+    psis = [coherent_state(GRID, hbar, -2.5, 1.25) for hbar in (0.05, 0.1)]
+    batched = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, psis, dt=2e-3, geo=geo)
+    alone = [r for psi in psis for r in
+             certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [psi], dt=2e-3, geo=geo)]
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
+    Rs = [phasespace.toeplitz_from_density(
+        [(-2.5, 1.25, 0.7), (-2.2, 1.0, 0.0), (-2.8, 1.5, 0.3)], hbar) for hbar in (0.05, 0.1)]
+    batched = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, deltas, Rs, GRID,
+                                     dt=2e-3, geo=geo)
+    alone = [r for R in Rs for r in
+             certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [R], GRID,
+                                    dt=2e-3, geo=geo)]
+    assert [(r.hbar, r.delta) for r in batched] == [(h, d) for h in (0.05, 0.1) for d in deltas]
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
+
+
+def test_toeplitz_leak_names_the_atom(harm):
+    # atom 1 of the hbar = 0.1 column swings out to |x| ~ 6.5 (the mid-run
+    # reproducer of tests/test_quantum.py); every other atom stays central
+    grid = Grid(dim=1, n=1024, length=16.0)
+    K = phase_box(-0.2, 0.2, -0.2, 6.7, spacing=0.5)
+    om = interval(-1.0, 1.0)
+    geo = classical.geometric_summary(harm, K, om, 2.0, [1.0], 1e-3)
+    Rs = [phasespace.toeplitz_from_density([(0.0, 0.0, 1.0), (0.0, p, 1.0)], hbar)
+          for hbar, p in ((0.05, 0.5), (0.1, 6.5))]
+    with pytest.raises(quantum.BoundaryLeakError,
+                       match=r"^hbar=0\.1, atom 1: boundary amplitude .* at t = 1\.\d+"):
+        certify_toeplitz_sweep(harm, K, om, 2.0, [1.0], Rs, grid, dt=1e-3, geo=geo)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_run_scenario_jobs_split_columns_into_batches(jobs):
+    # two hbar columns of a Toeplitz config: one batch, two batches of one
+    # column, and more jobs than columns give the same reports
+    from obscert import scenario
+    sc = scenario.parse({
+        "scenario": "jobs", "potential": {"kind": "free", "dim": 1, "box": [-10.0, 10.0]},
+        "K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]]], "spacing": 0.2},
+        "omega": {"boxes": [[-2.7, 8.0]]}, "T": 1.0, "deltas": [1.0, 3.0],
+        "hbars": [0.2, 0.1],
+        "state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0], [-2.2, 1.0, 0.5]]},
+        "numerics": {"n": 512, "length": 20.0, "dt": 5e-3, "dt_flow": 5e-3},
+    })
+    serial = scenario.run_scenario(sc, jobs=1)
+    assert [(r.hbar, r.delta) for r in serial] == [(0.1, 1.0), (0.1, 3.0), (0.2, 1.0), (0.2, 3.0)]
+    parallel = scenario.run_scenario(sc, jobs=jobs)
+    assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
 
 def test_sweep_rejects_summary_for_other_deltas(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
     with pytest.raises(ValueError, match="deltas"):
-        certify.certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], R, GRID,
+        certify.certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], [R], GRID,
                                        dt=2e-3, geo=geo)
 
 
@@ -221,8 +284,8 @@ def test_sweeps_recertify_lip_on_the_trajectory_hull(dwell, plo, phi, leaves):
     grid = Grid(dim=1, n=1024, length=16.0)
     psi = coherent_state(grid, 0.05, 1.0, p0)
     R = phasespace.toeplitz_from_density([(1.0, p0, 1.0)], 0.05)
-    pure = certify_pure_sweep(dwell, K, om, T, deltas, psi, dt=1e-3, geo=geo)[0]
-    toep = certify.certify_toeplitz_sweep(dwell, K, om, T, deltas, R, grid, dt=1e-3,
+    pure = certify_pure_sweep(dwell, K, om, T, deltas, [psi], dt=1e-3, geo=geo)[0]
+    toep = certify.certify_toeplitz_sweep(dwell, K, om, T, deltas, [R], grid, dt=1e-3,
                                           geo=geo)[0]
     for rep in (pure, toep):
         assert rep.left_box is leaves
@@ -236,7 +299,8 @@ def test_stiff_potential_yields_vacuous_not_nan(dwell):
     K = phase_box(0.8, 1.2, -0.2, 0.2)
     om = interval(0.5, 1.5)
     psi = coherent_state(grid, 0.05, 1.0, 0.0)
-    rep = certify_pure(dwell, K, om, 1.0, 2.0, psi, dt=1e-3, dt_flow=1e-3)
+    geo = classical.geometric_summary(dwell, K, om, 1.0, [2.0], 1e-3)
+    rep = certify_pure_sweep(dwell, K, om, 1.0, [2.0], [psi], dt=1e-3, geo=geo)[0]
     assert rep.lower_bound == -math.inf
     assert rep.verdict == "vacuous"
     assert math.isfinite(rep.measured)
@@ -247,8 +311,9 @@ def test_stiff_potential_yields_vacuous_not_nan(dwell):
 def test_unnormalized_state_rejected(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
     bad = quantum.WaveFunction(psi.grid, 2.0 * psi.values, psi.hbar)
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
     with pytest.raises(ValueError, match="normalized"):
-        certify_pure(free, K_FREE, OM_FREE, 2.0, 2.0, bad, dt=2e-3, dt_flow=2e-3)
+        certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [2.0], [bad], dt=2e-3, geo=geo)
 
 
 def test_certify_pure_dim2_pipeline():
@@ -260,8 +325,9 @@ def test_certify_pure_dim2_pipeline():
     K = CompactSet(np.array([[[-0.4, 0.4], [-0.4, 0.4],
                               [0.6, 1.4], [-0.4, 0.4]]]), 0.2)
     om = Region(np.array([[[-0.5, 6.0], [-2.0, 2.0]]]))
-    rep = certify.certify_pure(V, K, om, 1.0, 6.0, psi, dt=5e-3, dt_flow=5e-3,
-                               husimi_spacing=0.16)
+    geo = classical.geometric_summary(V, K, om, 1.0, [6.0], 5e-3)
+    rep = certify.certify_pure_sweep(V, K, om, 1.0, [6.0], [psi], dt=5e-3, geo=geo,
+                                     husimi_spacing=0.16)[0]
     assert rep.dim == 2
     assert rep.verdict in {"certified", "vacuous"}
     assert rep.measured >= rep.lower_bound - rep.eps_num

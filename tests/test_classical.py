@@ -393,6 +393,41 @@ def test_kernel_matches_loop_on_one_and_zero_samples(dwell, m):
     assert res.hull.shape == (m, 1, 2)
 
 
+@pytest.mark.parametrize("name", ["free", "harm", "dwell"])
+def test_verlet_step_matches_the_checked_gradient(name, free, harm, dwell, rng):
+    # the kernel calls grad_fn directly; the public gradient gives the same bits
+    V = {"free": free, "harm": harm, "dwell": dwell}[name]
+    x, xi = rng.uniform(-1.5, 1.5, size=(2, 700, 1))
+    half = xi - 0.5 * 1e-3 * V.gradient(x).reshape(x.shape)
+    x1 = x + 1e-3 * half
+    xi1 = half - 0.5 * 1e-3 * V.gradient(x1).reshape(x.shape)
+    got = verlet_step(V, x, xi, 1e-3)
+    np.testing.assert_array_equal(got[0], x1)
+    np.testing.assert_array_equal(got[1], xi1)
+    pts = phys_box(0.6, 1.2, -0.4, 0.4, spacing=0.2).sample_grid()
+    assert_matches_loop(V, pts, 1.0, _cutoffs(interval(0.3, 0.9)), 1e-2)
+
+
+def _nan_beyond(radius):
+    def grad(p):
+        return np.where(np.abs(p) > radius, np.nan, p)
+    return potentials.Potential(name="nan_beyond", dim=1,
+                                value_fn=lambda p: 0.5 * np.sum(p * p, axis=-1),
+                                grad_fn=grad, lip_grad=1.0,
+                                working_box=np.array([[-2.0, 2.0]]))
+
+
+@pytest.mark.parametrize("T", [0.5, 0.31])
+def test_occupation_aborts_on_a_non_finite_gradient(T):
+    # x = sin t passes 0.3 at t ~ 0.305, in the step ending at t = 0.31, where
+    # the gradient is NaN; with T = 0.31 that is the last step, and only the
+    # momentum carries the NaN
+    V = _nan_beyond(0.3)
+    pts = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(FloatingPointError, match="blew up"):
+        occupation_batch(V, pts, T, [IndicatorCutoff(interval(-0.1, 0.1))], 0.01)
+
+
 def test_kernel_memory_on_the_shipped_lattice():
     # one cutoff at a time over a block of at most 8192 sample-steps: the
     # stacked lattice of free_coherent (872 samples) stays far below a full

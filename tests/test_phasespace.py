@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from obscert import phasespace
+from obscert import phasespace, quantum
 from obscert.classical import CompactSet, ConstantCutoff, IndicatorCutoff, Region
 from obscert.phasespace import (
     SpectralBandError, coherent_overlap_sq, coherent_tail_check,
-    husimi, husimi_mass, toeplitz_from_density, toeplitz_observed_mass, wigner,
+    husimi, husimi_mass, toeplitz_from_density, wigner,
 )
 from obscert.quantum import coherent_state, gaussian_state, inner, superposition
 
@@ -15,6 +17,13 @@ HBAR = 0.1
 
 def phase_box(qlo, qhi, plo, phi, spacing=0.05):
     return CompactSet(np.array([[[qlo, qhi], [plo, phi]]]), spacing)
+
+
+def toeplitz_observed_mass(V, R, grid, T, chi, dt):
+    """Observed mass of a Toeplitz state by linearity: its atoms as one batch."""
+    batch = quantum.WaveBatch.of([R.atom_state(j, grid) for j in range(len(R.weights))])
+    masses, _ = quantum.observed_mass_series(V, batch, T, [chi], dt)
+    return float(math.fsum(R.weights * masses[:, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 
 from obscert import classical, potentials, quantum
 from obscert.classical import ConstantCutoff, IndicatorCutoff, PhasePoint, Region
+from obscert.phasespace import toeplitz_from_density
 from obscert.quantum import (
-    BoundaryLeakError, Grid, SpectralAliasError, coherent_state,
+    BoundaryLeakError, Grid, SpectralAliasError, WaveBatch, coherent_state,
     cost_expectation, gaussian_state, inner, load_state, momentum_moments,
-    observed_mass, position_moments, propagate, save_state, second_moment,
+    observed_mass_series, position_moments, propagate, save_state, second_moment,
     spread, superposition,
 )
 
@@ -15,6 +16,12 @@ HBAR = 0.1
 
 def interval(lo, hi):
     return Region(np.array([[[lo, hi]]]))
+
+
+def row_mass(V, psi, T, chi, dt):
+    """Observed mass of one state, as a batch of one row."""
+    masses, _ = observed_mass_series(V, WaveBatch.of([psi]), T, [chi], dt)
+    return float(masses[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +76,10 @@ def test_boundary_monitor_sees_mid_run_leaks(grid1024, harm):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_step_monitor_reads_the_synchronized_edges(dim, rng):
     grid = Grid(dim=dim, n=16, length=8.0)
-    stepper = quantum._Stepper(potentials.harmonic(dim=dim), grid, HBAR, 0.1)
+    stepper = quantum._Stepper(potentials.harmonic(dim=dim), grid, [HBAR], 0.1)
     v = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    synced = quantum.WaveFunction(grid, v * stepper.half, HBAR)
-    assert stepper.edge_amplitude(v) == synced.boundary_amplitude()
+    synced = quantum.WaveFunction(grid, v * stepper.half[0], HBAR)
+    assert stepper.edge_amplitude(v[None])[0] == synced.boundary_amplitude()
 
 
 def test_grid_requires_power_of_two():
@@ -177,13 +184,13 @@ def test_cost_expectation_matches_closed_form(grid1024, rng):
 
 def test_observed_mass_full_cutoff(grid512, harm):
     psi = coherent_state(grid512, HBAR, 1.0, 0.0)
-    m = observed_mass(harm, psi, 1.3, ConstantCutoff(1.0), 1e-3)
+    m = row_mass(harm, psi, 1.3, ConstantCutoff(1.0), 1e-3)
     assert m == pytest.approx(1.3, abs=1e-10)
 
 
 def test_observed_mass_zero_cutoff(grid512, free):
     psi = coherent_state(grid512, HBAR, 0.0, 1.0)
-    assert observed_mass(free, psi, 1.0, ConstantCutoff(0.0), 1e-3) == 0.0
+    assert row_mass(free, psi, 1.0, ConstantCutoff(0.0), 1e-3) == 0.0
 
 
 def test_observed_mass_semiclassical_window(free):
@@ -191,9 +198,9 @@ def test_observed_mass_semiclassical_window(free):
     grid = Grid(dim=1, n=1024, length=16.0)
     chi = IndicatorCutoff(interval(0.5, 1.5))
     psi = coherent_state(grid, 0.05, 0.0, 1.0)
-    m = observed_mass(free, psi, 2.0, chi, 1e-3)
+    m = row_mass(free, psi, 2.0, chi, 1e-3)
     fine_grid = Grid(dim=1, n=2048, length=16.0)
-    fine = observed_mass(free, coherent_state(fine_grid, 0.05, 0.0, 1.0),
+    fine = row_mass(free, coherent_state(fine_grid, 0.05, 0.0, 1.0),
                          2.0, chi, 1e-4)
     # indicator quadrature error is O(dx): halving dx moves the value by ~dx
     assert abs(m - fine) < 2.0 * grid.dx
@@ -233,3 +240,152 @@ def test_dim2_coherent_and_propagation(harm):
     out = propagate(V2, psi, 0.3, 1e-2)
     assert abs(out.norm - 1.0) < 1e-12
     assert second_moment(psi, 1.0) == pytest.approx(2 * HBAR + 0.5 + 0.25, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# batches against the single-row loop
+# ---------------------------------------------------------------------------
+
+def single_row_reference(V, psi, T, chis, dt):
+    """Reference: one state at a time, the Strang loop and observer a lone row
+    ran before rows were batched.  Returns (masses, series, edge_peak, final)."""
+    grid = psi.grid
+    n_steps, h = quantum._split_steps(T, dt)
+    vgrid = V.value_fn(grid.points()).reshape(grid.shape)
+    half = np.exp(-0.5j * vgrid * h / psi.hbar)
+    full = half * half
+    k2 = sum(km ** 2 for km in grid.k_meshes())
+    kinetic = np.exp(-0.5j * psi.hbar * k2 * h)
+    pts = grid.points()
+    weights = np.stack([np.asarray(chi(pts), dtype=float).reshape(-1) for chi in chis])
+    masks = []
+    for chi in chis:
+        w = np.asarray(chi(pts), dtype=float).reshape(grid.shape)
+        edge = np.zeros(grid.shape, dtype=bool)
+        if getattr(chi, "is_indicator", False):
+            for ax in range(grid.dim):
+                edge |= (w != np.roll(w, 1, axis=ax)) | (np.roll(w, -1, axis=ax) != w)
+        masks.append(edge.reshape(-1))
+    series, edge_peak = [], np.zeros(len(chis))
+
+    def observe(values):
+        dens = (np.abs(values) ** 2).reshape(-1) * grid.cell_volume
+        series.append(weights @ dens)
+        for j, mask in enumerate(masks):
+            if mask.any():
+                edge_peak[j] = max(edge_peak[j], float(dens[mask].sum()))
+
+    observe(psi.values)
+    current = psi.values * half
+    for step in range(n_steps):
+        current = np.fft.ifftn(kinetic * np.fft.fftn(current))
+        if step == n_steps - 1:
+            current = current * half
+            observe(current)
+        else:
+            observe(current * half)
+            current = current * full
+    arr = np.array(series)
+    w_t = np.full(len(arr), T / (len(arr) - 1))
+    w_t[0] = w_t[-1] = 0.5 * w_t[0]
+    return w_t @ arr, arr, edge_peak, current
+
+
+def assert_batch_matches_rows(V, states, T, chis, dt, labels=()):
+    batch = WaveBatch.of(states, labels)
+    masses, info = observed_mass_series(V, batch, T, chis, dt)
+    final = quantum.propagate_series(V, batch, T, dt, lambda t, s: None)
+    assert masses.shape == (len(states), len(chis))
+    for r, psi in enumerate(states):
+        m, series, edge_peak, final_r = single_row_reference(V, psi, T, chis, dt)
+        np.testing.assert_array_equal(masses[r], m)
+        np.testing.assert_array_equal(info["series"][r], series)
+        np.testing.assert_array_equal(info["edge_peak"][r], edge_peak)
+        np.testing.assert_array_equal(final.values[r], final_r)
+    return masses, info
+
+
+def _cutoffs_1d():
+    return [IndicatorCutoff(interval(-0.4, 0.9)), IndicatorCutoff(interval(0.3, 2.5)),
+            ConstantCutoff(1.0)]
+
+
+def test_batch_rows_with_mixed_hbar_match_single_rows(grid512, dwell):
+    states = [coherent_state(grid512, 0.05, 0.8, 0.3),
+              coherent_state(grid512, 0.2, -0.5, 1.0),
+              gaussian_state(grid512, 0.1, 0.2, -0.4, 0.4)]
+    _, info = assert_batch_matches_rows(dwell, states, 0.6, _cutoffs_1d(), 1e-3)
+    assert np.all(info["edge_peak"][:, :2] > 0)          # the edge monitor saw mass
+
+
+def test_batch_toeplitz_atoms_match_single_rows(harm):
+    # two hbar columns of four atoms each; at n = 2048 the stack takes 256 KiB,
+    # the size from which numpy evaluates a product with a temporary in place
+    grid = Grid(dim=1, n=2048, length=16.0)
+    states, labels = [], []
+    for hbar in (0.05, 0.2):
+        R = toeplitz_from_density([(q, p, 1.0) for q, p in
+                                   [(-1.0, 0.5), (0.0, 1.0), (0.5, -0.5), (1.2, 0.0)]], hbar)
+        for j in range(len(R.weights)):
+            states.append(R.atom_state(j, grid))
+            labels.append(f"hbar={hbar:g}, atom {j}")
+    assert len(states) * grid.n * 16 == 256 * 1024
+    assert_batch_matches_rows(harm, states, 0.25, _cutoffs_1d(), 1e-3, labels)
+
+
+@pytest.mark.parametrize("n, length", [(64, 8.0), (128, 12.0)])
+def test_batch_2d_rows_match_single_rows(n, length):
+    # a 128^2 row takes 256 KiB: the single-row product then runs in place
+    grid = Grid(dim=2, n=n, length=length)
+    V2 = potentials.harmonic(dim=2)
+    om = Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))
+    states = [coherent_state(grid, 0.2, [0.5, 0.0], [0.0, 0.5]),
+              coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0])]
+    # observed_mass_series steps 2-D rows one at a time, propagate_series the
+    # whole batch
+    assert_batch_matches_rows(V2, states, 0.05, [IndicatorCutoff(om), ConstantCutoff(1.0)],
+                              1e-2)
+
+
+def test_leak_in_one_row_names_its_hbar(grid1024, harm):
+    # the middle row is the mid-run reproducer of test_boundary_monitor_sees_mid_run_leaks
+    states = [coherent_state(grid1024, 0.05, 0.0, 0.0),
+              coherent_state(grid1024, 0.1, 0.0, 6.5),
+              coherent_state(grid1024, 0.2, 0.5, 0.0)]
+    with pytest.raises(BoundaryLeakError, match=r"^hbar=0\.1: boundary amplitude .* at t = 1\.\d+"):
+        quantum.propagate_series(harm, WaveBatch.of(states), np.pi, 1e-3, lambda t, s: None)
+
+
+@pytest.mark.parametrize("case", ["leaks", "stays"])
+def test_spectral_tail_of_one_row_aborts(free, case):
+    # "leaks": a packet near the Nyquist band spreads to the boundary in the
+    # first step, and the tail is reported first; "stays": a packet of 1.6
+    # cells (tail 2.4e-10), stepped so briefly that it keeps off the boundary,
+    # fails the final tail check
+    coarse = Grid(dim=1, n=64, length=16.0)
+    cool = coherent_state(coarse, 0.5, 0.0, 0.0)
+    if case == "leaks":
+        hot = coherent_state(coarse, 0.01, 0.0, 0.95 * 0.01 * np.pi / coarse.dx)
+        T, dt = 0.02, 1e-2
+    else:
+        hot = gaussian_state(coarse, 0.01, 0.0, 0.0, 1.6 * coarse.dx)
+        T, dt = 2e-5, 1e-5
+    assert cool.spectral_tail_mass() < quantum.ALIAS_TOL
+    edges = []
+    with pytest.raises(SpectralAliasError, match=r"^hbar=0\.01: spectral tail"):
+        quantum.propagate_series(free, WaveBatch.of([cool, hot]), T, dt,
+                                 lambda t, s: edges.append(s.row(1).boundary_amplitude()))
+    # the leaking row stops the run in its first step, before the observer
+    assert len(edges) == (1 if case == "leaks" else 3)
+    assert max(edges) < quantum.BOUNDARY_TOL
+
+
+def test_batch_of_one_is_propagate(grid512, harm):
+    psi = coherent_state(grid512, HBAR, 1.0, 0.0)
+    seen = []
+    out = quantum.propagate_series(harm, WaveBatch.of([psi]), 0.3, 1e-2,
+                                   lambda t, s: seen.append((t, s.values.shape)))
+    assert seen[0] == (0.0, (1, 512)) and len(seen) == 31
+    np.testing.assert_array_equal(out.row(0).values, propagate(harm, psi, 0.3, 1e-2).values)
+    np.testing.assert_array_equal(out.row(0).values,
+                                  single_row_reference(harm, psi, 0.3, [ConstantCutoff(1.0)], 1e-2)[3])

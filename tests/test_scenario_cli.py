@@ -309,6 +309,17 @@ def test_cli_malformed_config_no_partial_reports(tmp_path):
     assert not out.exists() or not list(out.glob("*.json"))
 
 
+def test_cli_missing_config_exits_2(tmp_path):
+    missing = tmp_path / "nonexistent.json"
+    res = run_cli(["certify", "--config", str(missing), "--out", str(tmp_path / "out")],
+                  cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "nonexistent.json" in res.stderr
+    assert "Traceback" not in res.stderr
+    with pytest.raises(ConfigError, match="nonexistent"):
+        load_config(missing)
+
+
 def test_cli_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(hbars=[0.1, 0.2])))
