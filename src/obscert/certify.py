@@ -20,7 +20,7 @@ import numpy as np
 from . import classical, phasespace, quantum
 from .classical import CompactSet, GeometricSummary, IndicatorCutoff, Region
 from .phasespace import ToeplitzState
-from .potentials import Potential
+from .potentials import Potential, saturating_square
 from .quantum import Grid, WaveFunction
 
 SCHEMA_VERSION = 1
@@ -42,12 +42,14 @@ def spread_coefficient(T: float, lip: float) -> float:
     (exp((1 + lip^2) T / 2) - 1) / (1 + lip^2).  Saturates to +inf on overflow."""
     if T < 0 or lip < 0:
         raise ValueError("T and lip must be nonnegative")
-    a = 1.0 + lip ** 2
+    a = 1.0 + saturating_square(lip)
+    if math.isinf(a):
+        return math.inf
     return (_exp(0.5 * a * T) - 1.0) / a
 
 
 def _growth_objective(T: float, lip: float, lam: float) -> float:
-    s = lam + lip ** 2 / lam
+    s = lam + saturating_square(lip) / lam
     e = _exp(0.5 * s * T)
     if math.isinf(e):
         return math.inf
@@ -123,10 +125,12 @@ def toeplitz_coefficient(T: float, lip: float) -> float:
 def lambda_equals_lip_bounds(T: float, lip: float) -> tuple[float, float]:
     """The two printed forms of the lam = lip upper bound:
     (e^{lip T}-1)/(2 lip) sqrt(1 + 1/lip^2)  and  (e^{lip T}-1)/(2 lip^2) sqrt(1 + lip^2).
-    They are algebraically identical."""
+    They are algebraically identical; both saturate to +inf on overflow."""
     if lip <= 0:
         raise ValueError("lip must be positive for this bound")
     e = _exp(lip * T) - 1.0
+    if math.isinf(e):
+        return math.inf, math.inf
     f1 = e / (2.0 * lip) * math.sqrt(1.0 + 1.0 / lip ** 2)
     f2 = e / (2.0 * lip ** 2) * math.sqrt(1.0 + lip ** 2)
     return f1, f2
@@ -238,7 +242,7 @@ def _json_ready(obj):
 
 
 def _verdict(lower: float, measured: float, eps: float) -> str:
-    if lower <= 0:
+    if not lower > 0:                   # NaN too: no bound, no certificate
         return "vacuous"
     if measured < lower - eps:
         return "violated"
@@ -253,14 +257,6 @@ def _time_quadrature_error(series: np.ndarray, dt: float, T: float) -> np.ndarra
     return second.max(axis=0) * dt ** 2 * T / 12.0
 
 
-def _ct_fields(lower: float, T: float):
-    if lower > 0:
-        c_obs = 1.0 / lower
-        ct = c_obs * T
-        return c_obs, ct, bool(ct > 1.0), bool(abs(ct - 1.0) <= 0.1)
-    return None, None, None, None
-
-
 def _lip_along_flow(V: Potential, hull: np.ndarray) -> float:
     """Lipschitz bound of grad V valid wherever the trajectories from K go: the
     larger of the working box's bound and the bound recertified on the box
@@ -271,16 +267,71 @@ def _lip_along_flow(V: Potential, hull: np.ndarray) -> float:
     return max(V.lip_grad, V.with_box(box).lip_grad)
 
 
-def _observed_masses(V: Potential, omega: Region, T: float, deltas: Sequence[float],
-                     batch: quantum.WaveBatch, dt: float):
-    """Observed masses of every batch row on each delta-enlargement of omega,
-    propagated at dt and at 2 dt: (fine, coarse, eps_time, edge_peak), each
-    of shape (rows, n_delta)."""
-    chis = [IndicatorCutoff(omega.enlarged(d)) for d in deltas]
-    fine, info = quantum.observed_mass_series(V, batch, T, chis, dt)
-    coarse, _ = quantum.observed_mass_series(V, batch, T, chis, 2.0 * dt)
-    eps_time = np.stack([_time_quadrature_error(s, info["dt"], T) for s in info["series"]])
-    return fine, coarse, eps_time, info["edge_peak"]
+@dataclass(frozen=True)
+class _Sweep:
+    """The measured side that both certificate kinds share, per (column,
+    delta): the observed mass on the delta-enlargement of omega and its
+    propagation, time and space error terms (keyed as in ``err_budget``),
+    with what every report of the sweep repeats."""
+
+    scenario: str
+    K: CompactSet
+    T: float
+    geo: GeometricSummary
+    lip: float
+    measured: np.ndarray
+    terms: dict
+
+    @classmethod
+    def measure(cls, V: Potential, K: CompactSet, omega: Region, T: float,
+                deltas: Sequence[float], columns, *, dt: float, geo: GeometricSummary,
+                scenario: str) -> "_Sweep":
+        """A column is a list of (state, weight, label) rows: a pure state is
+        one row of weight 1.0 (exact: 0.0 + 1.0 * x == x, so a pure column's
+        values are its row's), a Toeplitz state its nonzero-weight atoms.
+        Every row goes to one ``observed_mass_series`` call per step size (dt
+        and 2 dt); by linearity a column sums its weighted rows in order."""
+        if tuple(float(d) for d in deltas) != geo.deltas:
+            raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {list(deltas)}")
+        rows = [(c, *row) for c, col in enumerate(columns) for row in col]
+        batch = quantum.WaveBatch.of([s for _, s, _, _ in rows], [lab for *_, lab in rows])
+        chis = [IndicatorCutoff(omega.enlarged(d)) for d in geo.deltas]
+        fine, info = quantum.observed_mass_series(V, batch, T, chis, dt)
+        coarse, _ = quantum.observed_mass_series(V, batch, T, chis, 2.0 * dt)
+        measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(columns), len(chis)))
+        for r, (c, _, w, _) in enumerate(rows):
+            measured[c] += w * fine[r]
+            coarse_sum[c] += w * coarse[r]
+            time_sum[c] += w * _time_quadrature_error(info["series"][r], info["dt"], T)
+            space_sum[c] += w * T * info["edge_peak"][r]
+        terms = {"propagation": np.abs(measured - coarse_sum) / 3.0,
+                 "time_quadrature": time_sum, "space_quadrature": space_sum}
+        return cls(scenario, K, T, geo, _lip_along_flow(V, geo.hull), measured, terms)
+
+    def report(self, c: int, j: int, kind: str, lower: float, extra_eps: Sequence[float],
+               extra_budget: dict, **fields) -> CertificationReport:
+        """Report of cell (column c, delta j): the shared fields plus the
+        kind's own ``fields``.  ``eps_num`` sums the propagation, time and
+        space terms, then ``extra_eps``, left to right."""
+        geo = self.geo
+        budget = {k: float(v[c, j]) for k, v in self.terms.items()}
+        eps = budget["propagation"] + budget["time_quadrature"] + budget["space_quadrature"]
+        for e in extra_eps:
+            eps += e
+        budget.update(c_geo_refinement=float(geo.c_geo_refine_delta), **extra_budget)
+        if lower > 0:
+            ct = 1.0 / lower * self.T
+            fields.update(implied_c_obs=1.0 / lower, c_obs_times_T=ct,
+                          ct_above_one=bool(ct > 1.0), ct_marginal=bool(abs(ct - 1.0) <= 0.1))
+        m = float(self.measured[c, j])
+        return CertificationReport(
+            schema_version=SCHEMA_VERSION, scenario=self.scenario, kind=kind, T=self.T,
+            delta=geo.deltas[j], lip_grad=self.lip, d_K=self.K.diameter,
+            gc_satisfied=geo.gc_satisfied, c_geo=geo.c_geo,
+            c_geo_refine_delta=geo.c_geo_refine_delta, chi_geo=geo.chi_geo[j],
+            lower_bound=lower, measured=m, margin=m - lower, eps_num=float(eps),
+            verdict=_verdict(lower, m, eps), err_budget=budget, left_box=geo.left_box,
+            **fields)
 
 
 def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
@@ -294,64 +345,40 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
     lower bound:   c_geo * husimi_mass - 8 D(T, lip) * spread / delta
     measured side: observed mass on the delta-enlargement of the region.
     ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
-    All columns go to one ``observed_mass_series`` call per step size.
     """
     if any(abs(psi.norm - 1.0) > 1e-8 for psi in psis):
         raise ValueError("initial state must be normalized")
-    deltas = [float(d) for d in deltas]
-    if tuple(deltas) != geo.deltas:
-        raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
-    lip = _lip_along_flow(V, geo.hull)
+    sweep = _Sweep.measure(V, K, omega, T, deltas,
+                           [[(psi, 1.0, f"hbar={psi.hbar:g}")] for psi in psis],
+                           dt=dt, geo=geo, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    D = spread_coefficient(T, lip)
-    fine, coarse, eps_time, edge_peak = _observed_masses(
-        V, omega, T, deltas, quantum.WaveBatch.of(psis), dt)
+    D = spread_coefficient(T, sweep.lip)
 
     reports = []
     for c, psi in enumerate(psis):
         dim = psi.grid.dim
         h_K, h_delta = phasespace.husimi_mass_refined(psi, K, husimi_spacing)
         delta_psi = quantum.spread(psi)
-        eps_prop = np.abs(fine[c] - coarse[c]) / 3.0
-        eps_space = T * edge_peak[c]
-        for j, delta in enumerate(deltas):
+        for j, delta in enumerate(geo.deltas):
             corr_used = 8.0 * D * delta_psi / delta
             lower = c_geo * h_K - corr_used
-            eps = float(eps_prop[j] + eps_time[c, j] + eps_space[j]
-                        + c_geo_delta * h_K + c_geo * h_delta)
-            m = float(fine[c, j])
-            c_obs, ct, ct_ok, ct_marginal = _ct_fields(lower, T)
             dm_base = dm_state = None
-            if c_obs is not None:
+            if lower > 0:
                 try:
-                    dm = minimal_delta(T, lip, psi.hbar, dim, c_geo, c_obs, K.diameter,
-                                       spread=delta_psi, husimi_mass=h_K)
+                    dm = minimal_delta(T, sweep.lip, psi.hbar, dim, c_geo, 1.0 / lower,
+                                       K.diameter, spread=delta_psi, husimi_mass=h_K)
                     dm_base, dm_state = dm.baseline, dm.state_dependent
                 except ValueError:
                     pass
-            reports.append(CertificationReport(
-                schema_version=SCHEMA_VERSION, scenario=scenario, kind="pure",
-                dim=dim, hbar=psi.hbar, T=T, delta=delta, lam=1.0, lip_grad=lip,
-                d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
-                c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
-                lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
-                verdict=_verdict(lower, m, eps),
-                err_budget={
-                    "propagation": float(eps_prop[j]),
-                    "time_quadrature": float(eps_time[c, j]),
-                    "space_quadrature": float(eps_space[j]),
-                    "c_geo_refinement": float(c_geo_delta),
-                    "husimi_refinement": float(h_delta),
-                },
+            reports.append(sweep.report(
+                c, j, "pure", lower, (c_geo_delta * h_K, c_geo * h_delta),
+                {"husimi_refinement": float(h_delta)},
+                dim=dim, hbar=psi.hbar, lam=1.0,
                 husimi_mass=h_K, husimi_refine_delta=h_delta, spread=delta_psi,
                 d_const=D, correction_used=corr_used,
                 correction_factor4=0.5 * corr_used,
                 correction_factor1=D * delta_psi / delta,
-                implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
-                ct_marginal=ct_marginal,
-                delta_min_baseline=dm_base, delta_min_state=dm_state,
-                left_box=geo.left_box,
-            ))
+                delta_min_baseline=dm_base, delta_min_state=dm_state))
     return reports
 
 
@@ -365,59 +392,25 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
     lower bound:   c_geo - C(T, lip) * sqrt(2 dim hbar) / delta
     measured side: weighted observed mass of the propagated atoms.
     ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
-    Every nonzero-weight atom of every column goes to one
-    ``observed_mass_series`` call per step size.
     """
-    deltas = [float(d) for d in deltas]
-    if tuple(deltas) != geo.deltas:
-        raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {deltas}")
     if not all(np.all(K.contains(R.atoms)) for R in Rs):
         raise ValueError("all Toeplitz atoms must lie inside K")
-    lip = _lip_along_flow(V, geo.hull)
+    columns = [[(R.atom_state(j, grid), w, f"hbar={R.hbar:g}, atom {j}")
+                for j, w in enumerate(R.weights) if w != 0.0] for R in Rs]
+    sweep = _Sweep.measure(V, K, omega, T, deltas, columns, dt=dt, geo=geo, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    c_tl, lam_star = toeplitz_coefficient_details(T, lip)
-
-    atoms = [(c, j, w) for c, R in enumerate(Rs) for j, w in enumerate(R.weights) if w != 0.0]
-    batch = quantum.WaveBatch.of([Rs[c].atom_state(j, grid) for c, j, _ in atoms],
-                                 [f"hbar={Rs[c].hbar:g}, atom {j}" for c, j, _ in atoms])
-    fine, coarse, eps_time, edge_peak = _observed_masses(V, omega, T, deltas, batch, dt)
-    # by linearity over the atoms, summed per column in atom order
-    measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(Rs), len(deltas)))
-    for r, (c, _, w) in enumerate(atoms):
-        measured[c] += w * fine[r]
-        coarse_sum[c] += w * coarse[r]
-        time_sum[c] += w * eps_time[r]
-        space_sum[c] += w * T * edge_peak[r]
+    c_tl, lam_star = toeplitz_coefficient_details(T, sweep.lip)
 
     reports = []
     for c, R in enumerate(Rs):
-        eps_prop = np.abs(measured[c] - coarse_sum[c]) / 3.0
-        dim = R.dim
-        for j, delta in enumerate(deltas):
-            lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
-            eps = float(eps_prop[j] + time_sum[c, j] + space_sum[c, j] + c_geo_delta)
-            m = float(measured[c, j])
-            threshold = c_geo ** 2 / (2.0 * dim * c_tl ** 2) if math.isfinite(c_tl) else 0.0
-            admissible = bool(R.hbar / delta ** 2 < threshold)
-            c_obs, ct, ct_ok, ct_marginal = _ct_fields(lower, T)
-            reports.append(CertificationReport(
-                schema_version=SCHEMA_VERSION, scenario=scenario, kind="toeplitz",
-                dim=dim, hbar=R.hbar, T=T, delta=delta, lam=lam_star, lip_grad=lip,
-                d_K=K.diameter, gc_satisfied=geo.gc_satisfied,
-                c_geo=c_geo, c_geo_refine_delta=c_geo_delta, chi_geo=geo.chi_geo[j],
-                lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
-                verdict=_verdict(lower, m, eps),
-                err_budget={
-                    "propagation": float(eps_prop[j]),
-                    "time_quadrature": float(time_sum[c, j]),
-                    "space_quadrature": float(space_sum[c, j]),
-                    "c_geo_refinement": float(c_geo_delta),
-                },
-                c_tl=c_tl, admissible=admissible,
-                implied_c_obs=c_obs, c_obs_times_T=ct, ct_above_one=ct_ok,
-                ct_marginal=ct_marginal,
-                left_box=geo.left_box,
-            ))
+        threshold = (c_geo ** 2 / (2.0 * R.dim * saturating_square(c_tl))
+                     if math.isfinite(c_tl) else 0.0)
+        for j, delta in enumerate(geo.deltas):
+            lower = c_geo - c_tl * math.sqrt(2.0 * R.dim * R.hbar) / delta
+            reports.append(sweep.report(
+                c, j, "toeplitz", lower, (c_geo_delta,), {},
+                dim=R.dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl,
+                admissible=bool(R.hbar / delta ** 2 < threshold)))
     return reports
 
 

@@ -19,8 +19,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .potentials import Potential
+from .quantum import NumericsError
 
 Array = np.ndarray
+
+
+class FlowBlowupError(NumericsError, FloatingPointError):
+    """The Verlet flow left the finite numbers (dt too large or a pathological
+    potential): a numerical abort, and still a FloatingPointError."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +286,7 @@ def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
     for _ in range(n):
         x, xi = verlet_step(V, x, xi, h)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
-        raise FloatingPointError("flow blew up: dt too large or pathological potential")
+        raise FlowBlowupError("flow blew up: dt too large or pathological potential")
     return PhasePoint(x[0], xi[0])
 
 
@@ -363,7 +369,7 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
         for i in range(1, b + 1):
             x, xi = verlet_step(V, x, xi, h)
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
-                raise FloatingPointError("flow blew up: dt too large or pathological potential")
+                raise FlowBlowupError("flow blew up: dt too large or pathological potential")
             X[i], XI[i] = x, xi
             t += h
             ts[i] = t

@@ -75,15 +75,27 @@ def cmd_certify(args) -> int:
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 
+def _report_row(path: Path):
+    """The sweep row of a report file; None for other JSON files (no
+    ``lower_bound``).  An unreadable or incomplete report is an input error."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable report ({exc})") from None
+    if not isinstance(data, dict) or "lower_bound" not in data:
+        return None
+    missing = [k for k in scenario.SWEEP_FIELDS if k not in data]
+    if missing:
+        raise ConfigError(f"{path}: report lacks {', '.join(missing)}")
+    return {k: data[k] for k in scenario.SWEEP_FIELDS}
+
+
 def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.reports:
-        rows = []
-        for path in sorted(Path(args.reports).glob("*.json")):
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if "lower_bound" in data:
-                rows.append({k: data[k] for k in scenario.SWEEP_FIELDS})
+        rows = [row for path in sorted(Path(args.reports).glob("*.json"))
+                if (row := _report_row(path)) is not None]
         if not rows:
             print("no reports found", file=sys.stderr)
             return 2

@@ -9,6 +9,7 @@ estimate with a closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -16,6 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 Array = np.ndarray
+
+
+def saturating_square(x: float) -> float:
+    """x ** 2, or +inf where the square overflows (float ** raises there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _box_array(box, dim: int) -> Array:
@@ -138,7 +147,8 @@ def _harmonic_grad(k: float, p: Array) -> Array:
 
 
 def harmonic(stiffness: float = 1.0, dim: int = 1, box=(-8.0, 8.0)) -> Potential:
-    """V(x) = stiffness * |x|^2 / 2, so the force field has Lipschitz constant = stiffness."""
+    """V(x) = k |x|^2 / 2 with k = stiffness, so the force field k x has
+    Lipschitz constant |k| (a negative k is an inverted oscillator)."""
     k = float(stiffness)
     b = _box_array(box, dim)
     return Potential(
@@ -146,9 +156,9 @@ def harmonic(stiffness: float = 1.0, dim: int = 1, box=(-8.0, 8.0)) -> Potential
         dim=dim,
         value_fn=partial(_harmonic_value, k),
         grad_fn=partial(_harmonic_grad, k),
-        lip_grad=k,
+        lip_grad=abs(k),
         working_box=b,
-        lip_on_box=partial(_constant_lip, k),
+        lip_on_box=partial(_constant_lip, abs(k)),
     )
 
 

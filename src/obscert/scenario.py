@@ -208,8 +208,14 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
             a = comp.get("amplitude", 1.0)
             amps.append(complex(*_vec(a, 2 if isinstance(a, (list, tuple)) else 1,
                                       f"{where}.amplitude")))
-        if not any(amps):
-            raise ConfigError("$.state.components: amplitudes must not all be zero")
+        # coherent states at distinct points are independent, so the state is
+        # zero iff the amplitudes at each phase point sum to zero
+        sums = {}
+        for pt, amp in zip(pts, amps):
+            sums[tuple(pt)] = sums.get(tuple(pt), 0.0) + amp
+        if not any(sums.values()):
+            raise ConfigError("$.state.components: amplitudes sum to zero at every "
+                              "phase point (the zero state)")
         return State(kind, np.array(pts), np.array(amps))
     if kind == "toeplitz":
         atoms = _require(state_cfg, "atoms", "$.state")

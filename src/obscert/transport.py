@@ -18,6 +18,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import quantum
+from .potentials import saturating_square
 from .quantum import WaveFunction
 
 Array = np.ndarray
@@ -169,7 +170,7 @@ def growth_factor(params: CostParams, lip_grad: float, t: float) -> float:
     coupled classical/quantum evolution.  Overflow saturates to +inf."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    exponent = 0.5 * (params.lam + lip_grad ** 2 / params.lam) * t
+    exponent = 0.5 * (params.lam + saturating_square(lip_grad) / params.lam) * t
     try:
         return math.exp(exponent)
     except OverflowError:

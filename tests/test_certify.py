@@ -294,6 +294,43 @@ def test_sweeps_recertify_lip_on_the_trajectory_hull(dwell, plo, phi, leaves):
     assert toep.c_tl == toeplitz_coefficient(T, lip)
 
 
+def test_pure_and_one_atom_toeplitz_share_the_measured_side(free):
+    # both kinds take their measured side from one computation: a coherent
+    # pure column and a one-atom Toeplitz column at the same (q, p, hbar)
+    # agree bit for bit on the measured mass and its three error terms
+    deltas = [2.0, 4.0]
+    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
+    pure = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas,
+                              [coherent_state(GRID, 0.05, -2.5, 1.25)], dt=2e-3, geo=geo)
+    R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
+    toeplitz = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [R], GRID,
+                                      dt=2e-3, geo=geo)
+    assert [(r.kind, r.delta) for r in pure + toeplitz] == \
+        [("pure", 2.0), ("pure", 4.0), ("toeplitz", 2.0), ("toeplitz", 4.0)]
+    for a, b in zip(pure, toeplitz):
+        assert a.measured == b.measured
+        for term in ("propagation", "time_quadrature", "space_quadrature"):
+            assert a.err_budget[term] == b.err_budget[term]
+
+
+def test_constants_saturate_where_lip_squared_overflows():
+    # a double-well box of +-1e80 has lip ~ 1.2e161, and lip ** 2 overflows
+    lip = potentials.double_well(box=(-1e80, 1e80)).lip_grad
+    assert lip == pytest.approx(1.2e161)
+    for value in (lip, math.inf):
+        assert spread_coefficient(1.0, value) == math.inf
+        assert toeplitz_coefficient(1.0, value) == math.inf
+        assert lambda_equals_lip_bounds(1.0, value) == (math.inf, math.inf)
+
+
+def test_nan_lower_bound_is_vacuous():
+    # (inf - 1) / inf is NaN, and NaN <= 0 is False: no bound, no certificate
+    assert certify._verdict(math.nan, 0.0, 0.0) == "vacuous"
+    assert certify._verdict(0.0, 1.0, 0.0) == "vacuous"
+    assert certify._verdict(0.5, 0.3, 0.1) == "violated"
+    assert certify._verdict(0.5, 0.45, 0.1) == "certified"
+
+
 def test_stiff_potential_yields_vacuous_not_nan(dwell):
     grid = Grid(dim=1, n=1024, length=16.0)
     K = phase_box(0.8, 1.2, -0.2, 0.2)

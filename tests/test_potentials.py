@@ -31,6 +31,14 @@ def test_lip_examples(free, harm, dwell):
     assert estimate_lip_grad(dwell, n_samples=256) == pytest.approx(44.0)
 
 
+def test_negative_stiffness_lip_is_its_absolute_value():
+    # the force k x of an inverted oscillator has Lipschitz constant |k|
+    V = potentials.harmonic(stiffness=-2.0)
+    assert V.lip_grad == 2.0
+    assert V.with_box((-50.0, 50.0)).lip_grad == 2.0
+    assert estimate_lip_grad(V, n_samples=64) == pytest.approx(2.0)
+
+
 def test_double_well_lip_sampling_oracle(dwell):
     # dense 1-d sampling of |V''| = |12 x^2 - 4| over the working box
     xs = np.linspace(-2.0, 2.0, 200001)

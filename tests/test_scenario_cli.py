@@ -101,6 +101,10 @@ MALFORMED = [
                 "components": [{"q": -2.6, "p": 1.2, "amplitude": 0.0},
                                {"q": -2.4, "p": 1.3, "amplitude": [0.0, 0.0]}]}},
      r"\$\.state\.components: amplitudes"),
+    ({"state": {"kind": "superposition",
+                "components": [{"q": -2.5, "p": 1.25, "amplitude": 1.0},
+                               {"q": -2.5, "p": 1.25, "amplitude": -1.0}]}},
+     r"\$\.state\.components: amplitudes sum to zero"),
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, "x"]]}},
      r"\$\.state\.atoms\[0\]\.weight"),
     ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
@@ -109,7 +113,8 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("override, where", MALFORMED, ids=[
-    "atom_outside_K", "q_wrong_size", "zero_amplitudes", "weight_not_a_number",
+    "atom_outside_K", "q_wrong_size", "zero_amplitudes", "cancelling_components",
+    "weight_not_a_number",
     "phase_grid_two_entries"])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
@@ -233,6 +238,51 @@ def test_mid_run_boundary_leak_exit_code(tmp_path):
     assert res.returncode == 3, res.stderr
     assert "boundary amplitude" in res.stderr
     assert not out.exists() or not list(out.glob("*.json"))
+
+
+def test_cli_flow_blowup_exits_3(tmp_path):
+    # a stiff oscillator under a coarse dt_flow: the classical pass blows up,
+    # a numerical abort (exit 3), not the exit code of a violated verdict
+    cfg = base_config(potential={"kind": "harmonic", "dim": 1, "box": [-10.0, 10.0],
+                                 "stiffness": 1e6},
+                      T=2.0, numerics={"n": 512, "length": 20.0, "dt": 5e-3, "dt_flow": 0.01})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("certify", "gcc"):
+        out = tmp_path / command
+        res = run_cli([command, "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "numerical abort: flow blew up" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists() or not list(out.iterdir())
+
+
+# configs whose Lipschitz bound is out of the ordinary: an inverted
+# oscillator (stiffness < 0, bound |k|) and a double-well box so large that
+# lip ** 2 overflows; both give a vacuous certificate, not a traceback
+LIP_EDGE_CASES = [
+    {"potential": {"kind": "harmonic", "dim": 1, "box": [-10.0, 10.0], "stiffness": -1}},
+    {"potential": {"kind": "double_well", "dim": 1, "box": [-1e80, 1e80]},
+     "K": {"boxes": [[[0.8, 1.2], [-0.2, 0.2]]], "spacing": 0.1},
+     "omega": {"boxes": [[0.5, 1.5]]}, "deltas": [2.0],
+     "state": {"kind": "coherent", "q": 1.0, "p": 0.0},
+     "numerics": {"n": 512, "length": 8.0, "dt": 5e-3, "dt_flow": 5e-3}},
+]
+
+
+@pytest.mark.parametrize("override", LIP_EDGE_CASES, ids=["negative_stiffness", "huge_box"])
+def test_cli_lip_edge_cases_are_vacuous(override, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**override)))
+    out = tmp_path / "out"
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    reports = [json.loads(f.read_text()) for f in out.glob("mini_*.json")]
+    assert len(reports) == 1
+    assert reports[0]["verdict"] == "vacuous"
+    assert reports[0]["lip_grad"] == (1.0 if override["potential"]["kind"] == "harmonic"
+                                      else pytest.approx(1.2e161))
 
 
 def test_sweep_rows_sorted():
@@ -408,6 +458,23 @@ def test_cli_sweep_from_reports(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"lower_bound": 0.5, "hbar"', "unreadable report"),
+    ('{"lower_bound": 0.5, "hbar": 0.1}', "report lacks scenario, delta"),
+], ids=["truncated", "missing_field"])
+def test_cli_sweep_rejects_a_bad_report(text, message, tmp_path):
+    reports = tmp_path / "r"
+    reports.mkdir()
+    (reports / "gcc.json").write_text('{"c_geo": 0.5}')        # not a report: skipped
+    (reports / "mini_h0.1_d3.json").write_text(text)
+    res = run_cli(["sweep", "--reports", str(reports), "--out", str(tmp_path / "s")],
+                  cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "mini_h0.1_d3.json" in res.stderr and message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
 def test_cli_import_skips_scipy_optimize(tmp_path):

@@ -214,6 +214,8 @@ def test_growth_factor_minimized_at_lam_equals_lip():
 
 def test_growth_factor_overflow_saturates():
     assert growth_factor(CostParams(lam=1.0, hbar=0.1), 44.0, 2.0) == math.inf
+    # lip ** 2 itself overflows past lip ~ 1.3e154
+    assert growth_factor(CostParams(lam=1.0, hbar=0.1), 1.2e161, 2.0) == math.inf
 
 
 def test_pushforward_stays_below_growth_bound(grid512, harm):
