@@ -72,14 +72,15 @@ def balanced_growth_root(tol: float = 1e-10) -> float:
 _L0_ROOT = balanced_growth_root()
 
 
-def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, float]:
+def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[float]]:
     """(value, minimizer lambda) of the Toeplitz correction coefficient
     inf_{lam > 0} (exp((lam + lip^2/lam) T / 2) - 1)/(lam + lip^2/lam)
     * sqrt(1 + 1/lam^2).
 
     Log-grid scan plus golden-section refinement; the explicit candidates
     lam = lip (lip > 0) and lam = 2 r / T with r the balanced-growth root
-    (lip = 0) are upper bounds of the infimum and cap the result.
+    (lip = 0) are upper bounds of the infimum and cap the result.  When every
+    candidate overflows to +inf no lambda attains anything: (inf, None).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -115,6 +116,8 @@ def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, float]:
         lam0 = 2.0 * _L0_ROOT / T
         candidates.append((_growth_objective(T, lip, lam0), lam0))
     value, lam = min(candidates, key=lambda t: t[0])
+    if math.isinf(value):
+        return math.inf, None
     return float(value), float(lam)
 
 
@@ -188,7 +191,7 @@ class CertificationReport:
     hbar: float
     T: float
     delta: float
-    lam: float
+    lam: Optional[float]          # None: no lambda gives a finite coefficient
     lip_grad: float
     d_K: float
     gc_satisfied: bool
@@ -289,15 +292,15 @@ class _Sweep:
         """A column is a list of (state, weight, label) rows: a pure state is
         one row of weight 1.0 (exact: 0.0 + 1.0 * x == x, so a pure column's
         values are its row's), a Toeplitz state its nonzero-weight atoms.
-        Every row goes to one ``observed_mass_series`` call per step size (dt
-        and 2 dt); by linearity a column sums its weighted rows in order."""
+        Every row goes to one ``observed_mass_series`` call at the step sizes
+        dt and 2 dt; by linearity a column sums its weighted rows in order."""
         if tuple(float(d) for d in deltas) != geo.deltas:
             raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {list(deltas)}")
         rows = [(c, *row) for c, col in enumerate(columns) for row in col]
         batch = quantum.WaveBatch.of([s for _, s, _, _ in rows], [lab for *_, lab in rows])
         chis = [IndicatorCutoff(omega.enlarged(d)) for d in geo.deltas]
-        fine, info = quantum.observed_mass_series(V, batch, T, chis, dt)
-        coarse, _ = quantum.observed_mass_series(V, batch, T, chis, 2.0 * dt)
+        (fine, info), (coarse, _) = quantum.observed_mass_series(V, batch, T, chis,
+                                                                  (dt, 2.0 * dt))
         measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(columns), len(chis)))
         for r, (c, _, w, _) in enumerate(rows):
             measured[c] += w * fine[r]

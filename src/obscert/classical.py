@@ -283,8 +283,9 @@ def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
     n, h = _steps_for(t, dt)
     x = p0.x[None, :].copy()
     xi = p0.xi[None, :].copy()
-    for _ in range(n):
-        x, xi = verlet_step(V, x, xi, h)
+    with np.errstate(over="ignore", invalid="ignore"):      # a non-finite end aborts below
+        for _ in range(n):
+            x, xi = verlet_step(V, x, xi, h)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
         raise FlowBlowupError("flow blew up: dt too large or pathological potential")
     return PhasePoint(x[0], xi[0])
@@ -363,48 +364,52 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
 
     t = 0.0
     done = 0
-    while done < n:
-        b = min(nb, n - done)
-        ts[0] = t
-        for i in range(1, b + 1):
-            x, xi = verlet_step(V, x, xi, h)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
-                raise FlowBlowupError("flow blew up: dt too large or pathological potential")
-            X[i], XI[i] = x, xi
-            t += h
-            ts[i] = t
-        done += b
-        path = X[1:b + 1]
-        np.minimum(hull[..., 0], path.min(axis=0), out=hull[..., 0])
-        np.maximum(hull[..., 1], path.max(axis=0), out=hull[..., 1])
-        for j, c in enumerate(chi):
-            v = np.empty((b + 1, m))
-            v[0] = vals[j]
-            v[1:] = c(path.reshape(-1, dim)).reshape(b, m)
-            if c.is_indicator:
-                inside = v > 0.5
-                inc = np.where(inside[:-1] & inside[1:], h, 0.0)
-                k, i = np.nonzero(inside[:-1] != inside[1:])     # step-major order
-                if len(k):
-                    before = inside[k, i]
-                    s = _bisect_crossings(V, X[k, i], XI[k, i], h, c, before, tol)
-                    inc[k, i] = np.where(before, s, h - s)   # exits / enters at t_k + s
-                    # earliest entry per sample: its first occurrence in step-major order
-                    enter = ~before
-                    i_in, first = np.unique(i[enter], return_index=True)
-                    hit = ts[k[enter][first]] + s[enter][first]
-                    fresh = np.isnan(first_hit[i_in, j])
-                    first_hit[i_in[fresh], j] = hit[fresh]
-            else:
-                inc = 0.5 * h * (v[:-1] + v[1:])
-                positive = v[1:] > 0
-                fresh = np.isnan(first_hit[:, j]) & positive.any(axis=0)
-                first_hit[fresh, j] = ts[positive.argmax(axis=0)[fresh] + 1]
-            # add the steps in time order, as a running sum would (np.sum pairs them)
-            inc = np.concatenate([occ[None, :, j], inc])
-            occ[:, j] = np.add.accumulate(inc, axis=0)[-1]
-            vals[j] = v[-1]
-        X[0], XI[0] = X[b], XI[b]
+    # Overflow warnings are silent: a state that overflows fails the finiteness
+    # check and aborts, and a finite state so far out that its distance to a
+    # region overflows has cutoff value 0 either way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n:
+            b = min(nb, n - done)
+            ts[0] = t
+            for i in range(1, b + 1):
+                x, xi = verlet_step(V, x, xi, h)
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+                    raise FlowBlowupError("flow blew up: dt too large or pathological potential")
+                X[i], XI[i] = x, xi
+                t += h
+                ts[i] = t
+            done += b
+            path = X[1:b + 1]
+            np.minimum(hull[..., 0], path.min(axis=0), out=hull[..., 0])
+            np.maximum(hull[..., 1], path.max(axis=0), out=hull[..., 1])
+            for j, c in enumerate(chi):
+                v = np.empty((b + 1, m))
+                v[0] = vals[j]
+                v[1:] = c(path.reshape(-1, dim)).reshape(b, m)
+                if c.is_indicator:
+                    inside = v > 0.5
+                    inc = np.where(inside[:-1] & inside[1:], h, 0.0)
+                    k, i = np.nonzero(inside[:-1] != inside[1:])     # step-major order
+                    if len(k):
+                        before = inside[k, i]
+                        s = _bisect_crossings(V, X[k, i], XI[k, i], h, c, before, tol)
+                        inc[k, i] = np.where(before, s, h - s)   # exits / enters at t_k + s
+                        # earliest entry per sample: its first occurrence in step-major order
+                        enter = ~before
+                        i_in, first = np.unique(i[enter], return_index=True)
+                        hit = ts[k[enter][first]] + s[enter][first]
+                        fresh = np.isnan(first_hit[i_in, j])
+                        first_hit[i_in[fresh], j] = hit[fresh]
+                else:
+                    inc = 0.5 * h * (v[:-1] + v[1:])
+                    positive = v[1:] > 0
+                    fresh = np.isnan(first_hit[:, j]) & positive.any(axis=0)
+                    first_hit[fresh, j] = ts[positive.argmax(axis=0)[fresh] + 1]
+                # add the steps in time order, as a running sum would (np.sum pairs them)
+                inc = np.concatenate([occ[None, :, j], inc])
+                occ[:, j] = np.add.accumulate(inc, axis=0)[-1]
+                vals[j] = v[-1]
+            X[0], XI[0] = X[b], XI[b]
 
     np.clip(occ, 0.0, T, out=occ)
     left_box = ~(V.inside_box(hull[..., 0]) & V.inside_box(hull[..., 1]))

@@ -133,8 +133,9 @@ def cmd_flow(args) -> int:
     sc = scenario.load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = classical.occupation_batch(
-        sc.V, sc.K.sample_grid(), sc.T, [IndicatorCutoff(sc.omega)], sc.numerics.dt_flow)
+    with scenario.named_aborts(sc.name):
+        table = classical.occupation_batch(
+            sc.V, sc.K.sample_grid(), sc.T, [IndicatorCutoff(sc.omega)], sc.numerics.dt_flow)
     header, rows = _sample_table_rows(table)
     _write_csv(out / "flow.csv", header, rows)
     print(f"wrote {out / 'flow.csv'} ({len(rows)} samples)")

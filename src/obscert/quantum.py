@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -417,17 +419,23 @@ def second_moment(psi: WaveFunction, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
-                         chis: Sequence, dt: float):
+                         chis: Sequence, dts: Sequence[float]) -> list[tuple[Array, dict]]:
     """Trapezoid-in-time integrals of int chi |psi_r(t)|^2 dx for every row r
-    of a batch and several cutoffs.
+    of a batch and several cutoffs, at each step size of ``dts``.
 
-    1-D rows propagate as one batch.  2-D rows propagate one at a time, as
-    batches of one, so each step allocates and touches one n x n row at a
-    time and memory does not grow with the number of rows.
+    Each (step size, row group) pair is one ``propagate_series`` run whose
+    observer writes the group's own rows of the outputs.  1-D rows form one
+    group per step size, and the groups run in turn on the calling thread: a
+    1-D step is short and holds the interpreter lock for most of its time.
+    Each 2-D row is a group of its own, so memory does not grow with the
+    number of rows, and the groups run concurrently on the cores, where the
+    n x n transforms release the lock (``_run_tasks``).  A failing run raises
+    what the loop over step sizes, then rows, would raise first.
 
-    Returns (masses, info) where masses[r, j] is the value of row r for
-    chis[j] and info carries the per-row series and edge-density diagnostics
-    used for the error budget.  Every row's sums are taken as for a lone row.
+    Returns one (masses, info) per step size, where masses[r, j] is the value
+    of row r for chis[j] and info carries the per-row series and edge-density
+    diagnostics used for the error budget.  Every row's sums are taken as for
+    a lone row.
     """
     grid = psi.grid
     pts = grid.points()
@@ -444,29 +452,102 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
                 edge_cells.append((j, np.flatnonzero(edge)))
 
     rows = len(psi)
-    n_t = _split_steps(T, dt)[0] + 1
-    series = np.empty((rows, n_t, len(chis)))
-    edge_peak = np.zeros((rows, len(chis)))
-    for group in ([list(range(rows))] if grid.dim == 1 else [[r] for r in range(rows)]):
-        def observer(t, state, group=group, steps=itertools.count()):
+    n_t = [_split_steps(T, dt)[0] + 1 for dt in dts]
+    series = [np.empty((rows, n, len(chis))) for n in n_t]
+    edge_peak = [np.zeros((rows, len(chis))) for _ in dts]
+
+    def run(i, group):
+        def observer(t, state, steps=itertools.count()):
             k = next(steps)
             dens = (np.abs(state.values) ** 2).reshape(len(group), -1) * grid.cell_volume
-            for i, r in enumerate(group):
-                series[r, k] = weights @ dens[i]
+            for g, r in enumerate(group):
+                series[i][r, k] = weights @ dens[g]
                 for j, idx in edge_cells:
-                    edge_peak[r, j] = max(edge_peak[r, j], float(dens[i][idx].sum()))
+                    edge_peak[i][r, j] = max(edge_peak[i][r, j], float(dens[g][idx].sum()))
 
-        propagate_series(V, psi.take(group), T, dt, observer)
-    h = T / (n_t - 1)
-    w_t = np.full(n_t, h)
-    w_t[0] = w_t[-1] = 0.5 * h
-    masses = np.stack([w_t @ s for s in series])
-    info = {
-        "series": series,                       # (rows, n_t, n_chi)
-        "dt": h,
-        "edge_peak": edge_peak,                 # max over time of mass in edge cells
-    }
-    return masses, info
+        propagate_series(V, psi.take(group), T, dts[i], observer)
+
+    groups = [list(range(rows))] if grid.dim == 1 else [[r] for r in range(rows)]
+    tasks = [(i, group) for i in range(len(dts)) for group in groups]
+    _run_tasks(run, tasks, [n_t[i] * len(group) for i, group in tasks],
+               1 if grid.dim == 1 else (_max_threads or cores()))
+    out = []
+    for s, e in zip(series, edge_peak):
+        h = T / (s.shape[1] - 1)
+        w_t = np.full(s.shape[1], h)
+        w_t[0] = w_t[-1] = 0.5 * h
+        out.append((np.stack([w_t @ s_r for s_r in s]), {
+            "series": s,                        # (rows, n_t, n_chi)
+            "dt": h,
+            "edge_peak": e,                     # max over time of mass in edge cells
+        }))
+    return out
+
+
+def cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_max_threads: Optional[int] = None              # None: one thread per core
+
+
+def set_max_threads(n: int) -> None:
+    """Let the 2-D tasks of an ``observed_mass_series`` call in this process
+    run on at most n threads; for worker processes that share the cores."""
+    global _max_threads
+    _max_threads = max(1, int(n))
+
+
+def _run_tasks(run: Callable, tasks: Sequence[tuple], costs: Sequence[float],
+               workers: int) -> None:
+    """Call run(*task) for every task, the highest cost first, on the calling
+    thread and up to ``workers - 1`` helper threads; each task must write
+    outputs of its own.
+
+    Once a task fails, no task after it in list order starts.  When every
+    helper has returned, the exception of the failing task first in list
+    order is raised: a run fails as the loop over the tasks in list order
+    would.  An interrupt of the calling thread starts no further task, and
+    propagates once the helpers have finished the tasks they hold.
+    """
+    queue = iter(sorted(range(len(tasks)), key=lambda i: -costs[i]))
+    lock = threading.Lock()
+    failed = {}                                 # task index -> exception
+
+    def work():
+        while True:
+            with lock:
+                last = min(failed, default=len(tasks))
+                i = next((i for i in queue if i < last), None)
+            if i is None:
+                return
+            try:
+                run(*tasks[i])
+            except BaseException as exc:        # raised below, by the calling thread
+                with lock:
+                    failed[i] = exc
+                if not isinstance(exc, Exception):
+                    raise                       # an interrupt: take no further task
+
+    helpers = []
+    try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            thread = threading.Thread(target=work, name="obscert-task")
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        with lock:
+            for _ in queue:                     # drained: no helper takes another task
+                pass
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -278,8 +279,18 @@ class Scenario:
         return Grid(dim=self.V.dim, n=self.numerics.n, length=self.numerics.length)
 
     def geometric_summary(self) -> GeometricSummary:
-        return classical.geometric_summary(self.V, self.K, self.omega, self.T, self.deltas,
-                                           self.numerics.dt_flow)
+        with named_aborts(self.name):
+            return classical.geometric_summary(self.V, self.K, self.omega, self.T,
+                                               self.deltas, self.numerics.dt_flow)
+
+
+@contextmanager
+def named_aborts(name: str):
+    """Prefix the message of a numerical abort with "scenario '<name>', "."""
+    try:
+        yield
+    except quantum.NumericsError as exc:
+        raise type(exc)(f"scenario '{name}', {exc}") from exc
 
 
 def parse(cfg) -> Scenario:
@@ -323,7 +334,7 @@ def _run_columns(sc: Scenario, geo: GeometricSummary,
     """All (hbar, delta) cells of the given hbar columns, propagated as one
     batch; safe to run in a worker process."""
     num, grid = sc.numerics, sc.grid
-    try:
+    with named_aborts(sc.name):
         states = [build_state(sc.state, grid, hbar) for hbar in hbars]
         if sc.state.kind == "toeplitz":
             return certify.certify_toeplitz_sweep(
@@ -332,8 +343,6 @@ def _run_columns(sc: Scenario, geo: GeometricSummary,
         return certify.certify_pure_sweep(
             sc.V, sc.K, sc.omega, sc.T, sc.deltas, states,
             dt=num.dt, geo=geo, husimi_spacing=num.husimi_spacing, scenario=sc.name)
-    except quantum.NumericsError as exc:
-        raise type(exc)(f"scenario '{sc.name}', {exc}") from exc
 
 
 def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
@@ -342,9 +351,11 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     The classical side does not depend on hbar and is computed once for all
     columns.  The sorted hbar list is split into min(jobs, #hbar) contiguous
     chunks; each chunk propagates as one batch, in a worker process when there
-    is more than one chunk.  Every row of a batch is computed as it would be
-    alone, so the reports do not depend on ``jobs``.  The pipeline is
-    deterministic (analytic Lipschitz bounds, fixed lattices, ordered sums).
+    is more than one chunk.  The k worker processes share the cores: each runs
+    its 2-D propagations on max(1, cores // k) threads.  Every row of a batch
+    is computed as it would be alone, so the reports do not depend on
+    ``jobs``.  The pipeline is deterministic (analytic Lipschitz bounds, fixed
+    lattices, ordered sums).
     """
     geo = sc.geometric_summary()
     k = max(1, min(jobs, len(sc.hbars)))
@@ -353,7 +364,8 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     if k == 1:
         groups = [_run_columns(sc, geo, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=k) as pool:
+        with ProcessPoolExecutor(max_workers=k, initializer=quantum.set_max_threads,
+                                 initargs=(quantum.cores() // k,)) as pool:
             groups = list(pool.map(_run_columns, [sc] * k, [geo] * k, chunks))
     return [r for group in groups for r in group]
 

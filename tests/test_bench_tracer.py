@@ -49,3 +49,36 @@ def test_benchmark_tracer_counts_one_propagation_per_step_size(monkeypatch):
     assert counters["quantum.propagations"] == 2
     assert counters["quantum.strang_steps"] == (20 + 1) + (10 + 1)
     assert counters["quantum.step_points"] == counters["quantum.strang_steps"] * 4 * n
+
+
+def test_benchmark_tracer_counts_2d_rows_exactly_under_threads(monkeypatch):
+    # each row of a 2-D config propagates on its own at each step size, and
+    # the rows run concurrently: 2 atoms x 2 step sizes give four
+    # propagations, and every step is counted once
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # read bench/ only
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    from obscert import scenario
+    n = 64
+    sc = scenario.parse({
+        "scenario": "traced2d",
+        "potential": {"kind": "harmonic", "dim": 2, "box": [[-6, 6], [-6, 6]]},
+        "K": {"boxes": [[[0.7, 1.3], [0.7, 1.3], [-0.3, 0.3], [-0.3, 0.3]]], "spacing": 0.3},
+        "omega": {"boxes": [[[0.2, 2.0], [0.2, 2.0]]]}, "T": 0.2, "deltas": [1.0],
+        "hbars": [0.15],
+        "state": {"kind": "toeplitz", "atoms": [[[0.9, 0.9], [-0.1, 0.1], 0.5],
+                                                [[1.1, 1.1], [-0.1, -0.1], 0.5]]},
+        "numerics": {"n": n, "length": 8.5, "dt": 1e-2, "dt_flow": 1e-2},
+    })
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        reports = scenario.run_scenario(sc)
+    finally:
+        tracer.unpatch()
+    assert len(reports) == 1
+    counters = tracer.counters
+    assert counters["quantum.propagations"] == 4
+    assert counters["quantum.strang_steps"] == 2 * (20 + 1) + 2 * (10 + 1)
+    assert counters["quantum.step_points"] == counters["quantum.strang_steps"] * n * n

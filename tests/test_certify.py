@@ -260,6 +260,27 @@ def test_run_scenario_jobs_split_columns_into_batches(jobs):
     assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
 
+def test_run_scenario_jobs_match_serial_in_2d():
+    # two hbar columns of a 2-D Toeplitz config: serially the rows run on
+    # one thread per core, and each of the two worker processes runs its
+    # rows on cores // 2 threads
+    from obscert import scenario
+    sc = scenario.parse({
+        "scenario": "jobs2d",
+        "potential": {"kind": "harmonic", "dim": 2, "box": [[-6, 6], [-6, 6]]},
+        "K": {"boxes": [[[0.7, 1.3], [0.7, 1.3], [-0.3, 0.3], [-0.3, 0.3]]], "spacing": 0.3},
+        "omega": {"boxes": [[[0.2, 2.0], [0.2, 2.0]]]}, "T": 0.2, "deltas": [1.0],
+        "hbars": [0.1, 0.15],
+        "state": {"kind": "toeplitz", "atoms": [[[0.9, 0.9], [-0.1, 0.1], 0.5],
+                                                [[1.1, 1.1], [-0.1, -0.1], 0.5]]},
+        "numerics": {"n": 64, "length": 8.5, "dt": 1e-2, "dt_flow": 1e-2},
+    })
+    serial = scenario.run_scenario(sc, jobs=1)
+    assert [(r.hbar, r.verdict) for r in serial] == [(0.1, "certified"), (0.15, "certified")]
+    assert [r.to_dict() for r in scenario.run_scenario(sc, jobs=2)] == \
+        [r.to_dict() for r in serial]
+
+
 def test_sweep_rejects_summary_for_other_deltas(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)

@@ -22,7 +22,7 @@ def phase_box(qlo, qhi, plo, phi, spacing=0.05):
 def toeplitz_observed_mass(V, R, grid, T, chi, dt):
     """Observed mass of a Toeplitz state by linearity: its atoms as one batch."""
     batch = quantum.WaveBatch.of([R.atom_state(j, grid) for j in range(len(R.weights))])
-    masses, _ = quantum.observed_mass_series(V, batch, T, [chi], dt)
+    [(masses, _)] = quantum.observed_mass_series(V, batch, T, [chi], [dt])
     return float(math.fsum(R.weights * masses[:, 0]))
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ def interval(lo, hi):
 
 def row_mass(V, psi, T, chi, dt):
     """Observed mass of one state, as a batch of one row."""
-    masses, _ = observed_mass_series(V, WaveBatch.of([psi]), T, [chi], dt)
+    [(masses, _)] = observed_mass_series(V, WaveBatch.of([psi]), T, [chi], [dt])
     return float(masses[0, 0])
 
 
@@ -293,7 +296,7 @@ def single_row_reference(V, psi, T, chis, dt):
 
 def assert_batch_matches_rows(V, states, T, chis, dt, labels=()):
     batch = WaveBatch.of(states, labels)
-    masses, info = observed_mass_series(V, batch, T, chis, dt)
+    [(masses, info)] = observed_mass_series(V, batch, T, chis, [dt])
     final = quantum.propagate_series(V, batch, T, dt, lambda t, s: None)
     assert masses.shape == (len(states), len(chis))
     for r, psi in enumerate(states):
@@ -345,6 +348,92 @@ def test_batch_2d_rows_match_single_rows(n, length):
     # whole batch
     assert_batch_matches_rows(V2, states, 0.05, [IndicatorCutoff(om), ConstantCutoff(1.0)],
                               1e-2)
+
+
+@pytest.mark.parametrize("max_threads", [None, 4])
+def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, max_threads):
+    # one call at (dt, 2 dt): six row tasks, run on one thread per core, and
+    # on more threads than cores with a short switch interval
+    monkeypatch.setattr(quantum, "_max_threads", max_threads)
+    grid = Grid(dim=2, n=64, length=8.0)
+    V2 = potentials.harmonic(dim=2)
+    chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), ConstantCutoff(1.0)]
+    states = [coherent_state(grid, 0.2, [0.5, 0.0], [0.0, 0.5]),
+              coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0]),
+              coherent_state(grid, 0.15, [-0.3, 0.1], [0.4, -0.2])]
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = observed_mass_series(V2, WaveBatch.of(states), 0.1, chis, (1e-2, 2e-2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == baseline
+    assert len(results) == 2
+    for (masses, info), dt in zip(results, (1e-2, 2e-2)):
+        assert info["dt"] == quantum._split_steps(0.1, dt)[1]
+        for r, psi in enumerate(states):
+            m, series, edge_peak, _ = single_row_reference(V2, psi, 0.1, chis, dt)
+            np.testing.assert_array_equal(masses[r], m)
+            np.testing.assert_array_equal(info["series"][r], series)
+            np.testing.assert_array_equal(info["edge_peak"][r], edge_peak)
+
+
+@pytest.mark.parametrize("max_threads", [1, 2, 3])
+def test_2d_leak_first_in_row_order_is_raised(monkeypatch, max_threads):
+    # rows 1 and 2 leak, row 2 earlier in time (t = 0.11 against 0.32): a
+    # call at (dt, 2 dt) fails as the loop over step sizes, then rows, fails;
+    # every thread that is free again finds a failed row at dt, so no row
+    # starts at 2 dt
+    monkeypatch.setattr(quantum, "_max_threads", max_threads)
+    started = []
+    propagate_series = quantum.propagate_series
+
+    def recording(V, psi, T, dt, observer):
+        started.append((dt, psi.labels))
+        return propagate_series(V, psi, T, dt, observer)
+
+    monkeypatch.setattr(quantum, "propagate_series", recording)
+    grid = Grid(dim=2, n=64, length=4.0)
+    V2 = potentials.harmonic(dim=2)
+    states = [coherent_state(grid, 0.05, [0.0, 0.0], [0.0, 0.0]),
+              coherent_state(grid, 0.05, [0.0, 0.0], [0.8, 0.0]),
+              coherent_state(grid, 0.05, [0.15, 0.0], [0.9, 0.0])]
+    baseline = threading.active_count()
+    with pytest.raises(BoundaryLeakError, match=r"^row 1: boundary amplitude .* at t = 0\.32 "):
+        observed_mass_series(V2, WaveBatch.of(states, ["row 0", "row 1", "row 2"]), 0.6,
+                             [ConstantCutoff(1.0)], (1e-2, 2e-2))
+    assert threading.active_count() == baseline
+    assert {dt for dt, _ in started} == {1e-2}
+    assert {(1e-2, ("row 0",)), (1e-2, ("row 1",))} <= set(started)
+
+
+def test_task_loop_runs_longest_first_and_stops_at_an_interrupt():
+    # task 1 costs more, so it runs first; its interrupt propagates at once,
+    # before task 0, which comes first in list order, starts
+    ran = []
+
+    def run(i):
+        ran.append(i)
+        if i == 1:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        quantum._run_tasks(run, [(0,), (1,)], [1, 2], 1)
+    assert ran == [1]
+
+
+def test_1d_rows_start_no_thread(monkeypatch, grid512, harm):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a 1-D call started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    states = [coherent_state(grid512, 0.05, 0.8, 0.3), coherent_state(grid512, 0.2, -0.5, 1.0)]
+    results = observed_mass_series(harm, WaveBatch.of(states), 0.2, _cutoffs_1d(), (1e-2, 2e-2))
+    for (masses, _), dt in zip(results, (1e-2, 2e-2)):
+        for r, psi in enumerate(states):
+            np.testing.assert_array_equal(
+                masses[r], single_row_reference(harm, psi, 0.2, _cutoffs_1d(), dt)[0])
 
 
 def test_leak_in_one_row_names_its_hbar(grid1024, harm):

@@ -242,18 +242,20 @@ def test_mid_run_boundary_leak_exit_code(tmp_path):
 
 def test_cli_flow_blowup_exits_3(tmp_path):
     # a stiff oscillator under a coarse dt_flow: the classical pass blows up,
-    # a numerical abort (exit 3), not the exit code of a violated verdict
+    # a numerical abort (exit 3), not the exit code of a violated verdict; the
+    # message names the scenario, and the overflow it stops at stays silent
     cfg = base_config(potential={"kind": "harmonic", "dim": 1, "box": [-10.0, 10.0],
                                  "stiffness": 1e6},
                       T=2.0, numerics={"n": 512, "length": 20.0, "dt": 5e-3, "dt_flow": 0.01})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    for command in ("certify", "gcc"):
+    for command in ("certify", "gcc", "flow", "constants"):
         out = tmp_path / command
         res = run_cli([command, "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
         assert res.returncode == 3, res.stderr
-        assert "numerical abort: flow blew up" in res.stderr
+        assert res.stderr.startswith("numerical abort: scenario 'mini', flow blew up"), res.stderr
         assert "Traceback" not in res.stderr
+        assert "RuntimeWarning" not in res.stderr
         assert not out.exists() or not list(out.iterdir())
 
 
@@ -283,6 +285,19 @@ def test_cli_lip_edge_cases_are_vacuous(override, tmp_path):
     assert reports[0]["verdict"] == "vacuous"
     assert reports[0]["lip_grad"] == (1.0 if override["potential"]["kind"] == "harmonic"
                                       else pytest.approx(1.2e161))
+    if override["potential"]["kind"] == "double_well":
+        # the Toeplitz coefficient is +inf for every lambda: no lambda is reported
+        cfg_path.write_text(json.dumps(base_config(**{
+            **override, "state": {"kind": "toeplitz", "atoms": [[1.0, 0.0, 1.0]]}})))
+        res = run_cli(["certify", "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(next(out.glob("mini_*.json")).read_text())
+        assert (report["kind"], report["c_tl"], report["lam"]) == ("toeplitz", "Infinity", None)
+        res = run_cli(["constants", "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        constants = json.loads((out / "constants.json").read_text())
+        assert constants["toeplitz_coefficient"] == "Infinity"
+        assert constants["toeplitz_coefficient_lambda"] is None
 
 
 def test_sweep_rows_sorted():
