@@ -16,7 +16,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -469,8 +469,7 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
 
     groups = [list(range(rows))] if grid.dim == 1 else [[r] for r in range(rows)]
     tasks = [(i, group) for i in range(len(dts)) for group in groups]
-    _run_tasks(run, tasks, [n_t[i] * len(group) for i, group in tasks],
-               1 if grid.dim == 1 else (_max_threads or cores()))
+    _run_tasks(run, tasks, 1 if grid.dim == 1 else cores())
     out = []
     for s, e in zip(series, edge_peak):
         h = T / (s.shape[1] - 1)
@@ -492,19 +491,8 @@ def cores() -> int:
         return os.cpu_count() or 1
 
 
-_max_threads: Optional[int] = None              # None: one thread per core
-
-
-def set_max_threads(n: int) -> None:
-    """Let the 2-D tasks of an ``observed_mass_series`` call in this process
-    run on at most n threads; for worker processes that share the cores."""
-    global _max_threads
-    _max_threads = max(1, int(n))
-
-
-def _run_tasks(run: Callable, tasks: Sequence[tuple], costs: Sequence[float],
-               workers: int) -> None:
-    """Call run(*task) for every task, the highest cost first, on the calling
+def _run_tasks(run: Callable, tasks: Sequence[tuple], workers: int) -> None:
+    """Call run(*task) for every task, taken in list order, on the calling
     thread and up to ``workers - 1`` helper threads; each task must write
     outputs of its own.
 
@@ -514,7 +502,7 @@ def _run_tasks(run: Callable, tasks: Sequence[tuple], costs: Sequence[float],
     would.  An interrupt of the calling thread starts no further task, and
     propagates once the helpers have finished the tasks they hold.
     """
-    queue = iter(sorted(range(len(tasks)), key=lambda i: -costs[i]))
+    queue = iter(range(len(tasks)))
     lock = threading.Lock()
     failed = {}                                 # task index -> exception
 

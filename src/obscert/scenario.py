@@ -351,11 +351,9 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     The classical side does not depend on hbar and is computed once for all
     columns.  The sorted hbar list is split into min(jobs, #hbar) contiguous
     chunks; each chunk propagates as one batch, in a worker process when there
-    is more than one chunk.  The k worker processes share the cores: each runs
-    its 2-D propagations on max(1, cores // k) threads.  Every row of a batch
-    is computed as it would be alone, so the reports do not depend on
-    ``jobs``.  The pipeline is deterministic (analytic Lipschitz bounds, fixed
-    lattices, ordered sums).
+    is more than one chunk.  Every row of a batch is computed as it would be
+    alone, so the reports do not depend on ``jobs``.  The pipeline is
+    deterministic (analytic Lipschitz bounds, fixed lattices, ordered sums).
     """
     geo = sc.geometric_summary()
     k = max(1, min(jobs, len(sc.hbars)))
@@ -364,8 +362,7 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     if k == 1:
         groups = [_run_columns(sc, geo, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=k, initializer=quantum.set_max_threads,
-                                 initargs=(quantum.cores() // k,)) as pool:
+        with ProcessPoolExecutor(max_workers=k) as pool:
             groups = list(pool.map(_run_columns, [sc] * k, [geo] * k, chunks))
     return [r for group in groups for r in group]
 

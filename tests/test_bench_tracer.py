@@ -72,6 +72,11 @@ def test_benchmark_tracer_counts_2d_rows_exactly_under_threads(monkeypatch):
         "numerics": {"n": n, "length": 8.5, "dt": 1e-2, "dt_flow": 1e-2},
     })
     tracer = tracer_mod.Tracer()
+    # the first `+= 1` on a missing Counter key runs `__missing__`, Python
+    # code where another thread can take over and lose an increment; on an
+    # existing key the increment does not give up the interpreter lock
+    for key in ("quantum.propagations", "quantum.strang_steps", "quantum.step_points"):
+        tracer.counters[key] = 0
     try:
         tracer.install()
         reports = scenario.run_scenario(sc)

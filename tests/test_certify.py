@@ -261,9 +261,9 @@ def test_run_scenario_jobs_split_columns_into_batches(jobs):
 
 
 def test_run_scenario_jobs_match_serial_in_2d():
-    # two hbar columns of a 2-D Toeplitz config: serially the rows run on
-    # one thread per core, and each of the two worker processes runs its
-    # rows on cores // 2 threads
+    # two hbar columns of a 2-D Toeplitz config: serially all four rows run
+    # on the threads of one process, with jobs=2 each worker process runs the
+    # two rows of its column on threads of its own
     from obscert import scenario
     sc = scenario.parse({
         "scenario": "jobs2d",

@@ -350,11 +350,12 @@ def test_batch_2d_rows_match_single_rows(n, length):
                               1e-2)
 
 
-@pytest.mark.parametrize("max_threads", [None, 4])
-def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, max_threads):
+@pytest.mark.parametrize("threads", [None, 4])
+def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, threads):
     # one call at (dt, 2 dt): six row tasks, run on one thread per core, and
     # on more threads than cores with a short switch interval
-    monkeypatch.setattr(quantum, "_max_threads", max_threads)
+    if threads is not None:
+        monkeypatch.setattr(quantum, "cores", lambda: threads)
     grid = Grid(dim=2, n=64, length=8.0)
     V2 = potentials.harmonic(dim=2)
     chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), ConstantCutoff(1.0)]
@@ -379,13 +380,13 @@ def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, max_threads)
             np.testing.assert_array_equal(info["edge_peak"][r], edge_peak)
 
 
-@pytest.mark.parametrize("max_threads", [1, 2, 3])
-def test_2d_leak_first_in_row_order_is_raised(monkeypatch, max_threads):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_2d_leak_first_in_row_order_is_raised(monkeypatch, threads):
     # rows 1 and 2 leak, row 2 earlier in time (t = 0.11 against 0.32): a
     # call at (dt, 2 dt) fails as the loop over step sizes, then rows, fails;
     # every thread that is free again finds a failed row at dt, so no row
     # starts at 2 dt
-    monkeypatch.setattr(quantum, "_max_threads", max_threads)
+    monkeypatch.setattr(quantum, "cores", lambda: threads)
     started = []
     propagate_series = quantum.propagate_series
 
@@ -408,19 +409,18 @@ def test_2d_leak_first_in_row_order_is_raised(monkeypatch, max_threads):
     assert {(1e-2, ("row 0",)), (1e-2, ("row 1",))} <= set(started)
 
 
-def test_task_loop_runs_longest_first_and_stops_at_an_interrupt():
-    # task 1 costs more, so it runs first; its interrupt propagates at once,
-    # before task 0, which comes first in list order, starts
+def test_task_loop_stops_at_an_interrupt():
+    # the interrupt of task 0 propagates at once: task 1 never starts
     ran = []
 
     def run(i):
         ran.append(i)
-        if i == 1:
+        if i == 0:
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        quantum._run_tasks(run, [(0,), (1,)], [1, 2], 1)
-    assert ran == [1]
+        quantum._run_tasks(run, [(0,), (1,)], 1)
+    assert ran == [0]
 
 
 def test_1d_rows_start_no_thread(monkeypatch, grid512, harm):
