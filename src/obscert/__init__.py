@@ -17,6 +17,5 @@ __all__ = [
     "potentials",
     "quantum",
     "scenario",
-    "transport",
     "__version__",
 ]

@@ -20,17 +20,10 @@ import numpy as np
 from . import classical, phasespace, quantum
 from .classical import CompactSet, GeometricSummary, IndicatorCutoff, Region
 from .phasespace import ToeplitzState
-from .potentials import Potential, saturating_square
+from .potentials import Potential, saturating_exp, saturating_square
 from .quantum import Grid, WaveFunction
 
 SCHEMA_VERSION = 1
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +38,12 @@ def spread_coefficient(T: float, lip: float) -> float:
     a = 1.0 + saturating_square(lip)
     if math.isinf(a):
         return math.inf
-    return (_exp(0.5 * a * T) - 1.0) / a
+    return (saturating_exp(0.5 * a * T) - 1.0) / a
 
 
 def _growth_objective(T: float, lip: float, lam: float) -> float:
     s = lam + saturating_square(lip) / lam
-    e = _exp(0.5 * s * T)
+    e = saturating_exp(0.5 * s * T)
     if math.isinf(e):
         return math.inf
     return (e - 1.0) / s * math.sqrt(1.0 + 1.0 / lam ** 2)
@@ -131,7 +124,7 @@ def lambda_equals_lip_bounds(T: float, lip: float) -> tuple[float, float]:
     They are algebraically identical; both saturate to +inf on overflow."""
     if lip <= 0:
         raise ValueError("lip must be positive for this bound")
-    e = _exp(lip * T) - 1.0
+    e = saturating_exp(lip * T) - 1.0
     if math.isinf(e):
         return math.inf, math.inf
     f1 = e / (2.0 * lip) * math.sqrt(1.0 + 1.0 / lip ** 2)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .potentials import Potential
-from .quantum import NumericsError
+from .quantum import NumericsError, split_steps
 
 Array = np.ndarray
 
@@ -51,6 +51,20 @@ class PhasePoint:
     @property
     def dim(self) -> int:
         return self.x.size
+
+
+def lattice_axis(lo: float, hi: float, h: float) -> Array:
+    """Equally spaced nodes from lo to hi, both included, at spacing at most
+    h; [lo] when the interval is degenerate (hi <= lo)."""
+    if hi - lo <= 0:
+        return np.array([lo])
+    return np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / h)) + 1))
+
+
+def lattice_points(axes: Sequence[Array]) -> Array:
+    """Row-major product of the per-coordinate axes; shape (prod of sizes, len(axes))."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _boxes_array(boxes, width: int) -> Array:
@@ -106,25 +120,11 @@ class CompactSet:
     def sample_grid(self, spacing: Optional[float] = None) -> Array:
         """Lattice of phase points covering the set, corners included; shape (m, 2*dim)."""
         h = self.spacing if spacing is None else spacing
-        pieces = []
-        for box in self.boxes:
-            axes = []
-            for lo, hi in box:
-                if hi - lo <= 0:
-                    axes.append(np.array([lo]))
-                else:
-                    n = max(2, int(math.ceil((hi - lo) / h)) + 1)
-                    axes.append(np.linspace(lo, hi, n))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pieces.append(np.stack([m.ravel() for m in mesh], axis=-1))
-        return np.concatenate(pieces, axis=0)
+        return np.concatenate([lattice_points([lattice_axis(lo, hi, h) for lo, hi in box])
+                               for box in self.boxes])
 
     def corners(self) -> Array:
-        out = []
-        for box in self.boxes:
-            mesh = np.meshgrid(*[box[i] for i in range(box.shape[0])], indexing="ij")
-            out.append(np.stack([m.ravel() for m in mesh], axis=-1))
-        return np.concatenate(out, axis=0)
+        return np.concatenate([lattice_points(box) for box in self.boxes])
 
     @property
     def diameter(self) -> float:
@@ -267,20 +267,9 @@ def hamiltonian(V: Potential, x: Array, xi: Array) -> Array:
     return 0.5 * np.sum(np.atleast_2d(xi) ** 2, axis=-1) + V.value_fn(x2)
 
 
-def _steps_for(t: float, dt: float) -> tuple[int, float]:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0, dt
-    n = max(1, int(math.ceil(t / dt - 1e-12)))
-    return n, t / n
-
-
 def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
     """Approximate the time-t flow map applied to p0 (global error O(dt^2))."""
-    n, h = _steps_for(t, dt)
+    n, h = split_steps(t, dt)
     x = p0.x[None, :].copy()
     xi = p0.xi[None, :].copy()
     with np.errstate(over="ignore", invalid="ignore"):      # a non-finite end aborts below
@@ -344,7 +333,7 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, dim = len(pts), pts.shape[1] // 2
-    n, h = _steps_for(T, dt)
+    n, h = split_steps(T, dt)
     tol = h * 1e-3
     nb = max(1, _BLOCK_SAMPLE_STEPS // max(m, 1))
     # row 0 holds the state at the block's start time ts[0]; row i the state

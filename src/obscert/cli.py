@@ -149,6 +149,11 @@ def cmd_propagate(args) -> int:
               file=sys.stderr)
         return 2
     grid, hbar, num = sc.grid, sc.hbars[0], sc.numerics
+    n_steps, _ = quantum.split_steps(sc.T, num.dt)
+    if n_steps < num.slices - 1:        # the observer saves at most one slice per step
+        raise ConfigError(f"numerics.slices: {num.slices} slices need at least "
+                          f"{num.slices - 1} steps, but T = {sc.T:g} at dt = {num.dt:g} "
+                          f"takes {n_steps}")
     state = scenario.build_state(sc.state, grid, hbar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classical import CompactSet
+from .classical import CompactSet, lattice_axis, lattice_points
 from . import quantum
 from .quantum import Grid, WaveFunction
 
@@ -158,46 +158,37 @@ def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
                        vals / (2.0 * np.pi * psi.hbar), psi.hbar)
 
 
+def _husimi_spacing(psi: WaveFunction, spacing: Optional[float]) -> float:
+    """The quadrature lattice spacing: ``spacing``, or sqrt(hbar)/5 by default."""
+    return math.sqrt(psi.hbar) / 5.0 if spacing is None else spacing
+
+
 def husimi_mass(psi: WaveFunction, K: CompactSet, spacing: Optional[float] = None) -> float:
     """Quadrature of the Husimi density over the compact phase-space set K."""
     if K.dim != psi.grid.dim:
         raise ValueError("K and psi have different dimensions")
-    h = spacing if spacing is not None else math.sqrt(psi.hbar) / 5.0
+    h = _husimi_spacing(psi, spacing)
     total = 0.0
     d = psi.grid.dim
     for box in K.boxes:
-        axes, weights = [], []
-        degenerate = False
-        for lo, hi in box:
-            if hi - lo <= 0:
-                degenerate = True     # zero phase-space volume, contributes nothing
-                break
-            n = max(2, int(math.ceil((hi - lo) / h)) + 1)
-            ax = np.linspace(lo, hi, n)
-            axes.append(ax)
-            weights.append(_trapezoid_weights(ax))
-        if degenerate:
-            continue
+        if np.any(box[:, 1] <= box[:, 0]):
+            continue                  # zero phase-space volume, contributes nothing
+        axes = [lattice_axis(lo, hi, h) for lo, hi in box]
+        weights = [_trapezoid_weights(ax) for ax in axes]
         if d == 1:
             vals = coherent_overlaps(psi, axes[0], axes[1])
             total += float(weights[0] @ vals @ weights[1])
         else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            vals = _overlap_sq_points(psi, pts)
-            wmesh = np.ones_like(mesh[0])
-            for axis_i, w in enumerate(weights):
-                shape = [1] * len(axes)
-                shape[axis_i] = -1
-                wmesh = wmesh * w.reshape(shape)
-            total += float(np.sum(vals * wmesh.ravel()))
+            # the node weight multiplies its axes' weights left to right
+            vals = _overlap_sq_points(psi, lattice_points(axes))
+            total += float(np.sum(vals * math.prod(lattice_points(weights).T)))
     return total / (2.0 * np.pi * psi.hbar) ** d
 
 
 def husimi_mass_refined(psi: WaveFunction, K: CompactSet,
                         spacing: Optional[float] = None) -> tuple[float, float]:
     """(value, |value - value at half spacing|) for the error budget."""
-    h = spacing if spacing is not None else math.sqrt(psi.hbar) / 5.0
+    h = _husimi_spacing(psi, spacing)
     coarse = husimi_mass(psi, K, h)
     fine = husimi_mass(psi, K, h / 2.0)
     return coarse, abs(coarse - fine)
@@ -285,8 +276,7 @@ def uniform_atomization(K: CompactSet, per_axis: int) -> tuple[Array, Array]:
             step = (hi - lo) / per_axis
             axes.append(lo + step * (np.arange(per_axis) + 0.5))
             vol *= max(hi - lo, 0.0)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        block = np.stack([m.ravel() for m in mesh], axis=-1)
+        block = lattice_points(axes)
         pts.append(block)
         ws.append(np.full(len(block), vol / len(block)))
     points = np.concatenate(pts)

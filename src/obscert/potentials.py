@@ -27,6 +27,14 @@ def saturating_square(x: float) -> float:
         return math.inf
 
 
+def saturating_exp(x: float) -> float:
+    """math.exp(x), or +inf where it overflows (math.exp raises there)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _box_array(box, dim: int) -> Array:
     """Normalize a box spec to shape (dim, 2) with lo < hi allowed degenerate."""
     b = np.asarray(box, dtype=float)

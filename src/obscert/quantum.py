@@ -77,18 +77,20 @@ class Grid:
         return (self.n,) * self.dim
 
     def meshes(self) -> list[Array]:
-        if self.dim == 1:
-            return [self.axis]
-        return list(np.meshgrid(self.axis, self.axis, indexing="ij"))
+        return list(np.meshgrid(*(self.axis,) * self.dim, indexing="ij"))
 
     def k_meshes(self) -> list[Array]:
-        if self.dim == 1:
-            return [self.k_axis]
-        return list(np.meshgrid(self.k_axis, self.k_axis, indexing="ij"))
+        return list(np.meshgrid(*(self.k_axis,) * self.dim, indexing="ij"))
 
     def points(self) -> Array:
         """All grid nodes as an (n^dim, dim) array."""
         return np.stack([m.ravel() for m in self.meshes()], axis=-1)
+
+    def boundary_cells(self) -> Array:
+        """Flat (row-major) indices of the cells on the faces of the box."""
+        interior = np.zeros(self.shape, dtype=bool)
+        interior[(slice(1, -1),) * self.dim] = True
+        return np.flatnonzero(~interior)
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,7 @@ class WaveFunction:
         return np.abs(self.values) ** 2
 
     def boundary_amplitude(self) -> float:
-        v = np.abs(self.values)
-        if self.grid.dim == 1:
-            return float(max(v[0], v[-1]))
-        return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))
+        return float(np.abs(self.values.reshape(-1)[self.grid.boundary_cells()]).max())
 
     def check_boundary(self):
         amp = self.boundary_amplitude()
@@ -138,11 +137,7 @@ class WaveFunction:
         if total == 0:
             return 0.0
         kmax = np.pi / self.grid.dx
-        if self.grid.dim == 1:
-            outer = np.abs(self.grid.k_axis) > fraction * kmax
-            return float(power[outer].sum() / total)
-        kx, ky = self.grid.k_meshes()
-        outer = np.maximum(np.abs(kx), np.abs(ky)) > fraction * kmax
+        outer = np.maximum.reduce([np.abs(k) for k in self.grid.k_meshes()]) > fraction * kmax
         return float(power[outer].sum() / total)
 
 
@@ -258,7 +253,11 @@ def propagate(V: Potential, psi: WaveFunction, t: float, dt: float) -> WaveFunct
     return propagate_series(V, WaveBatch.of([psi]), t, dt, lambda _t, _state: None).row(0)
 
 
-def _split_steps(t: float, dt: float) -> tuple[int, float]:
+def split_steps(t: float, dt: float) -> tuple[int, float]:
+    """The step rule of the Strang and Verlet passes: n = max(1, ceil(t/dt -
+    1e-12)) equal steps of size h = t/n.  So h <= dt, except that a ratio
+    t/dt at most 1e-12 above an integer keeps that integer; t = 0 takes one
+    step of size 0."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
@@ -278,9 +277,7 @@ class _Stepper:
         self.half = np.stack([np.exp(-0.5j * vgrid * h / hbar) for hbar in hbars])
         self.full = self.half * self.half
         self.kinetic = np.stack([np.exp(-0.5j * hbar * k2 * h) for hbar in hbars])
-        interior = np.zeros(grid.shape, dtype=bool)
-        interior[(slice(1, -1),) * grid.dim] = True
-        self.edge = np.flatnonzero(~interior)
+        self.edge = grid.boundary_cells()
         self.edge_half = self.half.reshape(len(self.half), -1)[:, self.edge]
 
     def edge_amplitude(self, v: Array) -> Array:
@@ -314,7 +311,7 @@ def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
     spreads mass to the boundary, and a larger box would not help.  A trip
     names the row by its label.
     """
-    n_steps, h = _split_steps(T, dt)
+    n_steps, h = split_steps(T, dt)
     stepper = _Stepper(V, psi.grid, psi.hbars, h)
     observer(0.0, psi)
     current = psi.values * stepper.half
@@ -452,7 +449,7 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
                 edge_cells.append((j, np.flatnonzero(edge)))
 
     rows = len(psi)
-    n_t = [_split_steps(T, dt)[0] + 1 for dt in dts]
+    n_t = [split_steps(T, dt)[0] + 1 for dt in dts]
     series = [np.empty((rows, n, len(chis))) for n in n_t]
     edge_peak = [np.zeros((rows, len(chis))) for _ in dts]
 

@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import quantum
-from .potentials import saturating_square
+from .potentials import saturating_exp, saturating_square
 from .quantum import WaveFunction
 
 Array = np.ndarray
@@ -170,8 +170,4 @@ def growth_factor(params: CostParams, lip_grad: float, t: float) -> float:
     coupled classical/quantum evolution.  Overflow saturates to +inf."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    exponent = 0.5 * (params.lam + saturating_square(lip_grad) / params.lam) * t
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
+    return saturating_exp(0.5 * (params.lam + saturating_square(lip_grad) / params.lam) * t)

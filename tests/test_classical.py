@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obscert import classical, potentials, scenario
+from obscert import classical, potentials, quantum, scenario
 from obscert.classical import (
     CompactSet, ConstantCutoff, IndicatorCutoff, PhasePoint, RampCutoff, Region,
     flow, geometric_summary, hamiltonian, occupation_batch, occupation_time, verlet_step,
@@ -34,6 +34,20 @@ def test_flow_free_straight_line(free):
     p = flow(free, PhasePoint([0.0], [1.0]), 2.0, 1e-3)
     assert p.x[0] == pytest.approx(2.0, abs=1e-12)
     assert p.xi[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_time_flow_and_occupation(harm):
+    # T = 0 takes one Verlet step of size 0: every sample stays where it is
+    p0 = PhasePoint([0.7], [-0.3])
+    p = flow(harm, p0, 0.0, 1e-3)
+    assert (p.x[0], p.xi[0]) == (0.7, -0.3)
+    om = interval(0.5, 1.5)
+    res = occupation_batch(harm, [[0.7, -0.3], [0.2, 0.4]], 0.0,
+                           [IndicatorCutoff(om), RampCutoff(om, 0.5)], 1e-3)
+    np.testing.assert_array_equal(res.occupation, 0.0)
+    # the indicator is hit at t = 0 by the sample inside omega only; the ramp
+    # is positive at both, first seen after the zero-length step
+    np.testing.assert_array_equal(res.first_hit, [[0.0, 0.0], [np.nan, 0.0]])
 
 
 def test_flow_harmonic_rotation_oracle(harm):
@@ -287,7 +301,7 @@ def occupation_loop(V, points, T, chi, dt):
     dim = pts.shape[1] // 2
     x = pts[:, :dim].copy()
     xi = pts[:, dim:].copy()
-    n, h = classical._steps_for(T, dt)
+    n, h = quantum.split_steps(T, dt)
     tol = h * 1e-3
     occ = np.zeros((len(pts), len(chi)))
     first_hit = np.full(occ.shape, np.nan)
@@ -482,6 +496,23 @@ def test_compact_set_diameter_and_grid():
     corners = K.corners()
     for c in corners:
         assert np.any(np.all(np.isclose(grid, c), axis=1))
+
+
+@pytest.mark.parametrize("lo, hi, h", [(-1.1, 1.2, 0.1), (0.0, 1.0, 0.3), (0.65, 1.85, 0.05),
+                                      (2.0, 2.5, 1.0)])
+def test_lattice_axis_spans_the_interval(lo, hi, h):
+    ax = classical.lattice_axis(lo, hi, h)
+    assert (ax[0], ax[-1]) == (lo, hi)
+    assert np.all(np.diff(ax) <= h * (1 + 1e-12))
+
+
+def test_lattice_axis_degenerate_interval():
+    np.testing.assert_array_equal(classical.lattice_axis(0.4, 0.4, 0.1), [0.4])
+
+
+def test_lattice_points_row_major():
+    pts = classical.lattice_points([np.array([0.0, 1.0]), np.array([2.0, 3.0, 4.0])])
+    np.testing.assert_array_equal(pts, [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]])
 
 
 def test_compact_set_rejects_overlap():

@@ -90,6 +90,31 @@ def test_grid_requires_power_of_two():
         Grid(dim=1, n=500, length=16.0)
 
 
+@pytest.mark.parametrize("t, dt, steps", [
+    (0.0, 0.1, 1),                          # one step of size 0
+    (1 * 0.25 * (1 + 1e-13), 0.25, 1),      # t/dt = k (1 + 1e-13): k steps
+    (3 * 0.1 * (1 + 1e-13), 0.1, 3),
+    (8 * 0.7 * (1 + 1e-13), 0.7, 8),
+    (1.0, 0.3, 4),                          # not a multiple: ceil(t/dt) steps
+    (2.0, 0.7, 3),
+    (0.05, 0.1, 1),
+], ids=["t=0", "k=1", "k=3", "k=8", "ceil-1.0/0.3", "ceil-2.0/0.7", "t<dt"])
+def test_split_steps_edges(t, dt, steps):
+    n, h = quantum.split_steps(t, dt)
+    assert (n, h) == (steps, t / steps)
+    assert h <= dt or t / dt - steps <= steps * 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_boundary_cells_are_the_faces(dim):
+    grid = Grid(dim=dim, n=8, length=4.0)
+    on_face = np.zeros(grid.shape, dtype=bool)
+    for ax in range(dim):
+        on_face[(slice(None),) * ax + (0,)] = True
+        on_face[(slice(None),) * ax + (-1,)] = True
+    np.testing.assert_array_equal(grid.boundary_cells(), np.flatnonzero(on_face))
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -253,7 +278,7 @@ def single_row_reference(V, psi, T, chis, dt):
     """Reference: one state at a time, the Strang loop and observer a lone row
     ran before rows were batched.  Returns (masses, series, edge_peak, final)."""
     grid = psi.grid
-    n_steps, h = quantum._split_steps(T, dt)
+    n_steps, h = quantum.split_steps(T, dt)
     vgrid = V.value_fn(grid.points()).reshape(grid.shape)
     half = np.exp(-0.5j * vgrid * h / psi.hbar)
     full = half * half
@@ -372,7 +397,7 @@ def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, threads):
     assert threading.active_count() == baseline
     assert len(results) == 2
     for (masses, info), dt in zip(results, (1e-2, 2e-2)):
-        assert info["dt"] == quantum._split_steps(0.1, dt)[1]
+        assert info["dt"] == quantum.split_steps(0.1, dt)[1]
         for r, psi in enumerate(states):
             m, series, edge_peak, _ = single_row_reference(V2, psi, 0.1, chis, dt)
             np.testing.assert_array_equal(masses[r], m)

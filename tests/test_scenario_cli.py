@@ -408,9 +408,8 @@ def test_cli_gcc_and_flow_tables(tmp_path):
     res = run_cli(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "f")],
                   cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    lines = (tmp_path / "f" / "flow.csv").read_text().splitlines()
-    n_samples = json.loads((tmp_path / "g" / "gcc.json").read_text())["samples"]
-    assert len(lines) == n_samples + 1
+    # the indicator column of the certificate's flow pass is the lone pass's, bit for bit
+    assert (tmp_path / "f" / "flow.csv").read_bytes() == gcc_csv
 
 
 def test_cli_propagate_and_snapshot(tmp_path):
@@ -424,6 +423,24 @@ def test_cli_propagate_and_snapshot(tmp_path):
     psi, t = quantum.load_state(tmp_path / "p" / "final_state.qst")
     assert t == 1.0
     assert abs(psi.norm - 1.0) < 1e-10
+
+
+def test_cli_propagate_needs_a_step_per_slice(tmp_path):
+    # T = 1 at dt = 0.25 takes 4 steps: 5 slices fit, 6 do not
+    cfg = base_config(numerics={"n": 512, "length": 20.0, "dt": 0.25, "slices": 6})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = run_cli(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
+                  cwd=tmp_path)
+    assert res.returncode == 2
+    assert "numerics.slices" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "p").exists()
+    cfg["numerics"]["slices"] = 5
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
+    times = {line.split(",")[0]
+             for line in (tmp_path / "p" / "density.csv").read_text().splitlines()[1:]}
+    assert len(times) == 5
 
 
 def test_cli_husimi_field(tmp_path):
@@ -493,11 +510,15 @@ def test_cli_sweep_rejects_a_bad_report(text, message, tmp_path):
 
 
 def test_cli_import_skips_scipy_optimize(tmp_path):
-    # transport is the only user of scipy.optimize and certify never needs it
-    res = run_python(["-c", "import sys, obscert.cli; "
-                            "print('scipy.optimize' in sys.modules)"], cwd=tmp_path)
+    # transport is the only user of scipy.optimize and certify never needs it;
+    # every name the package exports is there after a plain import
+    res = run_python(["-c", "import sys, obscert; "
+                            "exported = all(hasattr(obscert, n) for n in obscert.__all__); "
+                            "import obscert.cli; "
+                            "print(exported, 'scipy.optimize' in sys.modules)"],
+                     cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "True False"
 
 
 def test_demo_config_parses():
