@@ -95,25 +95,29 @@ def _bra_factor(axis: Array, q: Array, p: Array, hbar: float) -> Array:
 def _overlap_sq_points(psi: WaveFunction, phase_points: Array) -> Array:
     """|<q,p|psi>|^2 at arbitrary phase points (m, 2*dim); any dimension.
 
-    The coherent bra factorizes across axes, so the overlap is a matrix
-    sandwich g1 @ values @ g2 per point instead of a dense 2*dim tensor.
+    The coherent bra factorizes across axes, and each axis factor depends on
+    that axis's (q, p) pair alone.  So each factor is built once per distinct
+    pair, the first axis is contracted with the values once per distinct
+    pair, and each point then sums the product of its two rows: the same
+    sums, in the same order, as a matrix sandwich g1 @ values @ g2 per point.
     """
     grid = psi.grid
     d = grid.dim
     pts = np.atleast_2d(np.asarray(phase_points, dtype=float))
     pref = (np.pi * psi.hbar) ** (-d / 4) * grid.cell_volume
+    factors, rows = [], []
+    for a in range(d):
+        pairs, inverse = np.unique(pts[:, [a, d + a]], axis=0, return_inverse=True)
+        factors.append(_bra_factor(grid.axis, pairs[:, 0], pairs[:, 1], psi.hbar))
+        rows.append(inverse.reshape(-1))
+    first = factors[0] @ psi.values
+    if d == 1:
+        return np.abs(first[rows[0]] * pref) ** 2
     out = np.empty(len(pts))
     chunk = 4096
     for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk]
-        q = block[:, :d]
-        p = block[:, d:]
-        g1 = _bra_factor(grid.axis, q[:, 0], p[:, 0], psi.hbar)
-        if d == 1:
-            amp = g1 @ psi.values
-        else:
-            g2 = _bra_factor(grid.axis, q[:, 1], p[:, 1], psi.hbar)
-            amp = np.einsum("mn,mn->m", g1 @ psi.values, g2)
+        i1, i2 = (r[start:start + chunk] for r in rows)
+        amp = np.einsum("mn,mn->m", first[i1], factors[1][i2])
         out[start:start + chunk] = np.abs(amp * pref) ** 2
     return out
 

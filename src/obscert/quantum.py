@@ -26,6 +26,8 @@ Array = np.ndarray
 
 BOUNDARY_TOL = 1e-12
 ALIAS_TOL = 1e-10
+# numpy evaluates a binary operation in a temporary operand from this size on
+_ELIDE_BYTES = 256 * 1024
 
 
 class NumericsError(RuntimeError):
@@ -284,26 +286,44 @@ class _Stepper:
         """Per-row boundary amplitude of v * half, from the edge cells alone."""
         return np.abs(v.reshape(len(v), -1)[:, self.edge] * self.edge_half).max(axis=1)
 
-    def kinetic_step(self, v: Array) -> Array:
-        """Apply the exact kinetic factor in Fourier space to every row of v."""
+    def kinetic_step(self, v: Array) -> None:
+        """Apply the exact kinetic factor in Fourier space to every row of v,
+        in place.
+
+        A complex product rounds differently with its operands swapped, so
+        each row's product takes the order of a lone row's ``kinetic *
+        fft(row)``: numpy evaluates that in the transform's temporary,
+        transform first, from 256 KiB on.  So 1-D rows (a lone row of up to
+        8192 points is smaller) keep the kinetic factor first, and 2-D rows
+        take the transform first from that size on.
+        """
         if v.ndim == 2:
-            # 1-D rows: one transform pair over the stack.  The product keeps
-            # the kinetic factor as first operand, as a lone row of up to 8192
-            # points computes it: from 256 KiB on, numpy evaluates
-            # `kinetic * fft(v)` in place in the temporary with the operands
-            # swapped, and the complex product is then rounded differently.
-            ft = np.fft.fft(v)
-            return np.fft.ifft(np.multiply(self.kinetic, ft, out=ft))
-        # 2-D rows: one fftn pair per row (a stacked fftn is slower at 128^2);
-        # a lone row comes back as a view, not copied into a new stack
-        rows = [np.fft.ifftn(k * np.fft.fftn(row)) for k, row in zip(self.kinetic, v)]
-        return rows[0][None] if len(rows) == 1 else np.stack(rows)
+            # 1-D rows: one transform pair over the stack
+            np.fft.fft(v, out=v)
+            np.multiply(self.kinetic, v, out=v)
+            np.fft.ifft(v, out=v)
+            return
+        # 2-D rows: one fftn pair per row (a stacked fftn is slower at 128^2)
+        transform_first = v[0].nbytes >= _ELIDE_BYTES
+        for k, row in zip(self.kinetic, v):
+            np.fft.fftn(row, out=row)
+            if transform_first:
+                np.multiply(row, k, out=row)
+            else:
+                np.multiply(k, row, out=row)
+            np.fft.ifftn(row, out=row)
 
 
 def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
                      observer: Callable[[float, WaveBatch], None]) -> WaveBatch:
     """Propagate every row of a batch while calling observer(t, state) at
     t = 0, dt, ..., T; the rows share the grid and the step size.
+
+    The run steps two buffers of its own and never writes ``psi.values``.
+    The ``state`` passed to the observer at t > 0 is one of those buffers and
+    is overwritten by the next step: it is valid only during the call, and an
+    observer copies whatever it keeps.  The state returned, the one last
+    observed, is the run's own.
 
     The boundary amplitude of every row's synchronized state is checked as it
     is produced, and the spectral tail of every final row.  A row that fails
@@ -315,25 +335,27 @@ def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
     stepper = _Stepper(V, psi.grid, psi.hbars, h)
     observer(0.0, psi)
     current = psi.values * stepper.half
+    synced = np.empty_like(current)
     for step in range(n_steps):
-        current = stepper.kinetic_step(current)
+        stepper.kinetic_step(current)
         t = (step + 1) * h
         amp = stepper.edge_amplitude(current)
         leaking = amp > BOUNDARY_TOL
         if leaking.any():
             r = int(leaking.argmax())
-            synced = WaveFunction(psi.grid, current[r] * stepper.half[r], psi.hbars[r])
-            _check_spectral_tail(synced, psi.labels[r])
+            row = WaveFunction(psi.grid, current[r] * stepper.half[r], psi.hbars[r])
+            _check_spectral_tail(row, psi.labels[r])
             raise BoundaryLeakError(f"{psi.labels[r]}: boundary amplitude {amp[r]:.3e} "
                                     f"at t = {t:.4g} exceeds {BOUNDARY_TOL:.0e}; "
                                     "enlarge the box")
         if step == n_steps - 1:
-            current = current * stepper.half
+            np.multiply(current, stepper.half, out=current)
             state = psi.with_values(current)
         else:
             # observer sees the synchronized state (half phase applied)
-            state = psi.with_values(current * stepper.half)
-            current = current * stepper.full
+            np.multiply(current, stepper.half, out=synced)
+            state = psi.with_values(synced)
+            np.multiply(current, stepper.full, out=current)
         observer(t, state)
     for r, label in enumerate(state.labels):
         _check_spectral_tail(state.row(r), label)
@@ -424,10 +446,12 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
     observer writes the group's own rows of the outputs.  1-D rows form one
     group per step size, and the groups run in turn on the calling thread: a
     1-D step is short and holds the interpreter lock for most of its time.
-    Each 2-D row is a group of its own, so memory does not grow with the
-    number of rows, and the groups run concurrently on the cores, where the
-    n x n transforms release the lock (``_run_tasks``).  A failing run raises
-    what the loop over step sizes, then rows, would raise first.
+    Each 2-D row is a group of its own, and the groups run concurrently on
+    the cores, where the n x n transforms release the lock (``_run_tasks``).
+    A run holds its step factors, two state buffers and one density buffer
+    and allocates no grid-sized array per step, so memory grows with the
+    number of cores, not with the number of rows or steps.  A failing run
+    raises what the loop over step sizes, then rows, would raise first.
 
     Returns one (masses, info) per step size, where masses[r, j] is the value
     of row r for chis[j] and info carries the per-row series and edge-density
@@ -454,9 +478,14 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
     edge_peak = [np.zeros((rows, len(chis))) for _ in dts]
 
     def run(i, group):
+        dens = np.empty((len(group), grid.n ** grid.dim))
+
         def observer(t, state, steps=itertools.count()):
             k = next(steps)
-            dens = (np.abs(state.values) ** 2).reshape(len(group), -1) * grid.cell_volume
+            values = state.values.reshape(dens.shape)
+            np.abs(values, out=dens)
+            np.square(dens, out=dens)
+            np.multiply(dens, grid.cell_volume, out=dens)
             for g, r in enumerate(group):
                 series[i][r, k] = weights @ dens[g]
                 for j, idx in edge_cells:

@@ -117,6 +117,41 @@ def test_overlap_formula(grid512, rng):
             coherent_overlap_sq(HBAR, q1, p1, q2, p2), abs=1e-8)
 
 
+def sandwich_per_point(psi, pts):
+    """|<q,p|psi>|^2 from a coherent bra factor built for each point, and one
+    sandwich g1 @ values @ g2 per point."""
+    d = psi.grid.dim
+    pref = (np.pi * psi.hbar) ** (-d / 4) * psi.grid.cell_volume
+    g = [phasespace._bra_factor(psi.grid.axis, pts[:, a], pts[:, d + a], psi.hbar)
+         for a in range(d)]
+    amp = g[0] @ psi.values if d == 1 else np.einsum("mn,mn->m", g[0] @ psi.values, g[1])
+    return np.abs(amp * pref) ** 2
+
+
+@pytest.mark.parametrize("case", ["2d", "1d", "single"])
+def test_overlap_points_match_per_point_sandwich(case, grid512):
+    rng = np.random.default_rng(7)
+    if case == "1d":
+        psi = coherent_state(grid512, HBAR, 0.2, -0.3)
+        dims = 1
+    else:
+        grid = quantum.Grid(dim=2, n=64, length=8.0)
+        psi = coherent_state(grid, HBAR, [0.2, -0.1], [0.3, 0.4])
+        dims = 2
+    if case == "single":
+        pts = np.array([[0.25, -0.05, 0.3, 0.35]])
+    else:
+        # a 9-node lattice per phase axis repeats every axis pair, the
+        # uniform points fall off it, and the shuffled set is cut by a chunk
+        axes = [np.linspace(-0.6, 0.6, 9)] * (2 * dims)
+        lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        pts = rng.permutation(np.vstack([lattice, rng.uniform(-0.7, 0.7, (50, 2 * dims))]))
+    if case == "2d":
+        assert len(pts) > 4096
+    np.testing.assert_array_equal(phasespace._overlap_sq_points(psi, pts),
+                                  sandwich_per_point(psi, pts))
+
+
 def test_husimi_mass_whole_box(grid512):
     psi = coherent_state(grid512, HBAR, 0.0, 0.0)
     K = phase_box(-3.0, 3.0, -3.0, 3.0, spacing=0.08)

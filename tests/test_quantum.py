@@ -361,9 +361,10 @@ def test_batch_toeplitz_atoms_match_single_rows(harm):
     assert_batch_matches_rows(harm, states, 0.25, _cutoffs_1d(), 1e-3, labels)
 
 
-@pytest.mark.parametrize("n, length", [(64, 8.0), (128, 12.0)])
+@pytest.mark.parametrize("n, length", [(64, 8.0), (128, 12.0), (256, 16.0)])
 def test_batch_2d_rows_match_single_rows(n, length):
-    # a 128^2 row takes 256 KiB: the single-row product then runs in place
+    # a row takes 64 KiB at 64^2 and 1 MiB at 256^2; from 128^2 on (256 KiB)
+    # the single-row product runs in place, with the transform first
     grid = Grid(dim=2, n=n, length=length)
     V2 = potentials.harmonic(dim=2)
     om = Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))
@@ -373,6 +374,20 @@ def test_batch_2d_rows_match_single_rows(n, length):
     # whole batch
     assert_batch_matches_rows(V2, states, 0.05, [IndicatorCutoff(om), ConstantCutoff(1.0)],
                               1e-2)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_2d_kinetic_step_matches_a_lone_row(n, rng):
+    # random rows, because no packet fits a 32-point axis with both its x and
+    # k tails below the boundary tolerance; 32^2 and 64^2 rows lie below the
+    # 256 KiB from which a lone row's product swaps its operands, 128^2 and
+    # 256^2 rows at and above it
+    grid = Grid(dim=2, n=n, length=8.0)
+    stepper = quantum._Stepper(potentials.harmonic(dim=2), grid, [0.2, 0.1], 1e-2)
+    v = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    expected = [np.fft.ifftn(k * np.fft.fftn(row)) for k, row in zip(stepper.kinetic, v)]
+    stepper.kinetic_step(v)
+    np.testing.assert_array_equal(v, np.stack(expected))
 
 
 @pytest.mark.parametrize("threads", [None, 4])
@@ -492,6 +507,23 @@ def test_spectral_tail_of_one_row_aborts(free, case):
     # the leaking row stops the run in its first step, before the observer
     assert len(edges) == (1 if case == "leaks" else 3)
     assert max(edges) < quantum.BOUNDARY_TOL
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_propagation_leaves_the_callers_batch_alone(dim, harm):
+    grid = Grid(dim=dim, n=512 if dim == 1 else 64, length=16.0 if dim == 1 else 8.0)
+    V = harm if dim == 1 else potentials.harmonic(dim=2)
+    centers = [(0.5, 0.2), (-0.3, 0.4)]
+    batch = WaveBatch.of([coherent_state(grid, 0.1, [q] * dim, [p] * dim) for q, p in centers])
+    before = batch.values.copy()
+    seen = []
+    final = quantum.propagate_series(V, batch, 0.05, 1e-2, lambda t, s: seen.append(s.values))
+    observed_mass_series(V, batch, 0.05, [ConstantCutoff(1.0)], (1e-2, 2e-2))
+    np.testing.assert_array_equal(batch.values, before)
+    assert seen[0] is batch.values
+    # later states live in the run's own buffers, the last one returned
+    assert not any(np.shares_memory(v, batch.values) for v in seen[1:])
+    assert seen[-1] is final.values
 
 
 def test_batch_of_one_is_propagate(grid512, harm):
