@@ -245,12 +245,22 @@ def _verdict(lower: float, measured: float, eps: float) -> str:
     return "certified"
 
 
-def _time_quadrature_error(series: np.ndarray, dt: float, T: float) -> np.ndarray:
-    """Composite-trapezoid error estimate per cutoff from the sampled series."""
-    if len(series) < 3:
-        return np.zeros(series.shape[1])
-    second = np.abs(series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt ** 2
-    return second.max(axis=0) * dt ** 2 * T / 12.0
+def _edge_cells(w: np.ndarray) -> np.ndarray:
+    """Flat indices of the cells where a cutoff sampled on a periodic grid
+    differs from a neighbour along some axis: where an indicator jumps."""
+    return np.flatnonzero(np.logical_or.reduce(
+        [w != np.roll(w, shift, axis=ax) for ax in range(w.ndim) for shift in (1, -1)]))
+
+
+def _trapezoid(series: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite-trapezoid integral over [0, T] of equally spaced samples
+    (series is (n_t, k)), and its error estimate from the second differences
+    (0 for a single step)."""
+    h = T / (len(series) - 1)
+    w_t = np.full(len(series), h)
+    w_t[0] = w_t[-1] = 0.5 * h
+    second = np.abs(series[2:] - 2.0 * series[1:-1] + series[:-2]) / h ** 2
+    return w_t @ series, second.max(axis=0, initial=0.0) * h ** 2 * T / 12.0
 
 
 def _lip_along_flow(V: Potential, hull: np.ndarray) -> float:
@@ -286,35 +296,40 @@ class _Sweep:
         one row of weight 1.0 (exact: 0.0 + 1.0 * x == x, so a pure column's
         values are its row's), a Toeplitz state its nonzero-weight atoms.
         Every row goes to one ``observed_mass_series`` call at the step sizes
-        dt and 2 dt; by linearity a column sums its weighted rows in order."""
+        dt and 2 dt; by linearity a column sums its weighted rows in order.
+        The space term is T times the peak mass on Omega_delta's edge cells
+        (none, and nothing sampled, when Omega_delta holds the whole grid)."""
         if tuple(float(d) for d in deltas) != geo.deltas:
             raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {list(deltas)}")
         rows = [(c, *row) for c, col in enumerate(columns) for row in col]
         batch = quantum.WaveBatch.of([s for _, s, _, _ in rows], [lab for *_, lab in rows])
-        chis = [IndicatorCutoff(omega.enlarged(d)) for d in geo.deltas]
-        (fine, info), (coarse, _) = quantum.observed_mass_series(V, batch, T, chis,
-                                                                  (dt, 2.0 * dt))
-        measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(columns), len(chis)))
+        pts = batch.grid.points()
+        weights = np.stack([omega.enlarged(d).indicator(pts) for d in geo.deltas])
+        edges = [_edge_cells(w.reshape(batch.grid.shape)) for w in weights]
+        edged = [j for j, idx in enumerate(edges) if idx.size]
+        (fine, edge_mass), (coarse, _) = quantum.observed_mass_series(
+            V, batch, T, weights, [edges[j] for j in edged], (dt, 2.0 * dt))
+        measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(columns), len(weights)))
         for r, (c, _, w, _) in enumerate(rows):
-            measured[c] += w * fine[r]
-            coarse_sum[c] += w * coarse[r]
-            time_sum[c] += w * _time_quadrature_error(info["series"][r], info["dt"], T)
-            space_sum[c] += w * T * info["edge_peak"][r]
+            mass, time_error = _trapezoid(fine[r], T)
+            measured[c] += w * mass
+            coarse_sum[c] += w * _trapezoid(coarse[r], T)[0]
+            time_sum[c] += w * time_error
+            space_sum[c, edged] += w * T * edge_mass[r].max(axis=0)
         terms = {"propagation": np.abs(measured - coarse_sum) / 3.0,
                  "time_quadrature": time_sum, "space_quadrature": space_sum}
         return cls(scenario, K, T, geo, _lip_along_flow(V, geo.hull), measured, terms)
 
-    def report(self, c: int, j: int, kind: str, lower: float, extra_eps: Sequence[float],
-               extra_budget: dict, **fields) -> CertificationReport:
+    def report(self, c: int, j: int, kind: str, lower: float, terms: dict,
+               **fields) -> CertificationReport:
         """Report of cell (column c, delta j): the shared fields plus the
-        kind's own ``fields``.  ``eps_num`` sums the propagation, time and
-        space terms, then ``extra_eps``, left to right."""
+        kind's own ``fields``.  ``err_budget`` holds the propagation, time
+        and space terms, then the kind's own ``terms``, and ``eps_num`` is
+        their sum, left to right."""
         geo = self.geo
         budget = {k: float(v[c, j]) for k, v in self.terms.items()}
-        eps = budget["propagation"] + budget["time_quadrature"] + budget["space_quadrature"]
-        for e in extra_eps:
-            eps += e
-        budget.update(c_geo_refinement=float(geo.c_geo_refine_delta), **extra_budget)
+        budget.update(terms)
+        eps = sum(budget.values())
         if lower > 0:
             ct = 1.0 / lower * self.T
             fields.update(implied_c_obs=1.0 / lower, c_obs_times_T=ct,
@@ -367,8 +382,8 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
                 except ValueError:
                     pass
             reports.append(sweep.report(
-                c, j, "pure", lower, (c_geo_delta * h_K, c_geo * h_delta),
-                {"husimi_refinement": float(h_delta)},
+                c, j, "pure", lower, {"c_geo_refinement": float(c_geo_delta * h_K),
+                                      "husimi_refinement": float(c_geo * h_delta)},
                 dim=dim, hbar=psi.hbar, lam=1.0,
                 husimi_mass=h_K, husimi_refine_delta=h_delta, spread=delta_psi,
                 d_const=D, correction_used=corr_used,
@@ -404,7 +419,7 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
         for j, delta in enumerate(geo.deltas):
             lower = c_geo - c_tl * math.sqrt(2.0 * R.dim * R.hbar) / delta
             reports.append(sweep.report(
-                c, j, "toeplitz", lower, (c_geo_delta,), {},
+                c, j, "toeplitz", lower, {"c_geo_refinement": float(c_geo_delta)},
                 dim=R.dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl,
                 admissible=bool(R.hbar / delta ** 2 < threshold)))
     return reports

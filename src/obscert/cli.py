@@ -249,6 +249,13 @@ def _growth(lam, lip, t):
     return growth_factor(CostParams(lam=lam, hbar=1.0), lip, t)
 
 
+def positive(text: str) -> int:
+    n = int(text)                       # argparse reports a ValueError itself
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="obscert",
@@ -262,7 +269,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=(name != "sweep"))
         p.add_argument("--out", default="out")
         if name in ("certify", "sweep"):
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=positive, default=1)
         if name == "sweep":
             p.add_argument("--reports", default=None,
                            help="tabulate existing report JSONs instead of running")

@@ -176,9 +176,6 @@ class WaveBatch:
         return cls(states[0].grid, np.stack([s.values for s in states]),
                    np.array([s.hbar for s in states]), tuple(labels))
 
-    def __len__(self) -> int:
-        return self.hbars.size
-
     def row(self, r: int) -> WaveFunction:
         return WaveFunction(self.grid, self.values[r], float(self.hbars[r]))
 
@@ -437,10 +434,13 @@ def second_moment(psi: WaveFunction, lam: float) -> float:
 # observed mass
 # ---------------------------------------------------------------------------
 
-def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
-                         chis: Sequence, dts: Sequence[float]) -> list[tuple[Array, dict]]:
-    """Trapezoid-in-time integrals of int chi |psi_r(t)|^2 dx for every row r
-    of a batch and several cutoffs, at each step size of ``dts``.
+def observed_mass_series(V: Potential, psi: WaveBatch, T: float, weights: Array,
+                         cells: Sequence[Array], dts: Sequence[float]) -> list[tuple]:
+    """Sample the density |psi_r(t)|^2 dV of every row r of a batch at
+    t = 0, h, ..., T, for each step size of ``dts`` one (series, cell_mass):
+    series[r, k] = weights @ density of row r at step k, and cell_mass[r, k, j]
+    its mass on the flat cell indices ``cells[j]``.  Every row's sums are
+    taken as for a lone row.
 
     Each (step size, row group) pair is one ``propagate_series`` run whose
     observer writes the group's own rows of the outputs.  1-D rows form one
@@ -452,30 +452,12 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
     and allocates no grid-sized array per step, so memory grows with the
     number of cores, not with the number of rows or steps.  A failing run
     raises what the loop over step sizes, then rows, would raise first.
-
-    Returns one (masses, info) per step size, where masses[r, j] is the value
-    of row r for chis[j] and info carries the per-row series and edge-density
-    diagnostics used for the error budget.  Every row's sums are taken as for
-    a lone row.
     """
     grid = psi.grid
-    pts = grid.points()
-    weights = np.stack([np.asarray(chi(pts), dtype=float).reshape(-1) for chi in chis])
-    edge_cells = []                             # (j, flat indices) per indicator
-    for j, chi in enumerate(chis):
-        if getattr(chi, "is_indicator", False):
-            w = weights[j].reshape(grid.shape)
-            edge = np.zeros(grid.shape, dtype=bool)
-            for ax in range(grid.dim):
-                rolled = np.roll(w, 1, axis=ax)
-                edge |= (w != rolled) | (np.roll(w, -1, axis=ax) != w)
-            if edge.any():
-                edge_cells.append((j, np.flatnonzero(edge)))
-
-    rows = len(psi)
+    rows = psi.hbars.size
     n_t = [split_steps(T, dt)[0] + 1 for dt in dts]
-    series = [np.empty((rows, n, len(chis))) for n in n_t]
-    edge_peak = [np.zeros((rows, len(chis))) for _ in dts]
+    series = [np.empty((rows, n, len(weights))) for n in n_t]
+    cell_mass = [np.empty((rows, n, len(cells))) for n in n_t]
 
     def run(i, group):
         dens = np.empty((len(group), grid.n ** grid.dim))
@@ -488,25 +470,15 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float,
             np.multiply(dens, grid.cell_volume, out=dens)
             for g, r in enumerate(group):
                 series[i][r, k] = weights @ dens[g]
-                for j, idx in edge_cells:
-                    edge_peak[i][r, j] = max(edge_peak[i][r, j], float(dens[g][idx].sum()))
+                for j, idx in enumerate(cells):
+                    cell_mass[i][r, k, j] = dens[g][idx].sum()
 
         propagate_series(V, psi.take(group), T, dts[i], observer)
 
     groups = [list(range(rows))] if grid.dim == 1 else [[r] for r in range(rows)]
     tasks = [(i, group) for i in range(len(dts)) for group in groups]
     _run_tasks(run, tasks, 1 if grid.dim == 1 else cores())
-    out = []
-    for s, e in zip(series, edge_peak):
-        h = T / (s.shape[1] - 1)
-        w_t = np.full(s.shape[1], h)
-        w_t[0] = w_t[-1] = 0.5 * h
-        out.append((np.stack([w_t @ s_r for s_r in s]), {
-            "series": s,                        # (rows, n_t, n_chi)
-            "dt": h,
-            "edge_peak": e,                     # max over time of mass in edge cells
-        }))
-    return out
+    return list(zip(series, cell_mass))
 
 
 def cores() -> int:

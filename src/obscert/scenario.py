@@ -302,7 +302,7 @@ def parse(cfg) -> Scenario:
         raise ConfigError("$.scenario: must be a nonempty string")
     V = build_potential(cfg)
     K = build_compact_set(cfg, V.dim)
-    return Scenario(
+    sc = Scenario(
         name=name, V=V, K=K, omega=build_region(cfg, V.dim),
         numerics=parse_numerics(cfg.get("numerics")),
         T=_positive(_require(cfg, "T", "$"), "$.T"),
@@ -310,6 +310,10 @@ def parse(cfg) -> Scenario:
         hbars=_positive_list(_require(cfg, "hbars", "$"), "$.hbars"),
         state=parse_state(_require(cfg, "state", "$"), V.dim, K),
     )
+    if quantum.split_steps(sc.T, sc.numerics.dt)[0] < 2:   # else dt and 2 dt runs coincide
+        raise ConfigError(f"numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
+                          "quantum step; the propagation error needs at least 2")
+    return sc
 
 
 def load_config(path) -> Scenario:

@@ -334,6 +334,42 @@ def test_pure_and_one_atom_toeplitz_share_the_measured_side(free):
             assert a.err_budget[term] == b.err_budget[term]
 
 
+@pytest.mark.parametrize("state", [
+    {"kind": "coherent", "q": -0.2, "p": 1.0},
+    {"kind": "toeplitz", "atoms": [[-0.2, 1.0, 0.6], [0.3, 0.95, 0.4]]},
+], ids=["pure", "toeplitz"])
+def test_err_budget_values_sum_to_eps_num(state):
+    # free flight across a gap in omega: the least occupation lies between
+    # the nodes of the K lattice, so c_geo carries a refinement delta, and a
+    # pure state's Husimi mass on K is well below 1; every value of the
+    # budget is a summand of eps_num, added in insertion order
+    from obscert import scenario
+    sc = scenario.parse({
+        "scenario": "budget", "potential": {"kind": "free", "dim": 1, "box": [-10.0, 10.0]},
+        "K": {"boxes": [[[-1.0, 1.0], [0.9, 1.1]]], "spacing": 0.3},
+        "omega": {"boxes": [[-4.0, -0.1], [0.1, 4.0]]}, "T": 0.23, "deltas": [0.5, 2.0],
+        "hbars": [0.1], "state": state,
+        "numerics": {"n": 512, "length": 16.0, "dt": 5e-3, "dt_flow": 5e-3},
+    })
+    reports = scenario.run_scenario(sc)
+    assert len(reports) == 2
+    for r in reports:
+        assert r.c_geo_refine_delta > 0
+        total = 0.0
+        for value in r.err_budget.values():
+            total += value
+        assert total == r.eps_num
+        terms = ["propagation", "time_quadrature", "space_quadrature", "c_geo_refinement"]
+        if r.kind == "pure":
+            assert 0 < r.husimi_mass < 1 and r.husimi_refine_delta > 0
+            assert list(r.err_budget) == terms + ["husimi_refinement"]
+            assert r.err_budget["c_geo_refinement"] == r.c_geo_refine_delta * r.husimi_mass
+            assert r.err_budget["husimi_refinement"] == r.c_geo * r.husimi_refine_delta
+        else:
+            assert list(r.err_budget) == terms
+            assert r.err_budget["c_geo_refinement"] == r.c_geo_refine_delta
+
+
 def test_constants_saturate_where_lip_squared_overflows():
     # a double-well box of +-1e80 has lip ~ 1.2e161, and lip ** 2 overflows
     lip = potentials.double_well(box=(-1e80, 1e80)).lip_grad

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from obscert import phasespace, quantum
+from obscert import certify, phasespace, quantum
 from obscert.classical import CompactSet, ConstantCutoff, IndicatorCutoff, Region
 from obscert.phasespace import (
     SpectralBandError, coherent_overlap_sq, coherent_tail_check,
@@ -22,8 +22,10 @@ def phase_box(qlo, qhi, plo, phi, spacing=0.05):
 def toeplitz_observed_mass(V, R, grid, T, chi, dt):
     """Observed mass of a Toeplitz state by linearity: its atoms as one batch."""
     batch = quantum.WaveBatch.of([R.atom_state(j, grid) for j in range(len(R.weights))])
-    [(masses, _)] = quantum.observed_mass_series(V, batch, T, [chi], [dt])
-    return float(math.fsum(R.weights * masses[:, 0]))
+    weights = np.asarray(chi(grid.points()), dtype=float)[None, :]
+    [(series, _)] = quantum.observed_mass_series(V, batch, T, weights, [], [dt])
+    masses = [certify._trapezoid(s, T)[0][0] for s in series]
+    return float(math.fsum(R.weights * masses))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from obscert import classical, potentials, quantum
+from obscert import certify, classical, potentials, quantum
 from obscert.classical import ConstantCutoff, IndicatorCutoff, PhasePoint, Region
 from obscert.phasespace import toeplitz_from_density
 from obscert.quantum import (
@@ -21,10 +21,20 @@ def interval(lo, hi):
     return Region(np.array([[[lo, hi]]]))
 
 
+def sampled(grid, chis):
+    """The cutoffs' weights on the grid, one row per cutoff, and the edge
+    cells of each indicator among them, as a certificate samples them."""
+    weights = np.stack([np.asarray(chi(grid.points()), dtype=float) for chi in chis])
+    cells = [certify._edge_cells(w.reshape(grid.shape))
+             for chi, w in zip(chis, weights) if chi.is_indicator]
+    return weights, cells
+
+
 def row_mass(V, psi, T, chi, dt):
     """Observed mass of one state, as a batch of one row."""
-    [(masses, _)] = observed_mass_series(V, WaveBatch.of([psi]), T, [chi], [dt])
-    return float(masses[0, 0])
+    weights, _ = sampled(psi.grid, [chi])
+    [(series, _)] = observed_mass_series(V, WaveBatch.of([psi]), T, weights, [], [dt])
+    return float(certify._trapezoid(series[0], T)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +284,9 @@ def test_dim2_coherent_and_propagation(harm):
 # batches against the single-row loop
 # ---------------------------------------------------------------------------
 
-def single_row_reference(V, psi, T, chis, dt):
+def single_row_reference(V, psi, T, weights, cells, dt):
     """Reference: one state at a time, the Strang loop and observer a lone row
-    ran before rows were batched.  Returns (masses, series, edge_peak, final)."""
+    ran before rows were batched.  Returns (series, cell_mass, final)."""
     grid = psi.grid
     n_steps, h = quantum.split_steps(T, dt)
     vgrid = V.value_fn(grid.points()).reshape(grid.shape)
@@ -284,24 +294,12 @@ def single_row_reference(V, psi, T, chis, dt):
     full = half * half
     k2 = sum(km ** 2 for km in grid.k_meshes())
     kinetic = np.exp(-0.5j * psi.hbar * k2 * h)
-    pts = grid.points()
-    weights = np.stack([np.asarray(chi(pts), dtype=float).reshape(-1) for chi in chis])
-    masks = []
-    for chi in chis:
-        w = np.asarray(chi(pts), dtype=float).reshape(grid.shape)
-        edge = np.zeros(grid.shape, dtype=bool)
-        if getattr(chi, "is_indicator", False):
-            for ax in range(grid.dim):
-                edge |= (w != np.roll(w, 1, axis=ax)) | (np.roll(w, -1, axis=ax) != w)
-        masks.append(edge.reshape(-1))
-    series, edge_peak = [], np.zeros(len(chis))
+    series, cell_mass = [], []
 
     def observe(values):
         dens = (np.abs(values) ** 2).reshape(-1) * grid.cell_volume
         series.append(weights @ dens)
-        for j, mask in enumerate(masks):
-            if mask.any():
-                edge_peak[j] = max(edge_peak[j], float(dens[mask].sum()))
+        cell_mass.append([dens[idx].sum() for idx in cells])
 
     observe(psi.values)
     current = psi.values * half
@@ -313,24 +311,23 @@ def single_row_reference(V, psi, T, chis, dt):
         else:
             observe(current * half)
             current = current * full
-    arr = np.array(series)
-    w_t = np.full(len(arr), T / (len(arr) - 1))
-    w_t[0] = w_t[-1] = 0.5 * w_t[0]
-    return w_t @ arr, arr, edge_peak, current
+    return np.array(series), np.array(cell_mass).reshape(len(series), len(cells)), current
 
 
 def assert_batch_matches_rows(V, states, T, chis, dt, labels=()):
     batch = WaveBatch.of(states, labels)
-    [(masses, info)] = observed_mass_series(V, batch, T, chis, [dt])
+    weights, cells = sampled(batch.grid, chis)
+    [(series, cell_mass)] = observed_mass_series(V, batch, T, weights, cells, [dt])
     final = quantum.propagate_series(V, batch, T, dt, lambda t, s: None)
-    assert masses.shape == (len(states), len(chis))
+    n_t = quantum.split_steps(T, dt)[0] + 1
+    assert series.shape == (len(states), n_t, len(chis))
+    assert cell_mass.shape == (len(states), n_t, len(cells))
     for r, psi in enumerate(states):
-        m, series, edge_peak, final_r = single_row_reference(V, psi, T, chis, dt)
-        np.testing.assert_array_equal(masses[r], m)
-        np.testing.assert_array_equal(info["series"][r], series)
-        np.testing.assert_array_equal(info["edge_peak"][r], edge_peak)
+        ref_series, ref_cells, final_r = single_row_reference(V, psi, T, weights, cells, dt)
+        np.testing.assert_array_equal(series[r], ref_series)
+        np.testing.assert_array_equal(cell_mass[r], ref_cells)
         np.testing.assert_array_equal(final.values[r], final_r)
-    return masses, info
+    return series, cell_mass
 
 
 def _cutoffs_1d():
@@ -342,8 +339,8 @@ def test_batch_rows_with_mixed_hbar_match_single_rows(grid512, dwell):
     states = [coherent_state(grid512, 0.05, 0.8, 0.3),
               coherent_state(grid512, 0.2, -0.5, 1.0),
               gaussian_state(grid512, 0.1, 0.2, -0.4, 0.4)]
-    _, info = assert_batch_matches_rows(dwell, states, 0.6, _cutoffs_1d(), 1e-3)
-    assert np.all(info["edge_peak"][:, :2] > 0)          # the edge monitor saw mass
+    _, cell_mass = assert_batch_matches_rows(dwell, states, 0.6, _cutoffs_1d(), 1e-3)
+    assert np.all(cell_mass.max(axis=1) > 0)            # both indicator edges saw mass
 
 
 def test_batch_toeplitz_atoms_match_single_rows(harm):
@@ -399,6 +396,7 @@ def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, threads):
     grid = Grid(dim=2, n=64, length=8.0)
     V2 = potentials.harmonic(dim=2)
     chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), ConstantCutoff(1.0)]
+    weights, cells = sampled(grid, chis)
     states = [coherent_state(grid, 0.2, [0.5, 0.0], [0.0, 0.5]),
               coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0]),
               coherent_state(grid, 0.15, [-0.3, 0.1], [0.4, -0.2])]
@@ -406,18 +404,18 @@ def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = observed_mass_series(V2, WaveBatch.of(states), 0.1, chis, (1e-2, 2e-2))
+        results = observed_mass_series(V2, WaveBatch.of(states), 0.1, weights, cells,
+                                       (1e-2, 2e-2))
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == baseline
     assert len(results) == 2
-    for (masses, info), dt in zip(results, (1e-2, 2e-2)):
-        assert info["dt"] == quantum.split_steps(0.1, dt)[1]
+    for (series, cell_mass), dt in zip(results, (1e-2, 2e-2)):
+        assert series.shape[1] == quantum.split_steps(0.1, dt)[0] + 1
         for r, psi in enumerate(states):
-            m, series, edge_peak, _ = single_row_reference(V2, psi, 0.1, chis, dt)
-            np.testing.assert_array_equal(masses[r], m)
-            np.testing.assert_array_equal(info["series"][r], series)
-            np.testing.assert_array_equal(info["edge_peak"][r], edge_peak)
+            ref_series, ref_cells, _ = single_row_reference(V2, psi, 0.1, weights, cells, dt)
+            np.testing.assert_array_equal(series[r], ref_series)
+            np.testing.assert_array_equal(cell_mass[r], ref_cells)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -443,7 +441,7 @@ def test_2d_leak_first_in_row_order_is_raised(monkeypatch, threads):
     baseline = threading.active_count()
     with pytest.raises(BoundaryLeakError, match=r"^row 1: boundary amplitude .* at t = 0\.32 "):
         observed_mass_series(V2, WaveBatch.of(states, ["row 0", "row 1", "row 2"]), 0.6,
-                             [ConstantCutoff(1.0)], (1e-2, 2e-2))
+                             *sampled(grid, [ConstantCutoff(1.0)]), (1e-2, 2e-2))
     assert threading.active_count() == baseline
     assert {dt for dt, _ in started} == {1e-2}
     assert {(1e-2, ("row 0",)), (1e-2, ("row 1",))} <= set(started)
@@ -469,11 +467,14 @@ def test_1d_rows_start_no_thread(monkeypatch, grid512, harm):
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     states = [coherent_state(grid512, 0.05, 0.8, 0.3), coherent_state(grid512, 0.2, -0.5, 1.0)]
-    results = observed_mass_series(harm, WaveBatch.of(states), 0.2, _cutoffs_1d(), (1e-2, 2e-2))
-    for (masses, _), dt in zip(results, (1e-2, 2e-2)):
+    weights, cells = sampled(grid512, _cutoffs_1d())
+    results = observed_mass_series(harm, WaveBatch.of(states), 0.2, weights, cells,
+                                   (1e-2, 2e-2))
+    for (series, cell_mass), dt in zip(results, (1e-2, 2e-2)):
         for r, psi in enumerate(states):
-            np.testing.assert_array_equal(
-                masses[r], single_row_reference(harm, psi, 0.2, _cutoffs_1d(), dt)[0])
+            ref_series, ref_cells, _ = single_row_reference(harm, psi, 0.2, weights, cells, dt)
+            np.testing.assert_array_equal(series[r], ref_series)
+            np.testing.assert_array_equal(cell_mass[r], ref_cells)
 
 
 def test_leak_in_one_row_names_its_hbar(grid1024, harm):
@@ -518,7 +519,7 @@ def test_propagation_leaves_the_callers_batch_alone(dim, harm):
     before = batch.values.copy()
     seen = []
     final = quantum.propagate_series(V, batch, 0.05, 1e-2, lambda t, s: seen.append(s.values))
-    observed_mass_series(V, batch, 0.05, [ConstantCutoff(1.0)], (1e-2, 2e-2))
+    observed_mass_series(V, batch, 0.05, *sampled(grid, [ConstantCutoff(1.0)]), (1e-2, 2e-2))
     np.testing.assert_array_equal(batch.values, before)
     assert seen[0] is batch.values
     # later states live in the run's own buffers, the last one returned
@@ -533,5 +534,6 @@ def test_batch_of_one_is_propagate(grid512, harm):
                                    lambda t, s: seen.append((t, s.values.shape)))
     assert seen[0] == (0.0, (1, 512)) and len(seen) == 31
     np.testing.assert_array_equal(out.row(0).values, propagate(harm, psi, 0.3, 1e-2).values)
-    np.testing.assert_array_equal(out.row(0).values,
-                                  single_row_reference(harm, psi, 0.3, [ConstantCutoff(1.0)], 1e-2)[3])
+    reference = single_row_reference(harm, psi, 0.3, *sampled(grid512, [ConstantCutoff(1.0)]),
+                                     1e-2)
+    np.testing.assert_array_equal(out.row(0).values, reference[2])

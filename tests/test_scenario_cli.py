@@ -138,6 +138,38 @@ def test_cli_malformed_phase_grid_exits_2(tmp_path):
     assert "config error: numerics.phase_grid.q" in res.stderr
 
 
+@pytest.mark.parametrize("dt", [1.0, 2.0])
+def test_one_quantum_step_exits_2(dt, tmp_path, capsys):
+    # T = 1 at dt >= T is one step at dt and one at 2 dt: the propagation and
+    # time terms would read 0 whatever the error; dt = T/2 takes 2 steps
+    cfg = base_config(numerics={"n": 512, "length": 20.0, "dt": dt, "dt_flow": 5e-3})
+    with pytest.raises(ConfigError, match=r"^numerics\.dt: T = 1 at dt = .* takes 1 "):
+        parse(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: numerics.dt" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    parse(base_config(numerics={"n": 512, "length": 20.0, "dt": 0.5, "dt_flow": 5e-3}))
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_jobs_below_one_exits_2(command, jobs, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run with an invalid --jobs")
+
+    monkeypatch.setattr(scenario, "run_scenario", no_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                  "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 STATES = {
     "coherent": {"kind": "coherent", "q": -2.5, "p": 1.25},
     "gaussian": {"kind": "gaussian", "q": -2.5, "p": 1.25, "sigma": 0.35},
