@@ -69,57 +69,48 @@ def wigner(psi: WaveFunction, x_axis: Array, xi_axis: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 def coherent_overlaps(psi: WaveFunction, q_nodes: Array, p_nodes: Array) -> Array:
-    """|<q,p|psi>|^2 for all pairs from q_nodes x p_nodes (dim 1 fast path).
-
-    q_nodes, p_nodes are 1-d arrays; the result has shape (len(q), len(p)).
-    """
-    grid = psi.grid
-    if grid.dim != 1:
-        raise NotImplementedError("use husimi_mass for dim 2 sets")
-    hbar = psi.hbar
-    x = grid.axis
-    gauss = np.exp(-((q_nodes[:, None] - x[None, :]) ** 2) / (2.0 * hbar))
-    weighted = gauss * psi.values[None, :]
-    kernel = np.exp(-1j * np.outer(x, p_nodes) / hbar)
-    amp = (weighted @ kernel) * grid.dx * (np.pi * hbar) ** (-0.25)
-    return np.abs(amp) ** 2
-
-
-def _bra_factor(axis: Array, q: Array, p: Array, hbar: float) -> Array:
-    """Per-axis factor of the conjugated coherent bra, sans the q.p phase
-    (which cancels in |.|^2): rows are points, columns grid nodes."""
-    diff = axis[None, :] - q[:, None]
-    return np.exp(-(diff ** 2) / (2.0 * hbar) - 1j * p[:, None] * axis[None, :] / hbar)
+    """|<q,p|psi>|^2 on the lattice q_nodes x p_nodes (dim 1), shape (len(q), len(p))."""
+    pts = lattice_points([np.asarray(q_nodes, float), np.asarray(p_nodes, float)])
+    return _overlap_sq_points(psi, pts).reshape(len(q_nodes), len(p_nodes))
 
 
 def _overlap_sq_points(psi: WaveFunction, phase_points: Array) -> Array:
-    """|<q,p|psi>|^2 at arbitrary phase points (m, 2*dim); any dimension.
+    """|<q,p|psi>|^2 at phase points (m, 2*dim); any dimension.
 
-    The coherent bra factorizes across axes, and each axis factor depends on
-    that axis's (q, p) pair alone.  So each factor is built once per distinct
-    pair, the first axis is contracted with the values once per distinct
-    pair, and each point then sums the product of its two rows: the same
-    sums, in the same order, as a matrix sandwich g1 @ values @ g2 per point.
+    The conjugated coherent bra, sans the q.p phase (which cancels in |.|^2),
+    separates across axes: on axis a it is a real Gaussian in q_a times a
+    plane wave in p_a.  So the grid axes are contracted one at a time, each
+    by (gauss * values) @ kernel with one Gaussian row per distinct q_a and
+    one plane-wave column per distinct p_a, over the lattice spanned by the
+    points' distinct coordinates, and the points then gather their values
+    from that lattice: the cost is at most the lattice size times the grid
+    size.  Gaussian rows go in blocks whose product holds no more values than
+    ``gauss`` itself: all at once in dim 1, one q at a time while a grid axis
+    remains.
     """
-    grid = psi.grid
-    d = grid.dim
+    grid, hbar = psi.grid, psi.hbar
+    d, x = grid.dim, grid.axis
     pts = np.atleast_2d(np.asarray(phase_points, dtype=float))
-    pref = (np.pi * psi.hbar) ** (-d / 4) * grid.cell_volume
-    factors, rows = [], []
-    for a in range(d):
-        pairs, inverse = np.unique(pts[:, [a, d + a]], axis=0, return_inverse=True)
-        factors.append(_bra_factor(grid.axis, pairs[:, 0], pairs[:, 1], psi.hbar))
-        rows.append(inverse.reshape(-1))
-    first = factors[0] @ psi.values
-    if d == 1:
-        return np.abs(first[rows[0]] * pref) ** 2
-    out = np.empty(len(pts))
-    chunk = 4096
-    for start in range(0, len(pts), chunk):
-        i1, i2 = (r[start:start + chunk] for r in rows)
-        amp = np.einsum("mn,mn->m", first[i1], factors[1][i2])
-        out[start:start + chunk] = np.abs(amp * pref) ** 2
-    return out
+    if pts.ndim != 2 or pts.shape[1] != 2 * d:
+        raise ValueError(f"phase points must have 2*dim = {2 * d} columns, "
+                         f"got shape {pts.shape}")
+    amp = psi.values            # lattice axes (q_a, p_a, ...), then grid axes left
+    index = []
+    for a in reversed(range(d)):                # the contracted axis is the last one
+        qs, iq = np.unique(pts[:, a], return_inverse=True)
+        ps, ip = np.unique(pts[:, d + a], return_inverse=True)
+        index = [iq.reshape(-1), ip.reshape(-1)] + index
+        gauss = np.exp(-((qs[:, None] - x[None, :]) ** 2) / (2.0 * hbar))
+        kernel = np.exp(-1j * np.outer(x, ps) / hbar)
+        rows = amp.reshape(-1, grid.n)
+        out = np.empty((len(qs), len(rows), len(ps)), dtype=complex)
+        step = max(1, len(qs) // len(rows))
+        for i in range(0, len(qs), step):
+            block = (gauss[i:i + step, None, :] * rows).reshape(-1, grid.n)
+            out[i:i + step] = (block @ kernel).reshape(-1, len(rows), len(ps))
+        amp = np.moveaxis(out.reshape(len(qs), *amp.shape[:-1], len(ps)), -1, 1)
+    amp = np.abs(amp * grid.cell_volume * (np.pi * hbar) ** (-d / 4)) ** 2
+    return amp[tuple(index)]
 
 
 def coherent_overlap_sq(hbar: float, q1, p1, q2, p2) -> float:
@@ -139,9 +130,7 @@ class HusimiField:
     hbar: float
 
     def integral(self) -> float:
-        wq = _trapezoid_weights(self.q_axis)
-        wp = _trapezoid_weights(self.p_axis)
-        return float(wq @ self.values @ wp)
+        return _trapezoid(self.values, [self.q_axis, self.p_axis])
 
 
 def _trapezoid_weights(axis: Array) -> Array:
@@ -153,6 +142,16 @@ def _trapezoid_weights(axis: Array) -> Array:
     w[0] = 0.5 * (axis[1] - axis[0])
     w[-1] = 0.5 * (axis[-1] - axis[-2])
     return w
+
+
+def _trapezoid(values: Array, axes: Sequence[Array]) -> float:
+    """Trapezoid rule on the lattice of ``axes`` (``values`` shaped by them):
+    each axis's weights contract the leading axis in turn, so in dim 1 this
+    is w_q @ values @ w_p."""
+    total = values
+    for ax in axes:
+        total = _trapezoid_weights(ax) @ total.reshape(len(ax), -1)
+    return float(total[0])
 
 
 def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
@@ -173,20 +172,13 @@ def husimi_mass(psi: WaveFunction, K: CompactSet, spacing: Optional[float] = Non
         raise ValueError("K and psi have different dimensions")
     h = _husimi_spacing(psi, spacing)
     total = 0.0
-    d = psi.grid.dim
     for box in K.boxes:
         if np.any(box[:, 1] <= box[:, 0]):
             continue                  # zero phase-space volume, contributes nothing
         axes = [lattice_axis(lo, hi, h) for lo, hi in box]
-        weights = [_trapezoid_weights(ax) for ax in axes]
-        if d == 1:
-            vals = coherent_overlaps(psi, axes[0], axes[1])
-            total += float(weights[0] @ vals @ weights[1])
-        else:
-            # the node weight multiplies its axes' weights left to right
-            vals = _overlap_sq_points(psi, lattice_points(axes))
-            total += float(np.sum(vals * math.prod(lattice_points(weights).T)))
-    return total / (2.0 * np.pi * psi.hbar) ** d
+        vals = _overlap_sq_points(psi, lattice_points(axes))
+        total += _trapezoid(vals.reshape([len(ax) for ax in axes]), axes)
+    return total / (2.0 * np.pi * psi.hbar) ** psi.grid.dim
 
 
 def husimi_mass_refined(psi: WaveFunction, K: CompactSet,

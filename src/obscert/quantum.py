@@ -552,9 +552,19 @@ def save_state(path, psi: WaveFunction, t: float = 0.0):
 
 
 def load_state(path) -> tuple[WaveFunction, float]:
+    """Read a :func:`save_state` snapshot.  A short header, a short payload
+    or trailing bytes raise ValueError naming the file and the expected and
+    found byte counts."""
     with open(path, "rb") as fh:
-        dim, n, length, hbar, t = _HEADER.unpack(fh.read(_HEADER.size))
-        grid = Grid(dim=dim, n=n, length=length)
-        raw = np.frombuffer(fh.read(), dtype="<c16")
-    values = raw.reshape(grid.shape).astype(complex)
-    return WaveFunction(grid, values, hbar), t
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: short header: expected {_HEADER.size} bytes, "
+                         f"found {len(raw)}")
+    dim, n, length, hbar, t = _HEADER.unpack_from(raw)
+    grid = Grid(dim=dim, n=n, length=length)
+    expected = _HEADER.size + 16 * n ** dim
+    if len(raw) != expected:
+        kind = "short payload" if len(raw) < expected else "trailing bytes"
+        raise ValueError(f"{path}: {kind}: expected {expected} bytes, found {len(raw)}")
+    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    return WaveFunction(grid, values.reshape(grid.shape).astype(complex), hbar), t

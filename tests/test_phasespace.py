@@ -5,7 +5,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from obscert import certify, phasespace, quantum
-from obscert.classical import CompactSet, ConstantCutoff, IndicatorCutoff, Region
+from obscert.classical import CompactSet, ConstantCutoff, IndicatorCutoff, Region, lattice_points
 from obscert.phasespace import (
     SpectralBandError, coherent_overlap_sq, coherent_tail_check,
     husimi, husimi_mass, toeplitz_from_density, wigner,
@@ -119,15 +119,33 @@ def test_overlap_formula(grid512, rng):
             coherent_overlap_sq(HBAR, q1, p1, q2, p2), abs=1e-8)
 
 
+def bra_factor(axis, q, p, hbar):
+    """Per-axis factor of the conjugated coherent bra, sans the q.p phase
+    (which cancels in |.|^2): rows are points, columns grid nodes."""
+    diff = axis[None, :] - q[:, None]
+    return np.exp(-(diff ** 2) / (2.0 * hbar) - 1j * p[:, None] * axis[None, :] / hbar)
+
+
 def sandwich_per_point(psi, pts):
     """|<q,p|psi>|^2 from a coherent bra factor built for each point, and one
     sandwich g1 @ values @ g2 per point."""
     d = psi.grid.dim
     pref = (np.pi * psi.hbar) ** (-d / 4) * psi.grid.cell_volume
-    g = [phasespace._bra_factor(psi.grid.axis, pts[:, a], pts[:, d + a], psi.hbar)
-         for a in range(d)]
+    g = [bra_factor(psi.grid.axis, pts[:, a], pts[:, d + a], psi.hbar) for a in range(d)]
     amp = g[0] @ psi.values if d == 1 else np.einsum("mn,mn->m", g[0] @ psi.values, g[1])
     return np.abs(amp * pref) ** 2
+
+
+def lattice_expression_1d(psi, pts):
+    """The dim-1 lattice expression |(gauss * values) @ kernel * dx * (pi hbar)^(-1/4)|^2
+    over the points' distinct q and p, read back at each point."""
+    x, hbar = psi.grid.axis, psi.hbar
+    q, iq = np.unique(pts[:, 0], return_inverse=True)
+    p, ip = np.unique(pts[:, 1], return_inverse=True)
+    gauss = np.exp(-((q[:, None] - x[None, :]) ** 2) / (2.0 * hbar))
+    kernel = np.exp(-1j * np.outer(x, p) / hbar)
+    amp = ((gauss * psi.values[None, :]) @ kernel) * psi.grid.dx * (np.pi * hbar) ** (-0.25)
+    return (np.abs(amp) ** 2)[iq, ip]
 
 
 @pytest.mark.parametrize("case", ["2d", "1d", "single"])
@@ -143,15 +161,40 @@ def test_overlap_points_match_per_point_sandwich(case, grid512):
     if case == "single":
         pts = np.array([[0.25, -0.05, 0.3, 0.35]])
     else:
-        # a 9-node lattice per phase axis repeats every axis pair, the
-        # uniform points fall off it, and the shuffled set is cut by a chunk
-        axes = [np.linspace(-0.6, 0.6, 9)] * (2 * dims)
-        lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        pts = rng.permutation(np.vstack([lattice, rng.uniform(-0.7, 0.7, (50, 2 * dims))]))
-    if case == "2d":
-        assert len(pts) > 4096
-    np.testing.assert_array_equal(phasespace._overlap_sq_points(psi, pts),
-                                  sandwich_per_point(psi, pts))
+        # a 9-node lattice per phase axis repeats every coordinate, and the
+        # uniform points fall off it; 8 of them span a 17^4 lattice in 2-d
+        lattice = lattice_points([np.linspace(-0.6, 0.6, 9)] * (2 * dims))
+        extra = rng.uniform(-0.7, 0.7, (50 if dims == 1 else 8, 2 * dims))
+        pts = rng.permutation(np.vstack([lattice, extra]))
+    got = phasespace._overlap_sq_points(psi, pts)
+    np.testing.assert_allclose(got, sandwich_per_point(psi, pts), rtol=1e-13, atol=0)
+    if dims == 1:
+        np.testing.assert_array_equal(got, lattice_expression_1d(psi, pts))
+        q, p = np.unique(pts[:, 0]), np.unique(pts[:, 1])
+        np.testing.assert_array_equal(phasespace.coherent_overlaps(psi, q, p),
+                                      lattice_expression_1d(psi, lattice_points([q, p]))
+                                      .reshape(len(q), len(p)))
+
+
+def test_overlap_points_reject_the_wrong_width(grid512):
+    psi = coherent_state(grid512, HBAR, 0.0, 0.0)
+    with pytest.raises(ValueError, match="2\\*dim = 2 columns"):
+        phasespace._overlap_sq_points(psi, np.array([[0.0, 0.0, 9.0]]))
+    psi2 = coherent_state(quantum.Grid(dim=2, n=16, length=8.0), HBAR, [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="2\\*dim = 4 columns"):
+        phasespace._overlap_sq_points(psi2, np.zeros((3, 2)))
+
+
+def test_overlap_points_match_closed_form_2d():
+    # a 2-d coherent ket against coherent bras on a 4-d lattice around it
+    hbar = 0.05
+    grid = quantum.Grid(dim=2, n=128, length=8.0)
+    psi = coherent_state(grid, hbar, [0.3, -0.2], [0.5, -0.4])
+    axes = [c + np.linspace(-0.5, 0.5, 7) for c in (0.3, -0.2, 0.5, -0.4)]
+    pts = lattice_points(axes)
+    exact = [coherent_overlap_sq(hbar, z[:2], z[2:], [0.3, -0.2], [0.5, -0.4]) for z in pts]
+    np.testing.assert_allclose(phasespace._overlap_sq_points(psi, pts), exact,
+                               rtol=0, atol=1e-12)
 
 
 def test_husimi_mass_whole_box(grid512):
@@ -182,6 +225,21 @@ def test_husimi_mass_matches_gaussian_integral(grid512):
     coarse = husimi_mass(psi, K, spacing=0.04)
     fine = husimi_mass(psi, K, spacing=0.01)
     assert fine == pytest.approx(expected, abs=1e-4)
+    # trapezoid boundary error shrinks quadratically with the spacing
+    assert abs(coarse - expected) <= 16.5 * abs(fine - expected) + 1e-5
+
+
+def test_husimi_mass_2d_matches_gaussian_integral():
+    # the 2-d Husimi density of a coherent state is a Gaussian of variance
+    # hbar per phase coordinate: its mass on a 4-d box is an erf product
+    hbar = 0.05
+    grid = quantum.Grid(dim=2, n=128, length=8.0)
+    psi = coherent_state(grid, hbar, [0.3, -0.2], [0.5, -0.4])
+    K = CompactSet(np.array([[[0.0, 0.7], [-0.6, 0.1], [0.2, 0.8], [-0.8, 0.0]]]), 0.1)
+    expected = coherent_tail_check(K, hbar, [0.3, -0.2], [0.5, -0.4])["husimi_mass"]
+    coarse = husimi_mass(psi, K, spacing=0.1)
+    fine = husimi_mass(psi, K, spacing=0.025)
+    assert fine == pytest.approx(expected, abs=2e-3)
     # trapezoid boundary error shrinks quadratically with the spacing
     assert abs(coarse - expected) <= 16.5 * abs(fine - expected) + 1e-5
 

@@ -268,6 +268,24 @@ def test_state_snapshot_roundtrip(tmp_path, grid512):
     assert complex(*first) == psi.values[0]
 
 
+@pytest.mark.parametrize("case, size, expected", [
+    ("short header", 20, 32),
+    ("short payload", 32 + 16 * 511 + 8, 32 + 16 * 512),
+    ("trailing bytes", 32 + 16 * 512 + 3, 32 + 16 * 512),
+])
+def test_damaged_snapshot_names_the_file_and_byte_counts(tmp_path, grid512, case, size,
+                                                         expected):
+    path = tmp_path / "state.qst"
+    save_state(path, coherent_state(grid512, HBAR, 0.0, 0.0))
+    raw = path.read_bytes()
+    path.write_bytes((raw + b"\0" * 3)[:size])
+    with pytest.raises(ValueError) as err:
+        load_state(path)
+    msg = str(err.value)
+    assert str(path) in msg and case in msg
+    assert f"expected {expected} bytes, found {size}" in msg
+
+
 def test_dim2_coherent_and_propagation(harm):
     # n=256 keeps coarse-grid split-step residue at the box edge below 1e-12
     grid = Grid(dim=2, n=256, length=16.0)
