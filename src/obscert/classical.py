@@ -168,11 +168,17 @@ class Region:
         return self.boxes.shape[1]
 
     def _dist_to_boxes(self, p: Array) -> Array:
-        # Euclidean distance to the closed union; p has shape (m, dim)
+        # Euclidean distance to the closed union; p has shape (m, dim).  The
+        # squared gaps are summed one axis at a time, in axis order: the bits
+        # of np.linalg.norm over the axes, without a reduction over a short axis
         d = np.full(len(p), np.inf)
         for box in self.boxes:
-            gaps = np.maximum(box[:, 0] - p, 0.0) + np.maximum(p - box[:, 1], 0.0)
-            d = np.minimum(d, np.linalg.norm(gaps, axis=-1))
+            gaps = [np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+                    for x, (lo, hi) in zip(p.T, box)]
+            d2 = gaps[0] * gaps[0]
+            for gap in gaps[1:]:
+                d2 += gap * gap
+            d = np.minimum(d, np.sqrt(d2))
         return d
 
     def indicator(self, points) -> Array:
@@ -181,7 +187,10 @@ class Region:
             return (self._dist_to_boxes(p) < self.inflate).astype(float)
         inside = np.zeros(len(p), dtype=bool)
         for box in self.boxes:
-            inside |= np.all((p > box[:, 0]) & (p < box[:, 1]), axis=-1)
+            in_box = np.ones(len(p), dtype=bool)
+            for x, (lo, hi) in zip(p.T, box):         # one axis at a time
+                in_box &= (x > lo) & (x < hi)
+            inside |= in_box
         return inside.astype(float)
 
     def distance(self, points) -> Array:
@@ -244,7 +253,11 @@ class RampCutoff(Cutoff):
         return 1.0 / self.delta
 
     def __call__(self, points) -> Array:
-        return np.maximum(0.0, 1.0 - self.region.distance(points) / self.delta)
+        return self.of_distance(self.region.distance(points))
+
+    def of_distance(self, distance: Array) -> Array:
+        """chi at points whose ``region.distance`` is given."""
+        return np.maximum(0.0, 1.0 - distance / self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +334,10 @@ class OccupationResult:
         return np.stack([self.hull[..., 0].min(axis=0), self.hull[..., 1].max(axis=0)], axis=-1)
 
 
+def _region_key(region: Region) -> tuple:
+    return region.boxes.shape, region.boxes.tobytes(), region.inflate
+
+
 def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff],
                      dt: float) -> OccupationResult:
     """Integrate all trajectories once; accumulate int_0^T chi(X(t)) dt per
@@ -328,8 +345,9 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
 
     Indicator cutoffs get exact crossing splits (bisection to dt*1e-3);
     smooth cutoffs use trapezoid weights at the integrator substeps.  Only the
-    Verlet step runs once per step; cutoffs, bisections and the time-ordered
-    sums run once per block of steps.
+    Verlet step runs once per step; the finiteness check, cutoffs, bisections
+    and the time-ordered sums run once per block of steps.  The ramp cutoffs
+    on one region share one distance to it per block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, dim = len(pts), pts.shape[1] // 2
@@ -350,6 +368,9 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
         if c.is_indicator:
             first_hit[vals[j] > 0.5, j] = 0.0
     hull = np.stack([x, x], axis=-1)
+    # the ramps' regions, keyed by value: a block's distance to each is taken once
+    keys = [_region_key(c.region) if isinstance(c, RampCutoff) else None for c in chi]
+    regions = {key: c.region for key, c in zip(keys, chi) if key is not None}
 
     t = 0.0
     done = 0
@@ -362,19 +383,22 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
             ts[0] = t
             for i in range(1, b + 1):
                 x, xi = verlet_step(V, x, xi, h)
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
-                    raise FlowBlowupError("flow blew up: dt too large or pathological potential")
                 X[i], XI[i] = x, xi
                 t += h
                 ts[i] = t
             done += b
             path = X[1:b + 1]
+            if not (np.isfinite(path).all() and np.isfinite(XI[1:b + 1]).all()):
+                raise FlowBlowupError("flow blew up: dt too large or pathological potential")
             np.minimum(hull[..., 0], path.min(axis=0), out=hull[..., 0])
             np.maximum(hull[..., 1], path.max(axis=0), out=hull[..., 1])
+            flat = path.reshape(-1, dim)
+            dist = {key: region.distance(flat) for key, region in regions.items()}
             for j, c in enumerate(chi):
                 v = np.empty((b + 1, m))
                 v[0] = vals[j]
-                v[1:] = c(path.reshape(-1, dim)).reshape(b, m)
+                v[1:] = (c(flat) if keys[j] is None
+                         else c.of_distance(dist[keys[j]])).reshape(b, m)
                 if c.is_indicator:
                     inside = v > 0.5
                     inc = np.where(inside[:-1] & inside[1:], h, 0.0)

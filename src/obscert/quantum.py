@@ -179,9 +179,9 @@ class WaveBatch:
     def row(self, r: int) -> WaveFunction:
         return WaveFunction(self.grid, self.values[r], float(self.hbars[r]))
 
-    def take(self, rows: Sequence[int]) -> "WaveBatch":
-        return WaveBatch(self.grid, self.values[rows], self.hbars[rows],
-                         tuple(self.labels[r] for r in rows))
+    def take(self, rows: slice) -> "WaveBatch":
+        """These rows, as a view of ``values``."""
+        return WaveBatch(self.grid, self.values[rows], self.hbars[rows], self.labels[rows])
 
     def with_values(self, values: Array) -> "WaveBatch":
         """These rows with new values of the same shape, without re-checking
@@ -265,23 +265,54 @@ def split_steps(t: float, dt: float) -> tuple[int, float]:
     return n, t / n
 
 
+def grid_fields(V: Potential, grid: Grid) -> tuple[Array, Array]:
+    """V and |k|^2 on the grid, read-only, for the runs that share them."""
+    vgrid = V.value_fn(grid.points()).reshape(grid.shape)
+    k2 = sum(km ** 2 for km in grid.k_meshes())
+    vgrid.flags.writeable = k2.flags.writeable = False
+    return vgrid, k2
+
+
+# Bytes of the block of synchronized states a propagation holds, and of the
+# block of densities the observer of observed_mass_series holds: the boundary
+# monitor and the density sums run once per block of steps.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_steps(step_bytes: int, n_steps: int) -> int:
+    """Steps per block: as many as _BLOCK_BYTES holds, at least one and at
+    most n_steps."""
+    return max(1, min(n_steps, _BLOCK_BYTES // step_bytes))
+
+
 class _Stepper:
-    """Precomputed Strang factors, one row per hbar; consecutive half
-    potential phases are fused.  Each row's factors are computed as a lone row
-    computes them, so a batch steps every row bit for bit as it would alone."""
+    """Precomputed Strang factors, one row per hbar, from the grid fields of
+    :func:`grid_fields`; consecutive half potential phases are fused.  Each
+    row's factors are built in place by a lone row's operations, in its
+    order, so a batch steps every row bit for bit as it would alone."""
 
-    def __init__(self, V: Potential, grid: Grid, hbars: Sequence[float], h: float):
-        vgrid = V.value_fn(grid.points()).reshape(grid.shape)
-        k2 = sum(km ** 2 for km in grid.k_meshes())
-        self.half = np.stack([np.exp(-0.5j * vgrid * h / hbar) for hbar in hbars])
+    def __init__(self, grid: Grid, fields: tuple[Array, Array], hbars: Sequence[float],
+                 h: float):
+        vgrid, k2 = fields
+        self.half = np.empty((len(hbars),) + grid.shape, dtype=complex)
+        self.kinetic = np.empty_like(self.half)
+        for half, kinetic, hbar in zip(self.half, self.kinetic, hbars):
+            # half = exp(-0.5j * vgrid * h / hbar), kinetic = exp(-0.5j * hbar * k2 * h)
+            np.multiply(-0.5j, vgrid, out=half)
+            np.multiply(half, h, out=half)
+            np.divide(half, hbar, out=half)
+            np.exp(half, out=half)
+            np.multiply(-0.5j * hbar, k2, out=kinetic)
+            np.multiply(kinetic, h, out=kinetic)
+            np.exp(kinetic, out=kinetic)
         self.full = self.half * self.half
-        self.kinetic = np.stack([np.exp(-0.5j * hbar * k2 * h) for hbar in hbars])
         self.edge = grid.boundary_cells()
-        self.edge_half = self.half.reshape(len(self.half), -1)[:, self.edge]
 
-    def edge_amplitude(self, v: Array) -> Array:
-        """Per-row boundary amplitude of v * half, from the edge cells alone."""
-        return np.abs(v.reshape(len(v), -1)[:, self.edge] * self.edge_half).max(axis=1)
+    def edge_amplitude(self, states: Array) -> Array:
+        """Boundary amplitude of every row of every synchronized state of a
+        block (b, rows, *grid.shape), from the edge cells alone: (b, rows)."""
+        flat = states.reshape(states.shape[:2] + (-1,))
+        return np.abs(np.take(flat, self.edge, axis=-1)).max(axis=-1)
 
     def kinetic_step(self, v: Array) -> None:
         """Apply the exact kinetic factor in Fourier space to every row of v,
@@ -312,48 +343,55 @@ class _Stepper:
 
 
 def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
-                     observer: Callable[[float, WaveBatch], None]) -> WaveBatch:
+                     observer: Callable[[float, WaveBatch], None], *,
+                     fields: tuple[Array, Array] | None = None) -> WaveBatch:
     """Propagate every row of a batch while calling observer(t, state) at
-    t = 0, dt, ..., T; the rows share the grid and the step size.
+    t = 0, dt, ..., T, once per step; the rows share the grid and the step
+    size.  ``fields`` are :func:`grid_fields` of (V, psi.grid), computed here
+    when not given.
 
-    The run steps two buffers of its own and never writes ``psi.values``.
-    The ``state`` passed to the observer at t > 0 is one of those buffers and
-    is overwritten by the next step: it is valid only during the call, and an
-    observer copies whatever it keeps.  The state returned, the one last
-    observed, is the run's own.
+    The run steps a state buffer of its own and never writes ``psi.values``.
+    It writes each synchronized state (the half phase applied) into a block
+    of its own of up to ``_BLOCK_BYTES``, and calls the observer for the
+    block's steps once the block is full.  The ``state`` passed to the
+    observer at t > 0 is a slot of that block and is overwritten by a later
+    step: it is valid only during the call, and an observer copies whatever
+    it keeps.  The state returned, the one last observed, is the run's own.
 
-    The boundary amplitude of every row's synchronized state is checked as it
-    is produced, and the spectral tail of every final row.  A row that fails
-    both checks reports the tail: a grid too coarse for the momenta also
-    spreads mass to the boundary, and a larger box would not help.  A trip
-    names the row by its label.
+    The boundary amplitude of every row's synchronized state is checked once
+    per block, before the observer sees any of the block's states, and the
+    spectral tail of every final row.  A trip is raised for the first leaking
+    step, then the first leaking row, after the observer has seen the steps
+    before it: as a check of every state as it is produced would raise.  A
+    row that fails both checks reports the tail: a grid too coarse for the
+    momenta also spreads mass to the boundary, and a larger box would not
+    help.  A trip names the row by its label.
     """
     n_steps, h = split_steps(T, dt)
-    stepper = _Stepper(V, psi.grid, psi.hbars, h)
+    stepper = _Stepper(psi.grid, fields or grid_fields(V, psi.grid), psi.hbars, h)
     observer(0.0, psi)
     current = psi.values * stepper.half
-    synced = np.empty_like(current)
-    for step in range(n_steps):
-        stepper.kinetic_step(current)
-        t = (step + 1) * h
-        amp = stepper.edge_amplitude(current)
-        leaking = amp > BOUNDARY_TOL
-        if leaking.any():
-            r = int(leaking.argmax())
-            row = WaveFunction(psi.grid, current[r] * stepper.half[r], psi.hbars[r])
-            _check_spectral_tail(row, psi.labels[r])
-            raise BoundaryLeakError(f"{psi.labels[r]}: boundary amplitude {amp[r]:.3e} "
-                                    f"at t = {t:.4g} exceeds {BOUNDARY_TOL:.0e}; "
-                                    "enlarge the box")
-        if step == n_steps - 1:
-            np.multiply(current, stepper.half, out=current)
-            state = psi.with_values(current)
-        else:
-            # observer sees the synchronized state (half phase applied)
-            np.multiply(current, stepper.half, out=synced)
-            state = psi.with_values(synced)
-            np.multiply(current, stepper.full, out=current)
-        observer(t, state)
+    block = np.empty((_block_steps(current.nbytes, n_steps),) + current.shape, dtype=complex)
+    for start in range(0, n_steps, len(block)):
+        synced = block[:n_steps - start]
+        for step, out in enumerate(synced, start):
+            stepper.kinetic_step(current)
+            np.multiply(current, stepper.half, out=out)
+            if step < n_steps - 1:
+                np.multiply(current, stepper.full, out=current)
+        amp = stepper.edge_amplitude(synced)
+        leaks = np.flatnonzero(amp > BOUNDARY_TOL)      # step-major, then row order
+        clean = len(synced) if leaks.size == 0 else leaks[0] // amp.shape[1]
+        for step, out in enumerate(synced[:clean], start):
+            state = psi.with_values(out)
+            observer((step + 1) * h, state)
+        if leaks.size:
+            i, r = divmod(int(leaks[0]), amp.shape[1])
+            _check_spectral_tail(WaveFunction(psi.grid, synced[i, r], psi.hbars[r]),
+                                 psi.labels[r])
+            raise BoundaryLeakError(f"{psi.labels[r]}: boundary amplitude {amp[i, r]:.3e} "
+                                    f"at t = {(start + i + 1) * h:.4g} exceeds "
+                                    f"{BOUNDARY_TOL:.0e}; enlarge the box")
     for r, label in enumerate(state.labels):
         _check_spectral_tail(state.row(r), label)
     return state
@@ -446,36 +484,52 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float, weights: Array,
     observer writes the group's own rows of the outputs.  1-D rows form one
     group per step size, and the groups run in turn on the calling thread: a
     1-D step is short and holds the interpreter lock for most of its time.
-    Each 2-D row is a group of its own, and the groups run concurrently on
-    the cores, where the n x n transforms release the lock (``_run_tasks``).
-    A run holds its step factors, two state buffers and one density buffer
+    Each 2-D row is a group of its own, a view of its row of ``psi``, and the
+    groups run concurrently on the cores, where the n x n transforms release
+    the lock (``_run_tasks``).  V and |k|^2 on the grid are evaluated once
+    and shared by the runs.  A run holds its step factors, a state buffer, a
+    block of states and a block of densities of up to ``_BLOCK_BYTES`` each,
     and allocates no grid-sized array per step, so memory grows with the
     number of cores, not with the number of rows or steps.  A failing run
     raises what the loop over step sizes, then rows, would raise first.
+
+    The observer stores each state's |psi|, and once per block of steps
+    takes |psi|^2 dV, the weighted sums by one stacked matmul and the cell
+    masses by one gather and sum over the last axis per cell set: each
+    equal bit for bit to a lone row's ``weights @ dens`` and
+    ``dens[idx].sum()``.  (A sum over a gathered middle axis,
+    ``dens[:, idx].sum(axis=1)``, adds in another order.)
     """
     grid = psi.grid
     rows = psi.hbars.size
     n_t = [split_steps(T, dt)[0] + 1 for dt in dts]
     series = [np.empty((rows, n, len(weights))) for n in n_t]
     cell_mass = [np.empty((rows, n, len(cells))) for n in n_t]
+    fields = grid_fields(V, grid)
+    weights_t = np.asarray(weights).T
 
     def run(i, group):
-        dens = np.empty((len(group), grid.n ** grid.dim))
+        batch = psi.take(group)
+        shape = (len(batch.hbars), grid.n ** grid.dim)        # one step's densities
+        dens = np.empty((_block_steps(8 * math.prod(shape), n_t[i]),) + shape)
 
         def observer(t, state, steps=itertools.count()):
             k = next(steps)
-            values = state.values.reshape(dens.shape)
-            np.abs(values, out=dens)
-            np.square(dens, out=dens)
-            np.multiply(dens, grid.cell_volume, out=dens)
-            for g, r in enumerate(group):
-                series[i][r, k] = weights @ dens[g]
-                for j, idx in enumerate(cells):
-                    cell_mass[i][r, k, j] = dens[g][idx].sum()
+            b = k % len(dens)
+            np.abs(state.values.reshape(dens.shape[1:]), out=dens[b])
+            if b == len(dens) - 1 or k == n_t[i] - 1:
+                reduce(slice(k - b, k + 1), dens[:b + 1])
 
-        propagate_series(V, psi.take(group), T, dts[i], observer)
+        def reduce(ks, d):
+            np.square(d, out=d)
+            np.multiply(d, grid.cell_volume, out=d)
+            series[i][group, ks] = np.matmul(d[:, :, None, :], weights_t)[:, :, 0].swapaxes(0, 1)
+            for j, idx in enumerate(cells):
+                cell_mass[i][group, ks, j] = np.take(d, idx, axis=-1).sum(axis=-1).T
 
-    groups = [list(range(rows))] if grid.dim == 1 else [[r] for r in range(rows)]
+        propagate_series(V, batch, T, dts[i], observer, fields=fields)
+
+    groups = [slice(0, rows)] if grid.dim == 1 else [slice(r, r + 1) for r in range(rows)]
     tasks = [(i, group) for i in range(len(dts)) for group in groups]
     _run_tasks(run, tasks, 1 if grid.dim == 1 else cores())
     return list(zip(series, cell_mass))

@@ -236,8 +236,11 @@ def test_zero_when_cutoff_missed(free):
 def test_occupation_batch_columns_match_single_cutoff_passes(harm):
     K = phys_box(0.7, 1.3, -0.3, 0.3, spacing=0.1)
     om = interval(0.2, 2.0)
+    # the ramps on om, and on an equal region built apart, share one distance
+    # per block; the ramp on the enlarged region takes its own
     cutoffs = [RampCutoff(om, 0.4), IndicatorCutoff(om), ConstantCutoff(0.5),
-               IndicatorCutoff(om.enlarged(0.3))]
+               IndicatorCutoff(om.enlarged(0.3)), RampCutoff(om, 0.15),
+               RampCutoff(om.enlarged(0.3), 0.2), RampCutoff(interval(0.2, 2.0), 1.0)]
     fused = occupation_batch(harm, K.sample_grid(), np.pi / 2, cutoffs, 1e-3)
     for j, chi in enumerate(cutoffs):
         single = occupation_batch(harm, K.sample_grid(), np.pi / 2, [chi], 1e-3)
@@ -478,6 +481,51 @@ def test_region_distance_lipschitz(rng):
     b = rng.uniform(-2, 6, size=(200, 1))
     da, db = om.distance(a), om.distance(b)
     assert np.all(np.abs(da - db) <= np.linalg.norm(a - b, axis=-1) + 1e-12)
+
+
+def reference_dist_to_boxes(region, p):
+    """Reference: the distance to the closed boxes as a norm over the axes."""
+    d = np.full(len(p), np.inf)
+    for box in region.boxes:
+        gaps = np.maximum(box[:, 0] - p, 0.0) + np.maximum(p - box[:, 1], 0.0)
+        d = np.minimum(d, np.linalg.norm(gaps, axis=-1))
+    return d
+
+
+def reference_indicator(region, p):
+    """Reference: the indicator as an all() over the axes (a distance test
+    when inflated)."""
+    if region.inflate > 0:
+        return (reference_dist_to_boxes(region, p) < region.inflate).astype(float)
+    inside = np.zeros(len(p), dtype=bool)
+    for box in region.boxes:
+        inside |= np.all((p > box[:, 0]) & (p < box[:, 1]), axis=-1)
+    return inside.astype(float)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_region_per_axis_forms_match_norm_and_all(dim, rng):
+    boxes = {1: [[[0.5, 1.5]], [[3.0, 4.0]]],
+             2: [[[0.2, 2.0], [0.2, 2.0]], [[-1.5, -0.5], [-3.0, 1.0]]]}[dim]
+    lo, hi = np.min(boxes, axis=(0, 2)), np.max(boxes, axis=(0, 2))
+    random = rng.uniform(lo - 2, hi + 2, size=(4000, dim))
+    # every face and corner coordinate on every axis, mixed with random ones
+    faces = np.array(boxes).reshape(-1, dim, 2).transpose(1, 0, 2).reshape(dim, -1)
+    on_faces = random[:faces.shape[1] * 8].copy()
+    for a in range(dim):
+        on_faces[:, a] = np.resize(faces[a], len(on_faces))
+    huge = np.array([1e200, -1e200, 1e300, -1e155, 3e154]).repeat(dim).reshape(-1, dim)
+    huge[1::2, 0] = 1.0                                  # one axis inside, the other not
+    points = np.concatenate([random, on_faces, huge])
+    for region in (Region(np.array(boxes[:1])), Region(np.array(boxes)),
+                   Region(np.array(boxes)).enlarged(0.25)):
+        with np.errstate(over="ignore"):
+            got = region._dist_to_boxes(points)
+            assert got.tobytes() == reference_dist_to_boxes(region, points).tobytes()
+            assert (region.indicator(points).tobytes()
+                    == reference_indicator(region, points).tobytes())
+    assert np.isinf(got[-len(huge):]).any()                  # squares that overflow
+    assert (Region(np.array(boxes)).indicator(on_faces) == 0).any()
 
 
 def test_region_enlarged():

@@ -89,10 +89,14 @@ def test_boundary_monitor_sees_mid_run_leaks(grid1024, harm):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_step_monitor_reads_the_synchronized_edges(dim, rng):
     grid = Grid(dim=dim, n=16, length=8.0)
-    stepper = quantum._Stepper(potentials.harmonic(dim=dim), grid, [HBAR], 0.1)
-    v = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    synced = quantum.WaveFunction(grid, v * stepper.half[0], HBAR)
-    assert stepper.edge_amplitude(v[None])[0] == synced.boundary_amplitude()
+    V = potentials.harmonic(dim=dim)
+    stepper = quantum._Stepper(grid, quantum.grid_fields(V, grid), [HBAR, 0.2], 0.1)
+    shape = (3, 2) + grid.shape
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amp = stepper.edge_amplitude(block)
+    assert amp.shape == (3, 2)
+    for i, r in np.ndindex(amp.shape):
+        assert amp[i, r] == quantum.WaveFunction(grid, block[i, r], HBAR).boundary_amplitude()
 
 
 def test_grid_requires_power_of_two():
@@ -398,7 +402,8 @@ def test_2d_kinetic_step_matches_a_lone_row(n, rng):
     # 256 KiB from which a lone row's product swaps its operands, 128^2 and
     # 256^2 rows at and above it
     grid = Grid(dim=2, n=n, length=8.0)
-    stepper = quantum._Stepper(potentials.harmonic(dim=2), grid, [0.2, 0.1], 1e-2)
+    stepper = quantum._Stepper(grid, quantum.grid_fields(potentials.harmonic(dim=2), grid),
+                               [0.2, 0.1], 1e-2)
     v = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
     expected = [np.fft.ifftn(k * np.fft.fftn(row)) for k, row in zip(stepper.kinetic, v)]
     stepper.kinetic_step(v)
@@ -446,9 +451,9 @@ def test_2d_leak_first_in_row_order_is_raised(monkeypatch, threads):
     started = []
     propagate_series = quantum.propagate_series
 
-    def recording(V, psi, T, dt, observer):
+    def recording(V, psi, T, dt, observer, **kwargs):
         started.append((dt, psi.labels))
-        return propagate_series(V, psi, T, dt, observer)
+        return propagate_series(V, psi, T, dt, observer, **kwargs)
 
     monkeypatch.setattr(quantum, "propagate_series", recording)
     grid = Grid(dim=2, n=64, length=4.0)
@@ -555,3 +560,164 @@ def test_batch_of_one_is_propagate(grid512, harm):
     reference = single_row_reference(harm, psi, 0.3, *sampled(grid512, [ConstantCutoff(1.0)]),
                                      1e-2)
     np.testing.assert_array_equal(out.row(0).values, reference[2])
+
+
+# ---------------------------------------------------------------------------
+# blocks against the per-step loop
+# ---------------------------------------------------------------------------
+
+def stepwise_reference(V, psi, T, dt, weights, cells, observer=lambda t: None):
+    """Reference: the Strang loop and observer of a whole batch one step at a
+    time, as they ran before blocks: the boundary monitor on every step, then
+    observer(t), one gemv and one gather sum per row per step.  Returns
+    (series, cell_mass, final values); a leak raises as that loop raised it."""
+    grid, rows = psi.grid, len(psi.hbars)
+    n_steps, h = quantum.split_steps(T, dt)
+    vgrid = V.value_fn(grid.points()).reshape(grid.shape)
+    k2 = sum(km ** 2 for km in grid.k_meshes())
+    half = np.stack([np.exp(-0.5j * vgrid * h / hbar) for hbar in psi.hbars])
+    full = half * half
+    kinetic = np.stack([np.exp(-0.5j * hbar * k2 * h) for hbar in psi.hbars])
+    edge = grid.boundary_cells()
+    edge_half = half.reshape(rows, -1)[:, edge]
+    series = np.empty((rows, n_steps + 1, len(weights)))
+    cell_mass = np.empty((rows, n_steps + 1, len(cells)))
+
+    def observe(k, t, values):
+        observer(t)
+        dens = np.abs(values.reshape(rows, -1)) ** 2 * grid.cell_volume
+        for r in range(rows):
+            series[r, k] = weights @ dens[r]
+            for j, idx in enumerate(cells):
+                cell_mass[r, k, j] = dens[r][idx].sum()
+
+    observe(0, 0.0, psi.values)
+    current = psi.values * half
+    for step in range(n_steps):
+        current = np.stack([np.fft.ifftn(k * np.fft.fftn(row)) for k, row in zip(kinetic, current)])
+        t = (step + 1) * h
+        amp = np.abs(current.reshape(rows, -1)[:, edge] * edge_half).max(axis=1)
+        leaking = amp > quantum.BOUNDARY_TOL
+        if leaking.any():
+            r = int(leaking.argmax())
+            quantum._check_spectral_tail(
+                quantum.WaveFunction(grid, current[r] * half[r], psi.hbars[r]), psi.labels[r])
+            raise BoundaryLeakError(f"{psi.labels[r]}: boundary amplitude {amp[r]:.3e} "
+                                    f"at t = {t:.4g} exceeds {quantum.BOUNDARY_TOL:.0e}; "
+                                    "enlarge the box")
+        synced = current * half
+        observe(step + 1, t, synced)
+        current = current * full
+    return series, cell_mass, synced
+
+
+def assert_blocks_match_steps(V, batch, T, chis, dts):
+    weights, cells = sampled(batch.grid, chis)
+    results = observed_mass_series(V, batch, T, weights, cells, dts)
+    for (series, cell_mass), dt in zip(results, dts):
+        ref_series, ref_cells, ref_final = stepwise_reference(V, batch, T, dt, weights, cells)
+        np.testing.assert_array_equal(series, ref_series)
+        np.testing.assert_array_equal(cell_mass, ref_cells)
+        final = quantum.propagate_series(V, batch, T, dt, lambda t, s: None)
+        np.testing.assert_array_equal(final.values, ref_final)
+
+
+def _mixed_hbar_batch(grid512):
+    return WaveBatch.of([coherent_state(grid512, 0.05, 0.8, 0.3),
+                         coherent_state(grid512, 0.2, -0.5, 1.0),
+                         gaussian_state(grid512, 0.1, 0.2, -0.4, 0.4)])
+
+
+def _toeplitz_batch():
+    grid = Grid(dim=1, n=2048, length=16.0)
+    states = []
+    for hbar in (0.05, 0.2):
+        R = toeplitz_from_density([(q, p, 1.0) for q, p in
+                                   [(-1.0, 0.5), (0.0, 1.0), (0.5, -0.5), (1.2, 0.0)]], hbar)
+        states += [R.atom_state(j, grid) for j in range(len(R.weights))]
+    return WaveBatch.of(states)
+
+
+# states per block: one, a divisor of the 600 and 250 steps, and one that
+# leaves a remainder of 5 in both; None keeps the module's budget
+@pytest.mark.parametrize("states", [None, 1, 10, 7])
+@pytest.mark.parametrize("case", ["mixed hbar", "toeplitz"])
+def test_1d_blocks_match_the_step_loop(monkeypatch, grid512, dwell, harm, case, states):
+    batch = _mixed_hbar_batch(grid512) if case == "mixed hbar" else _toeplitz_batch()
+    if states is not None:
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", states * batch.values.nbytes)
+    V, T = (dwell, 0.6) if case == "mixed hbar" else (harm, 0.25)
+    assert_blocks_match_steps(V, batch, T, _cutoffs_1d(), (1e-3,))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_2d_blocks_match_the_step_loop_on_threads(monkeypatch, threads):
+    monkeypatch.setattr(quantum, "cores", lambda: threads)
+    grid = Grid(dim=2, n=64, length=8.0)
+    chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), ConstantCutoff(1.0)]
+    batch = WaveBatch.of([coherent_state(grid, 0.2, [0.5, 0.0], [0.0, 0.5]),
+                          coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0]),
+                          coherent_state(grid, 0.15, [-0.3, 0.1], [0.4, -0.2])])
+    assert_blocks_match_steps(potentials.harmonic(dim=2), batch, 0.1, chis, (1e-2, 2e-2))
+
+
+def _leaking_batch(grid1024):
+    # the last row swings out faster than the middle one and leaks first
+    return WaveBatch.of([coherent_state(grid1024, 0.05, 0.0, 0.0),
+                         coherent_state(grid1024, 0.1, 0.0, 6.5),
+                         coherent_state(grid1024, 0.1, 0.0, 6.6)], ["still", "slow", "fast"])
+
+
+@pytest.mark.parametrize("budget", ["module", "whole run"])
+def test_leak_mid_block_raises_as_the_step_loop(monkeypatch, grid1024, harm, budget):
+    batch = _leaking_batch(grid1024)
+    n_steps = quantum.split_steps(np.pi, 1e-3)[0]
+    if budget == "whole run":
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", n_steps * batch.values.nbytes)
+    weights, cells = sampled(grid1024, [ConstantCutoff(1.0)])
+    ref_times, times = [], []
+    with pytest.raises(BoundaryLeakError) as ref:
+        stepwise_reference(harm, batch, np.pi, 1e-3, weights, cells, ref_times.append)
+    with pytest.raises(BoundaryLeakError) as got:
+        quantum.propagate_series(harm, batch, np.pi, 1e-3, lambda t, s: times.append(t))
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("fast: boundary amplitude ")
+    assert times == ref_times
+    # the tripping step (the steps observed after t = 0 come before it) is
+    # not the first of its block
+    assert (len(times) - 1) % quantum._block_steps(batch.values.nbytes, n_steps) != 0
+
+
+def test_observer_never_sees_the_leaking_state(monkeypatch, grid1024, harm):
+    # one block for the whole run: the steps after the trip are computed, and
+    # not one of them, nor the tripping step, reaches the observer
+    batch = _leaking_batch(grid1024)
+    monkeypatch.setattr(quantum, "_BLOCK_BYTES", 4000 * batch.values.nbytes)
+    seen = []
+
+    def observer(t, state):
+        seen.append((t, max(state.row(r).boundary_amplitude() for r in range(3))))
+
+    with pytest.raises(BoundaryLeakError, match=r"at t = (1\.\d+) exceeds") as err:
+        quantum.propagate_series(harm, batch, np.pi, 1e-3, observer)
+    trip = float(err.value.args[0].split("at t = ")[1].split()[0])
+    assert len(seen) > 1
+    assert max(a for _, a in seen) <= quantum.BOUNDARY_TOL
+    assert max(t for t, _ in seen) < trip
+
+
+def test_cell_sums_gather_along_the_last_axis():
+    # the 274 edge cells of the grid2d Omega_1: np.take(...).sum(-1) adds each
+    # row's cells as a lone row's dens[idx].sum() does; the gather of a middle
+    # axis, dens[:, idx].sum(axis=1), adds them in another order
+    grid = Grid(dim=2, n=128, length=12.0)
+    omega = Region(np.array([[[0.2, 2.0], [0.2, 2.0]]])).enlarged(1.0)
+    idx = certify._edge_cells(omega.indicator(grid.points()).reshape(grid.shape))
+    assert idx.size == 274
+    psi = coherent_state(grid, 0.2, [0.9, 0.9], [-0.1, 0.1])
+    dens = np.stack([psi.density().reshape(-1) * grid.cell_volume * (1 + 0.01 * k)
+                     for k in range(6)])
+    lone = np.array([row[idx].sum() for row in dens])
+    np.testing.assert_array_equal(np.take(dens.reshape(3, 2, -1), idx, axis=-1).sum(axis=-1),
+                                  lone.reshape(3, 2))
+    assert not np.array_equal(dens[:, idx].sum(axis=1), lone)
