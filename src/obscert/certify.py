@@ -7,6 +7,17 @@ exponentially growing correction.  Three coefficient conventions for the
 pure-state correction term are in circulation (factors 1, 4 and 8 on the same
 base constant); certificates subtract the largest (safest) one and report the
 other two.
+
+Every growth constant comes from one Gronwall step on the Golse-Paul
+pseudometric with the lam-weighted cost lam^2 |x - y|^2 + |xi - eta|^2: its
+square root grows at most like exp(s t / 2) with the rate
+
+    s(lam, lip) = lam + lip^2 / lam        (``growth_rate``)
+
+and the correction coefficients integrate that growth over [0, T]
+(``gronwall_factor``).  Known defect: lam is 1/time and lip 1/time^2, so
+lip^2 / lam is not a rate.  The step gives lam + lip / lam; the two agree at
+lip = 1 and s is safe for lip > 1, but too small for lip < 1.
 """
 
 from __future__ import annotations
@@ -17,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import classical, phasespace, quantum
-from .classical import CompactSet, GeometricSummary, IndicatorCutoff, Region
+from . import phasespace, quantum
+from .classical import CompactSet, GeometricSummary, Region
 from .phasespace import ToeplitzState
 from .potentials import Potential, saturating_exp, saturating_square
 from .quantum import Grid, WaveFunction
@@ -30,23 +41,37 @@ SCHEMA_VERSION = 1
 # closed-form constants
 # ---------------------------------------------------------------------------
 
+def growth_rate(lam: float, lip: float) -> float:
+    """s(lam, lip) = lam + lip^2 / lam, the exponential rate of the Gronwall
+    step.  Saturates to +inf where lip^2 overflows (and at lam = lip = inf)."""
+    s = lam + saturating_square(lip) / lam
+    return math.inf if math.isnan(s) else s
+
+
+def gronwall_factor(s: float, T: float) -> float:
+    """(exp(s T / 2) - 1) / s: half the integral of the growth exp(s t / 2)
+    over [0, T].  Saturates to +inf on overflow."""
+    if math.isinf(s):
+        return math.inf
+    e = saturating_exp(0.5 * s * T)
+    return math.inf if math.isinf(e) else (e - 1.0) / s
+
+
 def spread_coefficient(T: float, lip: float) -> float:
-    """Coefficient of spread/delta in the pure-state defect term:
-    (exp((1 + lip^2) T / 2) - 1) / (1 + lip^2).  Saturates to +inf on overflow."""
+    """Coefficient D of spread/delta in the pure-state defect term: the
+    Gronwall factor at lam = 1."""
     if T < 0 or lip < 0:
         raise ValueError("T and lip must be nonnegative")
-    a = 1.0 + saturating_square(lip)
-    if math.isinf(a):
-        return math.inf
-    return (saturating_exp(0.5 * a * T) - 1.0) / a
+    return gronwall_factor(growth_rate(1.0, lip), T)
 
 
 def _growth_objective(T: float, lip: float, lam: float) -> float:
-    s = lam + saturating_square(lip) / lam
-    e = saturating_exp(0.5 * s * T)
-    if math.isinf(e):
+    """The Gronwall factor at lam times sqrt(1 + 1/lam^2): the Toeplitz
+    coefficient's objective, +inf before 1/lam^2 can overflow."""
+    g = gronwall_factor(growth_rate(lam, lip), T)
+    if math.isinf(g):
         return math.inf
-    return (e - 1.0) / s * math.sqrt(1.0 + 1.0 / lam ** 2)
+    return g * math.sqrt(1.0 + 1.0 / lam ** 2)
 
 
 def balanced_growth_root(tol: float = 1e-10) -> float:
@@ -65,15 +90,20 @@ def balanced_growth_root(tol: float = 1e-10) -> float:
 _L0_ROOT = balanced_growth_root()
 
 
+def zero_lip_candidate(T: float) -> tuple[float, float]:
+    """(lambda, bound value) of the explicit lam = 2 r / T choice at lip = 0."""
+    lam0 = 2.0 * _L0_ROOT / T
+    return lam0, _growth_objective(T, 0.0, lam0)
+
+
 def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[float]]:
     """(value, minimizer lambda) of the Toeplitz correction coefficient
-    inf_{lam > 0} (exp((lam + lip^2/lam) T / 2) - 1)/(lam + lip^2/lam)
-    * sqrt(1 + 1/lam^2).
+    inf_{lam > 0} ``_growth_objective``(T, lip, lam).
 
     Log-grid scan plus golden-section refinement; the explicit candidates
-    lam = lip (lip > 0) and lam = 2 r / T with r the balanced-growth root
-    (lip = 0) are upper bounds of the infimum and cap the result.  When every
-    candidate overflows to +inf no lambda attains anything: (inf, None).
+    lam = lip (lip > 0) and ``zero_lip_candidate`` (lip = 0) are upper
+    bounds of the infimum and cap the result.  When every candidate
+    overflows to +inf no lambda attains anything: (inf, None).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -106,8 +136,8 @@ def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[
     if lip > 0:
         candidates.append((_growth_objective(T, lip, lip), lip))
     else:
-        lam0 = 2.0 * _L0_ROOT / T
-        candidates.append((_growth_objective(T, lip, lam0), lam0))
+        lam0, val0 = zero_lip_candidate(T)
+        candidates.append((val0, lam0))
     value, lam = min(candidates, key=lambda t: t[0])
     if math.isinf(value):
         return math.inf, None
@@ -116,26 +146,6 @@ def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[
 
 def toeplitz_coefficient(T: float, lip: float) -> float:
     return toeplitz_coefficient_details(T, lip)[0]
-
-
-def lambda_equals_lip_bounds(T: float, lip: float) -> tuple[float, float]:
-    """The two printed forms of the lam = lip upper bound:
-    (e^{lip T}-1)/(2 lip) sqrt(1 + 1/lip^2)  and  (e^{lip T}-1)/(2 lip^2) sqrt(1 + lip^2).
-    They are algebraically identical; both saturate to +inf on overflow."""
-    if lip <= 0:
-        raise ValueError("lip must be positive for this bound")
-    e = saturating_exp(lip * T) - 1.0
-    if math.isinf(e):
-        return math.inf, math.inf
-    f1 = e / (2.0 * lip) * math.sqrt(1.0 + 1.0 / lip ** 2)
-    f2 = e / (2.0 * lip ** 2) * math.sqrt(1.0 + lip ** 2)
-    return f1, f2
-
-
-def zero_lip_candidate(T: float) -> tuple[float, float]:
-    """(lambda, bound value) of the explicit lam = 2 r / T choice at lip = 0."""
-    lam0 = 2.0 * _L0_ROOT / T
-    return lam0, _growth_objective(T, 0.0, lam0)
 
 
 @dataclass(frozen=True)
@@ -423,21 +433,3 @@ def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
                 dim=R.dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl,
                 admissible=bool(R.hbar / delta ** 2 < threshold)))
     return reports
-
-
-def observability_margin(psi: WaveFunction, K: CompactSet, omega: Region, T: float,
-                         delta: float, c_obs: float, V: Potential, *,
-                         dt_flow: float,
-                         husimi_spacing: Optional[float] = None) -> tuple[float, bool]:
-    """The admissibility functional for a target observation constant:
-    occupation inf over K for the delta-enlarged region, weighted by the
-    phase-space mass on K, minus the spread penalty.  Returns (value, value >= 1/c_obs)."""
-    if c_obs <= 0:
-        raise ValueError("c_obs must be positive")
-    res = classical.occupation_batch(
-        V, K.sample_grid(), T, [IndicatorCutoff(omega.enlarged(delta))], dt_flow)
-    c_enl = float(res.occupation.min())
-    h_K = phasespace.husimi_mass(psi, K, husimi_spacing)
-    D = spread_coefficient(T, _lip_along_flow(V, res.joint_hull))
-    value = c_enl * h_K - D * quantum.spread(psi) / delta
-    return float(value), bool(value >= 1.0 / c_obs)

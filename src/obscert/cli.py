@@ -228,9 +228,7 @@ def cmd_constants(args) -> int:
         },
     }
     if lip > 0:
-        f1, f2 = certify.lambda_equals_lip_bounds(T, lip)
-        payload["lambda_equals_lip_bound"] = f1
-        payload["lambda_equals_lip_bound_alt"] = f2
+        payload["lambda_equals_lip_bound"] = certify._growth_objective(T, lip, lip)
     else:
         lam0, val0 = certify.zero_lip_candidate(T)
         payload["zero_lip_lambda"] = lam0

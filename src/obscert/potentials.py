@@ -1,10 +1,10 @@
 """Potentials V with gradients and certified Lipschitz bounds for the gradient.
 
-A potential carries an explicit working box; the Lipschitz constant of the
-force field is certified on that box (analytically for built-ins, by dense
-sampling otherwise).  Flows and certificates consume ``lip_grad``, so the
-bound must never depend on sampling luck: built-ins override the sampled
-estimate with a closed form.
+A potential carries an explicit working box and a closed-form bound
+``lip_on_box`` for the Lipschitz constant of its force field on any box; its
+``lip_grad`` is that bound on the working box.  The bound is always
+analytic, so it never depends on sampling luck: sampled difference quotients
+serve only as a test oracle for it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -71,19 +71,22 @@ def _points(x, dim: int) -> Array:
 class Potential:
     """A C^{1,1} potential with gradient and a certified Lipschitz bound for it.
 
-    value_fn / grad_fn act on (m, dim) position arrays.  ``lip_grad`` is an
-    upper bound for the Lipschitz constant of the gradient on ``working_box``;
-    ``lip_on_box``, when present, returns the analytic bound for an arbitrary
-    box and is what certification should trust.
+    value_fn / grad_fn act on (m, dim) position arrays.  ``lip_on_box`` maps
+    a (dim, 2) box to an analytic upper bound for the Lipschitz constant of
+    the gradient there; it is the only source of the bound.
     """
 
     name: str
     dim: int
     value_fn: Callable[[Array], Array]
     grad_fn: Callable[[Array], Array]
-    lip_grad: float
     working_box: Array
-    lip_on_box: Optional[Callable[[Array], float]] = None
+    lip_on_box: Callable[[Array], float]
+
+    @property
+    def lip_grad(self) -> float:
+        """The Lipschitz bound of the gradient on ``working_box``."""
+        return float(self.lip_on_box(self.working_box))
 
     def value(self, x):
         pts = _points(x, self.dim)
@@ -107,10 +110,8 @@ class Potential:
         return out.reshape(np.broadcast_shapes(a.shape, (len(pts), self.dim)))
 
     def with_box(self, box) -> "Potential":
-        """Same potential on a different working box, with the bound recertified."""
-        b = _box_array(box, self.dim)
-        lip = self.lip_on_box(b) if self.lip_on_box is not None else self.lip_grad
-        return replace(self, working_box=b, lip_grad=float(lip))
+        """Same potential on a different working box (and so its bound)."""
+        return replace(self, working_box=_box_array(box, self.dim))
 
     def inside_box(self, x) -> Array:
         pts = _points(x, self.dim)
@@ -134,14 +135,12 @@ def _free_grad(p: Array) -> Array:
 
 
 def free_particle(dim: int = 1, box=(-8.0, 8.0)) -> Potential:
-    b = _box_array(box, dim)
     return Potential(
         name="free",
         dim=dim,
         value_fn=_free_value,
         grad_fn=_free_grad,
-        lip_grad=0.0,
-        working_box=b,
+        working_box=_box_array(box, dim),
         lip_on_box=partial(_constant_lip, 0.0),
     )
 
@@ -158,14 +157,12 @@ def harmonic(stiffness: float = 1.0, dim: int = 1, box=(-8.0, 8.0)) -> Potential
     """V(x) = k |x|^2 / 2 with k = stiffness, so the force field k x has
     Lipschitz constant |k| (a negative k is an inverted oscillator)."""
     k = float(stiffness)
-    b = _box_array(box, dim)
     return Potential(
         name="harmonic",
         dim=dim,
         value_fn=partial(_harmonic_value, k),
         grad_fn=partial(_harmonic_grad, k),
-        lip_grad=abs(k),
-        working_box=b,
+        working_box=_box_array(box, dim),
         lip_on_box=partial(_constant_lip, abs(k)),
     )
 
@@ -195,14 +192,12 @@ def _double_well_grad(p: Array) -> Array:
 
 def double_well(dim: int = 1, box=(-2.0, 2.0)) -> Potential:
     """V(x) = (|x|^2 - 1)^2 with wells on the unit sphere and a barrier at the origin."""
-    b = _box_array(box, dim)
     return Potential(
         name="double_well",
         dim=dim,
         value_fn=_double_well_value,
         grad_fn=_double_well_grad,
-        lip_grad=_double_well_lip(b),
-        working_box=b,
+        working_box=_box_array(box, dim),
         lip_on_box=_double_well_lip,
     )
 
@@ -228,41 +223,3 @@ def from_config(cfg: dict) -> Potential:
         raise ValueError("potential.dim: only dimensions 1 and 2 are supported")
     box = cfg.get("box", (-8.0, 8.0) if kind != "double_well" else (-2.0, 2.0))
     return _BUILTINS[kind](cfg, dim, _box_array(box, dim))
-
-
-def estimate_lip_grad(V: Potential, box=None, n_samples: int = 4096, rng=None) -> float:
-    """Upper estimate of Lip(grad V) on a box.
-
-    Max of |grad V(a) - grad V(b)| / |a - b| over sampled pairs (a dense lattice
-    of consecutive pairs plus random pairs), overridden by the analytic bound
-    when the potential carries one.  Monotone in the box by construction.
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    b = _box_array(box if box is not None else V.working_box, V.dim)
-    extent = b[:, 1] - b[:, 0]
-    if np.all(extent == 0):
-        sampled = 0.0
-    else:
-        rng = np.random.default_rng(0) if rng is None else rng
-        per_axis = max(2, int(round(n_samples ** (1.0 / V.dim))))
-        axes = [np.linspace(b[i, 0], b[i, 1], per_axis) for i in range(V.dim)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, V.dim)
-        grads = V.gradient(mesh).reshape(-1, V.dim)
-        ratios = []
-        for shift in range(1, V.dim + 1):
-            da = mesh[shift:] - mesh[:-shift]
-            dg = grads[shift:] - grads[:-shift]
-            dist = np.linalg.norm(da, axis=-1)
-            ok = dist > 0
-            ratios.append(np.linalg.norm(dg[ok], axis=-1) / dist[ok])
-        pa = b[:, 0] + rng.random((n_samples, V.dim)) * extent
-        pb = b[:, 0] + rng.random((n_samples, V.dim)) * extent
-        dist = np.linalg.norm(pa - pb, axis=-1)
-        ok = dist > 1e-12
-        dg = V.gradient(pa[ok]).reshape(-1, V.dim) - V.gradient(pb[ok]).reshape(-1, V.dim)
-        ratios.append(np.linalg.norm(dg, axis=-1) / dist[ok])
-        sampled = float(max(r.max() if r.size else 0.0 for r in ratios))
-    if V.lip_on_box is not None:
-        return max(sampled, float(V.lip_on_box(b)))
-    return sampled

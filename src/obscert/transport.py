@@ -18,7 +18,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import quantum
-from .potentials import saturating_exp, saturating_square
+from .certify import growth_rate
+from .potentials import saturating_exp
 from .quantum import WaveFunction
 
 Array = np.ndarray
@@ -166,8 +167,9 @@ def pure_state_bound(psi: WaveFunction) -> float:
 
 
 def growth_factor(params: CostParams, lip_grad: float, t: float) -> float:
-    """exp(t (lam + lip^2/lam) / 2): growth of the pseudometric bound along the
-    coupled classical/quantum evolution.  Overflow saturates to +inf."""
+    """exp(s t / 2) with s = ``certify.growth_rate``(lam, lip_grad): growth of
+    the pseudometric bound along the coupled classical/quantum evolution.
+    Overflow saturates to +inf."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return saturating_exp(0.5 * (params.lam + saturating_square(lip_grad) / params.lam) * t)
+    return saturating_exp(0.5 * growth_rate(params.lam, lip_grad) * t)

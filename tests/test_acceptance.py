@@ -263,6 +263,15 @@ def test_criterion_06_transport_matches_enumeration():
 # 7. constants
 # ---------------------------------------------------------------------------
 
+def lambda_equals_lip_forms(T, lip):
+    """The two printed forms of the lam = lip upper bound of the Toeplitz
+    coefficient: (e^{lip T}-1)/(2 lip) sqrt(1 + 1/lip^2) and
+    (e^{lip T}-1)/(2 lip^2) sqrt(1 + lip^2)."""
+    e = math.expm1(lip * T)
+    return (e / (2.0 * lip) * math.sqrt(1.0 + 1.0 / lip ** 2),
+            e / (2.0 * lip ** 2) * math.sqrt(1.0 + lip ** 2))
+
+
 def test_criterion_07_constants():
     r = certify.balanced_growth_root()
     oracle = brentq(lambda s: s * math.exp(s) - 2.0 * (math.exp(s) - 1.0),
@@ -272,17 +281,19 @@ def test_criterion_07_constants():
 
     for T in (0.5, 1.0, 1.5, 2.0, 3.0):
         for lip in (0.25, 0.5, 1.0, 2.0, 4.0):
-            f1, f2 = certify.lambda_equals_lip_bounds(T, lip)
+            f1, f2 = lambda_equals_lip_forms(T, lip)
             assert certify.toeplitz_coefficient(T, lip) <= f1 + 1e-12
 
     rng = np.random.default_rng(3)
     for _ in range(25):
         T = float(rng.uniform(0.2, 3.0))
         lip = float(rng.uniform(0.1, 5.0))
-        f1, f2 = certify.lambda_equals_lip_bounds(T, lip)
+        f1, f2 = lambda_equals_lip_forms(T, lip)
         assert abs(f1 - f2) <= 1e-12 * max(1.0, abs(f1))
+        # the value `constants` writes as lambda_equals_lip_bound
+        assert abs(certify._growth_objective(T, lip, lip) - f1) <= 1e-12 * max(1.0, abs(f1))
     print(f"\nPASS criterion 7: root = {r:.9f}, coefficient below its bound "
-          f"on the 5x5 grid, printed forms equal to 1e-12")
+          f"on the 5x5 grid, printed forms and the objective at lam = lip equal to 1e-12")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ from scipy.optimize import brentq
 
 from obscert import certify, classical, phasespace, potentials, quantum
 from obscert.certify import (
-    balanced_growth_root, certify_pure_sweep, certify_toeplitz_sweep,
-    lambda_equals_lip_bounds, minimal_delta,
-    observability_margin, spread_coefficient, toeplitz_coefficient,
-    toeplitz_coefficient_details, zero_lip_candidate,
+    balanced_growth_root, certify_pure_sweep, certify_toeplitz_sweep, minimal_delta,
+    spread_coefficient, toeplitz_coefficient, toeplitz_coefficient_details,
+    zero_lip_candidate,
 )
 from obscert.classical import CompactSet, Region
 from obscert.quantum import Grid, coherent_state
@@ -42,19 +41,31 @@ def test_balanced_growth_root_oracle():
     assert r == pytest.approx(1.593624, abs=1e-6)
 
 
+def lambda_equals_lip_forms(T, lip):
+    """The two printed forms of the lam = lip value of the Toeplitz objective:
+    (e^{lip T}-1)/(2 lip) sqrt(1 + 1/lip^2) and (e^{lip T}-1)/(2 lip^2) sqrt(1 + lip^2)."""
+    e = math.expm1(lip * T)
+    return (e / (2.0 * lip) * math.sqrt(1.0 + 1.0 / lip ** 2),
+            e / (2.0 * lip ** 2) * math.sqrt(1.0 + lip ** 2))
+
+
 def test_toeplitz_coefficient_below_lambda_lip_bound():
     for T in (0.5, 1.0, 1.5, 2.0, 3.0):
         for lip in (0.25, 0.5, 1.0, 2.0, 4.0):
-            bound, _ = lambda_equals_lip_bounds(T, lip)
+            bound, _ = lambda_equals_lip_forms(T, lip)
             assert toeplitz_coefficient(T, lip) <= bound + 1e-12
 
 
 def test_lambda_lip_bound_forms_agree(rng):
+    # the printed forms agree with each other and with the objective that
+    # `constants` writes as lambda_equals_lip_bound
     for _ in range(20):
         T = float(rng.uniform(0.2, 3.0))
         lip = float(rng.uniform(0.1, 5.0))
-        f1, f2 = lambda_equals_lip_bounds(T, lip)
+        f1, f2 = lambda_equals_lip_forms(T, lip)
+        g = certify._growth_objective(T, lip, lip)
         assert abs(f1 - f2) <= 1e-12 * max(1.0, abs(f1))
+        assert abs(g - f1) <= 1e-12 * max(1.0, abs(f1))
 
 
 def test_toeplitz_coefficient_specific_bound():
@@ -377,7 +388,7 @@ def test_constants_saturate_where_lip_squared_overflows():
     for value in (lip, math.inf):
         assert spread_coefficient(1.0, value) == math.inf
         assert toeplitz_coefficient(1.0, value) == math.inf
-        assert lambda_equals_lip_bounds(1.0, value) == (math.inf, math.inf)
+        assert certify._growth_objective(1.0, value, value) == math.inf
 
 
 def test_nan_lower_bound_is_vacuous():
@@ -427,44 +438,3 @@ def test_certify_pure_dim2_pipeline():
     assert rep.measured >= rep.lower_bound - rep.eps_num
     assert rep.spread == pytest.approx(math.sqrt(2 * hbar), abs=1e-6)
     assert 0.0 < rep.husimi_mass <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# observability functional
-# ---------------------------------------------------------------------------
-
-def test_margin_functional_large_delta(free):
-    psi = coherent_state(GRID, 0.05, -2.5, 1.25)
-    value, meets = observability_margin(psi, K_FREE, OM_FREE, 2.0, 50.0, 4.0,
-                                        free, dt_flow=2e-3)
-    # the spread penalty vanishes; what remains is occupation times mass on K
-    from obscert.classical import IndicatorCutoff
-    c_enl = classical.occupation_batch(free, K_FREE.sample_grid(), 2.0,
-                                       [IndicatorCutoff(OM_FREE.enlarged(50.0))],
-                                       2e-3).occupation.min()
-    h = phasespace.husimi_mass(psi, K_FREE)
-    assert value == pytest.approx(c_enl * h, abs=1e-2)
-    assert meets
-
-
-def test_margin_uses_lip_along_the_flow(dwell, monkeypatch):
-    # the K of test_sweeps_recertify_lip_on_the_trajectory_hull that leaves the box
-    seen = []
-
-    def recording(T, lip):
-        seen.append(lip)
-        return spread_coefficient(T, lip)
-
-    monkeypatch.setattr(certify, "spread_coefficient", recording)
-    K = phase_box(0.8, 1.2, 3.5, 5.0, spacing=0.25)
-    psi = coherent_state(Grid(dim=1, n=1024, length=16.0), 0.05, 1.0, 4.25)
-    observability_margin(psi, K, interval(0.5, 1.5), 1.0, 2.0, 1.0, dwell, dt_flow=1e-3)
-    assert seen == [pytest.approx(50.7538, abs=1e-4)]
-
-
-def test_margin_functional_negative_without_mass(free):
-    psi = coherent_state(GRID, 0.05, 3.0, -1.0)
-    value, meets = observability_margin(psi, K_FREE, OM_FREE, 2.0, 3.0, 4.0,
-                                        free, dt_flow=2e-3)
-    assert value < 0
-    assert not meets

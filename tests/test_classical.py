@@ -69,7 +69,7 @@ def test_flow_blowup_detected():
     V = Potential(name="inverted", dim=1,
                   value_fn=lambda p: -np.sum(p ** 4, axis=-1),
                   grad_fn=lambda p: -4.0 * p ** 3,
-                  lip_grad=0.0, working_box=np.array([[-1e3, 1e3]]))
+                  working_box=np.array([[-1e3, 1e3]]), lip_on_box=lambda box: 0.0)
     # surfaces either as a non-finite state or a non-finite gradient
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises((FloatingPointError, ValueError)):
@@ -430,8 +430,8 @@ def _nan_beyond(radius):
         return np.where(np.abs(p) > radius, np.nan, p)
     return potentials.Potential(name="nan_beyond", dim=1,
                                 value_fn=lambda p: 0.5 * np.sum(p * p, axis=-1),
-                                grad_fn=grad, lip_grad=1.0,
-                                working_box=np.array([[-2.0, 2.0]]))
+                                grad_fn=grad, working_box=np.array([[-2.0, 2.0]]),
+                                lip_on_box=lambda box: 1.0)
 
 
 @pytest.mark.parametrize("T", [0.5, 0.31])

@@ -329,6 +329,7 @@ def test_cli_lip_edge_cases_are_vacuous(override, tmp_path):
         assert res.returncode == 0, res.stderr
         constants = json.loads((out / "constants.json").read_text())
         assert constants["toeplitz_coefficient"] == "Infinity"
+        assert constants["lambda_equals_lip_bound"] == "Infinity"
         assert constants["toeplitz_coefficient_lambda"] is None
 
 
@@ -486,6 +487,10 @@ def test_cli_husimi_field(tmp_path):
     assert all(float(line.split(",")[2]) >= 0 for line in lines[1:])
 
 
+CONSTANTS_KEYS = {"T", "lip_grad", "d_K", "spread_coefficient", "toeplitz_coefficient",
+                  "toeplitz_coefficient_lambda", "balanced_growth_root", "growth_factors"}
+
+
 def test_cli_constants(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
@@ -493,6 +498,8 @@ def test_cli_constants(tmp_path):
                   cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     data = json.loads((tmp_path / "c" / "constants.json").read_text())
+    # a free particle: lip = 0, so the explicit candidate is the lip = 0 one
+    assert set(data) == CONSTANTS_KEYS | {"zero_lip_lambda", "zero_lip_bound"}
     assert data["spread_coefficient"] == pytest.approx(math.expm1(0.5))
     assert data["balanced_growth_root"] == pytest.approx(1.593624, abs=1e-6)
 
@@ -508,6 +515,7 @@ def test_cli_constants_use_lip_along_the_flow(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["constants", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 0
     data = json.loads((tmp_path / "c" / "constants.json").read_text())
+    assert set(data) == CONSTANTS_KEYS | {"lambda_equals_lip_bound"}
     assert data["lip_grad"] == pytest.approx(50.7538, abs=1e-4)
 
 

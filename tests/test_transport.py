@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from obscert import classical, transport
 from obscert.classical import PhasePoint
@@ -231,6 +232,41 @@ def test_pushforward_stays_below_growth_bound(grid512, harm):
             psi_t = propagate(harm, psi0, t, 1e-3)
             cost = math.sqrt(cost_expectation(psi_t, pt.x, pt.xi, lam))
             assert cost <= growth_factor(params, harm.lip_grad, t) * init + 1e-6
+
+
+# For V = k x^2 / 2 the flow is linear, Phi_t = exp(t [[0, 1], [-k, 0]]), so a
+# coherent atom's covariance (hbar/2) I moves exactly to Phi_t (hbar/2) I Phi_t^T
+# and its cost against its centre's trajectory is tr(W Phi_t Sigma_0 Phi_t^T),
+# W = diag(lam^2, 1).  The growth factor bounds it (squared) only where the rate
+# is a bound: the pairs below exceed it by the listed max over t of
+# sqrt(cost(t) / cost(0)) / growth_factor(t).
+RATE_DEFECTS = {(-0.25, 0.25): 1.659, (-0.5, 0.5): 1.537, (-0.25, 0.5): 1.497,
+                (-0.1, 0.1): 1.371, (-0.1, 0.25): 1.31, (-0.1, 0.5): 1.071,
+                (-0.5, 1.0): 1.041}
+
+
+def _gaussian_case(k, lam):
+    marks = ()
+    if (k, lam) in RATE_DEFECTS:
+        marks = pytest.mark.xfail(
+            raises=AssertionError,
+            reason="ROADMAP item 1: lam + L^2/lam is not a bound for L < 1 "
+                   f"(measured ratio {RATE_DEFECTS[k, lam]})")
+    return pytest.param(k, lam, marks=marks, id=f"k{k:g}_lam{lam:g}")
+
+
+@pytest.mark.parametrize("k, lam", [_gaussian_case(k, lam)
+                                    for k in (-2.0, -1.0, -0.5, -0.25, -0.1, 0.0, 0.25, 1.0)
+                                    for lam in (0.1, 0.25, 0.5, 1.0, 2.0)])
+def test_exact_gaussian_cost_below_growth_factor(k, lam):
+    params = CostParams(lam=lam, hbar=HBAR)
+    W = np.diag([lam ** 2, 1.0])
+    sigma0 = 0.5 * HBAR * np.eye(2)
+    cost0 = np.trace(W @ sigma0)
+    for t in np.linspace(0.0, 4.0, 401):
+        phi = expm(t * np.array([[0.0, 1.0], [-k, 0.0]]))
+        cost = np.trace(W @ phi @ sigma0 @ phi.T)
+        assert cost <= growth_factor(params, abs(k), t) ** 2 * cost0 * (1.0 + 1e-12), t
 
 
 def dense_transport_plan(f, mu, lam):
