@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import phasespace, quantum
-from .classical import CompactSet, GeometricSummary, Region
+from .classical import GeometricSummary
 from .phasespace import ToeplitzState
-from .potentials import Potential, saturating_exp, saturating_square
+from .potentials import saturating_exp, saturating_square
 from .quantum import Grid, WaveFunction
 
 SCHEMA_VERSION = 1
@@ -46,6 +46,13 @@ def growth_rate(lam: float, lip: float) -> float:
     step.  Saturates to +inf where lip^2 overflows (and at lam = lip = inf)."""
     s = lam + saturating_square(lip) / lam
     return math.inf if math.isnan(s) else s
+
+
+def growth_factor(lam: float, lip: float, t: float) -> float:
+    """exp(s t / 2) at s = ``growth_rate``(lam, lip), +inf on overflow."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return saturating_exp(0.5 * growth_rate(lam, lip) * t)
 
 
 def gronwall_factor(s: float, T: float) -> float:
@@ -273,11 +280,12 @@ def _trapezoid(series: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     return w_t @ series, second.max(axis=0, initial=0.0) * h ** 2 * T / 12.0
 
 
-def _lip_along_flow(V: Potential, hull: np.ndarray) -> float:
+def _lip_along_flow(geo: GeometricSummary) -> float:
     """Lipschitz bound of grad V valid wherever the trajectories from K go: the
     larger of the working box's bound and the bound recertified on the box
     joined with the trajectories' (dim, 2) hull (the same box, and so the same
     bound, when no trajectory left the working box)."""
+    V, hull = geo.V, geo.hull
     box = np.stack([np.minimum(V.working_box[:, 0], hull[:, 0]),
                     np.maximum(V.working_box[:, 1], hull[:, 1])], axis=-1)
     return max(V.lip_grad, V.with_box(box).lip_grad)
@@ -291,16 +299,13 @@ class _Sweep:
     with what every report of the sweep repeats."""
 
     scenario: str
-    K: CompactSet
-    T: float
     geo: GeometricSummary
     lip: float
     measured: np.ndarray
     terms: dict
 
     @classmethod
-    def measure(cls, V: Potential, K: CompactSet, omega: Region, T: float,
-                deltas: Sequence[float], columns, *, dt: float, geo: GeometricSummary,
+    def measure(cls, geo: GeometricSummary, columns, *, dt: float,
                 scenario: str) -> "_Sweep":
         """A column is a list of (state, weight, label) rows: a pure state is
         one row of weight 1.0 (exact: 0.0 + 1.0 * x == x, so a pure column's
@@ -309,26 +314,24 @@ class _Sweep:
         dt and 2 dt; by linearity a column sums its weighted rows in order.
         The space term is T times the peak mass on Omega_delta's edge cells
         (none, and nothing sampled, when Omega_delta holds the whole grid)."""
-        if tuple(float(d) for d in deltas) != geo.deltas:
-            raise ValueError(f"geo holds deltas {list(geo.deltas)}, not {list(deltas)}")
         rows = [(c, *row) for c, col in enumerate(columns) for row in col]
         batch = quantum.WaveBatch.of([s for _, s, _, _ in rows], [lab for *_, lab in rows])
         pts = batch.grid.points()
-        weights = np.stack([omega.enlarged(d).indicator(pts) for d in geo.deltas])
+        weights = np.stack([geo.omega.enlarged(d).indicator(pts) for d in geo.deltas])
         edges = [_edge_cells(w.reshape(batch.grid.shape)) for w in weights]
         edged = [j for j, idx in enumerate(edges) if idx.size]
         (fine, edge_mass), (coarse, _) = quantum.observed_mass_series(
-            V, batch, T, weights, [edges[j] for j in edged], (dt, 2.0 * dt))
+            geo.V, batch, geo.T, weights, [edges[j] for j in edged], (dt, 2.0 * dt))
         measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(columns), len(weights)))
         for r, (c, _, w, _) in enumerate(rows):
-            mass, time_error = _trapezoid(fine[r], T)
+            mass, time_error = _trapezoid(fine[r], geo.T)
             measured[c] += w * mass
-            coarse_sum[c] += w * _trapezoid(coarse[r], T)[0]
+            coarse_sum[c] += w * _trapezoid(coarse[r], geo.T)[0]
             time_sum[c] += w * time_error
-            space_sum[c, edged] += w * T * edge_mass[r].max(axis=0)
+            space_sum[c, edged] += w * geo.T * edge_mass[r].max(axis=0)
         terms = {"propagation": np.abs(measured - coarse_sum) / 3.0,
                  "time_quadrature": time_sum, "space_quadrature": space_sum}
-        return cls(scenario, K, T, geo, _lip_along_flow(V, geo.hull), measured, terms)
+        return cls(scenario, geo, _lip_along_flow(geo), measured, terms)
 
     def report(self, c: int, j: int, kind: str, lower: float, terms: dict,
                **fields) -> CertificationReport:
@@ -341,13 +344,13 @@ class _Sweep:
         budget.update(terms)
         eps = sum(budget.values())
         if lower > 0:
-            ct = 1.0 / lower * self.T
+            ct = 1.0 / lower * geo.T
             fields.update(implied_c_obs=1.0 / lower, c_obs_times_T=ct,
                           ct_above_one=bool(ct > 1.0), ct_marginal=bool(abs(ct - 1.0) <= 0.1))
         m = float(self.measured[c, j])
         return CertificationReport(
-            schema_version=SCHEMA_VERSION, scenario=self.scenario, kind=kind, T=self.T,
-            delta=geo.deltas[j], lip_grad=self.lip, d_K=self.K.diameter,
+            schema_version=SCHEMA_VERSION, scenario=self.scenario, kind=kind, T=geo.T,
+            delta=geo.deltas[j], lip_grad=self.lip, d_K=geo.K.diameter,
             gc_satisfied=geo.gc_satisfied, c_geo=geo.c_geo,
             c_geo_refine_delta=geo.c_geo_refine_delta, chi_geo=geo.chi_geo[j],
             lower_bound=lower, measured=m, margin=m - lower, eps_num=float(eps),
@@ -355,30 +358,28 @@ class _Sweep:
             **fields)
 
 
-def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
-                       deltas: Sequence[float], psis: Sequence[WaveFunction], *,
-                       dt: float, geo: GeometricSummary,
-                       husimi_spacing: Optional[float] = None,
+def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
+                       dt: float, husimi_spacing: Optional[float] = None,
                        scenario: str = "") -> list[CertificationReport]:
-    """Certificates for pure initial states, one per hbar column, over a list
-    of enlargement radii; reports come in (column, delta) order.
+    """Certificates for pure initial states, one per hbar column, over the
+    summary's enlargement radii; reports come in (column, delta) order.
 
     lower bound:   c_geo * husimi_mass - 8 D(T, lip) * spread / delta
     measured side: observed mass on the delta-enlargement of the region.
-    ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
+    ``geo`` is the problem: ``classical.geometric_summary`` of
+    (V, K, omega, T, deltas), which it carries.
     """
     if any(abs(psi.norm - 1.0) > 1e-8 for psi in psis):
         raise ValueError("initial state must be normalized")
-    sweep = _Sweep.measure(V, K, omega, T, deltas,
-                           [[(psi, 1.0, f"hbar={psi.hbar:g}")] for psi in psis],
-                           dt=dt, geo=geo, scenario=scenario)
+    sweep = _Sweep.measure(geo, [[(psi, 1.0, f"hbar={psi.hbar:g}")] for psi in psis],
+                           dt=dt, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    D = spread_coefficient(T, sweep.lip)
+    D = spread_coefficient(geo.T, sweep.lip)
 
     reports = []
     for c, psi in enumerate(psis):
         dim = psi.grid.dim
-        h_K, h_delta = phasespace.husimi_mass_refined(psi, K, husimi_spacing)
+        h_K, h_delta = phasespace.husimi_mass_refined(psi, geo.K, husimi_spacing)
         delta_psi = quantum.spread(psi)
         for j, delta in enumerate(geo.deltas):
             corr_used = 8.0 * D * delta_psi / delta
@@ -386,8 +387,8 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
             dm_base = dm_state = None
             if lower > 0:
                 try:
-                    dm = minimal_delta(T, sweep.lip, psi.hbar, dim, c_geo, 1.0 / lower,
-                                       K.diameter, spread=delta_psi, husimi_mass=h_K)
+                    dm = minimal_delta(geo.T, sweep.lip, psi.hbar, dim, c_geo, 1.0 / lower,
+                                       geo.K.diameter, spread=delta_psi, husimi_mass=h_K)
                     dm_base, dm_state = dm.baseline, dm.state_dependent
                 except ValueError:
                     pass
@@ -403,24 +404,24 @@ def certify_pure_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
     return reports
 
 
-def certify_toeplitz_sweep(V: Potential, K: CompactSet, omega: Region, T: float,
-                           deltas: Sequence[float], Rs: Sequence[ToeplitzState],
-                           grid: Grid, *, dt: float, geo: GeometricSummary,
+def certify_toeplitz_sweep(geo: GeometricSummary, Rs: Sequence[ToeplitzState],
+                           grid: Grid, *, dt: float,
                            scenario: str = "") -> list[CertificationReport]:
     """Certificates for Toeplitz initial states (atomized symbols in K), one
     per hbar column; reports come in (column, delta) order.
 
     lower bound:   c_geo - C(T, lip) * sqrt(2 dim hbar) / delta
     measured side: weighted observed mass of the propagated atoms.
-    ``geo`` is ``classical.geometric_summary`` of (V, K, omega, T, deltas).
+    ``geo`` is the problem: ``classical.geometric_summary`` of
+    (V, K, omega, T, deltas), which it carries.
     """
-    if not all(np.all(K.contains(R.atoms)) for R in Rs):
+    if not all(np.all(geo.K.contains(R.atoms)) for R in Rs):
         raise ValueError("all Toeplitz atoms must lie inside K")
     columns = [[(R.atom_state(j, grid), w, f"hbar={R.hbar:g}, atom {j}")
                 for j, w in enumerate(R.weights) if w != 0.0] for R in Rs]
-    sweep = _Sweep.measure(V, K, omega, T, deltas, columns, dt=dt, geo=geo, scenario=scenario)
+    sweep = _Sweep.measure(geo, columns, dt=dt, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    c_tl, lam_star = toeplitz_coefficient_details(T, sweep.lip)
+    c_tl, lam_star = toeplitz_coefficient_details(geo.T, sweep.lip)
 
     reports = []
     for c, R in enumerate(Rs):

@@ -67,12 +67,13 @@ def lattice_points(axes: Sequence[Array]) -> Array:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _boxes_array(boxes, width: int) -> Array:
+def _boxes_array(boxes) -> Array:
+    """(k, width, 2) boxes of [lo, hi] per coordinate, width the array's own."""
     b = np.asarray(boxes, dtype=float)
     if b.ndim == 2:
         b = b[None, :, :]
-    if b.ndim != 3 or b.shape[1] != width or b.shape[2] != 2:
-        raise ValueError(f"boxes must have shape (k, {width}, 2), got {b.shape}")
+    if b.ndim != 3 or b.shape[2] != 2:
+        raise ValueError(f"boxes must have shape (k, width, 2), got {b.shape}")
     if np.any(b[:, :, 0] > b[:, :, 1]):
         raise ValueError("box has lo > hi")
     return b
@@ -98,13 +99,9 @@ class CompactSet:
     spacing: float
 
     def __post_init__(self):
-        b = np.asarray(self.boxes, dtype=float)
-        if b.ndim == 2:
-            b = b[None, :, :]
-        if b.ndim != 3 or b.shape[2] != 2 or b.shape[1] % 2 != 0:
+        b = _boxes_array(self.boxes)
+        if b.shape[1] % 2 != 0:
             raise ValueError("CompactSet boxes must have shape (k, 2*dim, 2)")
-        if np.any(b[:, :, 0] > b[:, :, 1]):
-            raise ValueError("box has lo > hi")
         if len(b) == 0:
             raise ValueError("CompactSet needs at least one box")
         if not _boxes_disjoint(b):
@@ -154,14 +151,9 @@ class Region:
     inflate: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", _boxes_array(self.boxes, self.dim_of(self.boxes)))
+        object.__setattr__(self, "boxes", _boxes_array(self.boxes))
         if self.inflate < 0:
             raise ValueError("inflate must be nonnegative")
-
-    @staticmethod
-    def dim_of(boxes) -> int:
-        b = np.asarray(boxes, dtype=float)
-        return b.shape[-2]
 
     @property
     def dim(self) -> int:
@@ -328,11 +320,6 @@ class OccupationResult:
     left_box: Array          # (m,) trajectory left the potential's working box
     hull: Array              # (m, dim, 2) per-axis [min, max] of the trajectory's positions
 
-    @property
-    def joint_hull(self) -> Array:
-        """(dim, 2) per-axis [min, max] over all trajectories' positions."""
-        return np.stack([self.hull[..., 0].min(axis=0), self.hull[..., 1].max(axis=0)], axis=-1)
-
 
 def _region_key(region: Region) -> tuple:
     return region.boxes.shape, region.boxes.tobytes(), region.inflate
@@ -443,8 +430,13 @@ def occupation_time(V: Potential, p0: PhasePoint, T: float, chi: Cutoff,
 
 @dataclass(frozen=True)
 class GeometricSummary:
-    """What a certificate takes from the flow over K's sample lattice."""
+    """The problem (V, K, omega, T, deltas), which certificates read from
+    here only, and what they take from the flow over K's sample lattice."""
 
+    V: Potential
+    K: CompactSet
+    omega: Region
+    T: float
     deltas: tuple
     c_geo: float                 # min occupation time of omega (indicator)
     c_geo_refine_delta: float    # |c_geo - the same min on the half-spacing lattice|
@@ -457,8 +449,9 @@ class GeometricSummary:
 
 def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
                       deltas: Sequence[float], dt: float) -> GeometricSummary:
-    """The classical side for every delta, from one flow pass over K's
-    lattice stacked on its half-spacing refinement."""
+    """The summary of the problem (V, K, omega, T, deltas): the problem
+    itself and its classical side for every delta, from one flow pass over
+    K's lattice stacked on its half-spacing refinement."""
     deltas = tuple(float(d) for d in deltas)
     coarse = K.sample_grid()
     m = len(coarse)
@@ -467,13 +460,13 @@ def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
                            dt)
     c_geo = float(res.occupation[:m, 0].min())
     return GeometricSummary(
-        deltas=deltas,
+        V=V, K=K, omega=omega, T=T, deltas=deltas,
         c_geo=c_geo,
         c_geo_refine_delta=abs(c_geo - float(res.occupation[m:, 0].min())),
         gc_satisfied=bool(np.all(res.first_hit[:m, 0] < T)),     # nan: never hit
         chi_geo=tuple(float(v) for v in res.occupation[:m, 1:].min(axis=0)),
         left_box=bool(res.left_box.any()),
-        hull=res.joint_hull,
+        hull=np.stack([res.hull[..., 0].min(axis=0), res.hull[..., 1].max(axis=0)], axis=-1),
         table=OccupationResult(points=res.points[:m], occupation=res.occupation[:m, :1],
                                first_hit=res.first_hit[:m, :1], left_box=res.left_box[:m],
                                hull=res.hull[:m]),

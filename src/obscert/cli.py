@@ -120,7 +120,7 @@ def cmd_gcc(args) -> int:
         "gc_satisfied": geo.gc_satisfied,
         "c_geo": geo.c_geo,
         "c_geo_refine_delta": geo.c_geo_refine_delta,
-        "chi_geo": {str(d): c for d, c in zip(sc.deltas, geo.chi_geo)},
+        "chi_geo": {str(d): c for d, c in zip(geo.deltas, geo.chi_geo)},
         "samples": len(rows),
     }
     _write_json(out / "gcc.json", summary)
@@ -154,7 +154,6 @@ def cmd_propagate(args) -> int:
         raise ConfigError(f"numerics.slices: {num.slices} slices need at least "
                           f"{num.slices - 1} steps, but T = {sc.T:g} at dt = {num.dt:g} "
                           f"takes {n_steps}")
-    state = scenario.build_state(sc.state, grid, hbar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     times = np.linspace(0.0, sc.T, num.slices)
@@ -168,8 +167,10 @@ def cmd_propagate(args) -> int:
                 rows.append([float(t), *(float(v) for v in pt), float(d)])
             saved[0] += 1
 
-    final = quantum.propagate_series(sc.V, quantum.WaveBatch.of([state]), sc.T, num.dt,
-                                     observer).row(0)
+    with scenario.named_aborts(sc.name):
+        state = scenario.build_state(sc.state, grid, hbar)
+        final = quantum.propagate_series(sc.V, quantum.WaveBatch.of([state]), sc.T, num.dt,
+                                         observer).row(0)
     header = ["t"] + [f"x{i+1}" for i in range(grid.dim)] + ["density"]
     _write_csv(out / "density.csv", header, rows)
     quantum.save_state(out / "final_state.qst", final, t=sc.T)
@@ -187,7 +188,8 @@ def cmd_husimi(args) -> int:
         print("husimi needs a pure state", file=sys.stderr)
         return 2
     hbar = sc.hbars[0]
-    state = scenario.build_state(sc.state, sc.grid, hbar)
+    with scenario.named_aborts(sc.name):
+        state = scenario.build_state(sc.state, sc.grid, hbar)
     pg = sc.numerics.phase_grid or {}
     side = 4.0 * math.sqrt(hbar)
     q_spec = pg.get("q")
@@ -210,27 +212,26 @@ def cmd_husimi(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    sc = scenario.load_config(args.config)
-    T = sc.T
-    lip = certify._lip_along_flow(sc.V, sc.geometric_summary().hull)
-    c_tl, lam_star = certify.toeplitz_coefficient_details(T, lip)
+    geo = scenario.load_config(args.config).geometric_summary()
+    lip = certify._lip_along_flow(geo)
+    c_tl, lam_star = certify.toeplitz_coefficient_details(geo.T, lip)
     payload = {
-        "T": T,
+        "T": geo.T,
         "lip_grad": lip,
-        "d_K": sc.K.diameter,
-        "spread_coefficient": certify.spread_coefficient(T, lip),
+        "d_K": geo.K.diameter,
+        "spread_coefficient": certify.spread_coefficient(geo.T, lip),
         "toeplitz_coefficient": c_tl,
         "toeplitz_coefficient_lambda": lam_star,
         "balanced_growth_root": certify.balanced_growth_root(),
         "growth_factors": {
-            str(lam): [_growth(lam, lip, t) for t in (0.5, 1.0, 1.5, 2.0)]
+            str(lam): [certify.growth_factor(lam, lip, t) for t in (0.5, 1.0, 1.5, 2.0)]
             for lam in (0.5, 1.0, 2.0)
         },
     }
     if lip > 0:
-        payload["lambda_equals_lip_bound"] = certify._growth_objective(T, lip, lip)
+        payload["lambda_equals_lip_bound"] = certify._growth_objective(geo.T, lip, lip)
     else:
-        lam0, val0 = certify.zero_lip_candidate(T)
+        lam0, val0 = certify.zero_lip_candidate(geo.T)
         payload["zero_lip_lambda"] = lam0
         payload["zero_lip_bound"] = val0
     out = Path(args.out)
@@ -240,11 +241,6 @@ def cmd_constants(args) -> int:
         if not isinstance(value, dict):
             print(f"{key:>32}: {value}")
     return 0
-
-
-def _growth(lam, lip, t):
-    from .transport import CostParams, growth_factor
-    return growth_factor(CostParams(lam=lam, hbar=1.0), lip, t)
 
 
 def positive(text: str) -> int:

@@ -42,6 +42,8 @@ def _require(cfg, key: str, where: str):
 
 def _positive(value, where: str) -> float:
     try:
+        if isinstance(value, bool):            # float(True) is 1.0
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
@@ -67,24 +69,31 @@ def _positive_list(values, where: str) -> tuple[float, ...]:
     return tuple(sorted(out))
 
 
-def _vec(value, dim: int, where: str) -> np.ndarray:
+def _numbers(value, where: str, finite: bool = True) -> np.ndarray:
+    """value as a float array: never NaN, and without +-inf when ``finite``."""
     try:
-        v = np.asarray(value, dtype=float).reshape(-1)
+        v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
-    if v.size != dim:
-        raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    if np.isnan(v).any() or (finite and not np.isfinite(v).all()):
+        raise ConfigError(f"{where}: must be {'finite' if finite else 'numbers, not NaN'}, "
+                          f"got {value!r}")
     return v
 
 
-def _norm_boxes(raw, dim: int, where: str) -> np.ndarray:
+def _vec(value, dim: int, where: str) -> np.ndarray:
+    v = _numbers(value, where).reshape(-1)
+    if v.size != dim:
+        raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
+    return v
+
+
+def _norm_boxes(raw, dim: int, where: str, finite: bool) -> np.ndarray:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(f"{where}: expected a nonempty list of boxes")
     out = []
     for i, entry in enumerate(raw):
-        b = np.asarray(entry, dtype=float)
+        b = _numbers(entry, f"{where}[{i}]", finite)
         if dim == 1 and b.shape == (2,):
             b = b[None, :]
         if b.shape != (dim, 2):
@@ -145,6 +154,10 @@ def parse_numerics(cfg) -> Numerics:
 def build_potential(cfg: dict) -> Potential:
     raw = _require(cfg, "potential", "$")
     _require(raw, "kind", "$.potential")
+    # an integer dim, a finite stiffness, and a box without NaN (+-inf bounds run)
+    checks = {"dim": _positive_int, "stiffness": lambda v, at: _vec(v, 1, at)[0],
+              "box": lambda v, at: _numbers(v, at, finite=False)}
+    raw = {k: checks[k](v, f"$.potential.{k}") if k in checks else v for k, v in raw.items()}
     try:
         return potentials.from_config(raw)
     except ValueError as exc:
@@ -153,7 +166,8 @@ def build_potential(cfg: dict) -> Potential:
 
 def build_compact_set(cfg: dict, dim: int) -> CompactSet:
     raw = _require(cfg, "K", "$")
-    boxes = _norm_boxes(_require(raw, "boxes", "$.K"), 2 * dim, "$.K.boxes")
+    # finite: K's sample lattice spans every box
+    boxes = _norm_boxes(_require(raw, "boxes", "$.K"), 2 * dim, "$.K.boxes", finite=True)
     spacing = _positive(_require(raw, "spacing", "$.K"), "$.K.spacing")
     try:
         return CompactSet(boxes=boxes, spacing=spacing)
@@ -163,8 +177,8 @@ def build_compact_set(cfg: dict, dim: int) -> CompactSet:
 
 def build_region(cfg: dict, dim: int) -> Region:
     raw = _require(cfg, "omega", "$")
-    boxes = _norm_boxes(_require(raw, "boxes", "$.omega"), dim, "$.omega.boxes")
-    return Region(boxes=boxes)
+    return Region(_norm_boxes(_require(raw, "boxes", "$.omega"), dim, "$.omega.boxes",
+                              finite=False))
 
 
 @dataclass(frozen=True)
@@ -341,12 +355,10 @@ def _run_columns(sc: Scenario, geo: GeometricSummary,
     with named_aborts(sc.name):
         states = [build_state(sc.state, grid, hbar) for hbar in hbars]
         if sc.state.kind == "toeplitz":
-            return certify.certify_toeplitz_sweep(
-                sc.V, sc.K, sc.omega, sc.T, sc.deltas, states, grid,
-                dt=num.dt, geo=geo, scenario=sc.name)
-        return certify.certify_pure_sweep(
-            sc.V, sc.K, sc.omega, sc.T, sc.deltas, states,
-            dt=num.dt, geo=geo, husimi_spacing=num.husimi_spacing, scenario=sc.name)
+            return certify.certify_toeplitz_sweep(geo, states, grid, dt=num.dt,
+                                                  scenario=sc.name)
+        return certify.certify_pure_sweep(geo, states, dt=num.dt,
+                                          husimi_spacing=num.husimi_spacing, scenario=sc.name)
 
 
 def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:

@@ -17,9 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from . import quantum
-from .certify import growth_rate
-from .potentials import saturating_exp
+from . import certify, quantum
 from .quantum import WaveFunction
 
 Array = np.ndarray
@@ -167,9 +165,6 @@ def pure_state_bound(psi: WaveFunction) -> float:
 
 
 def growth_factor(params: CostParams, lip_grad: float, t: float) -> float:
-    """exp(s t / 2) with s = ``certify.growth_rate``(lam, lip_grad): growth of
-    the pseudometric bound along the coupled classical/quantum evolution.
-    Overflow saturates to +inf."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return saturating_exp(0.5 * growth_rate(params.lam, lip_grad) * t)
+    """``certify.growth_factor`` at params.lam: growth of the pseudometric
+    bound along the coupled classical/quantum evolution."""
+    return certify.growth_factor(params.lam, lip_grad, t)

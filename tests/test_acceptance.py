@@ -378,9 +378,8 @@ def test_criterion_10_sweep_monotonicity_and_scaling():
         grid = Grid(dim=1, n=n, length=16.0)
         R = phasespace.toeplitz_from_density(
             [(0.0, 3.0, 0.5), (0.0, -3.0, 0.5)], hbar)
-        reps = certify.certify_toeplitz_sweep(
-            harm, K_m, om_m, 2.0, deltas_m, [R], grid, dt=1e-3, geo=geo_m,
-            scenario="sweep_margin")
+        reps = certify.certify_toeplitz_sweep(geo_m, [R], grid, dt=1e-3,
+                                              scenario="sweep_margin")
         margins = [r.margin for r in reps]
         assert all(b >= a - 1e-9 for a, b in zip(margins, margins[1:])), \
             (hbar, margins)
@@ -399,8 +398,7 @@ def test_criterion_10_sweep_monotonicity_and_scaling():
         psi = coherent_state(grid, hbar, -2.5, 1.25)
         deltas = [d * math.sqrt(hbar / 0.0125) for d in base]
         reps = certify.certify_pure_sweep(
-            free, K_s, om_s, 2.0, deltas, [psi], dt=1e-3,
-            geo=classical.geometric_summary(free, K_s, om_s, 2.0, deltas, 1e-3),
+            classical.geometric_summary(free, K_s, om_s, 2.0, deltas, 1e-3), [psi], dt=1e-3,
             scenario="sweep_scaling")
         certified = [r.delta for r in reps if r.verdict == "certified"]
         vacuous = [r.delta for r in reps if r.verdict == "vacuous"]

@@ -133,7 +133,7 @@ OM_FREE = interval(-2.7, 8.0)
 def test_certify_pure_certified_case(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [4.0], 2e-3)
-    rep = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], [psi], dt=2e-3, geo=geo)[0]
+    rep = certify_pure_sweep(geo, [psi], dt=2e-3)[0]
     assert rep.verdict == "certified"
     assert rep.lower_bound > 0
     assert rep.margin >= 0
@@ -148,7 +148,7 @@ def test_certify_pure_certified_case(free):
 def test_certify_pure_vacuous_when_outside_K(free):
     psi = coherent_state(GRID, 0.05, 3.0, -1.0)      # localized away from K
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [4.0], 2e-3)
-    rep = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], [psi], dt=2e-3, geo=geo)[0]
+    rep = certify_pure_sweep(geo, [psi], dt=2e-3)[0]
     assert rep.husimi_mass < 1e-6
     assert rep.lower_bound < 0
     assert rep.verdict == "vacuous"
@@ -157,7 +157,7 @@ def test_certify_pure_vacuous_when_outside_K(free):
 def test_certify_pure_vacuous_below_delta_threshold(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [0.2], 2e-3)
-    rep = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [0.2], [psi], dt=2e-3, geo=geo)[0]
+    rep = certify_pure_sweep(geo, [psi], dt=2e-3)[0]
     assert rep.verdict == "vacuous"
 
 
@@ -165,7 +165,7 @@ def test_certify_pure_monotone_in_delta(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
     deltas = [0.5, 1.5, 4.0, 8.0]
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
-    reps = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [psi], dt=2e-3, geo=geo)
+    reps = certify_pure_sweep(geo, [psi], dt=2e-3)
     lows = [r.lower_bound for r in reps]
     meas = [r.measured for r in reps]
     assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
@@ -175,8 +175,7 @@ def test_certify_pure_monotone_in_delta(free):
 def test_certify_scaling_in_T(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
     r1, r2 = (certify_pure_sweep(
-        free, K_FREE, OM_FREE, T, [4.0], [psi], dt=2e-3,
-        geo=classical.geometric_summary(free, K_FREE, OM_FREE, T, [4.0], 2e-3))[0]
+        classical.geometric_summary(free, K_FREE, OM_FREE, T, [4.0], 2e-3), [psi], dt=2e-3)[0]
         for T in (1.0, 2.0))
     assert r2.c_geo >= r1.c_geo - 1e-9
     assert r2.measured >= r1.measured - 1e-9
@@ -185,8 +184,7 @@ def test_certify_scaling_in_T(free):
 def test_certify_toeplitz_certified_case(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
-    rep = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [2.0], [R], GRID,
-                                 dt=2e-3, geo=geo)[0]
+    rep = certify_toeplitz_sweep(geo, [R], GRID, dt=2e-3)[0]
     assert rep.verdict == "certified"
     assert rep.admissible
     assert rep.measured >= rep.lower_bound - rep.eps_num
@@ -196,16 +194,14 @@ def test_certify_toeplitz_admissible_iff_positive(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
     for delta in (0.2, 0.5, 2.0, 8.0):
         geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [delta], 2e-3)
-        rep = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [delta], [R], GRID,
-                                     dt=2e-3, geo=geo)[0]
+        rep = certify_toeplitz_sweep(geo, [R], GRID, dt=2e-3)[0]
         assert rep.admissible == (rep.lower_bound > 0)
 
 
 def test_certify_toeplitz_large_delta_limit(free):
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [1e9], 2e-3)
-    rep = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [1e9], [R], GRID,
-                                 dt=2e-3, geo=geo)[0]
+    rep = certify_toeplitz_sweep(geo, [R], GRID, dt=2e-3)[0]
     assert rep.lower_bound == pytest.approx(rep.c_geo, abs=1e-8)
 
 
@@ -213,8 +209,7 @@ def test_certify_toeplitz_rejects_atoms_outside_K(free):
     R = phasespace.toeplitz_from_density([(5.0, 1.0, 1.0)], 0.05)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
     with pytest.raises(ValueError, match="inside K"):
-        certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [2.0], [R], GRID,
-                               dt=2e-3, geo=geo)
+        certify_toeplitz_sweep(geo, [R], GRID, dt=2e-3)
 
 
 def test_sweeps_batch_columns_as_lone_columns(free):
@@ -223,17 +218,15 @@ def test_sweeps_batch_columns_as_lone_columns(free):
     deltas = [2.0, 4.0]
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
     psis = [coherent_state(GRID, hbar, -2.5, 1.25) for hbar in (0.05, 0.1)]
-    batched = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, psis, dt=2e-3, geo=geo)
+    batched = certify_pure_sweep(geo, psis, dt=2e-3)
     alone = [r for psi in psis for r in
-             certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [psi], dt=2e-3, geo=geo)]
+             certify_pure_sweep(geo, [psi], dt=2e-3)]
     assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
     Rs = [phasespace.toeplitz_from_density(
         [(-2.5, 1.25, 0.7), (-2.2, 1.0, 0.0), (-2.8, 1.5, 0.3)], hbar) for hbar in (0.05, 0.1)]
-    batched = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, deltas, Rs, GRID,
-                                     dt=2e-3, geo=geo)
+    batched = certify_toeplitz_sweep(geo, Rs, GRID, dt=2e-3)
     alone = [r for R in Rs for r in
-             certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [R], GRID,
-                                    dt=2e-3, geo=geo)]
+             certify_toeplitz_sweep(geo, [R], GRID, dt=2e-3)]
     assert [(r.hbar, r.delta) for r in batched] == [(h, d) for h in (0.05, 0.1) for d in deltas]
     assert [r.to_dict() for r in batched] == [r.to_dict() for r in alone]
 
@@ -249,7 +242,7 @@ def test_toeplitz_leak_names_the_atom(harm):
           for hbar, p in ((0.05, 0.5), (0.1, 6.5))]
     with pytest.raises(quantum.BoundaryLeakError,
                        match=r"^hbar=0\.1, atom 1: boundary amplitude .* at t = 1\.\d+"):
-        certify_toeplitz_sweep(harm, K, om, 2.0, [1.0], Rs, grid, dt=1e-3, geo=geo)
+        certify_toeplitz_sweep(geo, Rs, grid, dt=1e-3)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -292,14 +285,6 @@ def test_run_scenario_jobs_match_serial_in_2d():
         [r.to_dict() for r in serial]
 
 
-def test_sweep_rejects_summary_for_other_deltas(free):
-    R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
-    geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
-    with pytest.raises(ValueError, match="deltas"):
-        certify.certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, [4.0], [R], GRID,
-                                       dt=2e-3, geo=geo)
-
-
 # the double-well K of test_geometric_summary_matches_single_cutoff_passes: with
 # xi in [3.5, 5] fast samples leave the working box [-2, 2], where the
 # Lipschitz bound of grad V grows
@@ -316,9 +301,8 @@ def test_sweeps_recertify_lip_on_the_trajectory_hull(dwell, plo, phi, leaves):
     grid = Grid(dim=1, n=1024, length=16.0)
     psi = coherent_state(grid, 0.05, 1.0, p0)
     R = phasespace.toeplitz_from_density([(1.0, p0, 1.0)], 0.05)
-    pure = certify_pure_sweep(dwell, K, om, T, deltas, [psi], dt=1e-3, geo=geo)[0]
-    toep = certify.certify_toeplitz_sweep(dwell, K, om, T, deltas, [R], grid, dt=1e-3,
-                                          geo=geo)[0]
+    pure = certify_pure_sweep(geo, [psi], dt=1e-3)[0]
+    toep = certify.certify_toeplitz_sweep(geo, [R], grid, dt=1e-3)[0]
     for rep in (pure, toep):
         assert rep.left_box is leaves
         assert rep.lip_grad == lip
@@ -332,11 +316,9 @@ def test_pure_and_one_atom_toeplitz_share_the_measured_side(free):
     # agree bit for bit on the measured mass and its three error terms
     deltas = [2.0, 4.0]
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, deltas, 2e-3)
-    pure = certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, deltas,
-                              [coherent_state(GRID, 0.05, -2.5, 1.25)], dt=2e-3, geo=geo)
+    pure = certify_pure_sweep(geo, [coherent_state(GRID, 0.05, -2.5, 1.25)], dt=2e-3)
     R = phasespace.toeplitz_from_density([(-2.5, 1.25, 1.0)], 0.05)
-    toeplitz = certify_toeplitz_sweep(free, K_FREE, OM_FREE, 2.0, deltas, [R], GRID,
-                                      dt=2e-3, geo=geo)
+    toeplitz = certify_toeplitz_sweep(geo, [R], GRID, dt=2e-3)
     assert [(r.kind, r.delta) for r in pure + toeplitz] == \
         [("pure", 2.0), ("pure", 4.0), ("toeplitz", 2.0), ("toeplitz", 4.0)]
     for a, b in zip(pure, toeplitz):
@@ -405,7 +387,7 @@ def test_stiff_potential_yields_vacuous_not_nan(dwell):
     om = interval(0.5, 1.5)
     psi = coherent_state(grid, 0.05, 1.0, 0.0)
     geo = classical.geometric_summary(dwell, K, om, 1.0, [2.0], 1e-3)
-    rep = certify_pure_sweep(dwell, K, om, 1.0, [2.0], [psi], dt=1e-3, geo=geo)[0]
+    rep = certify_pure_sweep(geo, [psi], dt=1e-3)[0]
     assert rep.lower_bound == -math.inf
     assert rep.verdict == "vacuous"
     assert math.isfinite(rep.measured)
@@ -418,7 +400,7 @@ def test_unnormalized_state_rejected(free):
     bad = quantum.WaveFunction(psi.grid, 2.0 * psi.values, psi.hbar)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
     with pytest.raises(ValueError, match="normalized"):
-        certify_pure_sweep(free, K_FREE, OM_FREE, 2.0, [2.0], [bad], dt=2e-3, geo=geo)
+        certify_pure_sweep(geo, [bad], dt=2e-3)
 
 
 def test_certify_pure_dim2_pipeline():
@@ -431,8 +413,7 @@ def test_certify_pure_dim2_pipeline():
                               [0.6, 1.4], [-0.4, 0.4]]]), 0.2)
     om = Region(np.array([[[-0.5, 6.0], [-2.0, 2.0]]]))
     geo = classical.geometric_summary(V, K, om, 1.0, [6.0], 5e-3)
-    rep = certify.certify_pure_sweep(V, K, om, 1.0, [6.0], [psi], dt=5e-3, geo=geo,
-                                     husimi_spacing=0.16)[0]
+    rep = certify.certify_pure_sweep(geo, [psi], dt=5e-3, husimi_spacing=0.16)[0]
     assert rep.dim == 2
     assert rep.verdict in {"certified", "vacuous"}
     assert rep.measured >= rep.lower_bound - rep.eps_num

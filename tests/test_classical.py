@@ -181,10 +181,13 @@ def test_indicator_below_ramp(free, harm):
 
 def test_refinement_delta_reported(free):
     K = phys_box(-0.1, 0.1, 0.9, 1.1, spacing=0.1)
-    geo = geometric_summary(free, K, interval(0.5, 1.5), 2.0, [], 1e-3)
+    om = interval(0.5, 1.5)
+    geo = geometric_summary(free, K, om, 2.0, [], 1e-3)
     value, delta = geo.c_geo, geo.c_geo_refine_delta
     assert value >= 0 and delta >= 0
     assert delta <= 0.1
+    # the summary carries the problem it summarizes
+    assert (geo.V, geo.K, geo.omega, geo.T, geo.deltas) == (free, K, om, 2.0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +529,17 @@ def test_region_per_axis_forms_match_norm_and_all(dim, rng):
                     == reference_indicator(region, points).tobytes())
     assert np.isinf(got[-len(huge):]).any()                  # squares that overflow
     assert (Region(np.array(boxes)).indicator(on_faces) == 0).any()
+
+
+def test_region_and_compact_set_share_one_box_normalizer():
+    # one (width, 2) box is k = 1, its width the array's own; a flat (lo, hi)
+    # pair is no box at all
+    assert Region(np.array([[0.5, 1.5], [0.0, 2.0]])).boxes.shape == (1, 2, 2)
+    for make in (Region, lambda b: CompactSet(b, 0.1)):
+        with pytest.raises(ValueError, match="shape"):
+            make(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="lo > hi"):
+            make(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_region_enlarged():

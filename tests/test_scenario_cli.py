@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,9 @@ def run_cli(args, cwd):
 
 def test_validate_minimal():
     parse(base_config())
+    # omega and the potential box may reach to +-inf
+    parse(base_config(omega={"boxes": [[-2.7, math.inf]]},
+                      potential={"kind": "free", "dim": 1, "box": [-math.inf, math.inf]}))
 
 
 def test_missing_field_path_in_error():
@@ -92,6 +96,28 @@ def test_bad_numerics_rejected():
         parse(base_config(deltas=[0.1234567, 3.0, 0.1234568]))
 
 
+# number fields: K spans a lattice, so its boxes are finite; omega and the
+# potential box may reach to +-inf, never NaN
+MALFORMED_NUMBERS = [
+    ({"K": {"boxes": [[[-3.1, math.inf], [0.65, 1.85]]], "spacing": 0.2}},
+     r"\$\.K\.boxes\[0\]: must be finite"),
+    ({"K": {"boxes": [[[-3.1, math.nan], [0.65, 1.85]]], "spacing": 0.2}},
+     r"\$\.K\.boxes\[0\]: must be finite"),
+    ({"K": {"boxes": [[[-3.1, "a"], [0.65, 1.85]]], "spacing": 0.2}},
+     r"\$\.K\.boxes\[0\]: expected numbers"),
+    ({"omega": {"boxes": [[-2.7, math.nan]]}}, r"\$\.omega\.boxes\[0\]: must be numbers, not NaN"),
+    ({"potential": {"kind": "free", "dim": 1, "box": [-10.0, math.nan]}},
+     r"\$\.potential\.box: must be numbers, not NaN"),
+    ({"potential": {"kind": "harmonic", "dim": 1, "box": [-10.0, 10.0], "stiffness": None}},
+     r"\$\.potential\.stiffness: must be finite"),
+    ({"potential": {"kind": "harmonic", "dim": 1, "box": [-10.0, 10.0], "stiffness": math.nan}},
+     r"\$\.potential\.stiffness: must be finite"),
+    ({"potential": {"kind": "free", "dim": 1.7, "box": [-10.0, 10.0]}},
+     r"\$\.potential\.dim: expected an integer"),
+    ({"potential": {"kind": "free", "dim": True, "box": [-10.0, 10.0]}},
+     r"\$\.potential\.dim: expected a number"),
+]
+
 # each is rejected by load_config with its path, before any flow pass
 MALFORMED = [
     ({"state": {"kind": "toeplitz", "atoms": [[0.0, 0.0, 1.0]]}},
@@ -107,6 +133,7 @@ MALFORMED = [
      r"\$\.state\.components: amplitudes sum to zero"),
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, "x"]]}},
      r"\$\.state\.atoms\[0\]\.weight"),
+    *MALFORMED_NUMBERS,
     ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
      r"numerics\.phase_grid\.q"),
 ]
@@ -114,7 +141,8 @@ MALFORMED = [
 
 @pytest.mark.parametrize("override, where", MALFORMED, ids=[
     "atom_outside_K", "q_wrong_size", "zero_amplitudes", "cancelling_components",
-    "weight_not_a_number",
+    "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
+    "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
     "phase_grid_two_entries"])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
@@ -125,6 +153,18 @@ def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatc
     path.write_text(json.dumps(base_config(**override)))
     with pytest.raises(ConfigError, match=where):
         run_scenario(load_config(path))
+
+
+def test_cli_malformed_numbers_exit_2(tmp_path):
+    # before these checks: tracebacks with exit 1, or a flow blow-up with exit 3
+    for override, where in MALFORMED_NUMBERS:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**override)))
+        res = run_cli(["gcc", "--config", str(cfg_path), "--out", str(tmp_path / "g")],
+                      cwd=tmp_path)
+        assert res.returncode == 2, (where, res.stderr)
+        assert "Traceback" not in res.stderr
+        assert re.match("config error: " + where, res.stderr), res.stderr
 
 
 def test_cli_malformed_phase_grid_exits_2(tmp_path):
@@ -253,6 +293,19 @@ def test_numerics_abort_exit_code(tmp_path):
     assert res.returncode == 3, res.stderr
     assert "numerical abort" in res.stderr
     assert not out.exists() or not list(out.glob("*.json"))
+
+
+def test_cli_propagate_abort_names_the_scenario(tmp_path):
+    # the box of test_numerics_abort_exit_code is too small for the state
+    cfg = base_config(numerics={"n": 512, "length": 6.0, "dt": 5e-3, "dt_flow": 5e-3})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = run_cli(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
+                  cwd=tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("numerical abort: scenario 'mini', hbar=0.1: boundary "
+                                 "amplitude"), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_mid_run_boundary_leak_exit_code(tmp_path):
@@ -550,15 +603,19 @@ def test_cli_sweep_rejects_a_bad_report(text, message, tmp_path):
 
 
 def test_cli_import_skips_scipy_optimize(tmp_path):
-    # transport is the only user of scipy.optimize and certify never needs it;
-    # every name the package exports is there after a plain import
+    # transport is the only user of scipy.optimize and neither certify nor
+    # the constants subcommand needs it; every name the package exports is
+    # there after a plain import
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "free_coherent.json")
     res = run_python(["-c", "import sys, obscert; "
                             "exported = all(hasattr(obscert, n) for n in obscert.__all__); "
                             "import obscert.cli; "
-                            "print(exported, 'scipy.optimize' in sys.modules)"],
+                            "imported = 'scipy.optimize' in sys.modules; "
+                            f"code = obscert.cli.main(['constants', '--config', {config!r}]); "
+                            "print(exported, imported, code, 'scipy.optimize' in sys.modules)"],
                      cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "True False"
+    assert res.stdout.splitlines()[-1] == "True False 0 False"
 
 
 def test_demo_config_parses():
