@@ -52,7 +52,8 @@ def growth_factor(lam: float, lip: float, t: float) -> float:
     """exp(s t / 2) at s = ``growth_rate``(lam, lip), +inf on overflow."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return saturating_exp(0.5 * growth_rate(lam, lip) * t)
+    # 1 at t = 0 even where the rate saturates to +inf (inf * 0 is NaN)
+    return 1.0 if t == 0 else saturating_exp(0.5 * growth_rate(lam, lip) * t)
 
 
 def gronwall_factor(s: float, T: float) -> float:

@@ -332,9 +332,9 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
 
     Indicator cutoffs get exact crossing splits (bisection to dt*1e-3);
     smooth cutoffs use trapezoid weights at the integrator substeps.  Only the
-    Verlet step runs once per step; the finiteness check, cutoffs, bisections
-    and the time-ordered sums run once per block of steps.  The ramp cutoffs
-    on one region share one distance to it per block.
+    Verlet step and each cutoff's running time-ordered sum run once per step;
+    the finiteness check, cutoffs and bisections run once per block of steps.
+    The ramp cutoffs on one region share one distance to it per block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, dim = len(pts), pts.shape[1] // 2
@@ -405,9 +405,10 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
                     positive = v[1:] > 0
                     fresh = np.isnan(first_hit[:, j]) & positive.any(axis=0)
                     first_hit[fresh, j] = ts[positive.argmax(axis=0)[fresh] + 1]
-                # add the steps in time order, as a running sum would (np.sum pairs them)
-                inc = np.concatenate([occ[None, :, j], inc])
-                occ[:, j] = np.add.accumulate(inc, axis=0)[-1]
+                # add the steps in time order (np.sum would pair them)
+                acc = occ[:, j]
+                for row in inc:
+                    acc += row
                 vals[j] = v[-1]
             X[0], XI[0] = X[b], XI[b]
 

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import config
+
 Array = np.ndarray
 
 
@@ -210,16 +212,30 @@ _BUILTINS = {
     "double_well": lambda cfg, dim, box: double_well(dim=dim, box=box),
 }
 
+# the checked fields: an integer dim, a finite stiffness, and a box without
+# NaN (+-inf bounds run)
+_FIELDS = {"dim": config.positive_int,
+           "stiffness": lambda v, at: config.vec(v, 1, at)[0],
+           "box": lambda v, at: config.numbers(v, at, finite=False)}
+
 
 def from_config(cfg: dict) -> Potential:
-    """Build a potential from a JSON-style config: {"kind": ..., "dim": ..., "box": ...}."""
+    """Build a potential from a JSON-style config: {"kind": ..., "dim": ..., "box": ...}.
+
+    Raises ConfigError (a ValueError) naming the field as potential.<field>.
+    """
+    cfg = {k: _FIELDS[k](v, f"potential.{k}") if k in _FIELDS else v for k, v in cfg.items()}
     kind = cfg.get("kind")
     if kind not in _BUILTINS:
-        raise ValueError(
+        raise config.ConfigError(
             f"potential.kind: unknown '{kind}' (expected one of {sorted(_BUILTINS)})"
         )
-    dim = int(cfg.get("dim", 1))
+    dim = cfg.get("dim", 1)
     if dim not in (1, 2):
-        raise ValueError("potential.dim: only dimensions 1 and 2 are supported")
-    box = cfg.get("box", (-8.0, 8.0) if kind != "double_well" else (-2.0, 2.0))
-    return _BUILTINS[kind](cfg, dim, _box_array(box, dim))
+        raise config.ConfigError("potential.dim: only dimensions 1 and 2 are supported")
+    try:
+        box = _box_array(cfg.get("box", (-8.0, 8.0) if kind != "double_well" else (-2.0, 2.0)),
+                         dim)
+    except ValueError as exc:
+        raise config.ConfigError(f"potential.box: {exc}") from None
+    return _BUILTINS[kind](cfg, dim, box)

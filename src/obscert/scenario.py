@@ -10,7 +10,6 @@ certification report per (hbar, delta) cell, deterministically ordered.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,15 +20,12 @@ import numpy as np
 from . import certify, classical, phasespace, potentials, quantum
 from .certify import CertificationReport
 from .classical import CompactSet, GeometricSummary, Region
+from .config import ConfigError, numbers, positive, positive_int, vec
 from .phasespace import ToeplitzState
 from .potentials import Potential
 from .quantum import Grid
 
 SWEEP_FIELDS = ("scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict")
-
-
-class ConfigError(ValueError):
-    """Scenario config failed validation; message carries the config path."""
 
 
 def _require(cfg, key: str, where: str):
@@ -40,52 +36,14 @@ def _require(cfg, key: str, where: str):
     return cfg[key]
 
 
-def _positive(value, where: str) -> float:
-    try:
-        if isinstance(value, bool):            # float(True) is 1.0
-            raise TypeError
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-    if not (v > 0) or not math.isfinite(v):
-        raise ConfigError(f"{where}: must be positive and finite, got {v}")
-    return v
-
-
-def _positive_int(value, where: str) -> int:
-    v = _positive(value, where)
-    if not v.is_integer():
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return int(v)
-
-
 def _positive_list(values, where: str) -> tuple[float, ...]:
     """Distinct positive values, sorted."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{where}: expected a nonempty list")
-    out = [_positive(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    out = [positive(v, f"{where}[{i}]") for i, v in enumerate(values)]
     if len({f"{v:g}" for v in out}) < len(out):
         raise ConfigError(f"{where}: values must differ in report file names (format :g)")
     return tuple(sorted(out))
-
-
-def _numbers(value, where: str, finite: bool = True) -> np.ndarray:
-    """value as a float array: never NaN, and without +-inf when ``finite``."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
-    if np.isnan(v).any() or (finite and not np.isfinite(v).all()):
-        raise ConfigError(f"{where}: must be {'finite' if finite else 'numbers, not NaN'}, "
-                          f"got {value!r}")
-    return v
-
-
-def _vec(value, dim: int, where: str) -> np.ndarray:
-    v = _numbers(value, where).reshape(-1)
-    if v.size != dim:
-        raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
-    return v
 
 
 def _norm_boxes(raw, dim: int, where: str, finite: bool) -> np.ndarray:
@@ -93,7 +51,7 @@ def _norm_boxes(raw, dim: int, where: str, finite: bool) -> np.ndarray:
         raise ConfigError(f"{where}: expected a nonempty list of boxes")
     out = []
     for i, entry in enumerate(raw):
-        b = _numbers(entry, f"{where}[{i}]", finite)
+        b = numbers(entry, f"{where}[{i}]", finite)
         if dim == 1 and b.shape == (2,):
             b = b[None, :]
         if b.shape != (dim, 2):
@@ -124,8 +82,8 @@ def _parse_phase_grid(raw) -> Optional[dict]:
     for axis in ("q", "p"):
         if raw.get(axis) is not None:
             where = f"numerics.phase_grid.{axis}"
-            lo, hi, count = _vec(raw[axis], 3, where)
-            out[axis] = [float(lo), float(hi), _positive_int(count, f"{where}[2]")]
+            lo, hi, count = vec(raw[axis], 3, where)
+            out[axis] = [float(lo), float(hi), positive_int(count, f"{where}[2]")]
     return out
 
 
@@ -133,17 +91,17 @@ def parse_numerics(cfg) -> Numerics:
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError("numerics: must be an object")
-    n = _positive_int(cfg.get("n", 1024), "numerics.n")
+    n = positive_int(cfg.get("n", 1024), "numerics.n")
     if n < 4 or (n & (n - 1)) != 0:
         raise ConfigError("numerics.n: must be a power of two, at least 4")
     num = Numerics(
         n=n,
-        length=_positive(cfg.get("length", 16.0), "numerics.length"),
-        dt=_positive(cfg.get("dt", 1e-3), "numerics.dt"),
-        dt_flow=_positive(cfg.get("dt_flow", 1e-3), "numerics.dt_flow"),
+        length=positive(cfg.get("length", 16.0), "numerics.length"),
+        dt=positive(cfg.get("dt", 1e-3), "numerics.dt"),
+        dt_flow=positive(cfg.get("dt_flow", 1e-3), "numerics.dt_flow"),
         husimi_spacing=(None if cfg.get("husimi_spacing") is None
-                        else _positive(cfg["husimi_spacing"], "numerics.husimi_spacing")),
-        slices=_positive_int(cfg.get("slices", 9), "numerics.slices"),
+                        else positive(cfg["husimi_spacing"], "numerics.husimi_spacing")),
+        slices=positive_int(cfg.get("slices", 9), "numerics.slices"),
         phase_grid=_parse_phase_grid(cfg.get("phase_grid")),
     )
     if num.slices < 2:
@@ -154,21 +112,17 @@ def parse_numerics(cfg) -> Numerics:
 def build_potential(cfg: dict) -> Potential:
     raw = _require(cfg, "potential", "$")
     _require(raw, "kind", "$.potential")
-    # an integer dim, a finite stiffness, and a box without NaN (+-inf bounds run)
-    checks = {"dim": _positive_int, "stiffness": lambda v, at: _vec(v, 1, at)[0],
-              "box": lambda v, at: _numbers(v, at, finite=False)}
-    raw = {k: checks[k](v, f"$.potential.{k}") if k in checks else v for k, v in raw.items()}
     try:
         return potentials.from_config(raw)
-    except ValueError as exc:
-        raise ConfigError(f"$.potential: {exc}") from None
+    except ValueError as exc:                  # its paths start at "potential."
+        raise ConfigError(f"$.{exc}") from None
 
 
 def build_compact_set(cfg: dict, dim: int) -> CompactSet:
     raw = _require(cfg, "K", "$")
     # finite: K's sample lattice spans every box
     boxes = _norm_boxes(_require(raw, "boxes", "$.K"), 2 * dim, "$.K.boxes", finite=True)
-    spacing = _positive(_require(raw, "spacing", "$.K"), "$.K.spacing")
+    spacing = positive(_require(raw, "spacing", "$.K"), "$.K.spacing")
     try:
         return CompactSet(boxes=boxes, spacing=spacing)
     except ValueError as exc:
@@ -198,7 +152,7 @@ class State:
 
 
 def _phase_point(q, p, dim: int, where: str) -> np.ndarray:
-    return np.concatenate([_vec(q, dim, f"{where}.q"), _vec(p, dim, f"{where}.p")])
+    return np.concatenate([vec(q, dim, f"{where}.q"), vec(p, dim, f"{where}.p")])
 
 
 def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
@@ -209,7 +163,7 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
                           _require(state_cfg, "p", "$.state"), dim, "$.state")
         if kind == "coherent":
             return State(kind, pt[None, :])
-        return State(kind, pt[None, :], sigma=_positive(
+        return State(kind, pt[None, :], sigma=positive(
             _require(state_cfg, "sigma", "$.state"), "$.state.sigma"))
     if kind == "superposition":
         comps = _require(state_cfg, "components", "$.state")
@@ -221,7 +175,7 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
             pts.append(_phase_point(_require(comp, "q", where), _require(comp, "p", where),
                                     dim, where))
             a = comp.get("amplitude", 1.0)
-            amps.append(complex(*_vec(a, 2 if isinstance(a, (list, tuple)) else 1,
+            amps.append(complex(*vec(a, 2 if isinstance(a, (list, tuple)) else 1,
                                       f"{where}.amplitude")))
         # coherent states at distinct points are independent, so the state is
         # zero iff the amplitudes at each phase point sum to zero
@@ -242,7 +196,7 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ConfigError(f"{where}: expected [q, p, weight]")
             pts.append(_phase_point(entry[0], entry[1], dim, where))
-            ws.append(_vec(entry[2], 1, f"{where}.weight")[0])
+            ws.append(vec(entry[2], 1, f"{where}.weight")[0])
         points, weights = np.array(pts), np.array(ws)
         if np.any(weights < 0) or not weights.sum() > 0:
             raise ConfigError("$.state.atoms: weights must be nonnegative "
@@ -252,7 +206,7 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
             raise ConfigError(f"$.state.atoms[{outside[0]}]: lies outside K")
         return State(kind, points, weights)
     if kind == "toeplitz_uniform":
-        per_axis = _positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
+        per_axis = positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
         return State("toeplitz", *phasespace.uniform_atomization(K, per_axis))
     raise ConfigError(f"$.state.kind: unknown '{kind}' (expected one of "
                       "['coherent', 'gaussian', 'superposition', 'toeplitz', "
@@ -319,7 +273,7 @@ def parse(cfg) -> Scenario:
     sc = Scenario(
         name=name, V=V, K=K, omega=build_region(cfg, V.dim),
         numerics=parse_numerics(cfg.get("numerics")),
-        T=_positive(_require(cfg, "T", "$"), "$.T"),
+        T=positive(_require(cfg, "T", "$"), "$.T"),
         deltas=_positive_list(_require(cfg, "deltas", "$"), "$.deltas"),
         hbars=_positive_list(_require(cfg, "hbars", "$"), "$.hbars"),
         state=parse_state(_require(cfg, "state", "$"), V.dim, K),

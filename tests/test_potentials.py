@@ -135,6 +135,17 @@ def test_from_config():
         potentials.from_config({"kind": "free", "dim": 3})
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"kind": "free", "dim": 1.7}, r"^potential\.dim: expected an integer"),
+    ({"kind": "harmonic", "stiffness": None}, r"^potential\.stiffness: must be finite"),
+], ids=["dim_fraction", "stiffness_null"])
+def test_from_config_rejects_a_bad_field_by_name(cfg, message):
+    # the library entry point checks as a scenario config does: no truncation
+    # of dim 1.7 to 1, no TypeError from float(None)
+    with pytest.raises(ValueError, match=message):
+        potentials.from_config(cfg)
+
+
 def test_nonfinite_rejected():
     V = potentials.Potential(
         name="bad", dim=1,

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.optimize import linprog
 
-from obscert import classical, transport
+from obscert import certify, classical, transport
 from obscert.classical import PhasePoint
 from obscert.quantum import coherent_state, cost_expectation, propagate
 from obscert.transport import (
@@ -219,6 +221,12 @@ def test_growth_factor_overflow_saturates():
     assert growth_factor(CostParams(lam=1.0, hbar=0.1), 1.2e161, 2.0) == math.inf
 
 
+def test_growth_factor_at_zero_time_with_saturated_rate():
+    # the rate saturates to +inf, and 0.5 * inf * 0 is NaN: the factor is still 1
+    assert certify.growth_factor(1.0, math.inf, 0.0) == 1.0
+    assert growth_factor(CostParams(lam=1.0, hbar=0.1), 1.2e161, 0.0) == 1.0
+
+
 def test_pushforward_stays_below_growth_bound(grid512, harm):
     # single-atom coupling along the flow: quantum cost expectation at the
     # pushed-forward center stays below the growth factor times initial cost
@@ -271,7 +279,6 @@ def test_exact_gaussian_cost_below_growth_factor(k, lam):
 
 def dense_transport_plan(f, mu, lam):
     """Reference: the same LP with the equality rows built densely, one by one."""
-    from scipy.optimize import linprog
     n, m = len(f.weights), len(mu.weights)
     C = cost_matrix(f, mu, lam)
     a_eq, b_eq = [], []
@@ -317,3 +324,84 @@ def test_plan_memory_at_128_atoms():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
+
+
+def full_transport_plan(f, mu, lam):
+    """Reference: the LP on all n * m edges, equality rows built by Kronecker
+    products (sparse, so it fits at 192 atoms)."""
+    n, m = len(f.weights), len(mu.weights)
+    C = cost_matrix(f, mu, lam)
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m, format="csr")[:m - 1])])
+    b_eq = np.concatenate([f.weights, mu.weights[:m - 1]])
+    res = linprog(C.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    plan = res.x.reshape(n, m)
+    return float(np.sum(plan * C)), plan
+
+
+def counted_linprog(monkeypatch):
+    """Replace transport's linprog by a wrapper; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting)
+    return calls
+
+
+def assert_marginals(plan, f, mu, tol):
+    assert np.max(np.abs(plan.sum(axis=1) - f.weights)) <= tol
+    assert np.max(np.abs(plan.sum(axis=0) - mu.weights)) <= tol
+
+
+def test_pricing_loop_reaches_the_full_optimum(monkeypatch):
+    # one partner per atom plus the north-west corner is far from optimal:
+    # edges priced negative must enter until the duals are feasible everywhere
+    monkeypatch.setattr(transport, "_NEAREST", 1)
+    calls = counted_linprog(monkeypatch)
+    f, mu = random_pair(40)
+    cost, plan = transport_plan(f, mu, 1.0)
+    ref_cost, _ = dense_transport_plan(f, mu, 1.0)
+    assert len(calls) > 1
+    assert calls[0] < 40 * 40 // 4
+    assert abs(cost - ref_cost) <= 1e-12 * ref_cost
+    assert_marginals(plan, f, mu, 1e-12)
+    assert np.all(plan >= 0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.7])
+def test_priced_plan_matches_the_full_lp_at_192_atoms(lam, monkeypatch):
+    calls = counted_linprog(monkeypatch)
+    f, mu = random_pair(192, seed=3)
+    cost, plan = transport_plan(f, mu, lam)
+    ref_cost, _ = full_transport_plan(f, mu, lam)
+    # the candidate set is a fraction of the 36864 edges
+    assert all(k < 192 * 192 // 2 for k in calls)
+    assert abs(cost - ref_cost) <= 1e-12 * ref_cost
+    assert_marginals(plan, f, mu, 1e-9)
+    assert cost == float(np.sum(plan * cost_matrix(f, mu, lam)))
+
+
+def test_north_west_corner_is_the_classic_staircase():
+    f, mu = random_pair(30, seed=5)
+    ia, ib = np.argsort(f.points[:, 0]), np.argsort(mu.points[:, 0])
+    a, b = f.weights[ia].copy(), mu.weights[ib].copy()
+    # the classic rule on the sorted atoms: fill (i, j), then leave the row or
+    # column whose mass is used up; the filled masses form a feasible plan
+    expected = np.zeros((30, 30), dtype=bool)
+    i = j = 0
+    while True:
+        expected[i, j] = True
+        if i == j == 29:
+            break
+        if j == 29 or (i < 29 and a[i] < b[j]):
+            b[j] -= a[i]
+            i += 1
+        else:
+            a[i] -= b[j]
+            j += 1
+    assert np.count_nonzero(expected) == 30 + 30 - 1
+    np.testing.assert_array_equal(transport._north_west_corner(f, mu)[np.ix_(ia, ib)],
+                                  expected)
