@@ -418,13 +418,6 @@ def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff
                             left_box=left_box, hull=hull)
 
 
-def occupation_time(V: Potential, p0: PhasePoint, T: float, chi: Cutoff,
-                    dt: float) -> float:
-    """Time-in-cutoff along one trajectory: int_0^T chi(X(t; p0)) dt."""
-    pt = np.concatenate([p0.x, p0.xi])[None, :]
-    return float(occupation_batch(V, pt, T, [chi], dt).occupation[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # the hbar-independent side of a certificate
 # ---------------------------------------------------------------------------

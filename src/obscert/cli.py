@@ -1,6 +1,6 @@
 """Command-line front end: scenario runs, field dumps and constant tables.
 
-Subcommands: certify, gcc, flow, propagate, husimi, constants, sweep.
+Subcommands: certify, gcc, propagate, husimi, constants, sweep.
 All artifacts are UTF-8 JSON (reports, constants) and RFC-4180 CSV (fields,
 tables), written only after a run completes so failures leave no partial
 reports behind.
@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, classical, phasespace, quantum, scenario
+from . import certify, phasespace, quantum, scenario
 from .certify import CertificationReport, _json_ready
-from .classical import IndicatorCutoff
 from .scenario import ConfigError
 
 
@@ -48,17 +47,6 @@ def _print_reports(reports) -> None:
               f"{r.lower_bound:>12.5g}{r.measured:>12.5g}{r.margin:>12.5g}  {r.verdict}")
 
 
-def _sample_table_rows(table):
-    dim = table.points.shape[1] // 2
-    rows = []
-    for pt, occ, hit in zip(table.points, table.occupation[:, 0], table.first_hit[:, 0]):
-        rows.append([*(float(v) for v in pt),
-                     float(occ), "" if math.isnan(hit) else float(hit)])
-    header = ([f"x{i+1}" for i in range(dim)] + [f"xi{i+1}" for i in range(dim)]
-              + ["occupation_time", "first_hit_time"])
-    return header, rows
-
-
 def _write_sweep(path: Path, rows) -> None:
     _write_csv(path, scenario.SWEEP_FIELDS,
                [[row[k] for k in scenario.SWEEP_FIELDS] for row in rows])
@@ -75,9 +63,16 @@ def cmd_certify(args) -> int:
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 
+# the report fields that are numbers, and the JSON strings certify writes for
+# the non-finite ones (certify._json_ready)
+_REPORT_NUMBERS = ("hbar", "delta", "lower_bound", "measured", "margin")
+_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
 def _report_row(path: Path):
-    """The sweep row of a report file; None for other JSON files (no
-    ``lower_bound``).  An unreadable or incomplete report is an input error."""
+    """The sweep row of a report file, with the values certify put in it; None
+    for other JSON files (no ``lower_bound``).  An unreadable or incomplete
+    report, or one with a non-number in a number column, is an input error."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -87,22 +82,24 @@ def _report_row(path: Path):
     missing = [k for k in scenario.SWEEP_FIELDS if k not in data]
     if missing:
         raise ConfigError(f"{path}: report lacks {', '.join(missing)}")
-    return {k: data[k] for k in scenario.SWEEP_FIELDS}
+    row = {k: data[k] for k in scenario.SWEEP_FIELDS}
+    for k in _REPORT_NUMBERS:
+        value = _NON_FINITE.get(row[k], row[k]) if isinstance(row[k], str) else row[k]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: {k}: expected a number, got {row[k]!r}")
+        row[k] = value
+    return row
 
 
 def cmd_sweep(args) -> int:
+    rows = [row for path in sorted(Path(args.reports).glob("*.json"))
+            if (row := _report_row(path)) is not None]
+    if not rows:
+        print("no reports found", file=sys.stderr)
+        return 2
+    rows.sort(key=lambda r: (r["hbar"], r["delta"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.reports:
-        rows = [row for path in sorted(Path(args.reports).glob("*.json"))
-                if (row := _report_row(path)) is not None]
-        if not rows:
-            print("no reports found", file=sys.stderr)
-            return 2
-        rows.sort(key=lambda r: (r["hbar"], r["delta"]))
-    else:
-        reports = scenario.run_scenario(scenario.load_config(args.config), jobs=args.jobs)
-        rows = scenario.sweep_rows(reports)
     _write_sweep(out / "sweep.csv", rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
@@ -113,8 +110,12 @@ def cmd_gcc(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     geo = sc.geometric_summary()
-    header, rows = _sample_table_rows(geo.table)
-    _write_csv(out / "gcc.csv", header, rows)
+    t = geo.table
+    rows = [[*(float(v) for v in pt), float(occ), "" if math.isnan(hit) else float(hit)]
+            for pt, occ, hit in zip(t.points, t.occupation[:, 0], t.first_hit[:, 0])]
+    axes = range(1, sc.V.dim + 1)
+    _write_csv(out / "gcc.csv", [f"x{i}" for i in axes] + [f"xi{i}" for i in axes]
+               + ["occupation_time", "first_hit_time"], rows)
     summary = {
         "scenario": sc.name,
         "gc_satisfied": geo.gc_satisfied,
@@ -126,19 +127,6 @@ def cmd_gcc(args) -> int:
     _write_json(out / "gcc.json", summary)
     print(f"GC satisfied: {geo.gc_satisfied}   C_geo = {geo.c_geo:.6g} "
           f"(refinement delta {geo.c_geo_refine_delta:.2e})")
-    return 0
-
-
-def cmd_flow(args) -> int:
-    sc = scenario.load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with scenario.named_aborts(sc.name):
-        table = classical.occupation_batch(
-            sc.V, sc.K.sample_grid(), sc.T, [IndicatorCutoff(sc.omega)], sc.numerics.dt_flow)
-    header, rows = _sample_table_rows(table)
-    _write_csv(out / "flow.csv", header, rows)
-    print(f"wrote {out / 'flow.csv'} ({len(rows)} samples)")
     return 0
 
 
@@ -256,21 +244,20 @@ def main(argv=None) -> int:
         description="Numerical certification of observability inequalities "
                     "for the semiclassical Schrodinger equation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("certify", cmd_certify), ("gcc", cmd_gcc), ("flow", cmd_flow),
-                     ("propagate", cmd_propagate), ("husimi", cmd_husimi),
-                     ("constants", cmd_constants), ("sweep", cmd_sweep)]:
+    for name, fn in [("certify", cmd_certify), ("gcc", cmd_gcc), ("propagate", cmd_propagate),
+                     ("husimi", cmd_husimi), ("constants", cmd_constants),
+                     ("sweep", cmd_sweep)]:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "sweep"))
-        p.add_argument("--out", default="out")
-        if name in ("certify", "sweep"):
-            p.add_argument("--jobs", type=positive, default=1)
         if name == "sweep":
-            p.add_argument("--reports", default=None,
-                           help="tabulate existing report JSONs instead of running")
+            p.add_argument("--reports", required=True,
+                           help="the directory of report JSONs that certify wrote")
+        else:
+            p.add_argument("--config", required=True)
+        p.add_argument("--out", default="out")
+        if name == "certify":
+            p.add_argument("--jobs", type=positive, default=1)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    if args.command == "sweep" and not args.reports and not args.config:
-        parser.error("sweep needs --config or --reports")
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -226,9 +226,9 @@ def from_config(cfg: dict) -> Potential:
     """
     cfg = {k: _FIELDS[k](v, f"potential.{k}") if k in _FIELDS else v for k, v in cfg.items()}
     kind = cfg.get("kind")
-    if kind not in _BUILTINS:
+    if not isinstance(kind, str) or kind not in _BUILTINS:
         raise config.ConfigError(
-            f"potential.kind: unknown '{kind}' (expected one of {sorted(_BUILTINS)})"
+            f"potential.kind: unknown {kind!r} (expected one of {sorted(_BUILTINS)})"
         )
     dim = cfg.get("dim", 1)
     if dim not in (1, 2):

@@ -261,6 +261,8 @@ def split_steps(t: float, dt: float) -> tuple[int, float]:
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"t/dt = {t:g}/{dt:g} is not a finite step count")
     n = max(1, int(math.ceil(t / dt - 1e-12)))
     return n, t / n
 

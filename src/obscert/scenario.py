@@ -261,6 +261,15 @@ def named_aborts(name: str):
         raise type(exc)(f"scenario '{name}', {exc}") from exc
 
 
+def _step_count(T: float, dt: float, where: str) -> int:
+    """The step count of quantum.split_steps(T, dt), which the Strang and
+    Verlet passes share; a T/dt that overflows is a config error."""
+    try:
+        return quantum.split_steps(T, dt)[0]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def parse(cfg) -> Scenario:
     """Check every field of a scenario config dict; the one config parser."""
     if not isinstance(cfg, dict):
@@ -278,9 +287,10 @@ def parse(cfg) -> Scenario:
         hbars=_positive_list(_require(cfg, "hbars", "$"), "$.hbars"),
         state=parse_state(_require(cfg, "state", "$"), V.dim, K),
     )
-    if quantum.split_steps(sc.T, sc.numerics.dt)[0] < 2:   # else dt and 2 dt runs coincide
+    if _step_count(sc.T, sc.numerics.dt, "numerics.dt") < 2:   # else dt and 2 dt runs coincide
         raise ConfigError(f"numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
                           "quantum step; the propagation error needs at least 2")
+    _step_count(sc.T, sc.numerics.dt_flow, "numerics.dt_flow")
     return sc
 
 

@@ -7,7 +7,7 @@ import pytest
 from obscert import classical, potentials, quantum, scenario
 from obscert.classical import (
     CompactSet, ConstantCutoff, IndicatorCutoff, PhasePoint, RampCutoff, Region,
-    flow, geometric_summary, hamiltonian, occupation_batch, occupation_time, verlet_step,
+    flow, geometric_summary, hamiltonian, occupation_batch, verlet_step,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -110,26 +110,26 @@ def test_energy_drift_quadratic_in_dt(harm, dwell):
 # ---------------------------------------------------------------------------
 
 def test_occupation_window(free):
-    occ = occupation_time(free, PhasePoint([0.0], [1.0]), 2.0,
-                          IndicatorCutoff(interval(0.5, 1.5)), 1e-3)
+    occ = occupation_batch(free, [[0.0, 1.0]], 2.0,
+                           [IndicatorCutoff(interval(0.5, 1.5))], 1e-3).occupation[0, 0]
     assert occ == pytest.approx(1.0, abs=1e-3)
 
 
 def test_occupation_constant_cutoff(free, harm, dwell):
     for V in (free, harm, dwell):
-        occ = occupation_time(V, PhasePoint([0.4], [0.3]), 1.7, ConstantCutoff(1.0), 1e-3)
+        occ = occupation_batch(V, [[0.4, 0.3]], 1.7, [ConstantCutoff(1.0)], 1e-3).occupation[0, 0]
         assert occ == pytest.approx(1.7, abs=1e-12)
 
 
 def test_occupation_harmonic_half_period(harm):
-    occ = occupation_time(harm, PhasePoint([1.0], [0.0]), 2 * np.pi,
-                          IndicatorCutoff(interval(0.0, 2.0)), 1e-3)
+    occ = occupation_batch(harm, [[1.0, 0.0]], 2 * np.pi,
+                           [IndicatorCutoff(interval(0.0, 2.0))], 1e-3).occupation[0, 0]
     assert occ == pytest.approx(np.pi, abs=2e-2)
 
 
 def test_occupation_bounds(free):
-    occ = occupation_time(free, PhasePoint([0.0], [1.0]), 2.0,
-                          RampCutoff(interval(0.5, 1.5), 0.3), 1e-3)
+    occ = occupation_batch(free, [[0.0, 1.0]], 2.0,
+                           [RampCutoff(interval(0.5, 1.5), 0.3)], 1e-3).occupation[0, 0]
     assert 0.0 <= occ <= 2.0
 
 
@@ -141,7 +141,7 @@ def test_geometric_constant_single_point_reduces(free):
     K = CompactSet(np.array([[[0.0, 0.0], [1.0, 1.0]]]), 0.1)
     chi = IndicatorCutoff(interval(0.5, 1.5))
     c = geometric_constant(free, K, chi, 2.0, 1e-3)
-    occ = occupation_time(free, PhasePoint([0.0], [1.0]), 2.0, chi, 1e-3)
+    occ = occupation_batch(free, [[0.0, 1.0]], 2.0, [chi], 1e-3).occupation[0, 0]
     assert c == pytest.approx(occ, abs=1e-12)
     assert c == pytest.approx(1.0, abs=1e-3)
 

@@ -138,10 +138,12 @@ def test_from_config():
 @pytest.mark.parametrize("cfg, message", [
     ({"kind": "free", "dim": 1.7}, r"^potential\.dim: expected an integer"),
     ({"kind": "harmonic", "stiffness": None}, r"^potential\.stiffness: must be finite"),
-], ids=["dim_fraction", "stiffness_null"])
+    ({"kind": ["free"]}, r"^potential\.kind: unknown \['free'\]"),
+    ({"kind": {"a": 1}}, r"^potential\.kind: unknown \{'a': 1\}"),
+], ids=["dim_fraction", "stiffness_null", "kind_list", "kind_dict"])
 def test_from_config_rejects_a_bad_field_by_name(cfg, message):
     # the library entry point checks as a scenario config does: no truncation
-    # of dim 1.7 to 1, no TypeError from float(None)
+    # of dim 1.7 to 1, no TypeError from float(None) or from an unhashable kind
     with pytest.raises(ValueError, match=message):
         potentials.from_config(cfg)
 

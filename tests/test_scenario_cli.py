@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import pytest
 import obscert
 from obscert import classical, cli, phasespace, potentials, quantum, scenario
 from obscert.scenario import ConfigError, load_config, parse, run_scenario, sweep_rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -86,6 +90,12 @@ def test_bad_numerics_rejected():
                             ({"slices": 2.9}, "numerics.slices")]:
         with pytest.raises(ConfigError, match=where):
             parse(base_config(numerics=numerics))
+    # a T/dt that overflows the step count of either step rule
+    for override, where in [({"T": 1e308}, "numerics.dt"),
+                            ({"numerics": {"dt": 1e-320}}, "numerics.dt"),
+                            ({"numerics": {"dt_flow": 1e-320}}, "numerics.dt_flow")]:
+        with pytest.raises(ConfigError, match=rf"^{where}: .* not a finite step count"):
+            parse(base_config(**override))
     for per_axis in ("abc", 1.5, 0):
         with pytest.raises(ConfigError, match=r"\$\.state\.per_axis"):
             parse(base_config(state={"kind": "toeplitz_uniform", "per_axis": per_axis}))
@@ -116,6 +126,9 @@ MALFORMED_NUMBERS = [
      r"\$\.potential\.dim: expected an integer"),
     ({"potential": {"kind": "free", "dim": True, "box": [-10.0, 10.0]}},
      r"\$\.potential\.dim: expected a number"),
+    # T/dt_flow overflowed split_steps in the classical pass of gcc
+    ({"numerics": {"n": 512, "length": 20.0, "dt": 5e-3, "dt_flow": 1e-320}},
+     r"numerics\.dt_flow: .* not a finite step count"),
 ]
 
 # each is rejected by load_config with its path, before any flow pass
@@ -134,6 +147,10 @@ MALFORMED = [
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, "x"]]}},
      r"\$\.state\.atoms\[0\]\.weight"),
     *MALFORMED_NUMBERS,
+    ({"potential": {"kind": ["free"], "dim": 1, "box": [-10.0, 10.0]}},
+     r"\$\.potential\.kind: unknown \['free'\]"),
+    ({"potential": {"kind": {"a": 1}, "dim": 1, "box": [-10.0, 10.0]}},
+     r"\$\.potential\.kind: unknown \{'a': 1\}"),
     ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
      r"numerics\.phase_grid\.q"),
 ]
@@ -143,7 +160,7 @@ MALFORMED = [
     "atom_outside_K", "q_wrong_size", "zero_amplitudes", "cancelling_components",
     "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
     "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
-    "phase_grid_two_entries"])
+    "dt_flow_underflows", "kind_list", "kind_dict", "phase_grid_two_entries"])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("flow pass on an unchecked config")
@@ -193,7 +210,7 @@ def test_one_quantum_step_exits_2(dt, tmp_path, capsys):
     parse(base_config(numerics={"n": 512, "length": 20.0, "dt": 0.5, "dt_flow": 5e-3}))
 
 
-@pytest.mark.parametrize("command", ["certify", "sweep"])
+@pytest.mark.parametrize("command", ["certify"])
 @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
 def test_jobs_below_one_exits_2(command, jobs, tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
@@ -207,6 +224,22 @@ def test_jobs_below_one_exits_2(command, jobs, tmp_path, capsys, monkeypatch):
                   "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--config", "cfg.json"], "invalid choice: 'flow'"),
+    (["sweep", "--config", "cfg.json"], "required: --reports"),
+    (["sweep", "--reports", "r", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+], ids=["flow", "sweep_config", "sweep_jobs"])
+def test_removed_command_paths_exit_2(argv, message, tmp_path, capsys, monkeypatch):
+    # gcc writes the per-sample table and certify writes sweep.csv's rows;
+    # sweep only tabulates the reports certify wrote
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", "o"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -334,7 +367,7 @@ def test_cli_flow_blowup_exits_3(tmp_path):
                       T=2.0, numerics={"n": 512, "length": 20.0, "dt": 5e-3, "dt_flow": 0.01})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    for command in ("certify", "gcc", "flow", "constants"):
+    for command in ("certify", "gcc", "constants"):
         out = tmp_path / command
         res = run_cli([command, "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
         assert res.returncode == 3, res.stderr
@@ -482,7 +515,7 @@ def test_cli_determinism(tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
-def test_cli_gcc_and_flow_tables(tmp_path):
+def test_cli_gcc_table(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
     res = run_cli(["gcc", "--config", str(cfg_path), "--out", str(tmp_path / "g")],
@@ -491,11 +524,6 @@ def test_cli_gcc_and_flow_tables(tmp_path):
     gcc_csv = (tmp_path / "g" / "gcc.csv").read_bytes()
     assert gcc_csv.splitlines()[0] == b"x1,xi1,occupation_time,first_hit_time"
     assert b"\r\n" in gcc_csv         # RFC-4180 line endings
-    res = run_cli(["flow", "--config", str(cfg_path), "--out", str(tmp_path / "f")],
-                  cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    # the indicator column of the certificate's flow pass is the lone pass's, bit for bit
-    assert (tmp_path / "f" / "flow.csv").read_bytes() == gcc_csv
 
 
 def test_cli_propagate_and_snapshot(tmp_path):
@@ -572,23 +600,44 @@ def test_cli_constants_use_lip_along_the_flow(tmp_path):
     assert data["lip_grad"] == pytest.approx(50.7538, abs=1e-4)
 
 
+# a double well (L = 44) whose spread coefficient D = (e^{sT/2} - 1)/s
+# overflows: its lower bounds are -inf, "-Infinity" in the reports and -inf
+# in sweep.csv
+DOUBLE_WELL = {"potential": {"kind": "double_well", "dim": 1, "box": [-2.0, 2.0]},
+               "K": {"boxes": [[[0.8, 1.2], [-0.2, 0.2]]], "spacing": 0.1},
+               "omega": {"boxes": [[0.5, 1.5]]}, "deltas": [2.0, 10.0],
+               "state": {"kind": "coherent", "q": 1.0, "p": 0.0},
+               "numerics": {"n": 512, "length": 8.0, "dt": 5e-3, "dt_flow": 5e-3}}
+
+
 def test_cli_sweep_from_reports(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(deltas=[1.0, 4.0])))
-    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "r")],
-                  cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    res = run_cli(["sweep", "--reports", str(tmp_path / "r"),
-                   "--out", str(tmp_path / "s")], cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 3
+    # sweep --reports writes certify's sweep.csv byte for byte, -inf included
+    for name, override in [("free", {"deltas": [1.0, 4.0]}), ("double_well", DOUBLE_WELL)]:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(base_config(**override)))
+        reports = tmp_path / name
+        assert cli.main(["certify", "--config", str(cfg_path), "--out", str(reports)]) == 0
+        res = run_cli(["sweep", "--reports", str(reports), "--out", str(tmp_path / "s")],
+                      cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        written = (reports / "sweep.csv").read_bytes()
+        assert (tmp_path / "s" / "sweep.csv").read_bytes() == written
+        assert len(written.splitlines()) == 3
+    assert b",-inf," in written
+
+
+SWEEP_ROW = {"scenario": "mini", "hbar": 0.1, "delta": 3.0, "lower_bound": 0.5,
+             "measured": 1.0, "margin": 0.5, "verdict": "certified"}
 
 
 @pytest.mark.parametrize("text, message", [
     ('{"lower_bound": 0.5, "hbar"', "unreadable report"),
     ('{"lower_bound": 0.5, "hbar": 0.1}', "report lacks scenario, delta"),
-], ids=["truncated", "missing_field"])
+    (json.dumps({**SWEEP_ROW, "hbar": None}), "hbar: expected a number, got None"),
+    (json.dumps({**SWEEP_ROW, "delta": "3"}), "delta: expected a number, got '3'"),
+    (json.dumps({**SWEEP_ROW, "lower_bound": [0.5]}),
+     "lower_bound: expected a number, got [0.5]"),
+], ids=["truncated", "missing_field", "hbar_null", "delta_string", "lower_bound_list"])
 def test_cli_sweep_rejects_a_bad_report(text, message, tmp_path):
     reports = tmp_path / "r"
     reports.mkdir()
@@ -602,11 +651,78 @@ def test_cli_sweep_rejects_a_bad_report(text, message, tmp_path):
     assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
+# ---------------------------------------------------------------------------
+# mutation fuzzer (Miller, Fredriksen and So, Commun. ACM 33(12) (1990) 32-44)
+# ---------------------------------------------------------------------------
+
+FUZZ_CONFIGS = sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("bench/configs/*/*.json")])
+FUZZ_VALUES = [None, True, False, 0, -1, 1e308, -1e308, 1e-320, math.nan, math.inf,
+               -math.inf, "", "abc", [], [1.0, 2.0], {}, {"a": 1}, 2 ** 70, 0.5, 3]
+DELETE = object()
+
+
+def json_nodes(doc, path=()):
+    """The path of every node below the root of a JSON document."""
+    items = (doc.items() if isinstance(doc, dict) else enumerate(doc)
+             if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_nodes(value, path + (key,))
+
+
+def mutations(docs, size, seed):
+    """A fixed-seed sample of ``size`` (name, mutated doc, path, value) cases:
+    one node of one document replaced by a FUZZ_VALUES entry, or deleted."""
+    cases = [(name, path, value) for name, doc in docs.items()
+             for path in json_nodes(doc) for value in [*FUZZ_VALUES, DELETE]]
+    for name, path, value in random.Random(seed).sample(cases, min(size, len(cases))):
+        doc = copy.deepcopy(docs[name])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        yield name, doc, path, value
+
+
+def test_fuzz_mutated_configs_parse_or_raise_config_error():
+    # the classes it found, now named cases: T/dt overflowing split_steps
+    # (test_bad_numerics_rejected) and an unhashable potential.kind (kind_list,
+    # kind_dict); about 12,400 mutations in all, of which this runs half
+    assert len(FUZZ_CONFIGS) >= 13
+    docs = {str(p.relative_to(ROOT)): json.loads(p.read_text()) for p in FUZZ_CONFIGS}
+    for name, doc, path, value in mutations(docs, 6000, seed=21):
+        try:
+            parse(doc)
+        except ConfigError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{name} {list(path)} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+def test_fuzz_mutated_reports_exit_0_or_2(tmp_path):
+    # one of certify's reports, with -inf bounds, mutated next to an intact one:
+    # the class found (a null, string or list hbar or delta broke the sort) is
+    # now hbar_null and delta_string, and lower_bound_list pins a bound column
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**DOUBLE_WELL)))
+    reports = tmp_path / "r"
+    assert cli.main(["certify", "--config", str(cfg_path), "--out", str(reports)]) == 0
+    path = sorted(reports.glob("*.json"))[0]
+    docs = {path.name: json.loads(path.read_text())}
+    for name, doc, where, value in mutations(docs, 400, seed=21):
+        path.write_text(json.dumps(doc))
+        code = cli.main(["sweep", "--reports", str(reports), "--out", str(tmp_path / "s")])
+        assert code in (0, 2), (list(where), value, code)
+
+
 def test_cli_import_skips_scipy_optimize(tmp_path):
     # transport is the only user of scipy.optimize and neither certify nor
     # the constants subcommand needs it; every name the package exports is
     # there after a plain import
-    config = str(Path(__file__).resolve().parents[1] / "configs" / "free_coherent.json")
+    config = str(ROOT / "configs" / "free_coherent.json")
     res = run_python(["-c", "import sys, obscert; "
                             "exported = all(hasattr(obscert, n) for n in obscert.__all__); "
                             "import obscert.cli; "
@@ -619,6 +735,5 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
 
 
 def test_demo_config_parses():
-    sc = load_config(Path(__file__).resolve().parents[1] / "configs"
-                     / "free_coherent.json")
+    sc = load_config(ROOT / "configs" / "free_coherent.json")
     assert sc.name == "free_coherent"
