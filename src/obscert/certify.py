@@ -152,10 +152,6 @@ def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[
     return float(value), float(lam)
 
 
-def toeplitz_coefficient(T: float, lip: float) -> float:
-    return toeplitz_coefficient_details(T, lip)[0]
-
-
 @dataclass(frozen=True)
 class MinimalDelta:
     baseline: float
@@ -416,22 +412,23 @@ def certify_toeplitz_sweep(geo: GeometricSummary, Rs: Sequence[ToeplitzState],
     ``geo`` is the problem: ``classical.geometric_summary`` of
     (V, K, omega, T, deltas), which it carries.
     """
-    if not all(np.all(geo.K.contains(R.atoms)) for R in Rs):
+    if not all(np.all(geo.K.contains(R.symbol.points)) for R in Rs):
         raise ValueError("all Toeplitz atoms must lie inside K")
     columns = [[(R.atom_state(j, grid), w, f"hbar={R.hbar:g}, atom {j}")
-                for j, w in enumerate(R.weights) if w != 0.0] for R in Rs]
+                for j, w in enumerate(R.symbol.weights) if w != 0.0] for R in Rs]
     sweep = _Sweep.measure(geo, columns, dt=dt, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
     c_tl, lam_star = toeplitz_coefficient_details(geo.T, sweep.lip)
 
     reports = []
     for c, R in enumerate(Rs):
-        threshold = (c_geo ** 2 / (2.0 * R.dim * saturating_square(c_tl))
+        dim = R.symbol.dim
+        threshold = (c_geo ** 2 / (2.0 * dim * saturating_square(c_tl))
                      if math.isfinite(c_tl) else 0.0)
         for j, delta in enumerate(geo.deltas):
-            lower = c_geo - c_tl * math.sqrt(2.0 * R.dim * R.hbar) / delta
+            lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
             reports.append(sweep.report(
                 c, j, "toeplitz", lower, {"c_geo_refinement": float(c_geo_delta)},
-                dim=R.dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl,
+                dim=dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl,
                 admissible=bool(R.hbar / delta ** 2 < threshold)))
     return reports

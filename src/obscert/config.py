@@ -48,3 +48,14 @@ def vec(value, dim: int, where: str) -> np.ndarray:
     if v.size != dim:
         raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
     return v
+
+
+def known_fields(obj, fields, where: str) -> dict:
+    """obj, checked to be an object whose every key is in ``fields``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object")
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{where}.{key}: unknown field (expected one of "
+                              f"{sorted(fields)})")
+    return obj

@@ -1,10 +1,12 @@
-"""Phase-space representations: Wigner and Husimi transforms, Toeplitz states.
+"""Phase-space representations: Wigner and Husimi transforms, atomic
+measures and their Toeplitz states.
 
 The Husimi density is computed directly from coherent-state overlaps on the
 spatial grid (unconditionally nonnegative); the smoothing identity relating it
-to the Wigner transform is kept as a cross-check in the test suite.  Toeplitz
-states are finite nonnegative mixtures of coherent atoms, so their evolution
-reduces to independent pure-state propagations.
+to the Wigner transform is kept as a cross-check in the test suite.  A Toeplitz
+state is the Toeplitz quantization of an atomic measure, a finite nonnegative
+mixture of coherent atoms, so its evolution reduces to independent pure-state
+propagations.
 """
 
 from __future__ import annotations
@@ -190,32 +192,15 @@ def husimi_mass_refined(psi: WaveFunction, K: CompactSet,
     return coarse, abs(coarse - fine)
 
 
-def coherent_tail_check(K: CompactSet, hbar: float, center_q, center_p) -> dict:
-    """Compare the Husimi mass of a coherent state on K against the tail
-    bound 1 - exp(-d_K^2/(4 hbar))/(4 pi)^d.
-
-    That bound rests on an overlap convention which does not match the
-    Gaussian overlap of the coherent states used here, so it can fail; this
-    reports both sides and whether the inequality holds rather than silently
-    adopting either convention.
-    """
-    d = K.dim
-    q = np.atleast_1d(np.asarray(center_q, float))
-    p = np.atleast_1d(np.asarray(center_p, float))
-    # exact Gaussian mass of the Husimi density (variance hbar per coordinate)
-    from math import erf, sqrt
-    mass = 0.0
-    for box in K.boxes:
-        prod = 1.0
-        center = np.concatenate([q, p])
-        for (lo, hi), c in zip(box, center):
-            a = (lo - c) / sqrt(2.0 * hbar)
-            b = (hi - c) / sqrt(2.0 * hbar)
-            prod *= 0.5 * (erf(b) - erf(a))
-        mass += prod
-    claimed = 1.0 - math.exp(-K.diameter ** 2 / (4.0 * hbar)) / (4.0 * math.pi) ** d
-    return {"husimi_mass": mass, "claimed_lower_bound": claimed,
-            "holds": bool(mass >= claimed)}
+def coherent_husimi_mass(K: CompactSet, hbar: float, center_q, center_p) -> float:
+    """Exact mass on K of the Husimi density of the coherent state at
+    (center_q, center_p): a Gaussian of variance hbar per phase coordinate,
+    so an erf product per box (the oracle for ``husimi_mass``)."""
+    center = np.concatenate([np.atleast_1d(np.asarray(center_q, float)),
+                             np.atleast_1d(np.asarray(center_p, float))])
+    s = math.sqrt(2.0 * hbar)
+    return sum(math.prod(0.5 * (math.erf((hi - c) / s) - math.erf((lo - c) / s))
+                         for (lo, hi), c in zip(box, center)) for box in K.boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,37 +208,58 @@ def coherent_tail_check(K: CompactSet, hbar: float, center_q, center_p) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ToeplitzState:
-    """Nonnegative mixture of coherent atoms: points (m, 2*dim), weights sum 1."""
+class AtomicMeasure:
+    """Finitely supported probability measure on phase space: (m, 2*dim)
+    points, and weights normalized to sum 1 (w / fsum(w))."""
 
-    atoms: Array
+    points: Array
     weights: Array
-    hbar: float
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(pts) != len(w) or len(pts) == 0:
-            raise ValueError("atoms and weights must be nonempty and match")
+            raise ValueError("points and weights must be nonempty and match")
         if pts.shape[1] % 2 != 0:
-            raise ValueError("atoms must have 2*dim phase coordinates")
+            raise ValueError("points must have 2*dim phase coordinates")
         if np.any(w < 0):
-            raise ValueError("negative atom weight")
-        s = math.fsum(w.tolist())
-        if s <= 0:
-            raise ValueError("weights must have positive total")
-        object.__setattr__(self, "atoms", pts)
+            raise ValueError("negative weight")
+        try:
+            s = math.fsum(w.tolist())
+        except OverflowError:               # a partial sum above the float range
+            s = math.inf
+        if not 0 < s < math.inf:
+            raise ValueError("weights must have a finite positive total")
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w / s)
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
 
     @property
     def dim(self) -> int:
-        return self.atoms.shape[1] // 2
+        return self.points.shape[1] // 2
+
+    def second_moment(self, lam: float) -> float:
+        """sum_i w_i (lam^2 |x_i|^2 + |xi_i|^2)."""
+        d = self.dim
+        x2 = np.sum(self.points[:, :d] ** 2, axis=1)
+        xi2 = np.sum(self.points[:, d:] ** 2, axis=1)
+        return float(np.sum(self.weights * (lam ** 2 * x2 + xi2)))
+
+
+@dataclass(frozen=True)
+class ToeplitzState:
+    """Toeplitz quantization of an atomic symbol at hbar: the mixture of the
+    coherent states at the symbol's points, with its weights."""
+
+    symbol: AtomicMeasure
+    hbar: float
+
+    def __post_init__(self):
+        if self.hbar <= 0:
+            raise ValueError("hbar must be positive")
 
     def atom_state(self, j: int, grid: Grid) -> WaveFunction:
-        d = self.dim
-        return quantum.coherent_state(grid, self.hbar, self.atoms[j, :d], self.atoms[j, d:])
+        d, atom = self.symbol.dim, self.symbol.points[j]
+        return quantum.coherent_state(grid, self.hbar, atom[:d], atom[d:])
 
 
 def uniform_atomization(K: CompactSet, per_axis: int) -> tuple[Array, Array]:
@@ -291,5 +297,5 @@ def toeplitz_from_density(f_atoms: Sequence, hbar: float) -> ToeplitzState:
         pts.append(np.concatenate([np.atleast_1d(np.asarray(q, float)),
                                    np.atleast_1d(np.asarray(p, float))]))
         ws.append(float(w))
-    return ToeplitzState(np.array(pts), np.array(ws), hbar)
+    return ToeplitzState(AtomicMeasure(np.array(pts), np.array(ws)), hbar)
 

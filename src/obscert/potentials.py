@@ -211,6 +211,8 @@ _BUILTINS = {
     ),
     "double_well": lambda cfg, dim, box: double_well(dim=dim, box=box),
 }
+# the fields each kind reads besides kind, dim and box
+_KIND_FIELDS = {"free": (), "harmonic": ("stiffness",), "double_well": ()}
 
 # the checked fields: an integer dim, a finite stiffness, and a box without
 # NaN (+-inf bounds run)
@@ -222,14 +224,16 @@ _FIELDS = {"dim": config.positive_int,
 def from_config(cfg: dict) -> Potential:
     """Build a potential from a JSON-style config: {"kind": ..., "dim": ..., "box": ...}.
 
-    Raises ConfigError (a ValueError) naming the field as potential.<field>.
+    Raises ConfigError (a ValueError) naming the field as potential.<field>;
+    a field its kind does not read is an error.
     """
-    cfg = {k: _FIELDS[k](v, f"potential.{k}") if k in _FIELDS else v for k, v in cfg.items()}
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _BUILTINS:
         raise config.ConfigError(
             f"potential.kind: unknown {kind!r} (expected one of {sorted(_BUILTINS)})"
         )
+    config.known_fields(cfg, ("kind", "dim", "box", *_KIND_FIELDS[kind]), "potential")
+    cfg = {k: _FIELDS[k](v, f"potential.{k}") if k in _FIELDS else v for k, v in cfg.items()}
     dim = cfg.get("dim", 1)
     if dim not in (1, 2):
         raise config.ConfigError("potential.dim: only dimensions 1 and 2 are supported")

@@ -42,6 +42,11 @@ class SpectralAliasError(NumericsError):
     """Spectral tail mass exceeded tolerance (grid too coarse for the momenta)."""
 
 
+# the largest n per axis, by dim: in 2-D at n = 2048, certify's propagation
+# of one state peaks at about 1.5 GB, and memory grows fourfold per doubling
+MAX_GRID_N = {1: 4096, 2: 2048}
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid over [-length/2, length/2)^dim, n points per axis."""
@@ -51,10 +56,13 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        if self.dim not in MAX_GRID_N:
             raise ValueError("only dim 1 and 2 are supported")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two (spectral transforms)")
+            raise ValueError("n must be a power of two, at least 4 (spectral transforms)")
+        if self.n > MAX_GRID_N[self.dim]:
+            raise ValueError(f"n = {self.n} exceeds {MAX_GRID_N[self.dim]}, the largest "
+                             f"grid per axis in {self.dim}-D")
         if self.length <= 0:
             raise ValueError("length must be positive")
 

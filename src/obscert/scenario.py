@@ -20,12 +20,17 @@ import numpy as np
 from . import certify, classical, phasespace, potentials, quantum
 from .certify import CertificationReport
 from .classical import CompactSet, GeometricSummary, Region
-from .config import ConfigError, numbers, positive, positive_int, vec
-from .phasespace import ToeplitzState
+from .config import ConfigError, known_fields, numbers, positive, positive_int, vec
+from .phasespace import AtomicMeasure, ToeplitzState
 from .potentials import Potential
 from .quantum import Grid
 
 SWEEP_FIELDS = ("scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict")
+# the fields of a scenario config, and of its state besides "kind", by kind
+_FIELDS = ("scenario", "potential", "K", "omega", "T", "deltas", "hbars", "state", "numerics")
+_STATE_FIELDS = {"coherent": ("q", "p"), "gaussian": ("q", "p", "sigma"),
+                "superposition": ("components",), "toeplitz": ("atoms",),
+                "toeplitz_uniform": ("per_axis",)}
 
 
 def _require(cfg, key: str, where: str):
@@ -76,8 +81,7 @@ class Numerics:
 def _parse_phase_grid(raw) -> Optional[dict]:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ConfigError("numerics.phase_grid: must be an object")
+    known_fields(raw, ("q", "p"), "$.numerics.phase_grid")
     out = {}
     for axis in ("q", "p"):
         if raw.get(axis) is not None:
@@ -88,14 +92,9 @@ def _parse_phase_grid(raw) -> Optional[dict]:
 
 
 def parse_numerics(cfg) -> Numerics:
-    cfg = {} if cfg is None else cfg
-    if not isinstance(cfg, dict):
-        raise ConfigError("numerics: must be an object")
-    n = positive_int(cfg.get("n", 1024), "numerics.n")
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ConfigError("numerics.n: must be a power of two, at least 4")
+    cfg = known_fields({} if cfg is None else cfg, Numerics.__dataclass_fields__, "$.numerics")
     num = Numerics(
-        n=n,
+        n=positive_int(cfg.get("n", 1024), "numerics.n"),
         length=positive(cfg.get("length", 16.0), "numerics.length"),
         dt=positive(cfg.get("dt", 1e-3), "numerics.dt"),
         dt_flow=positive(cfg.get("dt_flow", 1e-3), "numerics.dt_flow"),
@@ -119,7 +118,7 @@ def build_potential(cfg: dict) -> Potential:
 
 
 def build_compact_set(cfg: dict, dim: int) -> CompactSet:
-    raw = _require(cfg, "K", "$")
+    raw = known_fields(_require(cfg, "K", "$"), ("boxes", "spacing"), "$.K")
     # finite: K's sample lattice spans every box
     boxes = _norm_boxes(_require(raw, "boxes", "$.K"), 2 * dim, "$.K.boxes", finite=True)
     spacing = positive(_require(raw, "spacing", "$.K"), "$.K.spacing")
@@ -130,7 +129,7 @@ def build_compact_set(cfg: dict, dim: int) -> CompactSet:
 
 
 def build_region(cfg: dict, dim: int) -> Region:
-    raw = _require(cfg, "omega", "$")
+    raw = known_fields(_require(cfg, "omega", "$"), ("boxes",), "$.omega")
     return Region(_norm_boxes(_require(raw, "boxes", "$.omega"), dim, "$.omega.boxes",
                               finite=False))
 
@@ -140,15 +139,16 @@ class State:
     """The hbar-independent data of an initial state.
 
     ``kind`` is "coherent", "gaussian", "superposition" or "toeplitz" (both
-    Toeplitz config kinds); ``points`` holds one phase point (q, p) per
-    coherent component or atom, ``weights`` the superposition amplitudes or
-    the raw Toeplitz weights (ToeplitzState normalizes them).
+    Toeplitz config kinds).  A pure kind holds one phase point (q, p) per
+    coherent component in ``points`` and the superposition amplitudes in
+    ``weights``; a Toeplitz kind holds its ``symbol``.
     """
 
     kind: str
-    points: np.ndarray                   # (m, 2*dim)
+    points: Optional[np.ndarray] = None  # (m, 2*dim)
     weights: Optional[np.ndarray] = None
     sigma: Optional[float] = None
+    symbol: Optional[AtomicMeasure] = None
 
 
 def _phase_point(q, p, dim: int, where: str) -> np.ndarray:
@@ -158,6 +158,10 @@ def _phase_point(q, p, dim: int, where: str) -> np.ndarray:
 def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
     """Check every field of the state config against the scenario's dim and K."""
     kind = _require(state_cfg, "kind", "$.state")
+    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
+        raise ConfigError(f"$.state.kind: unknown {kind!r} (expected one of "
+                          f"{sorted(_STATE_FIELDS)})")
+    known_fields(state_cfg, ("kind", *_STATE_FIELDS[kind]), "$.state")
     if kind in ("coherent", "gaussian"):
         pt = _phase_point(_require(state_cfg, "q", "$.state"),
                           _require(state_cfg, "p", "$.state"), dim, "$.state")
@@ -172,6 +176,7 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
         pts, amps = [], []
         for i, comp in enumerate(comps):
             where = f"$.state.components[{i}]"
+            known_fields(comp, ("q", "p", "amplitude"), where)
             pts.append(_phase_point(_require(comp, "q", where), _require(comp, "p", where),
                                     dim, where))
             a = comp.get("amplitude", 1.0)
@@ -197,26 +202,22 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
                 raise ConfigError(f"{where}: expected [q, p, weight]")
             pts.append(_phase_point(entry[0], entry[1], dim, where))
             ws.append(vec(entry[2], 1, f"{where}.weight")[0])
-        points, weights = np.array(pts), np.array(ws)
-        if np.any(weights < 0) or not weights.sum() > 0:
-            raise ConfigError("$.state.atoms: weights must be nonnegative "
-                              "with a positive total")
-        outside = np.flatnonzero(~K.contains(points))
+        try:
+            symbol = AtomicMeasure(np.array(pts), np.array(ws))
+        except ValueError as exc:
+            raise ConfigError(f"$.state.atoms: {exc}") from None
+        outside = np.flatnonzero(~K.contains(symbol.points))
         if outside.size:
             raise ConfigError(f"$.state.atoms[{outside[0]}]: lies outside K")
-        return State(kind, points, weights)
-    if kind == "toeplitz_uniform":
-        per_axis = positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
-        return State("toeplitz", *phasespace.uniform_atomization(K, per_axis))
-    raise ConfigError(f"$.state.kind: unknown '{kind}' (expected one of "
-                      "['coherent', 'gaussian', 'superposition', 'toeplitz', "
-                      "'toeplitz_uniform'])")
+        return State(kind, symbol=symbol)
+    per_axis = positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
+    return State("toeplitz", symbol=AtomicMeasure(*phasespace.uniform_atomization(K, per_axis)))
 
 
 def build_state(state: State, grid: Grid, hbar: float):
     """Returns a WaveFunction (pure kinds) or a ToeplitzState."""
     if state.kind == "toeplitz":
-        return ToeplitzState(state.points, state.weights, hbar)
+        return ToeplitzState(state.symbol, hbar)
     d = grid.dim
     q, p = state.points[:, :d], state.points[:, d:]
     if state.kind == "gaussian":
@@ -272,8 +273,7 @@ def _step_count(T: float, dt: float, where: str) -> int:
 
 def parse(cfg) -> Scenario:
     """Check every field of a scenario config dict; the one config parser."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("$: scenario config must be a JSON object")
+    known_fields(cfg, _FIELDS, "$")
     name = cfg.get("scenario", "scenario")
     if not isinstance(name, str) or not name:
         raise ConfigError("$.scenario: must be a nonempty string")
@@ -287,6 +287,10 @@ def parse(cfg) -> Scenario:
         hbars=_positive_list(_require(cfg, "hbars", "$"), "$.hbars"),
         state=parse_state(_require(cfg, "state", "$"), V.dim, K),
     )
+    try:
+        sc.grid                 # dim and length are checked: Grid can reject only n
+    except ValueError as exc:
+        raise ConfigError(f"numerics.n: {exc}") from None
     if _step_count(sc.T, sc.numerics.dt, "numerics.dt") < 2:   # else dt and 2 dt runs coincide
         raise ConfigError(f"numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
                           "quantum step; the propagation error needs at least 2")

@@ -2,10 +2,10 @@
 classical-quantum comparison pseudometric.
 
 Only upper bounds for the pseudometric are ever computed: the coupling built
-from an optimal classical transport plan (Toeplitz case), the 2*spread bound
-(pure-state case), and the exponential growth factor along the flow.  The
-defining infimum over operator-valued couplings has no tractable finite
-reduction and is never attempted.
+from an optimal classical transport plan (Toeplitz case) and the 2*spread
+bound (pure-state case); their growth along the flow is
+``certify.growth_factor``.  The defining infimum over operator-valued
+couplings has no tractable finite reduction and is never attempted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from . import certify, quantum
+from . import quantum
+from .phasespace import AtomicMeasure
 from .quantum import WaveFunction
 
 Array = np.ndarray
@@ -25,40 +26,6 @@ Array = np.ndarray
 MAX_ATOMS = 512
 # cheapest partners per atom in the transport LP's first candidate set
 _NEAREST = 64
-
-
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finitely supported probability measure on phase space: (m, 2*dim) points."""
-
-    points: Array
-    weights: Array
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(pts) != len(w) or len(pts) == 0:
-            raise ValueError("points and weights must be nonempty and match")
-        if pts.shape[1] % 2 != 0:
-            raise ValueError("points must have 2*dim phase coordinates")
-        if np.any(w < 0):
-            raise ValueError("negative weight")
-        s = math.fsum(w.tolist())
-        if s <= 0:
-            raise ValueError("weights must have positive total")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w / s)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1] // 2
-
-    def second_moment(self, lam: float) -> float:
-        """sum_i w_i (lam^2 |x_i|^2 + |xi_i|^2)."""
-        d = self.dim
-        x2 = np.sum(self.points[:, :d] ** 2, axis=1)
-        xi2 = np.sum(self.points[:, d:] ** 2, axis=1)
-        return float(np.sum(self.weights * (lam ** 2 * x2 + xi2)))
 
 
 @dataclass(frozen=True)
@@ -155,17 +122,6 @@ def transport_distance(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0) ->
     return math.sqrt(max(cost2, 0.0))
 
 
-def plan_rows(plan: Array, tol: float = 1e-14) -> list[tuple[int, int, float]]:
-    """Flatten a transport plan into (source_atom, target_atom, mass) triples,
-    dropping numerically empty entries; ready for CSV export."""
-    rows = []
-    for i in range(plan.shape[0]):
-        for j in range(plan.shape[1]):
-            if plan[i, j] > tol:
-                rows.append((i, j, float(plan[i, j])))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # coherent-state cost expectation and the coupling bounds
 # ---------------------------------------------------------------------------
@@ -210,8 +166,3 @@ def pure_state_bound(psi: WaveFunction) -> float:
     pure state and its own Husimi density."""
     return 2.0 * quantum.spread(psi)
 
-
-def growth_factor(params: CostParams, lip_grad: float, t: float) -> float:
-    """``certify.growth_factor`` at params.lam: growth of the pseudometric
-    bound along the coupled classical/quantum evolution."""
-    return certify.growth_factor(params.lam, lip_grad, t)

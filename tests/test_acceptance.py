@@ -15,8 +15,7 @@ from obscert import certify, classical, phasespace, potentials, quantum, scenari
 from obscert.classical import CompactSet, PhasePoint, Region
 from obscert.quantum import Grid, coherent_state, cost_expectation, gaussian_state, \
     inner, propagate, second_moment, spread, superposition
-from obscert.transport import AtomicMeasure, CostParams, cost_matrix, growth_factor, \
-    transport_distance
+from obscert.transport import AtomicMeasure, CostParams, cost_matrix, transport_distance
 
 PI = math.pi
 
@@ -282,7 +281,7 @@ def test_criterion_07_constants():
     for T in (0.5, 1.0, 1.5, 2.0, 3.0):
         for lip in (0.25, 0.5, 1.0, 2.0, 4.0):
             f1, f2 = lambda_equals_lip_forms(T, lip)
-            assert certify.toeplitz_coefficient(T, lip) <= f1 + 1e-12
+            assert certify.toeplitz_coefficient_details(T, lip)[0] <= f1 + 1e-12
 
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -313,10 +312,9 @@ def test_criterion_08_growth_bound_along_flow():
             t_last = t
             pt = classical.flow(V, PhasePoint([x0], [xi0]), t, 1e-4)
             for lam in (0.5, 1.0, 2.0):
-                params = CostParams(lam=lam, hbar=hbar)
                 init = math.sqrt(0.5 * (lam ** 2 + 1.0) * hbar)
                 cost = math.sqrt(cost_expectation(state, pt.x, pt.xi, lam))
-                bound = growth_factor(params, V.lip_grad, t) * init
+                bound = certify.growth_factor(lam, V.lip_grad, t) * init
                 assert cost <= bound + 1e-6, (V.name, lam, t)
                 checks += 1
     print(f"\nPASS criterion 8: constructive bound below growth factor "
@@ -347,12 +345,12 @@ def test_criterion_09_second_moment_domination():
                         lo_hi = K.boxes[0]
                         pts = np.stack([lo_hi[:, 0], lo_hi.mean(axis=1), lo_hi[:, 1]])
                         f = AtomicMeasure(pts, np.full(3, 1.0 / 3.0))
-                        mu = AtomicMeasure(built.atoms, built.weights)
+                        mu = built.symbol
                         w_lam = transport_distance(f, mu, lam)
                         lhs = w_lam ** 2 + 0.5 * (lam ** 2 + 1.0) * hbar
                         rhs = 2.0 * f.second_moment(lam) + 2.0 * sum(
                             w * second_moment(built.atom_state(j, grid), lam)
-                            for j, w in enumerate(built.weights))
+                            for j, w in enumerate(mu.weights))
                     assert lhs <= rhs + 1e-6, (vname, sname, hbar, lam)
                     checks += 1
     print(f"\nPASS criterion 9: coupling cost below twice the second moments "

@@ -7,8 +7,7 @@ from scipy.optimize import brentq
 from obscert import certify, classical, phasespace, potentials, quantum
 from obscert.certify import (
     balanced_growth_root, certify_pure_sweep, certify_toeplitz_sweep, minimal_delta,
-    spread_coefficient, toeplitz_coefficient, toeplitz_coefficient_details,
-    zero_lip_candidate,
+    spread_coefficient, toeplitz_coefficient_details, zero_lip_candidate,
 )
 from obscert.classical import CompactSet, Region
 from obscert.quantum import Grid, coherent_state
@@ -53,7 +52,7 @@ def test_toeplitz_coefficient_below_lambda_lip_bound():
     for T in (0.5, 1.0, 1.5, 2.0, 3.0):
         for lip in (0.25, 0.5, 1.0, 2.0, 4.0):
             bound, _ = lambda_equals_lip_forms(T, lip)
-            assert toeplitz_coefficient(T, lip) <= bound + 1e-12
+            assert toeplitz_coefficient_details(T, lip)[0] <= bound + 1e-12
 
 
 def test_lambda_lip_bound_forms_agree(rng):
@@ -70,7 +69,7 @@ def test_lambda_lip_bound_forms_agree(rng):
 
 def test_toeplitz_coefficient_specific_bound():
     # T = 1, lip = 1: the explicit lam = lip value is (e-1)/2 * sqrt(2)
-    assert toeplitz_coefficient(1.0, 1.0) <= 1.215005 + 1e-6
+    assert toeplitz_coefficient_details(1.0, 1.0)[0] <= 1.215005 + 1e-6
 
 
 def test_zero_lip_candidate_above_infimum():
@@ -307,7 +306,7 @@ def test_sweeps_recertify_lip_on_the_trajectory_hull(dwell, plo, phi, leaves):
         assert rep.left_box is leaves
         assert rep.lip_grad == lip
     assert pure.d_const == spread_coefficient(T, lip)
-    assert toep.c_tl == toeplitz_coefficient(T, lip)
+    assert toep.c_tl == toeplitz_coefficient_details(T, lip)[0]
 
 
 def test_pure_and_one_atom_toeplitz_share_the_measured_side(free):
@@ -369,7 +368,7 @@ def test_constants_saturate_where_lip_squared_overflows():
     assert lip == pytest.approx(1.2e161)
     for value in (lip, math.inf):
         assert spread_coefficient(1.0, value) == math.inf
-        assert toeplitz_coefficient(1.0, value) == math.inf
+        assert toeplitz_coefficient_details(1.0, value)[0] == math.inf
         assert certify._growth_objective(1.0, value, value) == math.inf
 
 

@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 from obscert import certify, phasespace, quantum
 from obscert.classical import CompactSet, ConstantCutoff, IndicatorCutoff, Region, lattice_points
 from obscert.phasespace import (
-    SpectralBandError, coherent_overlap_sq, coherent_tail_check,
+    SpectralBandError, coherent_overlap_sq, coherent_husimi_mass,
     husimi, husimi_mass, toeplitz_from_density, wigner,
 )
 from obscert.quantum import coherent_state, gaussian_state, inner, superposition
@@ -21,11 +21,11 @@ def phase_box(qlo, qhi, plo, phi, spacing=0.05):
 
 def toeplitz_observed_mass(V, R, grid, T, chi, dt):
     """Observed mass of a Toeplitz state by linearity: its atoms as one batch."""
-    batch = quantum.WaveBatch.of([R.atom_state(j, grid) for j in range(len(R.weights))])
+    batch = quantum.WaveBatch.of([R.atom_state(j, grid) for j in range(len(R.symbol.weights))])
     weights = np.asarray(chi(grid.points()), dtype=float)[None, :]
     [(series, _)] = quantum.observed_mass_series(V, batch, T, weights, [], [dt])
     masses = [certify._trapezoid(s, T)[0][0] for s in series]
-    return float(math.fsum(R.weights * masses))
+    return float(math.fsum(R.symbol.weights * masses))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_husimi_mass_2d_matches_gaussian_integral():
     grid = quantum.Grid(dim=2, n=128, length=8.0)
     psi = coherent_state(grid, hbar, [0.3, -0.2], [0.5, -0.4])
     K = CompactSet(np.array([[[0.0, 0.7], [-0.6, 0.1], [0.2, 0.8], [-0.8, 0.0]]]), 0.1)
-    expected = coherent_tail_check(K, hbar, [0.3, -0.2], [0.5, -0.4])["husimi_mass"]
+    expected = coherent_husimi_mass(K, hbar, [0.3, -0.2], [0.5, -0.4])
     coarse = husimi_mass(psi, K, spacing=0.1)
     fine = husimi_mass(psi, K, spacing=0.025)
     assert fine == pytest.approx(expected, abs=2e-3)
@@ -253,14 +253,11 @@ def test_husimi_mass_refinement_delta(grid512):
 
 
 def test_coherent_tail_check_reports_honestly(grid512):
-    # numerical mass agrees with the closed form; the displayed tail bound is
-    # checked as an inequality and simply reported (it fails at these scales)
+    # the quadrature agrees with the closed-form erf mass
     K = phase_box(-0.6, 0.6, -0.6, 0.6, spacing=0.04)
-    res = coherent_tail_check(K, HBAR, 0.0, 0.0)
+    exact = coherent_husimi_mass(K, HBAR, 0.0, 0.0)
     psi = coherent_state(grid512, HBAR, 0.0, 0.0)
-    assert husimi_mass(psi, K, spacing=0.01) == pytest.approx(res["husimi_mass"], abs=1e-4)
-    assert set(res) == {"husimi_mass", "claimed_lower_bound", "holds"}
-    assert res["holds"] == (res["husimi_mass"] >= res["claimed_lower_bound"])
+    assert husimi_mass(psi, K, spacing=0.01) == pytest.approx(exact, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def test_single_atom_is_pure_coherent(grid512):
 
 def test_weights_normalize_and_reject_negative():
     R = toeplitz_from_density([(0.0, 0.0, 2.0), (1.0, 0.0, 2.0)], HBAR)
-    assert R.weights == pytest.approx([0.5, 0.5])
+    assert R.symbol.weights == pytest.approx([0.5, 0.5])
     with pytest.raises(ValueError, match="negative"):
         toeplitz_from_density([(0.0, 0.0, -0.1), (1.0, 0.0, 1.1)], HBAR)
 

@@ -373,7 +373,7 @@ def test_batch_toeplitz_atoms_match_single_rows(harm):
     for hbar in (0.05, 0.2):
         R = toeplitz_from_density([(q, p, 1.0) for q, p in
                                    [(-1.0, 0.5), (0.0, 1.0), (0.5, -0.5), (1.2, 0.0)]], hbar)
-        for j in range(len(R.weights)):
+        for j in range(len(R.symbol.weights)):
             states.append(R.atom_state(j, grid))
             labels.append(f"hbar={hbar:g}, atom {j}")
     assert len(states) * grid.n * 16 == 256 * 1024
@@ -634,7 +634,7 @@ def _toeplitz_batch():
     for hbar in (0.05, 0.2):
         R = toeplitz_from_density([(q, p, 1.0) for q, p in
                                    [(-1.0, 0.5), (0.0, 1.0), (0.5, -0.5), (1.2, 0.0)]], hbar)
-        states += [R.atom_state(j, grid) for j in range(len(R.weights))]
+        states += [R.atom_state(j, grid) for j in range(len(R.symbol.weights))]
     return WaveBatch.of(states)
 
 

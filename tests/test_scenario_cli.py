@@ -80,6 +80,21 @@ def test_malformed_json_reports_line(tmp_path):
         load_config(path)
 
 
+def config_2d(n):
+    """Overrides of base_config for a 2-D free scenario on an n x n grid."""
+    return {"potential": {"kind": "free", "dim": 2, "box": [-10.0, 10.0]},
+            "K": {"boxes": [[[-3.1, -1.9], [-0.6, 0.6], [0.65, 1.85], [-0.6, 0.6]]],
+                  "spacing": 0.3},
+            "omega": {"boxes": [[[-2.7, 8.0], [-8.0, 8.0]]]},
+            "state": {"kind": "coherent", "q": [-2.5, 0.0], "p": [1.25, 0.0]},
+            "numerics": {"n": n, "length": 20.0, "dt": 5e-3, "dt_flow": 5e-3}}
+
+
+GRID_TOO_LARGE = [{"numerics": {"n": 2 ** 40, "length": 20.0}},
+                  {"numerics": {"n": 8192, "length": 20.0}},
+                  config_2d(4096)]
+
+
 def test_bad_numerics_rejected():
     with pytest.raises(ConfigError, match="power of two"):
         parse(base_config(numerics={"n": 500}))
@@ -104,6 +119,26 @@ def test_bad_numerics_rejected():
         parse(base_config(hbars=[0.2, 0.2]))
     with pytest.raises(ConfigError, match=r"\$\.deltas: values must differ"):
         parse(base_config(deltas=[0.1234567, 3.0, 0.1234568]))
+    # grids above the per-axis limit of their dimension
+    for override in GRID_TOO_LARGE:
+        with pytest.raises(ConfigError, match=r"^numerics\.n: n = \d+ exceeds"):
+            parse(base_config(**override))
+    parse(base_config(numerics={"n": quantum.MAX_GRID_N[1], "length": 20.0,
+                                "dt": 5e-3, "dt_flow": 5e-3}))
+    parse(base_config(**config_2d(quantum.MAX_GRID_N[2])))
+
+
+def test_cli_grid_too_large_exits_2(tmp_path):
+    # n = 2^40 ran out of memory in certify (exit 1) and passed gcc (exit 0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**GRID_TOO_LARGE[0])))
+    for command in ("certify", "gcc"):
+        res = run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                      cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("config error: numerics.n: n = 1099511627776 exceeds")
+        assert not (tmp_path / "o").exists()
 
 
 # number fields: K spans a lattice, so its boxes are finite; omega and the
@@ -131,6 +166,35 @@ MALFORMED_NUMBERS = [
      r"numerics\.dt_flow: .* not a finite step count"),
 ]
 
+# a field that no reader reads, each in the object that does not read it; the
+# first two parsed silently and ran with the default lip_grad and dt_flow
+UNKNOWN_FIELDS = [
+    ({"potential": {"kind": "harmonic", "dim": 1, "box": [-10.0, 10.0], "stifness": 4.0}},
+     r"\$\.potential\.stifness: unknown field"),
+    ({"numerics": {"n": 512, "length": 20.0, "dt": 5e-3, "dt_flw": 0.5}},
+     r"\$\.numerics\.dt_flw: unknown field"),
+    ({"potential": {"kind": "free", "dim": 1, "box": [-10.0, 10.0], "stiffness": 4.0}},
+     r"\$\.potential\.stiffness: unknown field"),
+    ({"state": {"kind": "coherent", "q": -2.5, "p": 1.25, "sigma": 0.3}},
+     r"\$\.state\.sigma: unknown field"),
+    ({"state": {"kind": "toeplitz_uniform", "per_axis": 2, "atoms": []}},
+     r"\$\.state\.atoms: unknown field"),
+    ({"state": {"kind": "superposition", "components": [{"q": -2.5, "p": 1.25, "amp": 1.0}]}},
+     r"\$\.state\.components\[0\]\.amp: unknown field"),
+    ({"K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]]], "spacing": 0.2, "spacng": 0.1}},
+     r"\$\.K\.spacng: unknown field"),
+    ({"omega": {"boxes": [[-2.7, 8.0]], "inflate": 1.0}}, r"\$\.omega\.inflate: unknown field"),
+    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"x": [0, 1, 5]}}},
+     r"\$\.numerics\.phase_grid\.x: unknown field"),
+    ({"hbar": [0.1]}, r"\$\.hbar: unknown field"),
+]
+UNKNOWN_FIELD_IDS = ["potential_stifness", "numerics_dt_flw", "free_stiffness",
+                     "coherent_sigma", "uniform_atoms", "component_amp", "K_spacng",
+                     "omega_inflate", "phase_grid_x", "top_level_hbar"]
+
+PHASE_GRID_TWO_ENTRIES = ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
+                          r"numerics\.phase_grid\.q")
+
 # each is rejected by load_config with its path, before any flow pass
 MALFORMED = [
     ({"state": {"kind": "toeplitz", "atoms": [[0.0, 0.0, 1.0]]}},
@@ -151,8 +215,10 @@ MALFORMED = [
      r"\$\.potential\.kind: unknown \['free'\]"),
     ({"potential": {"kind": {"a": 1}, "dim": 1, "box": [-10.0, 10.0]}},
      r"\$\.potential\.kind: unknown \{'a': 1\}"),
-    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
-     r"numerics\.phase_grid\.q"),
+    PHASE_GRID_TWO_ENTRIES,
+    ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1e308], [-2.4, 1.3, 1e308]]}},
+     r"\$\.state\.atoms: weights must have a finite positive total"),
+    *UNKNOWN_FIELDS,
 ]
 
 
@@ -160,7 +226,8 @@ MALFORMED = [
     "atom_outside_K", "q_wrong_size", "zero_amplitudes", "cancelling_components",
     "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
     "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
-    "dt_flow_underflows", "kind_list", "kind_dict", "phase_grid_two_entries"])
+    "dt_flow_underflows", "kind_list", "kind_dict", "phase_grid_two_entries",
+    "weights_overflow", *UNKNOWN_FIELD_IDS])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("flow pass on an unchecked config")
@@ -184,8 +251,18 @@ def test_cli_malformed_numbers_exit_2(tmp_path):
         assert re.match("config error: " + where, res.stderr), res.stderr
 
 
+def test_cli_unknown_field_exits_2(tmp_path, capsys):
+    for override, where in UNKNOWN_FIELDS:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**override)))
+        assert cli.main(["certify", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2, where
+        assert re.match("config error: " + where, capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+
 def test_cli_malformed_phase_grid_exits_2(tmp_path):
-    override, where = MALFORMED[-1]
+    override, where = PHASE_GRID_TWO_ENTRIES
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(**override)))
     res = run_cli(["husimi", "--config", str(cfg_path), "--out", str(tmp_path / "h")],
@@ -267,10 +344,23 @@ def test_scenario_pickle_round_trip(kind):
     a = scenario.build_state(sc.state, sc.grid, 0.1)
     b = scenario.build_state(back.state, back.grid, 0.1)
     if isinstance(a, phasespace.ToeplitzState):
-        np.testing.assert_array_equal(b.atoms, a.atoms)
-        np.testing.assert_array_equal(b.weights, a.weights)
+        np.testing.assert_array_equal(b.symbol.points, a.symbol.points)
+        np.testing.assert_array_equal(b.symbol.weights, a.symbol.weights)
     else:
         np.testing.assert_array_equal(b.values, a.values)
+
+
+def test_toeplitz_weights_normalized_once():
+    # the config's raw weights are divided by their fsum once, at load; a
+    # second normalization would move these in the last bit
+    raw = np.array([0.11, 0.83, 0.92])
+    once = raw / math.fsum(raw)
+    assert not np.array_equal(once / math.fsum(once), once)
+    atoms = [[q, p, w] for (q, p), w in zip([(-2.6, 1.0), (-2.4, 1.5), (-2.5, 1.25)], raw)]
+    sc = parse(base_config(state={"kind": "toeplitz", "atoms": atoms}))
+    for back in (sc, pickle.loads(pickle.dumps(sc))):     # --jobs workers unpickle it
+        R = scenario.build_state(back.state, back.grid, 0.1)
+        np.testing.assert_array_equal(R.symbol.weights, once)
 
 
 # ---------------------------------------------------------------------------

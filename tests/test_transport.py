@@ -8,13 +8,12 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from obscert import certify, classical, transport
+from obscert import certify, classical, phasespace, transport
 from obscert.classical import PhasePoint
 from obscert.quantum import coherent_state, cost_expectation, propagate
 from obscert.transport import (
     AtomicMeasure, CostParams, coherent_cost_expectation, cost_matrix,
-    growth_factor, pure_state_bound, toeplitz_bound, transport_distance,
-    transport_plan,
+    pure_state_bound, toeplitz_bound, transport_distance, transport_plan,
 )
 
 HBAR = 0.1
@@ -48,6 +47,11 @@ def brute_force_cost(f, counts_f, mu, counts_mu, lam, unit_total):
 def test_distance_to_self_is_zero(rng):
     f, _ = random_measure(rng, 4, 6)
     assert transport_distance(f, f, 1.0) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_one_atomic_measure_class():
+    # the transport LP's measures and the Toeplitz symbols are one type
+    assert transport.AtomicMeasure is phasespace.AtomicMeasure
 
 
 def test_two_unit_atoms():
@@ -96,26 +100,6 @@ def test_atom_cap():
     with pytest.raises(ValueError, match="out of scope"):
         transport_plan(big, big, 1.0)
 
-
-def test_plan_rows_export(rng, tmp_path):
-    import csv
-    f, _ = random_measure(rng, 3, 6)
-    mu, _ = random_measure(rng, 4, 6)
-    _, plan = transport_plan(f, mu, 1.0)
-    rows = transport.plan_rows(plan)
-    assert math.fsum(m for _, _, m in rows) == pytest.approx(1.0, abs=1e-9)
-    assert all(0 <= i < 3 and 0 <= j < 4 for i, j, _ in rows)
-    path = tmp_path / "plan.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["source_atom", "target_atom", "mass"])
-        w.writerows(rows)
-    assert len(path.read_text().splitlines()) == len(rows) + 1
-
-
-# ---------------------------------------------------------------------------
-# cost expectation on coherent atoms
-# ---------------------------------------------------------------------------
 
 def test_cost_expectation_examples():
     p = CostParams(lam=1.0, hbar=0.1)
@@ -203,28 +187,28 @@ def test_pure_state_bound(grid512):
 # ---------------------------------------------------------------------------
 
 def test_growth_factor_values():
-    assert growth_factor(CostParams(lam=0.7, hbar=0.1), 2.0, 0.0) == 1.0
-    assert growth_factor(CostParams(lam=1.0, hbar=0.1), 1.0, 1.0) \
+    assert certify.growth_factor(0.7, 2.0, 0.0) == 1.0
+    assert certify.growth_factor(1.0, 1.0, 1.0) \
         == pytest.approx(math.e, rel=1e-12)
 
 
 def test_growth_factor_minimized_at_lam_equals_lip():
     lip, t = 1.7, 0.8
-    best = growth_factor(CostParams(lam=lip, hbar=0.1), lip, t)
+    best = certify.growth_factor(lip, lip, t)
     for lam in (0.3, 0.9, 1.3, 2.5, 6.0):
-        assert growth_factor(CostParams(lam=lam, hbar=0.1), lip, t) >= best - 1e-12
+        assert certify.growth_factor(lam, lip, t) >= best - 1e-12
 
 
 def test_growth_factor_overflow_saturates():
-    assert growth_factor(CostParams(lam=1.0, hbar=0.1), 44.0, 2.0) == math.inf
+    assert certify.growth_factor(1.0, 44.0, 2.0) == math.inf
     # lip ** 2 itself overflows past lip ~ 1.3e154
-    assert growth_factor(CostParams(lam=1.0, hbar=0.1), 1.2e161, 2.0) == math.inf
+    assert certify.growth_factor(1.0, 1.2e161, 2.0) == math.inf
 
 
 def test_growth_factor_at_zero_time_with_saturated_rate():
     # the rate saturates to +inf, and 0.5 * inf * 0 is NaN: the factor is still 1
     assert certify.growth_factor(1.0, math.inf, 0.0) == 1.0
-    assert growth_factor(CostParams(lam=1.0, hbar=0.1), 1.2e161, 0.0) == 1.0
+    assert certify.growth_factor(1.0, 1.2e161, 0.0) == 1.0
 
 
 def test_pushforward_stays_below_growth_bound(grid512, harm):
@@ -233,13 +217,12 @@ def test_pushforward_stays_below_growth_bound(grid512, harm):
     x0, xi0 = 1.0, 0.0
     psi0 = coherent_state(grid512, HBAR, x0, xi0)
     for lam in (0.5, 2.0):
-        params = CostParams(lam=lam, hbar=HBAR)
         init = math.sqrt(0.5 * (lam ** 2 + 1) * HBAR)
         for t in (0.6, 1.4):
             pt = classical.flow(harm, PhasePoint([x0], [xi0]), t, 1e-4)
             psi_t = propagate(harm, psi0, t, 1e-3)
             cost = math.sqrt(cost_expectation(psi_t, pt.x, pt.xi, lam))
-            assert cost <= growth_factor(params, harm.lip_grad, t) * init + 1e-6
+            assert cost <= certify.growth_factor(lam, harm.lip_grad, t) * init + 1e-6
 
 
 # For V = k x^2 / 2 the flow is linear, Phi_t = exp(t [[0, 1], [-k, 0]]), so a
@@ -267,14 +250,13 @@ def _gaussian_case(k, lam):
                                     for k in (-2.0, -1.0, -0.5, -0.25, -0.1, 0.0, 0.25, 1.0)
                                     for lam in (0.1, 0.25, 0.5, 1.0, 2.0)])
 def test_exact_gaussian_cost_below_growth_factor(k, lam):
-    params = CostParams(lam=lam, hbar=HBAR)
     W = np.diag([lam ** 2, 1.0])
     sigma0 = 0.5 * HBAR * np.eye(2)
     cost0 = np.trace(W @ sigma0)
     for t in np.linspace(0.0, 4.0, 401):
         phi = expm(t * np.array([[0.0, 1.0], [-k, 0.0]]))
         cost = np.trace(W @ phi @ sigma0 @ phi.T)
-        assert cost <= growth_factor(params, abs(k), t) ** 2 * cost0 * (1.0 + 1e-12), t
+        assert cost <= certify.growth_factor(lam, abs(k), t) ** 2 * cost0 * (1.0 + 1e-12), t
 
 
 def dense_transport_plan(f, mu, lam):
