@@ -222,6 +222,8 @@ class AtomicMeasure:
             raise ValueError("points and weights must be nonempty and match")
         if pts.shape[1] % 2 != 0:
             raise ValueError("points must have 2*dim phase coordinates")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if np.any(w < 0):
             raise ValueError("negative weight")
         try:

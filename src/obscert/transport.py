@@ -6,6 +6,11 @@ from an optimal classical transport plan (Toeplitz case) and the 2*spread
 bound (pure-state case); their growth along the flow is
 ``certify.growth_factor``.  The defining infimum over operator-valued
 couplings has no tractable finite reduction and is never attempted.
+
+The optimal plan is the exact LP optimum, not an entropic approximation.
+Entropic (Sinkhorn) dual potentials only choose which edges the first LP
+solve sees; the certificate of optimality is the LP's own duals, checked for
+feasibility on every one of the n * m edges before a plan is returned.
 """
 
 from __future__ import annotations
@@ -24,8 +29,14 @@ from .quantum import WaveFunction
 Array = np.ndarray
 
 MAX_ATOMS = 512
-# cheapest partners per atom in the transport LP's first candidate set
-_NEAREST = 64
+# transport LPs with at most this many atoms per side are solved on every edge
+_WHOLE_LP = 64
+# cheapest partners per atom, in reduced cost, in the first candidate set
+_NEAREST = 10
+# the entropic dual estimate that ranks them: Sinkhorn updates of (u, v),
+# with eps falling geometrically between these multiples of the median cost
+_SINKHORN_STEPS = 40
+_EPS_RANGE = (1.0, 0.01)
 
 
 @dataclass(frozen=True)
@@ -65,32 +76,73 @@ def _north_west_corner(f: AtomicMeasure, mu: AtomicMeasure) -> Array:
     return mask
 
 
+def _logsumexp(x: Array, axis: int) -> Array:
+    """log(sum(exp(x))) along axis; overwrites x."""
+    top = x.max(axis=axis, keepdims=True)
+    x -= top
+    np.exp(x, out=x)
+    return np.log(np.sum(x, axis=axis)) + np.squeeze(top, axis)
+
+
+def _dual_estimate(C: Array, a: Array, b: Array) -> tuple[Array, Array]:
+    """Approximate optimal duals (u, v) of the transport LP with cost C and
+    marginals a, b: log-domain Sinkhorn with eps-scaling, _SINKHORN_STEPS
+    updates of u then v.  Zero weights are floored at the smallest normal
+    float, so the potentials stay finite."""
+    tiny = np.finfo(float).tiny
+    log_a, log_b = np.log(np.maximum(a, tiny)), np.log(np.maximum(b, tiny))
+    scale = float(np.median(C)) or float(C.max()) or 1.0
+    v, x = np.zeros(len(b)), np.empty_like(C)
+    for eps in scale * np.geomspace(*_EPS_RANGE, _SINKHORN_STEPS):
+        np.subtract(v[None, :], C, out=x)
+        x /= eps
+        u = eps * (log_a - _logsumexp(x, axis=1))
+        np.subtract(u[:, None], C, out=x)
+        x /= eps
+        v = eps * (log_b - _logsumexp(x, axis=0))
+    return u, v
+
+
 def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     """Exact optimal transport plan between atomic measures (LP, no smoothing).
 
     Returns (squared_cost, plan) with plan[i, j] the mass moved from atom i of
     f to atom j of mu.  Instances are capped at MAX_ATOMS atoms per side.
 
-    The LP is solved on a candidate set of edges: each atom's _NEAREST
-    cheapest partners on the other side, plus the north-west-corner support,
-    which keeps the restricted LP feasible.  Its equality duals u (rows) and
-    v (columns, v = 0 on the dropped last one) price every pair; each edge
-    outside the set with reduced cost C - u - v below -1e-12 * max(1, max C)
-    enters, and the LP is solved again until none does.  A plan that is
-    primal feasible with duals feasible on every edge is optimal for the
-    full n * m LP (LP duality), so the result is the full LP's optimum.
-    When both sides have at most _NEAREST atoms the set holds every edge in
-    row-major order, which is the full LP itself.
+    The LP is solved on a candidate set of edges.  An LP with at most
+    _WHOLE_LP atoms per side is solved whole, on every edge in row-major
+    order.  A larger one starts from each atom's _NEAREST cheapest partners
+    on the other side in the reduced cost C - u - v, with (u, v) entropic
+    dual potentials from _dual_estimate, plus the north-west-corner support,
+    which keeps the restricted LP feasible.  The potentials only choose
+    these first candidates and never reach the result.  The restricted LP's
+    own equality duals u (rows) and v (columns, v = 0 on the dropped last
+    one) then price every pair; each edge outside the set with reduced cost
+    C - u - v below -1e-12 * max(1, max C) enters, and the LP is solved
+    again until none does.  A plan that is primal feasible with duals
+    feasible on all n * m edges is optimal for the full LP (LP duality), so
+    the result is the full LP's optimum.
+
+    Raises ValueError when the cost matrix overflows to a non-finite value.
     """
     n, m = len(f.weights), len(mu.weights)
     if n > MAX_ATOMS or m > MAX_ATOMS:
         raise ValueError(f"atom counts above {MAX_ATOMS} are out of scope")
-    C = cost_matrix(f, mu, lam)
-    mask = _north_west_corner(f, mu)
-    k = min(_NEAREST, m)
-    mask[np.arange(n)[:, None], np.argpartition(C, k - 1, axis=1)[:, :k]] = True
-    k = min(_NEAREST, n)
-    mask[np.argpartition(C, k - 1, axis=0)[:k], np.arange(m)] = True
+    with np.errstate(over="ignore"):
+        C = cost_matrix(f, mu, lam)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("transport cost overflows: lam^2 |dx|^2 + |dxi|^2 "
+                         "is not finite for some pair of atoms")
+    if max(n, m) <= _WHOLE_LP:
+        mask = np.ones((n, m), dtype=bool)
+    else:
+        mask = _north_west_corner(f, mu)
+        u, v = _dual_estimate(C, f.weights, mu.weights)
+        R = C - u[:, None] - v[None, :]
+        k = min(_NEAREST, m)
+        mask[np.arange(n)[:, None], np.argpartition(R, k - 1, axis=1)[:, :k]] = True
+        k = min(_NEAREST, n)
+        mask[np.argpartition(R, k - 1, axis=0)[:k], np.arange(m)] = True
     b_eq = np.concatenate([f.weights, mu.weights[:m - 1]])
     tol = -1e-12 * max(1.0, float(C.max()))
     while True:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,26 @@ def test_atom_cap():
     big = AtomicMeasure(pts, w)
     with pytest.raises(ValueError, match="out of scope"):
         transport_plan(big, big, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_atoms_are_rejected(bad):
+    pts = np.zeros((3, 2))
+    pts[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        AtomicMeasure(pts, np.ones(3))
+
+
+def test_overflowing_cost_fails_by_name(monkeypatch):
+    # finite atoms whose squared distances overflow: no solve, no estimate
+    monkeypatch.setattr(transport, "linprog", None)
+    monkeypatch.setattr(transport, "_dual_estimate", None)
+    f = AtomicMeasure(np.array([[1e200, 0.0], [0.0, 0.0]]), np.ones(2))
+    mu = AtomicMeasure(np.array([[-1e200, 0.0]]), np.ones(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflows"):
+            transport_plan(f, mu, 1.0)
 
 
 def test_cost_expectation_examples():
@@ -339,8 +360,13 @@ def assert_marginals(plan, f, mu, tol):
 
 
 def test_pricing_loop_reaches_the_full_optimum(monkeypatch):
-    # one partner per atom plus the north-west corner is far from optimal:
-    # edges priced negative must enter until the duals are feasible everywhere
+    # no whole-LP shortcut, zero dual estimate (so partners are ranked by C)
+    # and one partner per atom plus the north-west corner is far from
+    # optimal: edges priced negative must enter until the duals are feasible
+    # everywhere
+    monkeypatch.setattr(transport, "_WHOLE_LP", 0)
+    monkeypatch.setattr(transport, "_dual_estimate",
+                        lambda C, a, b: (np.zeros(len(a)), np.zeros(len(b))))
     monkeypatch.setattr(transport, "_NEAREST", 1)
     calls = counted_linprog(monkeypatch)
     f, mu = random_pair(40)
@@ -351,6 +377,54 @@ def test_pricing_loop_reaches_the_full_optimum(monkeypatch):
     assert abs(cost - ref_cost) <= 1e-12 * ref_cost
     assert_marginals(plan, f, mu, 1e-12)
     assert np.all(plan >= 0)
+
+
+def degenerate_pair(case):
+    rng = np.random.default_rng(24)
+    if case == "zero_weights":
+        wf, wm = rng.uniform(0.5, 1.0, 100), rng.uniform(0.5, 1.0, 100)
+        wf[::3] = 0.0
+        wm[::3] = 0.0
+        return (AtomicMeasure(rng.standard_normal((100, 2)), wf),
+                AtomicMeasure(rng.standard_normal((100, 2)) + 0.3, wm), 1.0)
+    if case == "identical_points":
+        pts = np.tile([0.3, -0.2], (80, 1))
+        return (AtomicMeasure(pts, rng.uniform(0.0, 1.0, 80)),
+                AtomicMeasure(pts, rng.uniform(0.0, 1.0, 80)), 1.0)
+    if case in ("300x100", "1x500"):
+        n, m = (300, 100) if case == "300x100" else (1, 500)
+        return (AtomicMeasure(rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n)),
+                AtomicMeasure(rng.standard_normal((m, 2)), rng.uniform(0.0, 1.0, m)), 1.0)
+    if case == "lattice_ties":
+        axis = np.arange(12.0)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        w = np.ones(len(pts))
+        return AtomicMeasure(pts, w), AtomicMeasure(pts + 0.5, w), 1.0
+    if case == "dim2_lam07":
+        return (AtomicMeasure(rng.standard_normal((120, 4)), rng.uniform(0.0, 1.0, 120)),
+                AtomicMeasure(rng.standard_normal((120, 4)) + 0.3,
+                              rng.uniform(0.0, 1.0, 120)), 0.7)
+    if case == "two_clusters":
+        shift = np.where(np.arange(100) < 50, 0.0, 1e3)[:, None]
+        return (AtomicMeasure(rng.standard_normal((100, 2)) + shift, rng.uniform(0.0, 1.0, 100)),
+                AtomicMeasure(rng.standard_normal((100, 2)) + shift[::-1],
+                              rng.uniform(0.0, 1.0, 100)), 1.0)
+    assert case == "scaled_1e6"
+    f, mu = random_pair(100, seed=7)
+    return (AtomicMeasure(f.points * 1e6, f.weights),
+            AtomicMeasure(mu.points * 1e6, mu.weights), 1.0)
+
+
+@pytest.mark.parametrize("case", ["zero_weights", "identical_points", "300x100", "1x500",
+                                  "lattice_ties", "dim2_lam07", "two_clusters", "scaled_1e6"])
+def test_degenerate_inputs_match_the_full_lp(case):
+    f, mu, lam = degenerate_pair(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cost, plan = transport_plan(f, mu, lam)
+    ref_cost, _ = full_transport_plan(f, mu, lam)
+    assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
+    assert_marginals(plan, f, mu, 1e-9)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.7])
