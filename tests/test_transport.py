@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -9,7 +11,7 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from obscert import certify, classical, phasespace, transport
+from obscert import certify, classical, phasespace, quantum, transport
 from obscert.classical import PhasePoint
 from obscert.quantum import coherent_state, cost_expectation, propagate
 from obscert.transport import (
@@ -122,6 +124,24 @@ def test_overflowing_cost_fails_by_name(monkeypatch):
             transport_plan(f, mu, 1.0)
 
 
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 1e200, math.nan, math.inf])
+def test_lambda_is_checked_by_name(lam):
+    # -1 used to give cost 0, 1e200 an OverflowError from lam ** 2, and NaN
+    # and inf the message of an overflowing cost
+    f = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.5]]), np.ones(2))
+    with pytest.raises(ValueError, match="lambda"):
+        transport_plan(f, f, lam)
+    with pytest.raises(ValueError, match="lambda"):
+        CostParams(lam, 0.1)
+
+
+@pytest.mark.parametrize("hbar", [-0.1, math.nan, math.inf])
+def test_hbar_is_checked_by_name(hbar):
+    # CostParams(1.0, nan) used to give standard = constructive = nan
+    with pytest.raises(ValueError, match="hbar"):
+        CostParams(1.0, hbar)
+
+
 def test_cost_expectation_examples():
     p = CostParams(lam=1.0, hbar=0.1)
     assert coherent_cost_expectation([0.0], [0.0], [0.0], [0.0], p) \
@@ -191,6 +211,65 @@ def test_bound_floor(rng):
         b = toeplitz_bound(f, mu, params)
         assert b.standard >= floor - 1e-12
         assert b.constructive >= floor - 1e-12
+
+
+def recorded_plans(monkeypatch, fail=False):
+    """Replace transport_plan by a stand-in that records (lam, thread) and
+    returns cost 1, or raises ValueError naming lam (the lam = 1 call 0.1 s
+    after the other).  Calls on a pair above _WHOLE_LP atoms first meet at a
+    barrier, which breaks after 10 s unless both LPs run at once."""
+    calls, barrier = [], threading.Barrier(2, timeout=10)
+
+    def plan(f, mu, lam=1.0):
+        calls.append((lam, threading.get_ident()))
+        if max(len(f.weights), len(mu.weights)) > transport._WHOLE_LP:
+            barrier.wait()
+        if fail:
+            time.sleep(0.1 if lam == 1.0 else 0.0)
+            raise ValueError(f"lp at lam {lam}")
+        return 1.0, None
+
+    monkeypatch.setattr(transport, "transport_plan", plan)
+    return calls
+
+
+@pytest.mark.parametrize("lam, lps", [(1.0, 1), (0.7, 2), (1.3, 2)])
+def test_toeplitz_bound_solves_one_lp_at_lam_one(lam, lps, monkeypatch):
+    calls = recorded_plans(monkeypatch)
+    toeplitz_bound(*random_pair(8), CostParams(lam, 0.05))
+    assert sorted(c[0] for c in calls) == sorted({1.0, lam})
+    assert len(calls) == lps
+
+
+@pytest.mark.parametrize("n", [64, 128, 192])
+@pytest.mark.parametrize("lam", [0.7, 1.3])
+def test_toeplitz_bound_equals_sequential_distances(n, lam):
+    f, mu = random_pair(n, seed=n)
+    params = CostParams(lam, 0.05)
+    b = toeplitz_bound(f, mu, params)
+    w_std, w_lam = transport_distance(f, mu, 1.0), transport_distance(f, mu, lam)
+    offset = 0.5 * (lam ** 2 + 1.0) * f.dim * params.hbar
+    assert b.standard == math.sqrt(max(1.0, lam ** 2) * w_std ** 2 + offset)
+    assert b.constructive == math.sqrt(w_lam ** 2 + offset)
+
+
+@pytest.mark.parametrize("n, threads", [(transport._WHOLE_LP, 1), (transport._WHOLE_LP + 1, 2)])
+def test_priced_lps_run_on_two_threads(n, threads, monkeypatch):
+    monkeypatch.setattr(quantum, "cores", lambda: 2)
+    calls = recorded_plans(monkeypatch)
+    toeplitz_bound(*random_pair(n), CostParams(0.7, 0.05))
+    assert sorted(c[0] for c in calls) == [0.7, 1.0]
+    idents = {c[1] for c in calls}
+    assert len(idents) == threads and threading.get_ident() in idents
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_toeplitz_bound_raises_the_lam_one_error_first(n, monkeypatch):
+    # concurrent at 100 atoms, the lam = 1 LP fails last and its error wins
+    monkeypatch.setattr(quantum, "cores", lambda: 2)
+    recorded_plans(monkeypatch, fail=True)
+    with pytest.raises(ValueError, match="lp at lam 1.0"):
+        toeplitz_bound(*random_pair(n), CostParams(0.7, 0.05))
 
 
 def test_pure_state_bound(grid512):
