@@ -63,8 +63,8 @@ class Grid:
         if self.n > MAX_GRID_N[self.dim]:
             raise ValueError(f"n = {self.n} exceeds {MAX_GRID_N[self.dim]}, the largest "
                              f"grid per axis in {self.dim}-D")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be finite and positive, got {self.length!r}")
 
     @property
     def dx(self) -> float:
@@ -113,8 +113,8 @@ class WaveFunction:
         v = np.asarray(self.values, dtype=complex)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar!r}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -168,8 +168,8 @@ class WaveBatch:
         if hbars.size == 0 or v.shape != (hbars.size,) + self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not hold {hbars.size} "
                              f"row(s) of grid {self.grid.shape}")
-        if np.any(hbars <= 0):
-            raise ValueError("hbar must be positive")
+        if not np.all((hbars > 0) & (hbars < math.inf)):
+            raise ValueError("hbar must be finite and positive")
         labels = tuple(self.labels) or tuple(f"hbar={h:g}" for h in hbars)
         if len(labels) != hbars.size:
             raise ValueError("need one label per row")
@@ -618,14 +618,21 @@ def save_state(path, psi: WaveFunction, t: float = 0.0):
 def load_state(path) -> tuple[WaveFunction, float]:
     """Read a :func:`save_state` snapshot.  A short header, a short payload
     or trailing bytes raise ValueError naming the file and the expected and
-    found byte counts."""
+    found byte counts; a header whose grid, hbar or t is refused raises one
+    naming the file and the field."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: short header: expected {_HEADER.size} bytes, "
                          f"found {len(raw)}")
     dim, n, length, hbar, t = _HEADER.unpack_from(raw)
-    grid = Grid(dim=dim, n=n, length=length)
+    try:
+        grid = Grid(dim=dim, n=n, length=length)
+        if not (0 < hbar < math.inf and math.isfinite(t)):
+            raise ValueError(f"hbar must be finite and positive and t finite, "
+                             f"got hbar = {hbar!r}, t = {t!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from None
     expected = _HEADER.size + 16 * n ** dim
     if len(raw) != expected:
         kind = "short payload" if len(raw) < expected else "trailing bytes"

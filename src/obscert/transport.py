@@ -1,23 +1,18 @@
 """Discrete optimal transport and the constructive bounds for the
 classical-quantum comparison pseudometric.
 
-Only upper bounds for the pseudometric are ever computed: the coupling built
-from an optimal classical transport plan (Toeplitz case) and the 2*spread
-bound (pure-state case); their growth along the flow is
-``certify.growth_factor``.  The defining infimum over operator-valued
-couplings has no tractable finite reduction and is never attempted.
+Only upper bounds for the pseudometric are ever computed, from the coupling
+built on an optimal classical transport plan (Toeplitz case); their growth
+along the flow is ``certify.growth_factor``.  The defining infimum over
+operator-valued couplings has no tractable finite reduction and is never
+attempted.
 
 The optimal plan is the exact LP optimum, not an entropic approximation.
 Entropic (Sinkhorn) dual potentials only choose which edges the first LP
 solve sees; the certificate of optimality is the LP's own duals, checked for
 feasibility on every one of the n * m edges before a plan is returned.
-HiGHS runs without presolve: on these LPs it removes no simplex iteration
-and costs about a fifth of each solve.
-
-A Toeplitz bound needs two independent LPs, at lam = 1 and at lam.  When
-they are priced they run concurrently on the cores, since HiGHS releases
-the interpreter lock while it solves; whole LPs stay on the calling thread,
-because two whole solvers at once raised peak memory by up to 10%.
+A Toeplitz bound's two LPs, at lam = 1 and at lam, run concurrently on the
+cores, since HiGHS releases the interpreter lock while it solves.
 """
 
 from __future__ import annotations
@@ -31,13 +26,10 @@ from scipy.optimize import linprog
 
 from . import quantum
 from .phasespace import AtomicMeasure
-from .quantum import WaveFunction
 
 Array = np.ndarray
 
 MAX_ATOMS = 512
-# transport LPs with at most this many atoms per side are solved on every edge
-_WHOLE_LP = 64
 # cheapest partners per atom, in reduced cost, in the first candidate set
 _NEAREST = 10
 # the entropic dual estimate that ranks them: Sinkhorn updates of (u, v),
@@ -124,19 +116,17 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     Returns (squared_cost, plan) with plan[i, j] the mass moved from atom i of
     f to atom j of mu.  Instances are capped at MAX_ATOMS atoms per side.
 
-    The LP is solved on a candidate set of edges.  An LP with at most
-    _WHOLE_LP atoms per side is solved whole, on every edge in row-major
-    order.  A larger one starts from each atom's _NEAREST cheapest partners
-    on the other side in the reduced cost C - u - v, with (u, v) entropic
-    dual potentials from _dual_estimate, plus the north-west-corner support,
-    which keeps the restricted LP feasible.  The potentials only choose
-    these first candidates and never reach the result.  The restricted LP's
-    own equality duals u (rows) and v (columns, v = 0 on the dropped last
-    one) then price every pair; each edge outside the set with reduced cost
-    C - u - v below -1e-12 * max(1, max C) enters, and the LP is solved
-    again until none does.  A plan that is primal feasible with duals
-    feasible on all n * m edges is optimal for the full LP (LP duality), so
-    the result is the full LP's optimum.
+    The LP is solved on a candidate set of edges: each atom's _NEAREST
+    cheapest partners on the other side in the reduced cost C - u - v, with
+    (u, v) entropic dual potentials from _dual_estimate, plus the
+    north-west-corner support, which keeps the restricted LP feasible.  The
+    potentials only choose these first candidates and never reach the
+    result.  The restricted LP's own equality duals u (rows) and v (columns,
+    v = 0 on the dropped last one) then price every pair; each edge outside
+    the set with reduced cost C - u - v below -1e-12 * max(1, max C) enters,
+    and the LP is solved again until none does.  A plan that is primal
+    feasible with duals feasible on all n * m edges is optimal for the full
+    LP (LP duality), so the result is the full LP's optimum.
 
     HiGHS solves without presolve, which on these LPs removes no simplex
     iteration.  Raises ValueError when lam is not positive with a finite
@@ -150,16 +140,13 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     if not np.all(np.isfinite(C)):
         raise ValueError("transport cost overflows: lam^2 |dx|^2 + |dxi|^2 "
                          "is not finite for some pair of atoms")
-    if max(n, m) <= _WHOLE_LP:
-        mask = np.ones((n, m), dtype=bool)
-    else:
-        mask = _north_west_corner(f, mu)
-        u, v = _dual_estimate(C, f.weights, mu.weights)
-        R = C - u[:, None] - v[None, :]
-        k = min(_NEAREST, m)
-        mask[np.arange(n)[:, None], np.argpartition(R, k - 1, axis=1)[:, :k]] = True
-        k = min(_NEAREST, n)
-        mask[np.argpartition(R, k - 1, axis=0)[:k], np.arange(m)] = True
+    mask = _north_west_corner(f, mu)
+    u, v = _dual_estimate(C, f.weights, mu.weights)
+    R = C - u[:, None] - v[None, :]
+    k = min(_NEAREST, m)
+    mask[np.arange(n)[:, None], np.argpartition(R, k - 1, axis=1)[:, :k]] = True
+    k = min(_NEAREST, n)
+    mask[np.argpartition(R, k - 1, axis=0)[:k], np.arange(m)] = True
     b_eq = np.concatenate([f.weights, mu.weights[:m - 1]])
     tol = -1e-12 * max(1.0, float(C.max()))
     while True:
@@ -226,11 +213,8 @@ def toeplitz_bound(f: AtomicMeasure, mu: AtomicMeasure, params: CostParams) -> T
     or one when lam == 1.
 
     The LPs are tasks of ``quantum._run_tasks``, run concurrently on the
-    cores when either measure has more than _WHOLE_LP atoms (the LPs are
-    priced), else in turn on the calling thread.  The distances are those of
-    lone transport_distance calls, bit for bit, and if both LPs fail the
-    lam = 1 error is raised.  On a 2-vCPU host the two 512-atom LPs take a
-    median 0.55 s together against 0.96 s in turn.
+    cores.  The distances are those of lone transport_distance calls, bit
+    for bit, and if both LPs fail the lam = 1 error is raised.
     """
     d = f.dim
     lam, hbar = params.lam, params.hbar
@@ -241,16 +225,9 @@ def toeplitz_bound(f: AtomicMeasure, mu: AtomicMeasure, params: CostParams) -> T
     def run(i, lam_i):
         dist[i] = transport_distance(f, mu, lam_i)
 
-    priced = max(len(f.weights), len(mu.weights)) > _WHOLE_LP
-    quantum._run_tasks(run, list(enumerate(lams)), quantum.cores() if priced else 1)
+    quantum._run_tasks(run, list(enumerate(lams)), quantum.cores())
     w_std, w_lam = dist[0], dist[-1]
     standard = math.sqrt(max(1.0, lam ** 2) * w_std ** 2 + offset)
     constructive = math.sqrt(w_lam ** 2 + offset)
     return ToeplitzBound(standard=standard, constructive=constructive)
-
-
-def pure_state_bound(psi: WaveFunction) -> float:
-    """Upper bound 2 * spread(psi) for the pseudometric (lam = 1) between a
-    pure state and its own Husimi density."""
-    return 2.0 * quantum.spread(psi)
 

@@ -1,3 +1,5 @@
+import math
+import struct
 import sys
 import threading
 
@@ -102,6 +104,18 @@ def test_step_monitor_reads_the_synchronized_edges(dim, rng):
 def test_grid_requires_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         Grid(dim=1, n=500, length=16.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_length_and_hbar_must_be_finite_and_positive(grid512, bad):
+    # NaN used to pass the `<= 0` tests, giving dx = nan or hbar = nan
+    with pytest.raises(ValueError, match="length"):
+        Grid(dim=1, n=512, length=bad)
+    zeros = np.zeros(grid512.shape)
+    with pytest.raises(ValueError, match="hbar"):
+        quantum.WaveFunction(grid512, zeros, bad)
+    with pytest.raises(ValueError, match="hbar"):
+        WaveBatch(grid512, np.stack([zeros, zeros]), [HBAR, bad])
 
 
 @pytest.mark.parametrize("t, dt, steps", [
@@ -265,7 +279,6 @@ def test_state_snapshot_roundtrip(tmp_path, grid512):
     np.testing.assert_array_equal(loaded.values, psi.values)
     # documented layout: little-endian header then interleaved re/im doubles
     raw = path.read_bytes()
-    import struct
     dim, n, length, hbar, t0 = struct.unpack_from("<iiddd", raw)
     assert (dim, n, length, hbar, t0) == (1, 512, 16.0, HBAR, 1.25)
     first = struct.unpack_from("<dd", raw, struct.calcsize("<iiddd"))
@@ -288,6 +301,30 @@ def test_damaged_snapshot_names_the_file_and_byte_counts(tmp_path, grid512, case
     msg = str(err.value)
     assert str(path) in msg and case in msg
     assert f"expected {expected} bytes, found {size}" in msg
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"length": math.nan}, "length must be finite"),
+    ({"length": math.inf}, "length must be finite"),
+    ({"hbar": math.nan}, "hbar must be finite"),
+    ({"hbar": -math.inf}, "hbar must be finite"),
+    ({"t": math.nan}, "t finite"),
+    ({"t": math.inf}, "t finite"),
+    ({"dim": 3}, "only dim 1 and 2"),
+    ({"n": 6}, "power of two"),
+    ({"dim": 2, "n": 4096}, "exceeds 2048"),
+], ids=["length=nan", "length=inf", "hbar=nan", "hbar=-inf", "t=nan", "t=inf", "dim=3",
+        "n=6", "2d-n=4096"])
+def test_refused_snapshot_header_names_the_file(tmp_path, fields, message):
+    # a header the grid or the state refuses used to raise without the file's
+    # name, and a NaN or infinite length, hbar or t was loaded
+    header = {"dim": 1, "n": 512, "length": 16.0, "hbar": HBAR, "t": 0.0, **fields}
+    path = tmp_path / "state.qst"
+    path.write_bytes(struct.pack("<iiddd", *header.values()) + bytes(16 * 512))
+    with pytest.raises(ValueError) as err:
+        load_state(path)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: bad header: ") and message in msg
 
 
 def test_dim2_coherent_and_propagation(harm):

@@ -16,7 +16,7 @@ from obscert.classical import PhasePoint
 from obscert.quantum import coherent_state, cost_expectation, propagate
 from obscert.transport import (
     AtomicMeasure, CostParams, coherent_cost_expectation, cost_matrix,
-    pure_state_bound, toeplitz_bound, transport_distance, transport_plan,
+    toeplitz_bound, transport_distance, transport_plan,
 )
 
 HBAR = 0.1
@@ -213,17 +213,18 @@ def test_bound_floor(rng):
         assert b.constructive >= floor - 1e-12
 
 
-def recorded_plans(monkeypatch, fail=False):
-    """Replace transport_plan by a stand-in that records (lam, thread) and
-    returns cost 1, or raises ValueError naming lam (the lam = 1 call 0.1 s
-    after the other).  Calls on a pair above _WHOLE_LP atoms first meet at a
-    barrier, which breaks after 10 s unless both LPs run at once."""
-    calls, barrier = [], threading.Barrier(2, timeout=10)
+def recorded_plans(monkeypatch, lps, fail=False):
+    """On two cores, replace transport_plan by a stand-in that records
+    (lam, thread) and returns cost 1, or raises ValueError naming lam (the
+    lam = 1 call 0.1 s after the other).  The bound asks for `lps` LPs; when
+    it asks for two (lam != 1), they first meet at a barrier, which breaks
+    after 10 s unless both run at once."""
+    monkeypatch.setattr(quantum, "cores", lambda: 2)
+    calls, barrier = [], threading.Barrier(lps, timeout=10)
 
     def plan(f, mu, lam=1.0):
         calls.append((lam, threading.get_ident()))
-        if max(len(f.weights), len(mu.weights)) > transport._WHOLE_LP:
-            barrier.wait()
+        barrier.wait()
         if fail:
             time.sleep(0.1 if lam == 1.0 else 0.0)
             raise ValueError(f"lp at lam {lam}")
@@ -235,7 +236,7 @@ def recorded_plans(monkeypatch, fail=False):
 
 @pytest.mark.parametrize("lam, lps", [(1.0, 1), (0.7, 2), (1.3, 2)])
 def test_toeplitz_bound_solves_one_lp_at_lam_one(lam, lps, monkeypatch):
-    calls = recorded_plans(monkeypatch)
+    calls = recorded_plans(monkeypatch, lps)
     toeplitz_bound(*random_pair(8), CostParams(lam, 0.05))
     assert sorted(c[0] for c in calls) == sorted({1.0, lam})
     assert len(calls) == lps
@@ -253,33 +254,20 @@ def test_toeplitz_bound_equals_sequential_distances(n, lam):
     assert b.constructive == math.sqrt(w_lam ** 2 + offset)
 
 
-@pytest.mark.parametrize("n, threads", [(transport._WHOLE_LP, 1), (transport._WHOLE_LP + 1, 2)])
-def test_priced_lps_run_on_two_threads(n, threads, monkeypatch):
-    monkeypatch.setattr(quantum, "cores", lambda: 2)
-    calls = recorded_plans(monkeypatch)
-    toeplitz_bound(*random_pair(n), CostParams(0.7, 0.05))
+def test_priced_lps_run_on_two_threads(monkeypatch):
+    calls = recorded_plans(monkeypatch, 2)
+    toeplitz_bound(*random_pair(8), CostParams(0.7, 0.05))
     assert sorted(c[0] for c in calls) == [0.7, 1.0]
     idents = {c[1] for c in calls}
-    assert len(idents) == threads and threading.get_ident() in idents
+    assert len(idents) == 2 and threading.get_ident() in idents
 
 
 @pytest.mark.parametrize("n", [8, 100])
 def test_toeplitz_bound_raises_the_lam_one_error_first(n, monkeypatch):
-    # concurrent at 100 atoms, the lam = 1 LP fails last and its error wins
-    monkeypatch.setattr(quantum, "cores", lambda: 2)
-    recorded_plans(monkeypatch, fail=True)
+    # the LPs run concurrently, the lam = 1 LP fails last and its error wins
+    recorded_plans(monkeypatch, 2, fail=True)
     with pytest.raises(ValueError, match="lp at lam 1.0"):
         toeplitz_bound(*random_pair(n), CostParams(0.7, 0.05))
-
-
-def test_pure_state_bound(grid512):
-    psi = coherent_state(grid512, HBAR, 0.4, -0.2)
-    assert pure_state_bound(psi) == pytest.approx(2.0 * math.sqrt(HBAR), abs=1e-8)
-    from obscert.quantum import gaussian_state
-    g = gaussian_state(grid512, HBAR, 0.0, 0.0, 0.5)
-    expected = 2.0 * math.sqrt(0.25 / 2 + HBAR ** 2 / 0.5)
-    assert pure_state_bound(g) == pytest.approx(expected, abs=1e-8)
-    assert pure_state_bound(g) >= 2.0 * math.sqrt(HBAR)
 
 
 # ---------------------------------------------------------------------------
@@ -359,40 +347,10 @@ def test_exact_gaussian_cost_below_growth_factor(k, lam):
         assert cost <= certify.growth_factor(lam, abs(k), t) ** 2 * cost0 * (1.0 + 1e-12), t
 
 
-def dense_transport_plan(f, mu, lam):
-    """Reference: the same LP with the equality rows built densely, one by one."""
-    n, m = len(f.weights), len(mu.weights)
-    C = cost_matrix(f, mu, lam)
-    a_eq, b_eq = [], []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m:(i + 1) * m] = 1.0
-        a_eq.append(row)
-        b_eq.append(f.weights[i])
-    for j in range(m - 1):
-        col = np.zeros(n * m)
-        col[j::m] = 1.0
-        a_eq.append(col)
-        b_eq.append(mu.weights[j])
-    res = linprog(C.reshape(-1), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=(0, None), method="highs")
-    plan = res.x.reshape(n, m)
-    return float(np.sum(plan * C)), plan
-
-
 def random_pair(n, seed=1):
     rng = np.random.default_rng(seed)
     return (AtomicMeasure(rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n)),
             AtomicMeasure(rng.standard_normal((n, 2)) + 0.3, rng.uniform(0.0, 1.0, n)))
-
-
-@pytest.mark.parametrize("lam", [1.0, 0.7])
-def test_sparse_plan_matches_dense_reference(lam):
-    f, mu = random_pair(64)
-    cost, plan = transport_plan(f, mu, lam)
-    ref_cost, ref_plan = dense_transport_plan(f, mu, lam)
-    np.testing.assert_array_equal(plan, ref_plan)
-    assert cost == ref_cost
 
 
 def test_plan_memory_at_128_atoms():
@@ -439,18 +397,16 @@ def assert_marginals(plan, f, mu, tol):
 
 
 def test_pricing_loop_reaches_the_full_optimum(monkeypatch):
-    # no whole-LP shortcut, zero dual estimate (so partners are ranked by C)
-    # and one partner per atom plus the north-west corner is far from
-    # optimal: edges priced negative must enter until the duals are feasible
-    # everywhere
-    monkeypatch.setattr(transport, "_WHOLE_LP", 0)
+    # a zero dual estimate (so partners are ranked by C) and one partner per
+    # atom plus the north-west corner is far from optimal: edges priced
+    # negative must enter until the duals are feasible everywhere
     monkeypatch.setattr(transport, "_dual_estimate",
                         lambda C, a, b: (np.zeros(len(a)), np.zeros(len(b))))
     monkeypatch.setattr(transport, "_NEAREST", 1)
     calls = counted_linprog(monkeypatch)
     f, mu = random_pair(40)
     cost, plan = transport_plan(f, mu, 1.0)
-    ref_cost, _ = dense_transport_plan(f, mu, 1.0)
+    ref_cost, _ = full_transport_plan(f, mu, 1.0)
     assert len(calls) > 1
     assert calls[0] < 40 * 40 // 4
     assert abs(cost - ref_cost) <= 1e-12 * ref_cost
@@ -506,14 +462,23 @@ def test_degenerate_inputs_match_the_full_lp(case):
     assert_marginals(plan, f, mu, 1e-9)
 
 
+@pytest.mark.parametrize("pair", ["3x5", "64", "192"])
 @pytest.mark.parametrize("lam", [1.0, 0.7])
-def test_priced_plan_matches_the_full_lp_at_192_atoms(lam, monkeypatch):
+def test_plan_matches_the_full_lp(pair, lam, monkeypatch):
     calls = counted_linprog(monkeypatch)
-    f, mu = random_pair(192, seed=3)
+    if pair == "3x5":
+        rng = np.random.default_rng(35)
+        f = AtomicMeasure(rng.standard_normal((3, 2)), rng.uniform(0.0, 1.0, 3))
+        mu = AtomicMeasure(rng.standard_normal((5, 2)), rng.uniform(0.0, 1.0, 5))
+    else:
+        f, mu = random_pair(int(pair), seed=1 if pair == "64" else 3)
+    n, m = len(f.weights), len(mu.weights)
     cost, plan = transport_plan(f, mu, lam)
     ref_cost, _ = full_transport_plan(f, mu, lam)
-    # the candidate set is a fraction of the 36864 edges
-    assert all(k < 192 * 192 // 2 for k in calls)
+    if min(n, m) > transport._NEAREST:
+        assert all(k < n * m for k in calls)
+    else:                                   # every atom's partners are the whole other side
+        assert calls == [n * m]
     assert abs(cost - ref_cost) <= 1e-12 * ref_cost
     assert_marginals(plan, f, mu, 1e-9)
     assert cost == float(np.sum(plan * cost_matrix(f, mu, lam)))
