@@ -31,10 +31,25 @@ import numpy as np
 from . import phasespace, quantum
 from .classical import GeometricSummary
 from .phasespace import ToeplitzState
-from .potentials import saturating_exp, saturating_square
 from .quantum import Grid, WaveFunction
 
 SCHEMA_VERSION = 1
+
+
+def saturating_square(x: float) -> float:
+    """x ** 2, or +inf where the square overflows (float ** raises there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def saturating_exp(x: float) -> float:
+    """math.exp(x), or +inf where it overflows (math.exp raises there)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +292,6 @@ def _trapezoid(series: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     return w_t @ series, second.max(axis=0, initial=0.0) * h ** 2 * T / 12.0
 
 
-def _lip_along_flow(geo: GeometricSummary) -> float:
-    """Lipschitz bound of grad V valid wherever the trajectories from K go: the
-    larger of the working box's bound and the bound recertified on the box
-    joined with the trajectories' (dim, 2) hull (the same box, and so the same
-    bound, when no trajectory left the working box)."""
-    V, hull = geo.V, geo.hull
-    box = np.stack([np.minimum(V.working_box[:, 0], hull[:, 0]),
-                    np.maximum(V.working_box[:, 1], hull[:, 1])], axis=-1)
-    return max(V.lip_grad, V.with_box(box).lip_grad)
-
-
 @dataclass(frozen=True)
 class _Sweep:
     """The measured side that both certificate kinds share, per (column,
@@ -297,7 +301,6 @@ class _Sweep:
 
     scenario: str
     geo: GeometricSummary
-    lip: float
     measured: np.ndarray
     terms: dict
 
@@ -328,7 +331,7 @@ class _Sweep:
             space_sum[c, edged] += w * geo.T * edge_mass[r].max(axis=0)
         terms = {"propagation": np.abs(measured - coarse_sum) / 3.0,
                  "time_quadrature": time_sum, "space_quadrature": space_sum}
-        return cls(scenario, geo, _lip_along_flow(geo), measured, terms)
+        return cls(scenario, geo, measured, terms)
 
     def report(self, c: int, j: int, kind: str, lower: float, terms: dict,
                **fields) -> CertificationReport:
@@ -347,7 +350,7 @@ class _Sweep:
         m = float(self.measured[c, j])
         return CertificationReport(
             schema_version=SCHEMA_VERSION, scenario=self.scenario, kind=kind, T=geo.T,
-            delta=geo.deltas[j], lip_grad=self.lip, d_K=geo.K.diameter,
+            delta=geo.deltas[j], lip_grad=geo.lip, d_K=geo.K.diameter,
             gc_satisfied=geo.gc_satisfied, c_geo=geo.c_geo,
             c_geo_refine_delta=geo.c_geo_refine_delta, chi_geo=geo.chi_geo[j],
             lower_bound=lower, measured=m, margin=m - lower, eps_num=float(eps),
@@ -371,7 +374,7 @@ def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
     sweep = _Sweep.measure(geo, [[(psi, 1.0, f"hbar={psi.hbar:g}")] for psi in psis],
                            dt=dt, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    D = spread_coefficient(geo.T, sweep.lip)
+    D = spread_coefficient(geo.T, geo.lip)
 
     reports = []
     for c, psi in enumerate(psis):
@@ -384,7 +387,7 @@ def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
             dm_base = dm_state = None
             if lower > 0:
                 try:
-                    dm = minimal_delta(geo.T, sweep.lip, psi.hbar, dim, c_geo, 1.0 / lower,
+                    dm = minimal_delta(geo.T, geo.lip, psi.hbar, dim, c_geo, 1.0 / lower,
                                        geo.K.diameter, spread=delta_psi, husimi_mass=h_K)
                     dm_base, dm_state = dm.baseline, dm.state_dependent
                 except ValueError:
@@ -418,7 +421,7 @@ def certify_toeplitz_sweep(geo: GeometricSummary, Rs: Sequence[ToeplitzState],
                 for j, w in enumerate(R.symbol.weights) if w != 0.0] for R in Rs]
     sweep = _Sweep.measure(geo, columns, dt=dt, scenario=scenario)
     c_geo, c_geo_delta = geo.c_geo, geo.c_geo_refine_delta
-    c_tl, lam_star = toeplitz_coefficient_details(geo.T, sweep.lip)
+    c_tl, lam_star = toeplitz_coefficient_details(geo.T, geo.lip)
 
     reports = []
     for c, R in enumerate(Rs):

@@ -258,9 +258,8 @@ class RampCutoff(Cutoff):
 
 def verlet_step(V: Potential, x: Array, xi: Array, dt: float | Array):
     """One velocity-Verlet step for batches x, xi of shape (m, dim); dt is a
-    float or an (m, 1) array of per-sample step sizes.  Calls ``V.grad_fn``
-    on the (m, dim) arrays directly, without the checks of ``V.gradient``:
-    callers check the new state for finiteness."""
+    float or an (m, 1) array of per-sample step sizes.  ``V.grad_fn`` checks
+    nothing, so callers check the new state for finiteness."""
     half = xi - 0.5 * dt * V.grad_fn(x)
     x1 = x + dt * half
     xi1 = half - 0.5 * dt * V.grad_fn(x1)
@@ -438,6 +437,7 @@ class GeometricSummary:
     chi_geo: tuple               # min ramp-cutoff occupation time, per delta
     left_box: bool               # some trajectory left V's working box
     hull: Array                  # (dim, 2) per-axis [min, max] of all trajectories' positions
+    lip: float                   # Lipschitz bound of grad V wherever the trajectories go
     table: OccupationResult      # the indicator pass (one cutoff column)
 
 
@@ -453,6 +453,12 @@ def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
                            [IndicatorCutoff(omega)] + [RampCutoff(omega, d) for d in deltas],
                            dt)
     c_geo = float(res.occupation[:m, 0].min())
+    hull = np.stack([res.hull[..., 0].min(axis=0), res.hull[..., 1].max(axis=0)], axis=-1)
+    # the larger of the working box's bound and the bound recertified on the
+    # box joined with the hull (the same box, and bound, when no trajectory
+    # left the working box)
+    box = np.stack([np.minimum(V.working_box[:, 0], hull[:, 0]),
+                    np.maximum(V.working_box[:, 1], hull[:, 1])], axis=-1)
     return GeometricSummary(
         V=V, K=K, omega=omega, T=T, deltas=deltas,
         c_geo=c_geo,
@@ -460,7 +466,7 @@ def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
         gc_satisfied=bool(np.all(res.first_hit[:m, 0] < T)),     # nan: never hit
         chi_geo=tuple(float(v) for v in res.occupation[:m, 1:].min(axis=0)),
         left_box=bool(res.left_box.any()),
-        hull=np.stack([res.hull[..., 0].min(axis=0), res.hull[..., 1].max(axis=0)], axis=-1),
+        hull=hull, lip=max(V.lip_grad, V.with_box(box).lip_grad),
         table=OccupationResult(points=res.points[:m], occupation=res.occupation[:m, :1],
                                first_hit=res.first_hit[:m, :1], left_box=res.left_box[:m],
                                hull=res.hull[:m]),

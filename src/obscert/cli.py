@@ -201,7 +201,7 @@ def cmd_husimi(args) -> int:
 
 def cmd_constants(args) -> int:
     geo = scenario.load_config(args.config).geometric_summary()
-    lip = certify._lip_along_flow(geo)
+    lip = geo.lip
     c_tl, lam_star = certify.toeplitz_coefficient_details(geo.T, lip)
     payload = {
         "T": geo.T,

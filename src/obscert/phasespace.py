@@ -256,8 +256,8 @@ class ToeplitzState:
     hbar: float
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar!r}")
 
     def atom_state(self, j: int, grid: Grid) -> WaveFunction:
         d, atom = self.symbol.dim, self.symbol.points[j]

@@ -5,36 +5,22 @@ A potential carries an explicit working box and a closed-form bound
 ``lip_grad`` is that bound on the working box.  The bound is always
 analytic, so it never depends on sampling luck: sampled difference quotients
 serve only as a test oracle for it.
+
+This module holds the potential type, the built-in factories
+(``free_particle``, ``harmonic``, ``double_well``) and their bounds, and
+nothing else: ``value_fn`` and ``grad_fn`` take (m, dim) position arrays
+unchecked, and ``scenario.build_potential`` reads a config's ``potential``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import config
-
 Array = np.ndarray
-
-
-def saturating_square(x: float) -> float:
-    """x ** 2, or +inf where the square overflows (float ** raises there)."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
-def saturating_exp(x: float) -> float:
-    """math.exp(x), or +inf where it overflows (math.exp raises there)."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _box_array(box, dim: int) -> Array:
@@ -49,24 +35,6 @@ def _box_array(box, dim: int) -> Array:
     if np.any(b[:, 0] > b[:, 1]):
         raise ValueError("box has lo > hi")
     return b
-
-
-def _points(x, dim: int) -> Array:
-    """Coerce input to an (m, dim) array of positions."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        if dim != 1:
-            raise ValueError("scalar position given for a multi-dimensional potential")
-        return a.reshape(1, 1)
-    if a.ndim == 1:
-        if a.size == dim:
-            return a.reshape(1, dim)
-        if dim == 1:
-            return a.reshape(-1, 1)
-        raise ValueError(f"cannot interpret shape {a.shape} as points in dim {dim}")
-    if a.shape[-1] != dim:
-        raise ValueError(f"last axis must have length {dim}")
-    return a.reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -90,35 +58,14 @@ class Potential:
         """The Lipschitz bound of the gradient on ``working_box``."""
         return float(self.lip_on_box(self.working_box))
 
-    def value(self, x):
-        pts = _points(x, self.dim)
-        out = np.asarray(self.value_fn(pts), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"potential '{self.name}' is not finite at some of {pts}")
-        if np.asarray(x).ndim <= 1 and np.asarray(x).size <= self.dim:
-            return float(out[0])
-        return out
-
-    def gradient(self, x):
-        pts = _points(x, self.dim)
-        out = np.asarray(self.grad_fn(pts), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"gradient of '{self.name}' is not finite at some of {pts}")
-        a = np.asarray(x)
-        if a.ndim == 0:
-            return float(out[0, 0])
-        if a.ndim == 1 and a.size == self.dim:
-            return out[0]
-        return out.reshape(np.broadcast_shapes(a.shape, (len(pts), self.dim)))
-
     def with_box(self, box) -> "Potential":
         """Same potential on a different working box (and so its bound)."""
         return replace(self, working_box=_box_array(box, self.dim))
 
-    def inside_box(self, x) -> Array:
-        pts = _points(x, self.dim)
+    def inside_box(self, x: Array) -> Array:
+        """Whether each row of an (m, dim) position array lies in ``working_box``."""
         lo, hi = self.working_box[:, 0], self.working_box[:, 1]
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        return np.all((x >= lo) & (x <= hi), axis=-1)
 
 
 # The built-ins use module-level functions (bound with functools.partial) rather
@@ -202,44 +149,3 @@ def double_well(dim: int = 1, box=(-2.0, 2.0)) -> Potential:
         working_box=_box_array(box, dim),
         lip_on_box=_double_well_lip,
     )
-
-
-_BUILTINS = {
-    "free": lambda cfg, dim, box: free_particle(dim=dim, box=box),
-    "harmonic": lambda cfg, dim, box: harmonic(
-        stiffness=float(cfg.get("stiffness", 1.0)), dim=dim, box=box
-    ),
-    "double_well": lambda cfg, dim, box: double_well(dim=dim, box=box),
-}
-# the fields each kind reads besides kind, dim and box
-_KIND_FIELDS = {"free": (), "harmonic": ("stiffness",), "double_well": ()}
-
-# the checked fields: an integer dim, a finite stiffness, and a box without
-# NaN (+-inf bounds run)
-_FIELDS = {"dim": config.positive_int,
-           "stiffness": lambda v, at: config.vec(v, 1, at)[0],
-           "box": lambda v, at: config.numbers(v, at, finite=False)}
-
-
-def from_config(cfg: dict) -> Potential:
-    """Build a potential from a JSON-style config: {"kind": ..., "dim": ..., "box": ...}.
-
-    Raises ConfigError (a ValueError) naming the field as potential.<field>;
-    a field its kind does not read is an error.
-    """
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _BUILTINS:
-        raise config.ConfigError(
-            f"potential.kind: unknown {kind!r} (expected one of {sorted(_BUILTINS)})"
-        )
-    config.known_fields(cfg, ("kind", "dim", "box", *_KIND_FIELDS[kind]), "potential")
-    cfg = {k: _FIELDS[k](v, f"potential.{k}") if k in _FIELDS else v for k, v in cfg.items()}
-    dim = cfg.get("dim", 1)
-    if dim not in (1, 2):
-        raise config.ConfigError("potential.dim: only dimensions 1 and 2 are supported")
-    try:
-        box = _box_array(cfg.get("box", (-8.0, 8.0) if kind != "double_well" else (-2.0, 2.0)),
-                         dim)
-    except ValueError as exc:
-        raise config.ConfigError(f"potential.box: {exc}") from None
-    return _BUILTINS[kind](cfg, dim, box)

@@ -10,7 +10,6 @@ certification report per (hbar, delta) cell, deterministically ordered.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,6 +30,10 @@ _FIELDS = ("scenario", "potential", "K", "omega", "T", "deltas", "hbars", "state
 _STATE_FIELDS = {"coherent": ("q", "p"), "gaussian": ("q", "p", "sigma"),
                 "superposition": ("components",), "toeplitz": ("atoms",),
                 "toeplitz_uniform": ("per_axis",)}
+# the factory of each potential kind, and the fields it reads besides dim and box
+_POTENTIALS = {"free": (potentials.free_particle, ()),
+               "harmonic": (potentials.harmonic, ("stiffness",)),
+               "double_well": (potentials.double_well, ())}
 
 
 def _require(cfg, key: str, where: str):
@@ -109,12 +112,28 @@ def parse_numerics(cfg) -> Numerics:
 
 
 def build_potential(cfg: dict) -> Potential:
+    """The potential's factory called on its checked fields; a field the
+    config leaves out takes the factory's default."""
     raw = _require(cfg, "potential", "$")
-    _require(raw, "kind", "$.potential")
+    kind = _require(raw, "kind", "$.potential")
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
+        raise ConfigError(f"$.potential.kind: unknown {kind!r} (expected one of "
+                          f"{sorted(_POTENTIALS)})")
+    factory, fields = _POTENTIALS[kind]
+    known_fields(raw, ("kind", "dim", "box", *fields), "$.potential")
+    args = {}
+    if "dim" in raw:
+        args["dim"] = positive_int(raw["dim"], "$.potential.dim")
+        if args["dim"] > 2:
+            raise ConfigError("$.potential.dim: only dimensions 1 and 2 are supported")
+    if "stiffness" in raw:
+        args["stiffness"] = vec(raw["stiffness"], 1, "$.potential.stiffness")[0]
+    if "box" in raw:                           # +-inf bounds run, NaN does not
+        args["box"] = numbers(raw["box"], "$.potential.box", finite=False)
     try:
-        return potentials.from_config(raw)
-    except ValueError as exc:                  # its paths start at "potential."
-        raise ConfigError(f"$.{exc}") from None
+        return factory(**args)
+    except ValueError as exc:                  # only the box's shape or order
+        raise ConfigError(f"$.potential.box: {exc}") from None
 
 
 def build_compact_set(cfg: dict, dim: int) -> CompactSet:
@@ -346,6 +365,8 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
     if k == 1:
         groups = [_run_columns(sc, geo, chunks[0])]
     else:
+        # imported here: it loads multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=k) as pool:
             groups = list(pool.map(_run_columns, [sc] * k, [geo] * k, chunks))
     return [r for group in groups for r in group]

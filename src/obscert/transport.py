@@ -130,7 +130,9 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
 
     HiGHS solves without presolve, which on these LPs removes no simplex
     iteration.  Raises ValueError when lam is not positive with a finite
-    square, or when the cost matrix overflows to a non-finite value.
+    square, or when the cost matrix overflows to a non-finite value, and
+    RuntimeError, with the smallest and largest cost, when HiGHS fails (a
+    finite C of wide range can: largest costs of 1e18 already do).
     """
     n, m = len(f.weights), len(mu.weights)
     if n > MAX_ATOMS or m > MAX_ATOMS:
@@ -161,7 +163,8 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
         res = linprog(C[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                       method="highs", options={"presolve": False})
         if res.status != 0:
-            raise RuntimeError(f"transport LP failed: {res.message}")
+            raise RuntimeError(f"transport LP failed on costs in [{C.min():.3g}, "
+                               f"{C.max():.3g}]: {res.message}")
         duals = res.eqlin.marginals
         reduced = C - duals[:n, None] - np.append(duals[n:], 0.0)[None, :]
         entering = (reduced < tol) & ~mask

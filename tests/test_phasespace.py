@@ -278,6 +278,14 @@ def test_weights_normalize_and_reject_negative():
         toeplitz_from_density([(0.0, 0.0, -0.1), (1.0, 0.0, 1.1)], HBAR)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -0.1, math.nan, math.inf])
+def test_toeplitz_state_rejects_a_bad_hbar(hbar):
+    # NaN and inf fail here, not later in atom_state
+    symbol = toeplitz_from_density([(0.0, 0.0, 1.0)], HBAR).symbol
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        phasespace.ToeplitzState(symbol, hbar)
+
+
 def test_toeplitz_observed_mass_full_cutoff(grid512, free):
     R = toeplitz_from_density([(0.0, 0.8, 0.5), (0.4, 1.2, 0.5)], HBAR)
     m = toeplitz_observed_mass(free, R, grid512, 1.0, ConstantCutoff(1.0), 1e-3)

@@ -90,6 +90,17 @@ def config_2d(n):
             "numerics": {"n": n, "length": 20.0, "dt": 5e-3, "dt_flow": 5e-3}}
 
 
+def test_potential_fields_reach_the_factory():
+    # a field the config leaves out takes the factory's default
+    V = parse(base_config(potential={"kind": "harmonic", "stiffness": 2.5})).V
+    assert (V.name, V.dim, V.lip_grad) == ("harmonic", 1, 2.5)
+    np.testing.assert_array_equal(V.working_box, potentials.harmonic().working_box)
+    V = parse(base_config(**{**config_2d(64), "potential": {"kind": "double_well",
+                                                             "dim": 2}})).V
+    np.testing.assert_array_equal(V.working_box, [[-2.0, 2.0], [-2.0, 2.0]])
+    assert V.lip_grad == potentials.double_well(dim=2).lip_grad
+
+
 GRID_TOO_LARGE = [{"numerics": {"n": 2 ** 40, "length": 20.0}},
                   {"numerics": {"n": 8192, "length": 20.0}},
                   config_2d(4096)]
@@ -215,6 +226,9 @@ MALFORMED = [
      r"\$\.potential\.kind: unknown \['free'\]"),
     ({"potential": {"kind": {"a": 1}, "dim": 1, "box": [-10.0, 10.0]}},
      r"\$\.potential\.kind: unknown \{'a': 1\}"),
+    ({"potential": {"kind": "morse"}}, r"\$\.potential\.kind: unknown 'morse'"),
+    ({"potential": {"kind": "free", "dim": 3, "box": [-10.0, 10.0]}},
+     r"\$\.potential\.dim: only dimensions 1 and 2"),
     PHASE_GRID_TWO_ENTRIES,
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1e308], [-2.4, 1.3, 1e308]]}},
      r"\$\.state\.atoms: weights must have a finite positive total"),
@@ -226,7 +240,8 @@ MALFORMED = [
     "atom_outside_K", "q_wrong_size", "zero_amplitudes", "cancelling_components",
     "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
     "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
-    "dt_flow_underflows", "kind_list", "kind_dict", "phase_grid_two_entries",
+    "dt_flow_underflows", "kind_list", "kind_dict", "kind_morse", "dim_3",
+    "phase_grid_two_entries",
     "weights_overflow", *UNKNOWN_FIELD_IDS])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
@@ -338,7 +353,7 @@ def test_scenario_pickle_round_trip(kind):
     assert (back.name, back.T, back.deltas, back.hbars, back.numerics) == \
         (sc.name, sc.T, sc.deltas, sc.hbars, sc.numerics)
     pts = sc.K.sample_grid()[:, :1]
-    np.testing.assert_array_equal(back.V.gradient(pts), sc.V.gradient(pts))
+    np.testing.assert_array_equal(back.V.grad_fn(pts), sc.V.grad_fn(pts))
     np.testing.assert_array_equal(back.K.boxes, sc.K.boxes)
     np.testing.assert_array_equal(back.omega.boxes, sc.omega.boxes)
     a = scenario.build_state(sc.state, sc.grid, 0.1)
@@ -532,13 +547,13 @@ def test_classical_pass_runs_once_per_scenario(monkeypatch):
 
 def test_config_parsed_once_per_certify_run(tmp_path, monkeypatch):
     calls = []
-    original = potentials.from_config
+    original = scenario.build_potential
 
-    def counting(raw):
-        calls.append(raw)
-        return original(raw)
+    def counting(cfg):
+        calls.append(cfg)
+        return original(cfg)
 
-    monkeypatch.setattr(potentials, "from_config", counting)
+    monkeypatch.setattr(scenario, "build_potential", counting)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(deltas=[1.0, 3.0], hbars=[0.1, 0.2])))
     assert cli.main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
@@ -810,18 +825,21 @@ def test_fuzz_mutated_reports_exit_0_or_2(tmp_path):
 
 def test_cli_import_skips_scipy_optimize(tmp_path):
     # transport is the only user of scipy.optimize and neither certify nor
-    # the constants subcommand needs it; every name the package exports is
-    # there after a plain import
+    # the constants subcommand needs it; only run_scenario with more than one
+    # job needs multiprocessing; every name the package exports is there
+    # after a plain import
     config = str(ROOT / "configs" / "free_coherent.json")
     res = run_python(["-c", "import sys, obscert; "
                             "exported = all(hasattr(obscert, n) for n in obscert.__all__); "
                             "import obscert.cli; "
-                            "imported = 'scipy.optimize' in sys.modules; "
+                            "loaded = lambda: [m in sys.modules "
+                            "for m in ('scipy.optimize', 'multiprocessing')]; "
+                            "imported = loaded(); "
                             f"code = obscert.cli.main(['constants', '--config', {config!r}]); "
-                            "print(exported, imported, code, 'scipy.optimize' in sys.modules)"],
+                            "print(exported, *imported, code, *loaded())"],
                      cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "True False 0 False"
+    assert res.stdout.splitlines()[-1] == "True False False 0 False False"
 
 
 def test_demo_config_parses():

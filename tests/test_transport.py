@@ -124,6 +124,15 @@ def test_overflowing_cost_fails_by_name(monkeypatch):
             transport_plan(f, mu, 1.0)
 
 
+def test_failed_lp_names_its_cost_range():
+    # finite costs up to about 1e306 pass the overflow check, and HiGHS fails
+    f = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [1e153, 0.0]]), np.ones(3))
+    mu = AtomicMeasure(np.array([[0.5, 0.0], [2.0, 0.0], [-1.0, 0.0]]), np.ones(3))
+    with pytest.raises(RuntimeError,
+                       match=r"^transport LP failed on costs in \[0\.25, 1e\+306\]: .*HiGHS"):
+        transport_plan(f, mu, 1.0)
+
+
 @pytest.mark.parametrize("lam", [-1.0, 0.0, 1e200, math.nan, math.inf])
 def test_lambda_is_checked_by_name(lam):
     # -1 used to give cost 0, 1e200 an OverflowError from lam ** 2, and NaN
