@@ -132,14 +132,13 @@ def cmd_gcc(args) -> int:
 
 def cmd_propagate(args) -> int:
     sc = scenario.load_config(args.config)
-    if sc.state.kind == "toeplitz":
-        print("propagate needs a pure state; pick a coherent/gaussian/superposition state",
-              file=sys.stderr)
-        return 2
+    if isinstance(sc.state, phasespace.AtomicMeasure):
+        raise ConfigError("$.state.kind: propagate needs a pure state; pick a "
+                          "coherent/gaussian/superposition state")
     grid, hbar, num = sc.grid, sc.hbars[0], sc.numerics
     n_steps, _ = quantum.split_steps(sc.T, num.dt)
     if n_steps < num.slices - 1:        # the observer saves at most one slice per step
-        raise ConfigError(f"numerics.slices: {num.slices} slices need at least "
+        raise ConfigError(f"$.numerics.slices: {num.slices} slices need at least "
                           f"{num.slices - 1} steps, but T = {sc.T:g} at dt = {num.dt:g} "
                           f"takes {n_steps}")
     out = Path(args.out)
@@ -170,11 +169,9 @@ def cmd_propagate(args) -> int:
 def cmd_husimi(args) -> int:
     sc = scenario.load_config(args.config)
     if sc.V.dim != 1:
-        print("husimi fields are emitted for dim 1 only", file=sys.stderr)
-        return 2
-    if sc.state.kind == "toeplitz":
-        print("husimi needs a pure state", file=sys.stderr)
-        return 2
+        raise ConfigError("$.potential.dim: husimi fields are emitted for dim 1 only")
+    if isinstance(sc.state, phasespace.AtomicMeasure):
+        raise ConfigError("$.state.kind: husimi needs a pure state")
     hbar = sc.hbars[0]
     with scenario.named_aborts(sc.name):
         state = scenario.build_state(sc.state, sc.grid, hbar)

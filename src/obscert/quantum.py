@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,6 +43,14 @@ class SpectralAliasError(NumericsError):
     """Spectral tail mass exceeded tolerance (grid too coarse for the momenta)."""
 
 
+class GridError(ValueError):
+    """A Grid parameter out of range; ``field`` names it: dim, n or length."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 # the largest n per axis, by dim: in 2-D at n = 2048, certify's propagation
 # of one state peaks at about 1.5 GB, and memory grows fourfold per doubling
 MAX_GRID_N = {1: 4096, 2: 2048}
@@ -57,14 +66,18 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in MAX_GRID_N:
-            raise ValueError("only dim 1 and 2 are supported")
+            raise GridError("dim", "only dim 1 and 2 are supported")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two, at least 4 (spectral transforms)")
+            raise GridError("n", "n must be a power of two, at least 4 (spectral transforms)")
         if self.n > MAX_GRID_N[self.dim]:
-            raise ValueError(f"n = {self.n} exceeds {MAX_GRID_N[self.dim]}, the largest "
-                             f"grid per axis in {self.dim}-D")
+            raise GridError("n", f"n = {self.n} exceeds {MAX_GRID_N[self.dim]}, the largest "
+                                 f"grid per axis in {self.dim}-D")
         if not 0 < self.length < math.inf:
-            raise ValueError(f"length must be finite and positive, got {self.length!r}")
+            raise GridError("length", f"length must be finite and positive, got {self.length!r}")
+        volume = math.prod([self.dx] * self.dim)      # every mass is a sum times it
+        if not sys.float_info.min <= volume < math.inf:
+            raise GridError("length", f"length = {self.length!r} gives a cell volume "
+                                      f"(length/n)^dim = {volume!r}, not a normal float")
 
     @property
     def dx(self) -> float:
@@ -220,16 +233,27 @@ def _centers(grid: Grid, q, p):
 def gaussian_state(grid: Grid, hbar: float, q, p, sigma: float) -> WaveFunction:
     """Gaussian packet exp(-|x-q|^2/(2 sigma^2) + i p.(x-q)/hbar), normalized.
 
-    sigma = sqrt(hbar) reproduces the coherent state.
+    sigma = sqrt(hbar) reproduces the coherent state.  A packet with no mass
+    on the grid, or with NaN values there, is a numerical abort.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     q, p = _centers(grid, q, p)
     meshes = grid.meshes()
-    r2 = sum((m - qi) ** 2 for m, qi in zip(meshes, q))
-    phase = sum(pi * (m - qi) for m, pi, qi in zip(meshes, p, q))
-    values = np.exp(-r2 / (2.0 * sigma ** 2) + 1j * phase / hbar)
-    psi = WaveFunction(grid, values, hbar).normalized()
+    try:
+        width = 2.0 * sigma ** 2
+    except OverflowError:               # flat on any box: the boundary check refuses it
+        width = math.inf
+    with np.errstate(all="ignore"):     # r2 = inf is amplitude 0; a NaN is refused below
+        r2 = sum((m - qi) ** 2 for m, qi in zip(meshes, q))
+        phase = sum(pi * (m - qi) for m, pi, qi in zip(meshes, p, q))
+        values = np.exp(-r2 / width + 1j * phase / hbar)
+    norm = WaveFunction(grid, values, hbar).norm
+    if not 0 < norm < math.inf:
+        raise NumericsError(f"hbar={hbar:g}: the packet at q = {q.tolist()}, p = {p.tolist()} "
+                            f"of width {sigma:g} has norm {norm} on the grid (off the box, "
+                            "or overflow)")
+    psi = WaveFunction(grid, values / norm, hbar)
     psi.check_boundary()
     return psi
 

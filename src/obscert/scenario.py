@@ -5,11 +5,13 @@ K, an observation region, a horizon T, lists of hbar and delta values, an
 initial state, and the numerical parameters.  ``parse`` checks every field and
 returns a frozen, picklable ``Scenario``; running it produces one
 certification report per (hbar, delta) cell, deterministically ordered.
+Every reader names the field it checks, by its config path, in its ConfigError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,29 +21,86 @@ import numpy as np
 from . import certify, classical, phasespace, potentials, quantum
 from .certify import CertificationReport
 from .classical import CompactSet, GeometricSummary, Region
-from .config import ConfigError, known_fields, numbers, positive, positive_int, vec
 from .phasespace import AtomicMeasure, ToeplitzState
 from .potentials import Potential
 from .quantum import Grid
 
 SWEEP_FIELDS = ("scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict")
-# the fields of a scenario config, and of its state besides "kind", by kind
-_FIELDS = ("scenario", "potential", "K", "omega", "T", "deltas", "hbars", "state", "numerics")
-_STATE_FIELDS = {"coherent": ("q", "p"), "gaussian": ("q", "p", "sigma"),
-                "superposition": ("components",), "toeplitz": ("atoms",),
-                "toeplitz_uniform": ("per_axis",)}
 # the factory of each potential kind, and the fields it reads besides dim and box
 _POTENTIALS = {"free": (potentials.free_particle, ()),
                "harmonic": (potentials.harmonic, ("stiffness",)),
                "double_well": (potentials.double_well, ())}
+# the (required, optional) fields of each state kind, besides "kind"
+_STATES = {"coherent": (("q", "p"), ()), "gaussian": (("q", "p", "sigma"), ()),
+           "superposition": (("components",), ()), "toeplitz": (("atoms",), ()),
+           "toeplitz_uniform": ((), ("per_axis",))}
 
 
-def _require(cfg, key: str, where: str):
-    if not isinstance(cfg, dict):
+class ConfigError(ValueError):
+    """Scenario config failed validation; message carries the config path."""
+
+
+def positive(value, where: str) -> float:
+    try:
+        if isinstance(value, bool):            # float(True) is 1.0
+            raise TypeError
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not (v > 0) or not math.isfinite(v):
+        raise ConfigError(f"{where}: must be positive and finite, got {v}")
+    return v
+
+
+def positive_int(value, where: str) -> int:
+    v = positive(value, where)
+    if not v.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(v)
+
+
+def numbers(value, where: str, finite: bool = True) -> np.ndarray:
+    """value as a float array: never NaN, and without +-inf when ``finite``."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
+    if np.isnan(v).any() or (finite and not np.isfinite(v).all()):
+        raise ConfigError(f"{where}: must be {'finite' if finite else 'numbers, not NaN'}, "
+                          f"got {value!r}")
+    return v
+
+
+def vec(value, dim: int, where: str) -> np.ndarray:
+    v = numbers(value, where).reshape(-1)
+    if v.size != dim:
+        raise ConfigError(f"{where}: expected {dim} component(s), got {v.size}")
+    return v
+
+
+def _object(raw, where: str, required=(), optional=(), kinds=None) -> dict:
+    """raw, checked once: an object that holds every required field and no
+    field besides the optional ones.  ``kinds`` maps each value of a required
+    "kind" field to the (required, optional) fields that kind adds."""
+    if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must be an object")
-    if key not in cfg:
-        raise ConfigError(f"{where}.{key}: missing required field")
-    return cfg[key]
+    if kinds is not None:
+        if "kind" not in raw:
+            raise ConfigError(f"{where}.kind: missing required field")
+        kind = raw["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{where}.kind: unknown {kind!r} (expected one of "
+                              f"{sorted(kinds)})")
+        required = ("kind", *required, *kinds[kind][0])
+        optional = (*optional, *kinds[kind][1])
+    for key in raw:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{where}.{key}: unknown field (expected one of "
+                              f"{sorted((*required, *optional))})")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{where}.{key}: missing required field")
+    return raw
 
 
 def _positive_list(values, where: str) -> tuple[float, ...]:
@@ -81,46 +140,39 @@ class Numerics:
     phase_grid: Optional[dict] = None     # {"q"|"p": [lo, hi, count]}
 
 
-def _parse_phase_grid(raw) -> Optional[dict]:
+def _phase_grid(raw, where: str) -> Optional[dict]:
     if raw is None:
         return None
-    known_fields(raw, ("q", "p"), "$.numerics.phase_grid")
+    _object(raw, where, optional=("q", "p"))
     out = {}
     for axis in ("q", "p"):
         if raw.get(axis) is not None:
-            where = f"numerics.phase_grid.{axis}"
-            lo, hi, count = vec(raw[axis], 3, where)
-            out[axis] = [float(lo), float(hi), positive_int(count, f"{where}[2]")]
+            lo, hi, count = vec(raw[axis], 3, f"{where}.{axis}")
+            out[axis] = [float(lo), float(hi), positive_int(count, f"{where}.{axis}[2]")]
     return out
 
 
+# the reader of each numerics field; a field the config leaves out keeps the
+# Numerics default, and so does a null husimi_spacing or phase_grid
+_NUMERICS = {"n": positive_int, "length": positive, "dt": positive, "dt_flow": positive,
+             "husimi_spacing": lambda v, where: None if v is None else positive(v, where),
+             "slices": positive_int, "phase_grid": _phase_grid}
+
+
 def parse_numerics(cfg) -> Numerics:
-    cfg = known_fields({} if cfg is None else cfg, Numerics.__dataclass_fields__, "$.numerics")
-    num = Numerics(
-        n=positive_int(cfg.get("n", 1024), "numerics.n"),
-        length=positive(cfg.get("length", 16.0), "numerics.length"),
-        dt=positive(cfg.get("dt", 1e-3), "numerics.dt"),
-        dt_flow=positive(cfg.get("dt_flow", 1e-3), "numerics.dt_flow"),
-        husimi_spacing=(None if cfg.get("husimi_spacing") is None
-                        else positive(cfg["husimi_spacing"], "numerics.husimi_spacing")),
-        slices=positive_int(cfg.get("slices", 9), "numerics.slices"),
-        phase_grid=_parse_phase_grid(cfg.get("phase_grid")),
-    )
+    cfg = _object({} if cfg is None else cfg, "$.numerics", optional=_NUMERICS)
+    num = Numerics(**{key: read(cfg[key], f"$.numerics.{key}")
+                      for key, read in _NUMERICS.items() if key in cfg})
     if num.slices < 2:
-        raise ConfigError("numerics.slices: need at least 2")
+        raise ConfigError("$.numerics.slices: need at least 2")
     return num
 
 
 def build_potential(cfg: dict) -> Potential:
     """The potential's factory called on its checked fields; a field the
     config leaves out takes the factory's default."""
-    raw = _require(cfg, "potential", "$")
-    kind = _require(raw, "kind", "$.potential")
-    if not isinstance(kind, str) or kind not in _POTENTIALS:
-        raise ConfigError(f"$.potential.kind: unknown {kind!r} (expected one of "
-                          f"{sorted(_POTENTIALS)})")
-    factory, fields = _POTENTIALS[kind]
-    known_fields(raw, ("kind", "dim", "box", *fields), "$.potential")
+    raw = _object(cfg["potential"], "$.potential", optional=("dim", "box"),
+                  kinds={kind: ((), fields) for kind, (_, fields) in _POTENTIALS.items()})
     args = {}
     if "dim" in raw:
         args["dim"] = positive_int(raw["dim"], "$.potential.dim")
@@ -131,16 +183,16 @@ def build_potential(cfg: dict) -> Potential:
     if "box" in raw:                           # +-inf bounds run, NaN does not
         args["box"] = numbers(raw["box"], "$.potential.box", finite=False)
     try:
-        return factory(**args)
+        return _POTENTIALS[raw["kind"]][0](**args)
     except ValueError as exc:                  # only the box's shape or order
         raise ConfigError(f"$.potential.box: {exc}") from None
 
 
 def build_compact_set(cfg: dict, dim: int) -> CompactSet:
-    raw = known_fields(_require(cfg, "K", "$"), ("boxes", "spacing"), "$.K")
+    raw = _object(cfg["K"], "$.K", ("boxes", "spacing"))
     # finite: K's sample lattice spans every box
-    boxes = _norm_boxes(_require(raw, "boxes", "$.K"), 2 * dim, "$.K.boxes", finite=True)
-    spacing = positive(_require(raw, "spacing", "$.K"), "$.K.spacing")
+    boxes = _norm_boxes(raw["boxes"], 2 * dim, "$.K.boxes", finite=True)
+    spacing = positive(raw["spacing"], "$.K.spacing")
     try:
         return CompactSet(boxes=boxes, spacing=spacing)
     except ValueError as exc:
@@ -148,56 +200,43 @@ def build_compact_set(cfg: dict, dim: int) -> CompactSet:
 
 
 def build_region(cfg: dict, dim: int) -> Region:
-    raw = known_fields(_require(cfg, "omega", "$"), ("boxes",), "$.omega")
-    return Region(_norm_boxes(_require(raw, "boxes", "$.omega"), dim, "$.omega.boxes",
-                              finite=False))
+    raw = _object(cfg["omega"], "$.omega", ("boxes",))
+    return Region(_norm_boxes(raw["boxes"], dim, "$.omega.boxes", finite=False))
 
 
 @dataclass(frozen=True)
-class State:
-    """The hbar-independent data of an initial state.
+class PureState:
+    """The hbar-independent data of a pure initial state: one phase point
+    (q, p) per Gaussian packet in ``points`` (m, 2*dim), the superposition
+    ``amplitudes`` (None for one packet alone), and the packets' width
+    ``sigma`` (None for sqrt(hbar), the coherent state's)."""
 
-    ``kind`` is "coherent", "gaussian", "superposition" or "toeplitz" (both
-    Toeplitz config kinds).  A pure kind holds one phase point (q, p) per
-    coherent component in ``points`` and the superposition amplitudes in
-    ``weights``; a Toeplitz kind holds its ``symbol``.
-    """
-
-    kind: str
-    points: Optional[np.ndarray] = None  # (m, 2*dim)
-    weights: Optional[np.ndarray] = None
+    points: np.ndarray
+    amplitudes: Optional[np.ndarray] = None
     sigma: Optional[float] = None
-    symbol: Optional[AtomicMeasure] = None
 
 
 def _phase_point(q, p, dim: int, where: str) -> np.ndarray:
     return np.concatenate([vec(q, dim, f"{where}.q"), vec(p, dim, f"{where}.p")])
 
 
-def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
-    """Check every field of the state config against the scenario's dim and K."""
-    kind = _require(state_cfg, "kind", "$.state")
-    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
-        raise ConfigError(f"$.state.kind: unknown {kind!r} (expected one of "
-                          f"{sorted(_STATE_FIELDS)})")
-    known_fields(state_cfg, ("kind", *_STATE_FIELDS[kind]), "$.state")
+def parse_state(state_cfg, dim: int, K: CompactSet) -> PureState | AtomicMeasure:
+    """Check the state config against dim and K; a Toeplitz kind gives its symbol."""
+    raw = _object(state_cfg, "$.state", kinds=_STATES)
+    kind = raw["kind"]
     if kind in ("coherent", "gaussian"):
-        pt = _phase_point(_require(state_cfg, "q", "$.state"),
-                          _require(state_cfg, "p", "$.state"), dim, "$.state")
-        if kind == "coherent":
-            return State(kind, pt[None, :])
-        return State(kind, pt[None, :], sigma=positive(
-            _require(state_cfg, "sigma", "$.state"), "$.state.sigma"))
+        pt = _phase_point(raw["q"], raw["p"], dim, "$.state")
+        return PureState(pt[None, :], sigma=(positive(raw["sigma"], "$.state.sigma")
+                                             if kind == "gaussian" else None))
     if kind == "superposition":
-        comps = _require(state_cfg, "components", "$.state")
+        comps = raw["components"]
         if not isinstance(comps, list) or not comps:
             raise ConfigError("$.state.components: expected a nonempty list")
         pts, amps = [], []
         for i, comp in enumerate(comps):
             where = f"$.state.components[{i}]"
-            known_fields(comp, ("q", "p", "amplitude"), where)
-            pts.append(_phase_point(_require(comp, "q", where), _require(comp, "p", where),
-                                    dim, where))
+            _object(comp, where, ("q", "p"), ("amplitude",))
+            pts.append(_phase_point(comp["q"], comp["p"], dim, where))
             a = comp.get("amplitude", 1.0)
             amps.append(complex(*vec(a, 2 if isinstance(a, (list, tuple)) else 1,
                                       f"{where}.amplitude")))
@@ -209,9 +248,9 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
         if not any(sums.values()):
             raise ConfigError("$.state.components: amplitudes sum to zero at every "
                               "phase point (the zero state)")
-        return State(kind, np.array(pts), np.array(amps))
+        return PureState(np.array(pts), np.array(amps))
     if kind == "toeplitz":
-        atoms = _require(state_cfg, "atoms", "$.state")
+        atoms = raw["atoms"]
         if not isinstance(atoms, list) or not atoms:
             raise ConfigError("$.state.atoms: expected a nonempty list")
         pts, ws = [], []
@@ -228,23 +267,21 @@ def parse_state(state_cfg, dim: int, K: CompactSet) -> State:
         outside = np.flatnonzero(~K.contains(symbol.points))
         if outside.size:
             raise ConfigError(f"$.state.atoms[{outside[0]}]: lies outside K")
-        return State(kind, symbol=symbol)
-    per_axis = positive_int(state_cfg.get("per_axis", 3), "$.state.per_axis")
-    return State("toeplitz", symbol=AtomicMeasure(*phasespace.uniform_atomization(K, per_axis)))
+        return symbol
+    per_axis = positive_int(raw.get("per_axis", 3), "$.state.per_axis")
+    return AtomicMeasure(*phasespace.uniform_atomization(K, per_axis))
 
 
-def build_state(state: State, grid: Grid, hbar: float):
-    """Returns a WaveFunction (pure kinds) or a ToeplitzState."""
-    if state.kind == "toeplitz":
-        return ToeplitzState(state.symbol, hbar)
-    d = grid.dim
-    q, p = state.points[:, :d], state.points[:, d:]
-    if state.kind == "gaussian":
-        return quantum.gaussian_state(grid, hbar, q[0], p[0], state.sigma)
-    packets = [quantum.coherent_state(grid, hbar, a, b) for a, b in zip(q, p)]
-    if state.kind == "superposition":
-        return quantum.superposition(packets, state.weights)
-    return packets[0]
+def build_state(state: PureState | AtomicMeasure, grid: Grid, hbar: float):
+    """A WaveFunction for a PureState, a ToeplitzState for a symbol."""
+    if isinstance(state, AtomicMeasure):
+        return ToeplitzState(state, hbar)
+    d, sigma = grid.dim, state.sigma or math.sqrt(hbar)
+    packets = [quantum.gaussian_state(grid, hbar, pt[:d], pt[d:], sigma)
+               for pt in state.points]
+    if state.amplitudes is None:
+        return packets[0]
+    return quantum.superposition(packets, state.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -259,7 +296,7 @@ class Scenario:
     T: float
     deltas: tuple
     hbars: tuple
-    state: State
+    state: PureState | AtomicMeasure
     numerics: Numerics
 
     @property
@@ -292,7 +329,8 @@ def _step_count(T: float, dt: float, where: str) -> int:
 
 def parse(cfg) -> Scenario:
     """Check every field of a scenario config dict; the one config parser."""
-    known_fields(cfg, _FIELDS, "$")
+    _object(cfg, "$", ("potential", "K", "omega", "T", "deltas", "hbars", "state"),
+            ("scenario", "numerics"))
     name = cfg.get("scenario", "scenario")
     if not isinstance(name, str) or not name:
         raise ConfigError("$.scenario: must be a nonempty string")
@@ -301,19 +339,19 @@ def parse(cfg) -> Scenario:
     sc = Scenario(
         name=name, V=V, K=K, omega=build_region(cfg, V.dim),
         numerics=parse_numerics(cfg.get("numerics")),
-        T=positive(_require(cfg, "T", "$"), "$.T"),
-        deltas=_positive_list(_require(cfg, "deltas", "$"), "$.deltas"),
-        hbars=_positive_list(_require(cfg, "hbars", "$"), "$.hbars"),
-        state=parse_state(_require(cfg, "state", "$"), V.dim, K),
+        T=positive(cfg["T"], "$.T"),
+        deltas=_positive_list(cfg["deltas"], "$.deltas"),
+        hbars=_positive_list(cfg["hbars"], "$.hbars"),
+        state=parse_state(cfg["state"], V.dim, K),
     )
     try:
-        sc.grid                 # dim and length are checked: Grid can reject only n
-    except ValueError as exc:
-        raise ConfigError(f"numerics.n: {exc}") from None
-    if _step_count(sc.T, sc.numerics.dt, "numerics.dt") < 2:   # else dt and 2 dt runs coincide
-        raise ConfigError(f"numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
+        sc.grid                 # the dim is checked: Grid can refuse only n or length
+    except quantum.GridError as exc:
+        raise ConfigError(f"$.numerics.{exc.field}: {exc}") from None
+    if _step_count(sc.T, sc.numerics.dt, "$.numerics.dt") < 2:   # else dt and 2 dt runs coincide
+        raise ConfigError(f"$.numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
                           "quantum step; the propagation error needs at least 2")
-    _step_count(sc.T, sc.numerics.dt_flow, "numerics.dt_flow")
+    _step_count(sc.T, sc.numerics.dt_flow, "$.numerics.dt_flow")
     return sc
 
 
@@ -341,7 +379,7 @@ def _run_columns(sc: Scenario, geo: GeometricSummary,
     num, grid = sc.numerics, sc.grid
     with named_aborts(sc.name):
         states = [build_state(sc.state, grid, hbar) for hbar in hbars]
-        if sc.state.kind == "toeplitz":
+        if isinstance(sc.state, AtomicMeasure):
             return certify.certify_toeplitz_sweep(geo, states, grid, dt=num.dt,
                                                   scenario=sc.name)
         return certify.certify_pure_sweep(geo, states, dt=num.dt,

@@ -79,6 +79,22 @@ def test_boundary_monitor_trips():
         coherent_state(small, 0.5, 1.5, 0.0)
 
 
+# packets the grid cannot hold: each raised ValueError or OverflowError, or
+# built a NaN state, where it now is a numerical abort
+@pytest.mark.parametrize("q, p, sigma, hbar, message", [
+    (1e308, 0.0, 0.3, HBAR, "has norm 0.0 on the grid"),
+    (2.0 ** 70, 0.0, 0.3, HBAR, "has norm 0.0 on the grid"),
+    (0.0, 1e308, 0.3, HBAR, "has norm nan on the grid"),
+    (0.0, 1.0, 0.3, 1e-320, "has norm nan on the grid"),
+    (0.0, 0.0, 1e-320, HBAR, "has norm nan on the grid"),
+    (0.0, 0.0, 1e308, HBAR, "boundary amplitude"),
+], ids=["q=1e308", "q=2^70", "p=1e308", "hbar=1e-320", "sigma=1e-320", "sigma=1e308"])
+def test_packet_the_grid_cannot_hold_is_a_numerical_abort(grid512, q, p, sigma, hbar,
+                                                           message):
+    with pytest.raises(quantum.NumericsError, match=f"^hbar={hbar:g}: .*{message}"):
+        gaussian_state(grid512, hbar, q, p, sigma)
+
+
 def test_boundary_monitor_sees_mid_run_leaks(grid1024, harm):
     # the packet swings out to |x| ~ 6.5 at t ~ pi/2, where its edge amplitude
     # peaks at 4.4e-10, and is back at the center by t = pi (7.3e-15 there):
@@ -104,6 +120,15 @@ def test_step_monitor_reads_the_synchronized_edges(dim, rng):
 def test_grid_requires_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         Grid(dim=1, n=500, length=16.0)
+
+
+@pytest.mark.parametrize("dim, length", [(1, 1e-320), (2, 1e-160), (2, 1e308)])
+def test_grid_refuses_a_cell_volume_off_the_normal_floats(dim, length):
+    # every mass is a sum times the cell volume: a subnormal one left no mass on
+    # the grid, and an overflowing one raised OverflowError
+    with pytest.raises(quantum.GridError, match=r"cell volume .* not a normal float") as err:
+        Grid(dim=dim, n=128, length=length)
+    assert err.value.field == "length"
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

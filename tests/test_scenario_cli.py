@@ -61,11 +61,46 @@ def test_validate_minimal():
                       potential={"kind": "free", "dim": 1, "box": [-math.inf, math.inf]}))
 
 
-def test_missing_field_path_in_error():
-    cfg = base_config()
-    del cfg["T"]
-    with pytest.raises(ConfigError, match=r"\$\.T"):
+# every required field, by its path, in base_config or with the state of a
+# STATES kind
+MISSING_FIELDS = [
+    *[(None, (key,)) for key in ("potential", "K", "omega", "T", "deltas", "hbars", "state")],
+    (None, ("potential", "kind")), (None, ("K", "boxes")), (None, ("K", "spacing")),
+    (None, ("omega", "boxes")), (None, ("state", "kind")),
+    (None, ("state", "q")), (None, ("state", "p")),
+    *[("gaussian", ("state", key)) for key in ("q", "p", "sigma")],
+    ("superposition", ("state", "components")), ("toeplitz", ("state", "atoms")),
+    ("superposition", ("state", "components", 0, "q")),
+    ("superposition", ("state", "components", 0, "p")),
+]
+
+
+def config_path(path) -> str:
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+@pytest.mark.parametrize("kind, path", MISSING_FIELDS,
+                         ids=[".".join(map(str, ((kind,) if kind else ()) + path))
+                              for kind, path in MISSING_FIELDS])
+def test_missing_field_path_in_error(kind, path):
+    cfg = base_config(**({"state": copy.deepcopy(STATES[kind])} if kind else {}))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ConfigError) as err:
         parse(cfg)
+    assert str(err.value) == f"{config_path(path)}: missing required field"
+
+
+@pytest.mark.parametrize("numerics", ["omitted", None, {},
+                                      {"husimi_spacing": None, "phase_grid": None}],
+                         ids=["omitted", "null", "empty", "null_optionals"])
+def test_numerics_defaults(numerics):
+    cfg = base_config(numerics=numerics)
+    if numerics == "omitted":
+        del cfg["numerics"]
+    assert parse(cfg).numerics == scenario.Numerics()
 
 
 def test_unknown_state_kind():
@@ -112,14 +147,15 @@ def test_bad_numerics_rejected():
     with pytest.raises(ConfigError, match=r"\$\.deltas"):
         parse(base_config(deltas=[-1.0]))
     # integer fields: a config error, neither a traceback nor a truncation
-    for numerics, where in [({"n": "abc"}, "numerics.n"), ({"n": 512.5}, "numerics.n"),
-                            ({"slices": 2.9}, "numerics.slices")]:
+    for numerics, where in [({"n": "abc"}, r"\$\.numerics\.n"),
+                            ({"n": 512.5}, r"\$\.numerics\.n"),
+                            ({"slices": 2.9}, r"\$\.numerics\.slices")]:
         with pytest.raises(ConfigError, match=where):
             parse(base_config(numerics=numerics))
     # a T/dt that overflows the step count of either step rule
-    for override, where in [({"T": 1e308}, "numerics.dt"),
-                            ({"numerics": {"dt": 1e-320}}, "numerics.dt"),
-                            ({"numerics": {"dt_flow": 1e-320}}, "numerics.dt_flow")]:
+    for override, where in [({"T": 1e308}, r"\$\.numerics\.dt"),
+                            ({"numerics": {"dt": 1e-320}}, r"\$\.numerics\.dt"),
+                            ({"numerics": {"dt_flow": 1e-320}}, r"\$\.numerics\.dt_flow")]:
         with pytest.raises(ConfigError, match=rf"^{where}: .* not a finite step count"):
             parse(base_config(**override))
     for per_axis in ("abc", 1.5, 0):
@@ -132,7 +168,7 @@ def test_bad_numerics_rejected():
         parse(base_config(deltas=[0.1234567, 3.0, 0.1234568]))
     # grids above the per-axis limit of their dimension
     for override in GRID_TOO_LARGE:
-        with pytest.raises(ConfigError, match=r"^numerics\.n: n = \d+ exceeds"):
+        with pytest.raises(ConfigError, match=r"^\$\.numerics\.n: n = \d+ exceeds"):
             parse(base_config(**override))
     parse(base_config(numerics={"n": quantum.MAX_GRID_N[1], "length": 20.0,
                                 "dt": 5e-3, "dt_flow": 5e-3}))
@@ -148,7 +184,7 @@ def test_cli_grid_too_large_exits_2(tmp_path):
                       cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("config error: numerics.n: n = 1099511627776 exceeds")
+        assert res.stderr.startswith("config error: $.numerics.n: n = 1099511627776 exceeds")
         assert not (tmp_path / "o").exists()
 
 
@@ -174,7 +210,7 @@ MALFORMED_NUMBERS = [
      r"\$\.potential\.dim: expected a number"),
     # T/dt_flow overflowed split_steps in the classical pass of gcc
     ({"numerics": {"n": 512, "length": 20.0, "dt": 5e-3, "dt_flow": 1e-320}},
-     r"numerics\.dt_flow: .* not a finite step count"),
+     r"\$\.numerics\.dt_flow: .* not a finite step count"),
 ]
 
 # a field that no reader reads, each in the object that does not read it; the
@@ -204,7 +240,7 @@ UNKNOWN_FIELD_IDS = ["potential_stifness", "numerics_dt_flw", "free_stiffness",
                      "omega_inflate", "phase_grid_x", "top_level_hbar"]
 
 PHASE_GRID_TWO_ENTRIES = ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
-                          r"numerics\.phase_grid\.q")
+                          r"\$\.numerics\.phase_grid\.q")
 
 # each is rejected by load_config with its path, before any flow pass
 MALFORMED = [
@@ -254,6 +290,44 @@ def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatc
         run_scenario(load_config(path))
 
 
+# configs that parse but whose state the grid cannot hold: each exited 1 with
+# a traceback, or with p = 1e308 wrote NaN reports.  A packet or atom off the
+# box, a packet wider than any box, and a phase that overflows are numerical
+# aborts (exit 3) naming the scenario and the row; a length whose cell volume
+# is not a normal float is a config error.
+UNBUILDABLE_STATES = [
+    ({"state": {"kind": "coherent", "q": 1e308, "p": 1.25}}, "propagate", 3,
+     r"numerical abort: scenario 'mini', hbar=0\.1: the packet at q = \[1e\+308\], "
+     r"p = \[1\.25\] of width 0\.316228 has norm 0\.0 on the grid"),
+    ({"K": {"boxes": [[[1e6, 1e6 + 1.2], [0.65, 1.85]]], "spacing": 0.2},
+      "state": {"kind": "toeplitz_uniform"}}, "certify", 3,
+     r"numerical abort: scenario 'mini', hbar=0\.1: the packet at q = \[1000000\.2\]"),
+    ({"state": {"kind": "gaussian", "q": -2.5, "p": 1.25, "sigma": 1e308}}, "propagate", 3,
+     r"numerical abort: scenario 'mini', hbar=0\.1: boundary amplitude"),
+    ({"state": {"kind": "coherent", "q": -2.5, "p": 1e308}}, "propagate", 3,
+     r"numerical abort: scenario 'mini', hbar=0\.1: .* has norm nan on the grid"),
+    ({"hbars": [1e-320]}, "certify", 3,
+     r"numerical abort: scenario 'mini', hbar=9\.99989e-321: .* has norm nan on the grid"),
+    ({"numerics": {"n": 512, "length": 1e-320}}, "certify", 2,
+     r"config error: \$\.numerics\.length: length = 1e-320 gives a cell volume"),
+    ({**config_2d(64), "numerics": {"n": 64, "length": 1e308}}, "certify", 2,
+     r"config error: \$\.numerics\.length: length = 1e\+308 gives a cell volume"),
+]
+
+
+@pytest.mark.parametrize("override, command, code, message", UNBUILDABLE_STATES,
+                         ids=["packet_off_the_box", "atoms_off_the_box", "sigma_1e308",
+                              "p_1e308", "hbar_1e-320", "length_1e-320", "2d_length_1e308"])
+def test_cli_unbuildable_state_exits_2_or_3(override, command, code, message, tmp_path,
+                                            capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**override)))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == code
+    assert re.match(message, capsys.readouterr().err)
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_cli_malformed_numbers_exit_2(tmp_path):
     # before these checks: tracebacks with exit 1, or a flow blow-up with exit 3
     for override, where in MALFORMED_NUMBERS:
@@ -284,7 +358,7 @@ def test_cli_malformed_phase_grid_exits_2(tmp_path):
                   cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
-    assert "config error: numerics.phase_grid.q" in res.stderr
+    assert "config error: $.numerics.phase_grid.q" in res.stderr
 
 
 @pytest.mark.parametrize("dt", [1.0, 2.0])
@@ -292,12 +366,12 @@ def test_one_quantum_step_exits_2(dt, tmp_path, capsys):
     # T = 1 at dt >= T is one step at dt and one at 2 dt: the propagation and
     # time terms would read 0 whatever the error; dt = T/2 takes 2 steps
     cfg = base_config(numerics={"n": 512, "length": 20.0, "dt": dt, "dt_flow": 5e-3})
-    with pytest.raises(ConfigError, match=r"^numerics\.dt: T = 1 at dt = .* takes 1 "):
+    with pytest.raises(ConfigError, match=r"^\$\.numerics\.dt: T = 1 at dt = .* takes 1 "):
         parse(cfg)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-    assert "config error: numerics.dt" in capsys.readouterr().err
+    assert "config error: $.numerics.dt" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     parse(base_config(numerics={"n": 512, "length": 20.0, "dt": 0.5, "dt_flow": 5e-3}))
 
@@ -363,6 +437,19 @@ def test_scenario_pickle_round_trip(kind):
         np.testing.assert_array_equal(b.symbol.weights, a.symbol.weights)
     else:
         np.testing.assert_array_equal(b.values, a.values)
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("propagate", {"state": STATES["toeplitz"]}, "$.state.kind: propagate needs a pure state"),
+    ("husimi", {"state": STATES["toeplitz_uniform"]}, "$.state.kind: husimi needs a pure state"),
+    ("husimi", config_2d(64), "$.potential.dim: husimi fields are emitted for dim 1 only"),
+], ids=["propagate_toeplitz", "husimi_toeplitz", "husimi_2d"])
+def test_subcommand_refusals_are_config_errors(command, override, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**override)))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_toeplitz_weights_normalized_once():
@@ -652,7 +739,7 @@ def test_cli_propagate_needs_a_step_per_slice(tmp_path):
     res = run_cli(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
                   cwd=tmp_path)
     assert res.returncode == 2
-    assert "numerics.slices" in res.stderr and "Traceback" not in res.stderr
+    assert "$.numerics.slices" in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "p").exists()
     cfg["numerics"]["slices"] = 5
     cfg_path.write_text(json.dumps(cfg))
@@ -775,15 +862,18 @@ def json_nodes(doc, path=()):
         yield from json_nodes(value, path + (key,))
 
 
-def mutations(docs, size, seed):
-    """A fixed-seed sample of ``size`` (name, mutated doc, path, value) cases:
-    one node of one document replaced by a FUZZ_VALUES entry, or deleted."""
+def mutations(docs, size=None, seed=0):
+    """A fixed-seed sample of ``size`` (name, mutated doc, path, value) cases,
+    or every case in order when ``size`` is None: one node of one document
+    replaced by a FUZZ_VALUES entry, or deleted."""
     cases = [(name, path, value) for name, doc in docs.items()
              for path in json_nodes(doc) for value in [*FUZZ_VALUES, DELETE]]
-    for name, path, value in random.Random(seed).sample(cases, min(size, len(cases))):
-        doc = copy.deepcopy(docs[name])
-        parent = doc
+    if size is not None:
+        cases = random.Random(seed).sample(cases, min(size, len(cases)))
+    for name, path, value in cases:
+        doc = parent = copy.copy(docs[name])       # copies the path; shares the rest
         for key in path[:-1]:
+            parent[key] = copy.copy(parent[key])
             parent = parent[key]
         if value is DELETE:
             del parent[path[-1]]
@@ -793,15 +883,24 @@ def mutations(docs, size, seed):
 
 
 def test_fuzz_mutated_configs_parse_or_raise_config_error():
-    # the classes it found, now named cases: T/dt overflowing split_steps
-    # (test_bad_numerics_rejected) and an unhashable potential.kind (kind_list,
-    # kind_dict); about 12,400 mutations in all, of which this runs half
+    # every mutation (about 12,400) parses or raises ConfigError, and a parsed
+    # one builds its states (the pure state at every hbar, the Toeplitz atoms at
+    # the first) or aborts with NumericsError.  The classes it found, now named
+    # cases: T/dt overflowing split_steps (test_bad_numerics_rejected), an
+    # unhashable potential.kind (kind_list, kind_dict), and states the grid
+    # cannot hold (test_cli_unbuildable_state_exits_2_or_3)
     assert len(FUZZ_CONFIGS) >= 13
     docs = {str(p.relative_to(ROOT)): json.loads(p.read_text()) for p in FUZZ_CONFIGS}
-    for name, doc, path, value in mutations(docs, 6000, seed=21):
+    for name, doc, path, value in mutations(docs):
         try:
-            parse(doc)
-        except ConfigError:
+            sc = parse(doc)
+            for hbar in sc.hbars:
+                state = scenario.build_state(sc.state, sc.grid, hbar)
+                if isinstance(state, phasespace.ToeplitzState):
+                    for j in range(len(state.symbol.weights)):
+                        state.atom_state(j, sc.grid)
+                    break
+        except (ConfigError, quantum.NumericsError):
             pass
         except Exception as exc:
             pytest.fail(f"{name} {list(path)} = {value!r}: {type(exc).__name__}: {exc}")
