@@ -90,9 +90,10 @@ def spread_coefficient(T: float, lip: float) -> float:
 
 def _growth_objective(T: float, lip: float, lam: float) -> float:
     """The Gronwall factor at lam times sqrt(1 + 1/lam^2): the Toeplitz
-    coefficient's objective, +inf before 1/lam^2 can overflow."""
+    coefficient's objective, +inf before 1/lam^2 can overflow and where lam^2
+    underflows to 0."""
     g = gronwall_factor(growth_rate(lam, lip), T)
-    if math.isinf(g):
+    if math.isinf(g) or lam ** 2 == 0.0:
         return math.inf
     return g * math.sqrt(1.0 + 1.0 / lam ** 2)
 
@@ -426,12 +427,9 @@ def certify_toeplitz_sweep(geo: GeometricSummary, Rs: Sequence[ToeplitzState],
     reports = []
     for c, R in enumerate(Rs):
         dim = R.symbol.dim
-        threshold = (c_geo ** 2 / (2.0 * dim * saturating_square(c_tl))
-                     if math.isfinite(c_tl) else 0.0)
         for j, delta in enumerate(geo.deltas):
             lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
             reports.append(sweep.report(
                 c, j, "toeplitz", lower, {"c_geo_refinement": float(c_geo_delta)},
-                dim=dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl,
-                admissible=bool(R.hbar / delta ** 2 < threshold)))
+                dim=dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl, admissible=bool(lower > 0)))
     return reports

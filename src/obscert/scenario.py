@@ -194,9 +194,15 @@ def build_compact_set(cfg: dict, dim: int) -> CompactSet:
     boxes = _norm_boxes(raw["boxes"], 2 * dim, "$.K.boxes", finite=True)
     spacing = positive(raw["spacing"], "$.K.spacing")
     try:
-        return CompactSet(boxes=boxes, spacing=spacing)
+        K = CompactSet(boxes=boxes, spacing=spacing)
     except ValueError as exc:
         raise ConfigError(f"$.K: {exc}") from None
+    nodes = K.sample_size() + K.sample_size(spacing / 2)    # the lattices of one flow pass
+    if nodes > classical.MAX_LATTICE_NODES:
+        raise ConfigError(f"$.K.spacing: {spacing:g} gives $.K.boxes a sample lattice of "
+                          f"{nodes:.3g} nodes with its half-spacing refinement, more than "
+                          f"{classical.MAX_LATTICE_NODES}, the most one flow pass takes")
+    return K
 
 
 def build_region(cfg: dict, dim: int) -> Region:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -230,6 +231,74 @@ def test_zero_when_cutoff_missed(free):
     K = phys_box(-0.1, 0.1, -0.1, 0.1)
     c = geometric_constant(free, K, IndicatorCutoff(interval(5.0, 6.0)), 1.0, 1e-3)
     assert c == 0.0
+
+
+# ---------------------------------------------------------------------------
+# occupation times against closed-form flows
+# ---------------------------------------------------------------------------
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def exact_occupation(point, boxes, T, omega):
+    """(time in [0, T] strictly inside the union of ``boxes``, crossings of its
+    boundary) along the exact flow from ``point``: x + xi t at omega = 0, and
+    x cos(omega t) + (xi / omega) sin(omega t), the harmonic rotation, above.
+    Every time an axis meets a box face is a closed form; between two
+    consecutive ones the path is inside or outside throughout."""
+    dim = len(point) // 2
+    x, xi = point[:dim], point[dim:]
+    times = [0.0, T]
+    for a in range(dim):
+        for c in np.unique(boxes[:, a, :]):
+            if omega == 0:
+                if xi[a] != 0:
+                    times.append((c - x[a]) / xi[a])
+                continue
+            amp, phase = math.hypot(x[a], xi[a] / omega), math.atan2(xi[a] / omega, x[a])
+            if abs(c) <= amp:
+                for k in range(-1, int(omega * T / (2 * math.pi)) + 2):
+                    for sign in (1, -1):
+                        times.append((phase + sign * math.acos(c / amp) + 2 * math.pi * k)
+                                     / omega)
+    times = np.unique(np.clip(times, 0.0, T))
+
+    def inside(t):
+        pos = (x + xi * t if omega == 0
+               else x * math.cos(omega * t) + xi / omega * math.sin(omega * t))
+        return bool(np.any(np.all((pos > boxes[:, :, 0]) & (pos < boxes[:, :, 1]), axis=1)))
+
+    states = [inside(0.5 * (a + b)) for a, b in zip(times[:-1], times[1:])]
+    occupied = sum(b - a for a, b, s in zip(times[:-1], times[1:], states) if s)
+    return occupied, sum(s != u for s, u in zip(states[:-1], states[1:]))
+
+
+@pytest.mark.parametrize("config, omega, bound", [
+    ("soundness/free_coherent.json", 0.0, None),
+    ("soundness/harmonic_coherent.json", 1.0, 1e-6),
+    ("grid2d/harmonic2d_coherent.json", 1.0, 1e-6),
+])
+def test_occupation_matches_closed_form_flows(config, omega, bound):
+    # node by node on the lattice of a certificate's flow pass (K's lattice
+    # and its half-spacing refinement).  Verlet integrates the free flow
+    # exactly, so its error is the crossing bisection's, at most tol/2 per
+    # crossing (tol = h * 1e-3), plus round-off; the harmonic rotation adds
+    # the O(dt_flow^2) Verlet error
+    sc = scenario.load_config(BENCH_CONFIGS / config)
+    K, T = sc.K, sc.T
+    points = np.concatenate([K.sample_grid(), K.sample_grid(K.spacing / 2)])
+    occ = occupation_batch(sc.V, points, T, [IndicatorCutoff(sc.omega)],
+                           sc.numerics.dt_flow).occupation[:, 0]
+    tol = quantum.split_steps(T, sc.numerics.dt_flow)[1] * 1e-3
+    errors = []
+    for p, o in zip(points, occ):
+        exact, crossings = exact_occupation(p, sc.omega.boxes, T, omega)
+        errors.append(abs(o - exact))
+        if bound is None:
+            assert errors[-1] <= crossings * tol / 2 + 1e-12, (p, o, exact, crossings)
+    if bound is not None:
+        assert max(errors) <= bound
+    assert max(errors) > 0                          # the oracle is not the pass itself
 
 
 # ---------------------------------------------------------------------------

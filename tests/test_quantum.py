@@ -245,6 +245,50 @@ def test_second_moment_lambda_zero_is_kinetic(grid512):
     assert second_moment(psi, 0.0) == pytest.approx(kinetic, abs=1e-10)
 
 
+def quadrature_cost_expectation(psi, x0, xi0, lam):
+    """Reference: lam^2 |x0 - y|^2 + |xi0 + i hbar grad|^2 by its own
+    quadrature, the position part on the grid and the momentum part
+    spectrally, as cost_expectation took it before it read the moments."""
+    dens = psi.density() * psi.grid.cell_volume
+    pos = sum(float((((m - c) ** 2) * dens).sum()) for m, c in zip(psi.grid.meshes(), x0))
+    w = np.abs(np.fft.fftn(psi.values)) ** 2
+    mom = sum(float((((psi.hbar * km - c) ** 2) * w).sum() / w.sum())
+              for km, c in zip(psi.grid.k_meshes(), xi0))
+    return lam ** 2 * pos / dens.sum() + mom
+
+
+def formula_spread(psi):
+    """Reference: spread as position_moments and momentum_moments took it
+    before they shared one kernel: per axis the mean, then the variance,
+    each a weighted sum over the weights' total."""
+    variances = []
+    for w, coords in [(psi.density() * psi.grid.cell_volume, psi.grid.meshes()),
+                      (np.abs(np.fft.fftn(psi.values)) ** 2,
+                       [psi.hbar * km for km in psi.grid.k_meshes()])]:
+        for c in coords:
+            mu = float((c * w).sum() / w.sum())
+            variances.append(float((((c - mu) ** 2) * w).sum() / w.sum()))
+    return float(np.sqrt(np.sum(variances[:psi.grid.dim]) + np.sum(variances[psi.grid.dim:])))
+
+
+@pytest.mark.parametrize("dim, n, length", [(1, 1024, 16.0), (1, 2048, 16.0), (2, 128, 12.0)])
+def test_cost_expectation_reads_the_moments(dim, n, length, rng):
+    # random Gaussian packets: the cost from the moments matches the direct
+    # quadrature, and spread keeps its bits
+    grid = Grid(dim=dim, n=n, length=length)
+    for _ in range(4):
+        hbar = rng.uniform(0.05, 0.2)
+        q, p = rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.0, 1.0, dim)
+        psi = gaussian_state(grid, hbar, q, p, rng.uniform(0.5, 1.5) * math.sqrt(hbar))
+        x0, xi0, lam = rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim), rng.uniform(0.3, 3.0)
+        assert cost_expectation(psi, x0, xi0, lam) == pytest.approx(
+            quadrature_cost_expectation(psi, x0, xi0, lam), rel=1e-14, abs=0)
+        zeros = np.zeros(dim)
+        assert second_moment(psi, lam) == pytest.approx(
+            quadrature_cost_expectation(psi, zeros, zeros, lam), rel=1e-14, abs=0)
+        assert spread(psi) == formula_spread(psi)
+
+
 def test_cost_expectation_matches_closed_form(grid1024, rng):
     from obscert.transport import CostParams, coherent_cost_expectation
     for _ in range(4):
@@ -457,17 +501,28 @@ def test_batch_2d_rows_match_single_rows(n, length):
                               1e-2)
 
 
-@pytest.mark.parametrize("n", [32, 64, 128, 256])
-def test_2d_kinetic_step_matches_a_lone_row(n, rng):
-    # random rows, because no packet fits a 32-point axis with both its x and
-    # k tails below the boundary tolerance; 32^2 and 64^2 rows lie below the
-    # 256 KiB from which a lone row's product swaps its operands, 128^2 and
-    # 256^2 rows at and above it
-    grid = Grid(dim=2, n=n, length=8.0)
-    stepper = quantum._Stepper(grid, quantum.grid_fields(potentials.harmonic(dim=2), grid),
-                               [0.2, 0.1], 1e-2)
-    v = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    expected = [np.fft.ifftn(k * np.fft.fftn(row)) for k, row in zip(stepper.kinetic, v)]
+# (rows, dim, n): the 2-D stacks keep their ids by n
+KINETIC_STACKS = ([pytest.param(2, 2, n, id=str(n)) for n in (32, 64, 128, 256)]
+                  + [pytest.param(3, 2, 128, id="3x128^2")]
+                  + [pytest.param(rows, 1, n, id=f"{rows}x{n}")
+                     for rows in (1, 4, 8) for n in (512, 2048, 4096)])
+
+
+@pytest.mark.parametrize("rows, dim, n", KINETIC_STACKS)
+def test_2d_kinetic_step_matches_a_lone_row(rows, dim, n, rng):
+    # one transform per axis over the stack against a lone row's transform
+    # pair, 1-D and 2-D.  Random rows, because no packet fits a 32-point axis
+    # with both its x and k tails below the boundary tolerance.  Every 1-D row
+    # (the 8 x 2048 stack takes 256 KiB) and the 32^2 and 64^2 rows lie below
+    # the 256 KiB from which a lone row's product swaps its operands, 128^2
+    # and 256^2 rows at and above it
+    grid = Grid(dim=dim, n=n, length=8.0)
+    stepper = quantum._Stepper(grid, quantum.grid_fields(potentials.harmonic(dim=dim), grid),
+                               np.linspace(0.2, 0.1, rows), 1e-2)
+    shape = (rows,) + grid.shape
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if dim == 1 else (np.fft.fftn, np.fft.ifftn)
+    expected = [ifft(k * fft(row)) for k, row in zip(stepper.kinetic, v)]
     stepper.kinetic_step(v)
     np.testing.assert_array_equal(v, np.stack(expected))
 

@@ -188,6 +188,84 @@ def test_cli_grid_too_large_exits_2(tmp_path):
         assert not (tmp_path / "o").exists()
 
 
+# configs over an advertised limit, each parsed and run before it had one:
+# K's lattice (spacing 1e-320 and 5e-324 overflowed lattice_axis's node count,
+# a box 2e284 wide asked numpy for an impossible array), and the steps of one
+# run (T = 2^70 at dt = 0.001 parsed, then ran without end)
+OVER_THE_CAPS = {
+    "K_spacing_1e-320": ({"K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]]], "spacing": 1e-320}},
+                         r"\$\.K\.spacing: .* \$\.K\.boxes .* nodes"),
+    "K_spacing_5e-324": ({"K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]]], "spacing": 5e-324}},
+                         r"\$\.K\.spacing: .* \$\.K\.boxes .* nodes"),
+    "K_box_2e284_wide": ({"K": {"boxes": [[[-1e284, 1e284], [0.65, 1.85]]], "spacing": 0.1}},
+                         r"\$\.K\.spacing: .* \$\.K\.boxes .* nodes"),
+    "T_2^70": ({"T": 2.0 ** 70, "numerics": {"dt": 1e-3}}, r"\$\.numerics\.dt: .* steps"),
+    "dt_flow_steps": ({"numerics": {"dt_flow": 1e-7}}, r"\$\.numerics\.dt_flow: .* steps"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_THE_CAPS))
+def test_cli_inputs_over_a_cap_exit_2(name, tmp_path):
+    override, message = OVER_THE_CAPS[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**override)))
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                  cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert re.match(rf"config error: {message}", res.stderr), res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_caps_admit_their_limits():
+    # K.sample_size counts sample_grid's rows without building them, and
+    # split_steps takes exactly MAX_STEPS steps and refuses one more
+    K = classical.CompactSet(np.array([[[-3.1, -1.9], [0.65, 1.85]], [[0.0, 0.2], [0.0, 0.0]]]),
+                             0.1)
+    for spacing in (0.1, 0.05, 0.3):
+        assert K.sample_size(spacing) == len(K.sample_grid(spacing))
+    assert quantum.split_steps(quantum.MAX_STEPS * 1e-3, 1e-3)[0] == quantum.MAX_STEPS
+    with pytest.raises(ValueError, match=rf"more than {quantum.MAX_STEPS}"):
+        quantum.split_steps((quantum.MAX_STEPS + 1) * 1e-3, 1e-3)
+    # a square K at spacing 2e-3 takes 301^2 + 601^2 nodes, at 1e-3 601^2 + 1201^2
+    cfg = base_config(K={"boxes": [[[0.0, 0.6], [0.0, 0.6]]], "spacing": 2e-3})
+    K = parse(cfg).K
+    assert K.sample_size() + K.sample_size(1e-3) == 451802 <= classical.MAX_LATTICE_NODES
+    cfg["K"]["spacing"] = 1e-3
+    with pytest.raises(ConfigError, match=r"^\$\.K\.spacing: 0\.001 .* 1\.8e\+06 nodes"):
+        parse(cfg)
+
+
+# Toeplitz inputs that exited 1 with a traceback after the whole run: the
+# admissible test's delta ** 2 overflowed (delta = 1e308) or divided by zero
+# (1e-320), and a subnormal stiffness made lam = lip subnormal, so the
+# growth objective's 1 / lam ** 2 divided by zero
+TOEPLITZ_EXTREMES = {"delta_1e308": {"deltas": [1e308]}, "delta_1e-320": {"deltas": [1e-320]},
+                     "stiffness_1e-320": {"potential": {"kind": "harmonic", "stiffness": 1e-320,
+                                                        "dim": 1, "box": [-8.0, 8.0]}}}
+
+
+@pytest.mark.parametrize("name", sorted(TOEPLITZ_EXTREMES))
+def test_cli_toeplitz_extremes_exit_0(name, tmp_path):
+    cfg = json.loads((ROOT / "configs" / "harmonic_toeplitz.json").read_text())
+    cfg.update(TOEPLITZ_EXTREMES[name])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(out)], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    reports = [json.loads(f.read_text()) for f in sorted(out.glob("*.json"))]
+    assert len(reports) == len(cfg["hbars"]) * len(cfg["deltas"])
+    for r in reports:
+        lower, measured = float(r["lower_bound"]), r["measured"]
+        assert r["admissible"] == (lower > 0)
+        assert r["verdict"] == ("vacuous" if not lower > 0 else
+                                "violated" if measured < lower - r["eps_num"] else "certified")
+    verdicts = {r["verdict"] for r in reports}
+    assert verdicts == ({"vacuous"} if name == "delta_1e-320" else {"certified"})
+
+
 # number fields: K spans a lattice, so its boxes are finite; omega and the
 # potential box may reach to +-inf, never NaN
 MALFORMED_NUMBERS = [
