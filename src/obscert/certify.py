@@ -360,8 +360,7 @@ class _Sweep:
 
 
 def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
-                       dt: float, husimi_spacing: Optional[float] = None,
-                       scenario: str = "") -> list[CertificationReport]:
+                       dt: float, scenario: str = "") -> list[CertificationReport]:
     """Certificates for pure initial states, one per hbar column, over the
     summary's enlargement radii; reports come in (column, delta) order.
 
@@ -380,7 +379,7 @@ def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
     reports = []
     for c, psi in enumerate(psis):
         dim = psi.grid.dim
-        h_K, h_delta = phasespace.husimi_mass_refined(psi, geo.K, husimi_spacing)
+        h_K, h_delta = phasespace.husimi_mass_refined(psi, geo.K)
         delta_psi = quantum.spread(psi)
         for j, delta in enumerate(geo.deltas):
             corr_used = 8.0 * D * delta_psi / delta

@@ -136,9 +136,11 @@ class CompactSet:
                                for box in self.boxes])
 
     def sample_size(self, spacing: Optional[float] = None) -> float:
-        """The row count of ``sample_grid``(spacing), without building it."""
+        """The row count of ``sample_grid``(spacing), without building it: a
+        float, +inf where it overflows."""
         h = self.spacing if spacing is None else spacing
-        return sum(math.prod(lattice_size(lo, hi, h) for lo, hi in box) for box in self.boxes)
+        return sum(math.prod(float(lattice_size(lo, hi, h)) for lo, hi in box)
+                   for box in self.boxes)
 
     def corners(self) -> Array:
         return np.concatenate([lattice_points(box) for box in self.boxes])
@@ -219,27 +221,7 @@ class Region:
 # cutoff functions chi: position -> [0, 1]
 # ---------------------------------------------------------------------------
 
-class Cutoff:
-    """Callable cutoff over (m, dim) position arrays."""
-
-    is_indicator = False
-
-    def __call__(self, points) -> Array:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class ConstantCutoff(Cutoff):
-    def __init__(self, value: float = 1.0):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("cutoff values must lie in [0, 1]")
-        self.value = float(value)
-
-    def __call__(self, points) -> Array:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.full(len(p), self.value)
-
-
-class IndicatorCutoff(Cutoff):
+class IndicatorCutoff:
     """chi = 1 on the (open) region, 0 outside; discontinuous."""
 
     is_indicator = True
@@ -251,8 +233,10 @@ class IndicatorCutoff(Cutoff):
         return self.region.indicator(points)
 
 
-class RampCutoff(Cutoff):
+class RampCutoff:
     """chi(x) = (1 - dist(x, region)/delta)_+, Lipschitz with constant 1/delta."""
+
+    is_indicator = False
 
     def __init__(self, region: Region, delta: float):
         if delta <= 0:
@@ -282,11 +266,6 @@ def verlet_step(V: Potential, x: Array, xi: Array, dt: float | Array):
     return x1, xi1
 
 
-def hamiltonian(V: Potential, x: Array, xi: Array) -> Array:
-    x2 = np.atleast_2d(x)
-    return 0.5 * np.sum(np.atleast_2d(xi) ** 2, axis=-1) + V.value_fn(x2)
-
-
 def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
     """Approximate the time-t flow map applied to p0 (global error O(dt^2))."""
     n, h = split_steps(t, dt)
@@ -309,7 +288,7 @@ def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
 _BLOCK_SAMPLE_STEPS = 8192
 
 
-def _bisect_crossings(V: Potential, x0: Array, xi0: Array, h: float, chi: Cutoff,
+def _bisect_crossings(V: Potential, x0: Array, xi0: Array, h: float, chi: IndicatorCutoff,
                       inside_before: Array, tol: float) -> Array:
     """Crossing times s* in (0, h) of the indicator along the steps that start
     at the rows of (x0, xi0), assuming the indicator differs at s=0 and s=h.
@@ -340,7 +319,8 @@ def _region_key(region: Region) -> tuple:
     return region.boxes.shape, region.boxes.tobytes(), region.inflate
 
 
-def occupation_batch(V: Potential, points: Array, T: float, chi: Sequence[Cutoff],
+def occupation_batch(V: Potential, points: Array, T: float,
+                     chi: Sequence[IndicatorCutoff | RampCutoff],
                      dt: float) -> OccupationResult:
     """Integrate all trajectories once; accumulate int_0^T chi(X(t)) dt per
     sample and per cutoff, each column equal to a one-cutoff pass bit for bit.

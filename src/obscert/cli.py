@@ -182,8 +182,8 @@ def cmd_husimi(args) -> int:
     if q_spec is None or p_spec is None:
         qm, _ = quantum.position_moments(state)
         pm, _ = quantum.momentum_moments(state)
-        q_spec = q_spec or [qm[0] - side, qm[0] + side, 65]
-        p_spec = p_spec or [pm[0] - side, pm[0] + side, 65]
+        q_spec = q_spec or [qm[0] - side, qm[0] + side, scenario.PHASE_GRID_COUNT]
+        p_spec = p_spec or [pm[0] - side, pm[0] + side, scenario.PHASE_GRID_COUNT]
     q_axis = np.linspace(float(q_spec[0]), float(q_spec[1]), int(q_spec[2]))
     p_axis = np.linspace(float(p_spec[0]), float(p_spec[1]), int(p_spec[2]))
     field = phasespace.husimi(state, q_axis, p_axis)

@@ -1,19 +1,20 @@
-"""Phase-space representations: Wigner and Husimi transforms, atomic
-measures and their Toeplitz states.
+"""Phase-space representations: Husimi densities and masses, atomic measures
+and their Toeplitz states.
 
 The Husimi density is computed directly from coherent-state overlaps on the
-spatial grid (unconditionally nonnegative); the smoothing identity relating it
-to the Wigner transform is kept as a cross-check in the test suite.  A Toeplitz
-state is the Toeplitz quantization of an atomic measure, a finite nonnegative
-mixture of coherent atoms, so its evolution reduces to independent pure-state
-propagations.
+spatial grid (unconditionally nonnegative); its mass on a compact set K is a
+trapezoid quadrature on a lattice of spacing sqrt(hbar)/5, refined once at
+half the spacing for the error budget, and both lattices together hold at
+most ``MAX_HUSIMI_NODES`` nodes.  A Toeplitz state is the Toeplitz
+quantization of an atomic measure, a finite nonnegative mixture of coherent
+atoms, so its evolution reduces to independent pure-state propagations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,48 +23,6 @@ from . import quantum
 from .quantum import Grid, WaveFunction
 
 Array = np.ndarray
-
-
-class SpectralBandError(ValueError):
-    """Requested momenta exceed the band representable on the spatial grid."""
-
-
-# ---------------------------------------------------------------------------
-# Wigner transform (dim 1)
-# ---------------------------------------------------------------------------
-
-def wigner(psi: WaveFunction, x_axis: Array, xi_axis: Array) -> Array:
-    """Wigner field W(x, xi) on x_axis x xi_axis; real, possibly negative.
-
-    x_axis entries must coincide with grid nodes.  xi values must stay within
-    half the spectral band, |xi| <= pi hbar / (2 dx).  The correlation offset
-    is truncated at a quarter box, which suppresses the periodic mirror ghost
-    at x +- L/2 for states localized well inside the box.  Only dim 1 is
-    supported; the 2-d transform is a 4-d field whose cost is out of desk scale.
-    """
-    grid = psi.grid
-    if grid.dim != 1:
-        raise NotImplementedError("wigner fields are implemented for dim 1 only")
-    hbar = psi.hbar
-    dx = grid.dx
-    xi = np.asarray(xi_axis, dtype=float)
-    band = np.pi * hbar / (2.0 * dx)
-    if np.any(np.abs(xi) > band + 1e-12):
-        raise SpectralBandError(f"|xi| must stay below pi*hbar/(2 dx) = {band:.6g}")
-    idx = np.rint((np.asarray(x_axis, dtype=float) - grid.axis[0]) / dx).astype(int)
-    if np.any(np.abs(grid.axis[idx % grid.n] - np.asarray(x_axis)) > 1e-9):
-        raise ValueError("x_axis entries must lie on grid nodes")
-
-    n = grid.n
-    m = np.arange(n)
-    u = (m - np.where(m >= n // 2, n, 0)) * dx        # signed periodic offsets
-    keep = np.abs(u) <= 0.25 * grid.length
-    m, u = m[keep], u[keep]
-    plus = (idx[:, None] + m[None, :]) % n
-    minus = (idx[:, None] - m[None, :]) % n
-    corr = psi.values[plus] * np.conj(psi.values[minus])
-    kernel = np.exp(-2j * np.outer(u, xi) / hbar)
-    return np.real(corr @ kernel) * dx / (np.pi * hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +74,6 @@ def _overlap_sq_points(psi: WaveFunction, phase_points: Array) -> Array:
     return amp[tuple(index)]
 
 
-def coherent_overlap_sq(hbar: float, q1, p1, q2, p2) -> float:
-    """Closed-form |<q1,p1|q2,p2>|^2 = exp(-(|q1-q2|^2+|p1-p2|^2)/(2 hbar))."""
-    dq = np.atleast_1d(np.asarray(q1, float)) - np.atleast_1d(np.asarray(q2, float))
-    dp = np.atleast_1d(np.asarray(p1, float)) - np.atleast_1d(np.asarray(p2, float))
-    return float(np.exp(-(np.sum(dq ** 2) + np.sum(dp ** 2)) / (2.0 * hbar)))
-
-
 @dataclass(frozen=True)
 class HusimiField:
     """Nonnegative phase-space density on a rectangular (q, p) lattice (dim 1)."""
@@ -163,44 +115,48 @@ def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
                        vals / (2.0 * np.pi * psi.hbar), psi.hbar)
 
 
-def _husimi_spacing(psi: WaveFunction, spacing: Optional[float]) -> float:
-    """The quadrature lattice spacing: ``spacing``, or sqrt(hbar)/5 by default."""
-    return math.sqrt(psi.hbar) / 5.0 if spacing is None else spacing
+# The most nodes of the Husimi quadrature's lattice on K and its half-spacing
+# refinement together, and of a husimi field's (q, p) window: at 3 * 10^6 nodes
+# the 2-D quadrature peaks at about 390 MB and takes about 1.7 s on a 512^2
+# grid on a 2-core box (about 105 B per node of the finer lattice), and the
+# husimi command with its CSV rows at about 630 MB and 15 s
+MAX_HUSIMI_NODES = 3 * 10 ** 6
 
 
-def husimi_mass(psi: WaveFunction, K: CompactSet, spacing: Optional[float] = None) -> float:
-    """Quadrature of the Husimi density over the compact phase-space set K."""
+def quadrature_spacing(hbar: float) -> float:
+    """The spacing of the Husimi quadrature's lattice on K at hbar: sqrt(hbar)/5."""
+    return math.sqrt(hbar) / 5.0
+
+
+def quadrature_nodes(K: CompactSet, hbar: float) -> float:
+    """The node count of ``husimi_mass_refined``'s two lattices on K at
+    hbar, without building them."""
+    h = quadrature_spacing(hbar)
+    return K.sample_size(h) + K.sample_size(h / 2.0)
+
+
+def husimi_mass(psi: WaveFunction, K: CompactSet, spacing: float) -> float:
+    """Quadrature of the Husimi density over the compact phase-space set K,
+    on a lattice of the given spacing."""
     if K.dim != psi.grid.dim:
         raise ValueError("K and psi have different dimensions")
-    h = _husimi_spacing(psi, spacing)
     total = 0.0
     for box in K.boxes:
         if np.any(box[:, 1] <= box[:, 0]):
             continue                  # zero phase-space volume, contributes nothing
-        axes = [lattice_axis(lo, hi, h) for lo, hi in box]
+        axes = [lattice_axis(lo, hi, spacing) for lo, hi in box]
         vals = _overlap_sq_points(psi, lattice_points(axes))
         total += _trapezoid(vals.reshape([len(ax) for ax in axes]), axes)
     return total / (2.0 * np.pi * psi.hbar) ** psi.grid.dim
 
 
-def husimi_mass_refined(psi: WaveFunction, K: CompactSet,
-                        spacing: Optional[float] = None) -> tuple[float, float]:
-    """(value, |value - value at half spacing|) for the error budget."""
-    h = _husimi_spacing(psi, spacing)
+def husimi_mass_refined(psi: WaveFunction, K: CompactSet) -> tuple[float, float]:
+    """(value, |value - value at half spacing|) at the quadrature spacing,
+    for the error budget."""
+    h = quadrature_spacing(psi.hbar)
     coarse = husimi_mass(psi, K, h)
     fine = husimi_mass(psi, K, h / 2.0)
     return coarse, abs(coarse - fine)
-
-
-def coherent_husimi_mass(K: CompactSet, hbar: float, center_q, center_p) -> float:
-    """Exact mass on K of the Husimi density of the coherent state at
-    (center_q, center_p): a Gaussian of variance hbar per phase coordinate,
-    so an erf product per box (the oracle for ``husimi_mass``)."""
-    center = np.concatenate([np.atleast_1d(np.asarray(center_q, float)),
-                             np.atleast_1d(np.asarray(center_p, float))])
-    s = math.sqrt(2.0 * hbar)
-    return sum(math.prod(0.5 * (math.erf((hi - c) / s) - math.erf((lo - c) / s))
-                         for (lo, hi), c in zip(box, center)) for box in K.boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,12 @@ class Numerics:
     length: float = 16.0
     dt: float = 1e-3
     dt_flow: float = 1e-3
-    husimi_spacing: Optional[float] = None
     slices: int = 9
     phase_grid: Optional[dict] = None     # {"q"|"p": [lo, hi, count]}
+
+
+# the node count of a phase_grid axis that the config leaves out
+PHASE_GRID_COUNT = 65
 
 
 def _phase_grid(raw, where: str) -> Optional[dict]:
@@ -148,14 +151,19 @@ def _phase_grid(raw, where: str) -> Optional[dict]:
     for axis in ("q", "p"):
         if raw.get(axis) is not None:
             lo, hi, count = vec(raw[axis], 3, f"{where}.{axis}")
+            if not lo < hi:
+                raise ConfigError(f"{where}.{axis}: needs lo < hi, got [{lo:g}, {hi:g}]")
             out[axis] = [float(lo), float(hi), positive_int(count, f"{where}.{axis}[2]")]
+    nodes = math.prod(float(out.get(axis, [0, 0, PHASE_GRID_COUNT])[2]) for axis in ("q", "p"))
+    if nodes > phasespace.MAX_HUSIMI_NODES:
+        raise ConfigError(f"{where}: a window of {nodes:.3g} (q, p) nodes, more than "
+                          f"{phasespace.MAX_HUSIMI_NODES}, the most one husimi field takes")
     return out
 
 
 # the reader of each numerics field; a field the config leaves out keeps the
-# Numerics default, and so does a null husimi_spacing or phase_grid
+# Numerics default, and so does a null phase_grid
 _NUMERICS = {"n": positive_int, "length": positive, "dt": positive, "dt_flow": positive,
-             "husimi_spacing": lambda v, where: None if v is None else positive(v, where),
              "slices": positive_int, "phase_grid": _phase_grid}
 
 
@@ -358,6 +366,15 @@ def parse(cfg) -> Scenario:
         raise ConfigError(f"$.numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
                           "quantum step; the propagation error needs at least 2")
     _step_count(sc.T, sc.numerics.dt_flow, "$.numerics.dt_flow")
+    if isinstance(sc.state, PureState):         # certify takes its Husimi mass on K
+        for i, value in enumerate(cfg["hbars"]):
+            hbar = positive(value, f"$.hbars[{i}]")
+            nodes = phasespace.quadrature_nodes(K, hbar)
+            if nodes > phasespace.MAX_HUSIMI_NODES:
+                raise ConfigError(f"$.hbars[{i}]: hbar = {hbar:g} gives $.K.boxes a Husimi "
+                                  f"lattice of {nodes:.3g} nodes with its half-spacing "
+                                  f"refinement, more than {phasespace.MAX_HUSIMI_NODES}, "
+                                  "the most one Husimi quadrature takes")
     return sc
 
 
@@ -388,8 +405,7 @@ def _run_columns(sc: Scenario, geo: GeometricSummary,
         if isinstance(sc.state, AtomicMeasure):
             return certify.certify_toeplitz_sweep(geo, states, grid, dt=num.dt,
                                                   scenario=sc.name)
-        return certify.certify_pure_sweep(geo, states, dt=num.dt,
-                                          husimi_spacing=num.husimi_spacing, scenario=sc.name)
+        return certify.certify_pure_sweep(geo, states, dt=num.dt, scenario=sc.name)
 
 
 def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:

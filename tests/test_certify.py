@@ -403,7 +403,7 @@ def test_unnormalized_state_rejected(free):
 
 
 def test_certify_pure_dim2_pipeline():
-    # end-to-end certificate in dimension 2 (small grid, explicit spacings)
+    # end-to-end certificate in dimension 2 (small grid, explicit K spacing)
     V = potentials.free_particle(dim=2, box=np.array([[-8.0, 8.0], [-8.0, 8.0]]))
     grid = Grid(dim=2, n=256, length=16.0)
     hbar = 0.1
@@ -412,7 +412,7 @@ def test_certify_pure_dim2_pipeline():
                               [0.6, 1.4], [-0.4, 0.4]]]), 0.2)
     om = Region(np.array([[[-0.5, 6.0], [-2.0, 2.0]]]))
     geo = classical.geometric_summary(V, K, om, 1.0, [6.0], 5e-3)
-    rep = certify.certify_pure_sweep(geo, [psi], dt=5e-3, husimi_spacing=0.16)[0]
+    rep = certify.certify_pure_sweep(geo, [psi], dt=5e-3)[0]
     assert rep.dim == 2
     assert rep.verdict in {"certified", "vacuous"}
     assert rep.measured >= rep.lower_bound - rep.eps_num

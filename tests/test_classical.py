@@ -7,15 +7,20 @@ import pytest
 
 from obscert import classical, potentials, quantum, scenario
 from obscert.classical import (
-    CompactSet, ConstantCutoff, IndicatorCutoff, PhasePoint, RampCutoff, Region,
-    flow, geometric_summary, hamiltonian, occupation_batch, verlet_step,
+    CompactSet, IndicatorCutoff, PhasePoint, RampCutoff, Region,
+    flow, geometric_summary, occupation_batch, verlet_step,
 )
+from oracles import hamiltonian
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def interval(lo, hi):
     return Region(np.array([[[lo, hi]]]))
+
+
+# chi = 1 at every finite point: the indicator of the unbounded interval
+EVERYWHERE = IndicatorCutoff(interval(-math.inf, math.inf))
 
 
 def phys_box(qlo, qhi, plo, phi, spacing=0.05):
@@ -118,7 +123,7 @@ def test_occupation_window(free):
 
 def test_occupation_constant_cutoff(free, harm, dwell):
     for V in (free, harm, dwell):
-        occ = occupation_batch(V, [[0.4, 0.3]], 1.7, [ConstantCutoff(1.0)], 1e-3).occupation[0, 0]
+        occ = occupation_batch(V, [[0.4, 0.3]], 1.7, [EVERYWHERE], 1e-3).occupation[0, 0]
         assert occ == pytest.approx(1.7, abs=1e-12)
 
 
@@ -150,7 +155,7 @@ def test_geometric_constant_single_point_reduces(free):
 def test_geometric_constant_full_cutoff(free, harm):
     K = phys_box(-0.1, 0.1, 0.9, 1.1)
     for V in (free, harm):
-        assert geometric_constant(V, K, ConstantCutoff(1.0), 2.0, 1e-3) == pytest.approx(2.0)
+        assert geometric_constant(V, K, EVERYWHERE, 2.0, 1e-3) == pytest.approx(2.0)
 
 
 def test_geometric_constant_refinement_oracle(free):
@@ -301,6 +306,46 @@ def test_occupation_matches_closed_form_flows(config, omega, bound):
     assert max(errors) > 0                          # the oracle is not the pass itself
 
 
+@pytest.mark.parametrize("window", [None, (0.9, 1.1)], ids=["config_omega", "narrow_omega"])
+def test_occupation_matches_a_fine_step_double_well_flow(monkeypatch, window):
+    # the double well's flow has no closed form: the reference is the same
+    # pass at dt_flow/8, whose Verlet error is 64 times smaller, node by node
+    # on the lattice of a certificate's flow pass.  Under the config's omega
+    # (0.5, 1.5) every orbit stays inside for all of T, so both passes give
+    # T; the narrow window (0.9, 1.1) puts its edges across the orbits.  The
+    # largest per-node error there was 1.34e-6, and the reference is within
+    # 9.2e-8 of a pass at dt_flow/64
+    sc = scenario.load_config(BENCH_CONFIGS / "soundness/double_well_coherent.json")
+    K, T, dt = sc.K, sc.T, sc.numerics.dt_flow
+    omega = sc.omega if window is None else interval(*window)
+    points = np.concatenate([K.sample_grid(), K.sample_grid(K.spacing / 2)])
+    occ = occupation_batch(sc.V, points, T, [IndicatorCutoff(omega)], dt).occupation[:, 0]
+    ends = []
+
+    def recording(V, x, xi, h):                 # the sample steps; bisections pass an array h
+        out = verlet_step(V, x, xi, h)
+        if np.ndim(h) == 0:
+            ends[:] = out
+        return out
+
+    monkeypatch.setattr(classical, "verlet_step", recording)
+    ref = occupation_batch(sc.V, points, T, [IndicatorCutoff(omega)], dt / 8).occupation[:, 0]
+    monkeypatch.undo()
+    errors = np.abs(occ - ref)
+    if window is None:
+        assert np.all(occ == T) and np.all(ref == T)
+    else:
+        assert 0 < errors.max() <= 3e-6
+    # the reference integrates the flow: its end points at K's corners are
+    # classical.flow's at dt_flow/8
+    x, xi = ends
+    for corner in K.corners():
+        i = np.flatnonzero((points == corner).all(axis=1))[0]
+        end = flow(sc.V, PhasePoint(corner[:1], corner[1:]), T, dt / 8)
+        np.testing.assert_array_equal(x[i], end.x)
+        np.testing.assert_array_equal(xi[i], end.xi)
+
+
 # ---------------------------------------------------------------------------
 # one pass, several cutoffs
 # ---------------------------------------------------------------------------
@@ -310,7 +355,7 @@ def test_occupation_batch_columns_match_single_cutoff_passes(harm):
     om = interval(0.2, 2.0)
     # the ramps on om, and on an equal region built apart, share one distance
     # per block; the ramp on the enlarged region takes its own
-    cutoffs = [RampCutoff(om, 0.4), IndicatorCutoff(om), ConstantCutoff(0.5),
+    cutoffs = [RampCutoff(om, 0.4), IndicatorCutoff(om),
                IndicatorCutoff(om.enlarged(0.3)), RampCutoff(om, 0.15),
                RampCutoff(om.enlarged(0.3), 0.2), RampCutoff(interval(0.2, 2.0), 1.0)]
     fused = occupation_batch(harm, K.sample_grid(), np.pi / 2, cutoffs, 1e-3)
@@ -428,8 +473,7 @@ def assert_matches_loop(V, points, T, chi, dt):
 
 
 def _cutoffs(om):
-    return [IndicatorCutoff(om), RampCutoff(om, 0.3), IndicatorCutoff(om.enlarged(0.1)),
-            ConstantCutoff(0.5)]
+    return [IndicatorCutoff(om), RampCutoff(om, 0.3), IndicatorCutoff(om.enlarged(0.1))]
 
 
 def test_kernel_matches_loop_on_repeated_crossings(harm):

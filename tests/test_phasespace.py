@@ -5,12 +5,10 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from obscert import certify, phasespace, quantum
-from obscert.classical import CompactSet, ConstantCutoff, IndicatorCutoff, Region, lattice_points
-from obscert.phasespace import (
-    SpectralBandError, coherent_overlap_sq, coherent_husimi_mass,
-    husimi, husimi_mass, toeplitz_from_density, wigner,
-)
+from obscert.classical import CompactSet, IndicatorCutoff, Region, lattice_points
+from obscert.phasespace import husimi, husimi_mass, quadrature_spacing, toeplitz_from_density
 from obscert.quantum import coherent_state, gaussian_state, inner, superposition
+from oracles import SpectralBandError, coherent_husimi_mass, coherent_overlap_sq, wigner
 
 HBAR = 0.1
 
@@ -200,20 +198,21 @@ def test_overlap_points_match_closed_form_2d():
 def test_husimi_mass_whole_box(grid512):
     psi = coherent_state(grid512, HBAR, 0.0, 0.0)
     K = phase_box(-3.0, 3.0, -3.0, 3.0, spacing=0.08)
-    assert husimi_mass(psi, K) == pytest.approx(1.0, abs=1e-4)
+    assert husimi_mass(psi, K, quadrature_spacing(HBAR)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_husimi_mass_degenerate_box_is_zero(grid512):
     psi = coherent_state(grid512, HBAR, 0.0, 0.0)
     K = CompactSet(np.array([[[0.0, 0.0], [-1.0, 1.0]]]), 0.1)
-    assert husimi_mass(psi, K) == 0.0
+    assert husimi_mass(psi, K, quadrature_spacing(HBAR)) == 0.0
 
 
 def test_husimi_mass_monotone(grid512):
     psi = coherent_state(grid512, HBAR, 0.0, 0.0)
     small = phase_box(-0.3, 0.3, -0.3, 0.3)
     large = phase_box(-0.8, 0.8, -0.8, 0.8)
-    assert husimi_mass(psi, small) <= husimi_mass(psi, large) + 1e-12
+    h = quadrature_spacing(HBAR)
+    assert husimi_mass(psi, small, h) <= husimi_mass(psi, large, h) + 1e-12
 
 
 def test_husimi_mass_matches_gaussian_integral(grid512):
@@ -247,8 +246,11 @@ def test_husimi_mass_2d_matches_gaussian_integral():
 def test_husimi_mass_refinement_delta(grid512):
     psi = coherent_state(grid512, HBAR, 0.2, -0.1)
     K = phase_box(-0.4, 0.8, -0.7, 0.5, spacing=0.04)
-    value, delta = phasespace.husimi_mass_refined(psi, K, 0.04)
-    assert value == pytest.approx(husimi_mass(psi, K, 0.04), abs=1e-15)
+    # at the quadrature spacing sqrt(hbar)/5 and half of it
+    value, delta = phasespace.husimi_mass_refined(psi, K)
+    h = math.sqrt(HBAR) / 5
+    assert value == husimi_mass(psi, K, h)
+    assert delta == abs(value - husimi_mass(psi, K, h / 2))
     assert 0 <= delta < 5e-3
 
 
@@ -288,7 +290,9 @@ def test_toeplitz_state_rejects_a_bad_hbar(hbar):
 
 def test_toeplitz_observed_mass_full_cutoff(grid512, free):
     R = toeplitz_from_density([(0.0, 0.8, 0.5), (0.4, 1.2, 0.5)], HBAR)
-    m = toeplitz_observed_mass(free, R, grid512, 1.0, ConstantCutoff(1.0), 1e-3)
+    # chi = 1 at every finite point: the indicator of the unbounded interval
+    everywhere = IndicatorCutoff(Region(np.array([[[-math.inf, math.inf]]])))
+    m = toeplitz_observed_mass(free, R, grid512, 1.0, everywhere, 1e-3)
     assert m == pytest.approx(1.0, abs=1e-10)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from obscert import certify, classical, potentials, quantum
-from obscert.classical import ConstantCutoff, IndicatorCutoff, PhasePoint, Region
+from obscert.classical import IndicatorCutoff, PhasePoint, Region
 from obscert.phasespace import toeplitz_from_density
 from obscert.quantum import (
     BoundaryLeakError, Grid, SpectralAliasError, WaveBatch, coherent_state,
@@ -21,6 +21,12 @@ HBAR = 0.1
 
 def interval(lo, hi):
     return Region(np.array([[[lo, hi]]]))
+
+
+def everywhere(dim=1):
+    """chi = 1 at every finite point: the indicator of the unbounded box,
+    whose sampled weights are all ones and whose edge cells are none."""
+    return IndicatorCutoff(Region(np.array([[[-math.inf, math.inf]] * dim])))
 
 
 def sampled(grid, chis):
@@ -309,13 +315,14 @@ def test_cost_expectation_matches_closed_form(grid1024, rng):
 
 def test_observed_mass_full_cutoff(grid512, harm):
     psi = coherent_state(grid512, HBAR, 1.0, 0.0)
-    m = row_mass(harm, psi, 1.3, ConstantCutoff(1.0), 1e-3)
+    m = row_mass(harm, psi, 1.3, everywhere(), 1e-3)
     assert m == pytest.approx(1.3, abs=1e-10)
 
 
 def test_observed_mass_zero_cutoff(grid512, free):
     psi = coherent_state(grid512, HBAR, 0.0, 1.0)
-    assert row_mass(free, psi, 1.0, ConstantCutoff(0.0), 1e-3) == 0.0
+    # an indicator of an interval off the grid [-8, 8): weights all zero
+    assert row_mass(free, psi, 1.0, IndicatorCutoff(interval(20.0, 21.0)), 1e-3) == 0.0
 
 
 def test_observed_mass_semiclassical_window(free):
@@ -460,7 +467,7 @@ def assert_batch_matches_rows(V, states, T, chis, dt, labels=()):
 
 def _cutoffs_1d():
     return [IndicatorCutoff(interval(-0.4, 0.9)), IndicatorCutoff(interval(0.3, 2.5)),
-            ConstantCutoff(1.0)]
+            everywhere()]
 
 
 def test_batch_rows_with_mixed_hbar_match_single_rows(grid512, dwell):
@@ -468,7 +475,8 @@ def test_batch_rows_with_mixed_hbar_match_single_rows(grid512, dwell):
               coherent_state(grid512, 0.2, -0.5, 1.0),
               gaussian_state(grid512, 0.1, 0.2, -0.4, 0.4)]
     _, cell_mass = assert_batch_matches_rows(dwell, states, 0.6, _cutoffs_1d(), 1e-3)
-    assert np.all(cell_mass.max(axis=1) > 0)            # both indicator edges saw mass
+    assert np.all(cell_mass[..., :2].max(axis=1) > 0)   # both indicator edges saw mass
+    assert not cell_mass[..., 2].any()                  # the unbounded one has no edge
 
 
 def test_batch_toeplitz_atoms_match_single_rows(harm):
@@ -497,7 +505,7 @@ def test_batch_2d_rows_match_single_rows(n, length):
               coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0])]
     # observed_mass_series steps 2-D rows one at a time, propagate_series the
     # whole batch
-    assert_batch_matches_rows(V2, states, 0.05, [IndicatorCutoff(om), ConstantCutoff(1.0)],
+    assert_batch_matches_rows(V2, states, 0.05, [IndicatorCutoff(om), everywhere(2)],
                               1e-2)
 
 
@@ -535,7 +543,7 @@ def test_2d_tasks_at_both_step_sizes_match_single_rows(monkeypatch, threads):
         monkeypatch.setattr(quantum, "cores", lambda: threads)
     grid = Grid(dim=2, n=64, length=8.0)
     V2 = potentials.harmonic(dim=2)
-    chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), ConstantCutoff(1.0)]
+    chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), everywhere(2)]
     weights, cells = sampled(grid, chis)
     states = [coherent_state(grid, 0.2, [0.5, 0.0], [0.0, 0.5]),
               coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0]),
@@ -581,7 +589,7 @@ def test_2d_leak_first_in_row_order_is_raised(monkeypatch, threads):
     baseline = threading.active_count()
     with pytest.raises(BoundaryLeakError, match=r"^row 1: boundary amplitude .* at t = 0\.32 "):
         observed_mass_series(V2, WaveBatch.of(states, ["row 0", "row 1", "row 2"]), 0.6,
-                             *sampled(grid, [ConstantCutoff(1.0)]), (1e-2, 2e-2))
+                             *sampled(grid, [everywhere(2)]), (1e-2, 2e-2))
     assert threading.active_count() == baseline
     assert {dt for dt, _ in started} == {1e-2}
     assert {(1e-2, ("row 0",)), (1e-2, ("row 1",))} <= set(started)
@@ -659,7 +667,7 @@ def test_propagation_leaves_the_callers_batch_alone(dim, harm):
     before = batch.values.copy()
     seen = []
     final = quantum.propagate_series(V, batch, 0.05, 1e-2, lambda t, s: seen.append(s.values))
-    observed_mass_series(V, batch, 0.05, *sampled(grid, [ConstantCutoff(1.0)]), (1e-2, 2e-2))
+    observed_mass_series(V, batch, 0.05, *sampled(grid, [everywhere(dim)]), (1e-2, 2e-2))
     np.testing.assert_array_equal(batch.values, before)
     assert seen[0] is batch.values
     # later states live in the run's own buffers, the last one returned
@@ -674,7 +682,7 @@ def test_batch_of_one_is_propagate(grid512, harm):
                                    lambda t, s: seen.append((t, s.values.shape)))
     assert seen[0] == (0.0, (1, 512)) and len(seen) == 31
     np.testing.assert_array_equal(out.row(0).values, propagate(harm, psi, 0.3, 1e-2).values)
-    reference = single_row_reference(harm, psi, 0.3, *sampled(grid512, [ConstantCutoff(1.0)]),
+    reference = single_row_reference(harm, psi, 0.3, *sampled(grid512, [everywhere()]),
                                      1e-2)
     np.testing.assert_array_equal(out.row(0).values, reference[2])
 
@@ -771,7 +779,7 @@ def test_1d_blocks_match_the_step_loop(monkeypatch, grid512, dwell, harm, case, 
 def test_2d_blocks_match_the_step_loop_on_threads(monkeypatch, threads):
     monkeypatch.setattr(quantum, "cores", lambda: threads)
     grid = Grid(dim=2, n=64, length=8.0)
-    chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), ConstantCutoff(1.0)]
+    chis = [IndicatorCutoff(Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))), everywhere(2)]
     batch = WaveBatch.of([coherent_state(grid, 0.2, [0.5, 0.0], [0.0, 0.5]),
                           coherent_state(grid, 0.1, [0.0, 0.2], [0.2, 0.0]),
                           coherent_state(grid, 0.15, [-0.3, 0.1], [0.4, -0.2])])
@@ -791,7 +799,7 @@ def test_leak_mid_block_raises_as_the_step_loop(monkeypatch, grid1024, harm, bud
     n_steps = quantum.split_steps(np.pi, 1e-3)[0]
     if budget == "whole run":
         monkeypatch.setattr(quantum, "_BLOCK_BYTES", n_steps * batch.values.nbytes)
-    weights, cells = sampled(grid1024, [ConstantCutoff(1.0)])
+    weights, cells = sampled(grid1024, [everywhere()])
     ref_times, times = [], []
     with pytest.raises(BoundaryLeakError) as ref:
         stepwise_reference(harm, batch, np.pi, 1e-3, weights, cells, ref_times.append)

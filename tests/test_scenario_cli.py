@@ -93,8 +93,7 @@ def test_missing_field_path_in_error(kind, path):
     assert str(err.value) == f"{config_path(path)}: missing required field"
 
 
-@pytest.mark.parametrize("numerics", ["omitted", None, {},
-                                      {"husimi_spacing": None, "phase_grid": None}],
+@pytest.mark.parametrize("numerics", ["omitted", None, {}, {"phase_grid": None}],
                          ids=["omitted", "null", "empty", "null_optionals"])
 def test_numerics_defaults(numerics):
     cfg = base_config(numerics=numerics)
@@ -201,6 +200,22 @@ OVER_THE_CAPS = {
                          r"\$\.K\.spacing: .* \$\.K\.boxes .* nodes"),
     "T_2^70": ({"T": 2.0 ** 70, "numerics": {"dt": 1e-3}}, r"\$\.numerics\.dt: .* steps"),
     "dt_flow_steps": ({"numerics": {"dt_flow": 1e-7}}, r"\$\.numerics\.dt_flow: .* steps"),
+    # the Husimi lattices: a pure state's quadrature on K at hbar = 1e-5
+    # (1.8e7 nodes), and a husimi window of 2e5 x 2e5 nodes (exit 1 after
+    # asking numpy for 298 GiB)
+    "hbar_1e-5": ({"hbars": [0.1, 1e-5]},
+                  r"\$\.hbars\[1\]: hbar = 1e-05 gives \$\.K\.boxes a Husimi lattice of "
+                  r"1\.8e\+07 nodes"),
+    "phase_grid_2e5_squared": ({"numerics": {"phase_grid": {"q": [-3, -2, 2e5],
+                                                            "p": [0.5, 2, 2e5]}}},
+                               r"\$\.numerics\.phase_grid: a window of 4e\+10 \(q, p\) nodes"),
+    # in 2-D the four axes' node counts multiply past the float range: K at
+    # spacing 1e-100 exited 1 with an OverflowError from the count's format
+    "2d_K_spacing_1e-100": ({**config_2d(64),
+                             "K": {**config_2d(64)["K"], "spacing": 1e-100}},
+                            r"\$\.K\.spacing: 1e-100 .* lattice of inf nodes"),
+    "2d_hbar_1e-300": ({**config_2d(64), "hbars": [1e-300]},
+                       r"\$\.hbars\[0\]: hbar = 1e-300 .* Husimi lattice of inf nodes"),
 }
 
 
@@ -312,13 +327,21 @@ UNKNOWN_FIELDS = [
     ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"x": [0, 1, 5]}}},
      r"\$\.numerics\.phase_grid\.x: unknown field"),
     ({"hbar": [0.1]}, r"\$\.hbar: unknown field"),
+    # a field that was read once: the Husimi quadrature spacing is sqrt(hbar)/5
+    ({"numerics": {"n": 512, "length": 20.0, "husimi_spacing": 0.05}},
+     r"\$\.numerics\.husimi_spacing: unknown field"),
 ]
 UNKNOWN_FIELD_IDS = ["potential_stifness", "numerics_dt_flw", "free_stiffness",
                      "coherent_sigma", "uniform_atoms", "component_amp", "K_spacng",
-                     "omega_inflate", "phase_grid_x", "top_level_hbar"]
+                     "omega_inflate", "phase_grid_x", "top_level_hbar",
+                     "numerics_husimi_spacing"]
 
 PHASE_GRID_TWO_ENTRIES = ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
                           r"\$\.numerics\.phase_grid\.q")
+# a reversed axis ran, and printed a negative integral over the window
+PHASE_GRID_REVERSED = ({"numerics": {"n": 512, "length": 20.0,
+                                     "phase_grid": {"q": [-2, -3, 41], "p": [1, 1.5, 1]}}},
+                       r"\$\.numerics\.phase_grid\.q: needs lo < hi, got \[-2, -3\]")
 
 # each is rejected by load_config with its path, before any flow pass
 MALFORMED = [
@@ -344,6 +367,9 @@ MALFORMED = [
     ({"potential": {"kind": "free", "dim": 3, "box": [-10.0, 10.0]}},
      r"\$\.potential\.dim: only dimensions 1 and 2"),
     PHASE_GRID_TWO_ENTRIES,
+    PHASE_GRID_REVERSED,
+    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"p": [1.5, 1.5, 3]}}},
+     r"\$\.numerics\.phase_grid\.p: needs lo < hi, got \[1\.5, 1\.5\]"),
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1e308], [-2.4, 1.3, 1e308]]}},
      r"\$\.state\.atoms: weights must have a finite positive total"),
     *UNKNOWN_FIELDS,
@@ -355,7 +381,7 @@ MALFORMED = [
     "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
     "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
     "dt_flow_underflows", "kind_list", "kind_dict", "kind_morse", "dim_3",
-    "phase_grid_two_entries",
+    "phase_grid_two_entries", "phase_grid_q_reversed", "phase_grid_p_empty",
     "weights_overflow", *UNKNOWN_FIELD_IDS])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
@@ -370,9 +396,10 @@ def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatc
 
 # configs that parse but whose state the grid cannot hold: each exited 1 with
 # a traceback, or with p = 1e308 wrote NaN reports.  A packet or atom off the
-# box, a packet wider than any box, and a phase that overflows are numerical
-# aborts (exit 3) naming the scenario and the row; a length whose cell volume
-# is not a normal float is a config error.
+# box, a packet wider than any box, a phase that overflows and an atom at
+# hbar = 1e-320 are numerical aborts (exit 3) naming the scenario and the row;
+# a length whose cell volume is not a normal float is a config error.  (A pure
+# state at hbar = 1e-320 is a config error too: the Husimi cap refuses it.)
 UNBUILDABLE_STATES = [
     ({"state": {"kind": "coherent", "q": 1e308, "p": 1.25}}, "propagate", 3,
      r"numerical abort: scenario 'mini', hbar=0\.1: the packet at q = \[1e\+308\], "
@@ -384,7 +411,8 @@ UNBUILDABLE_STATES = [
      r"numerical abort: scenario 'mini', hbar=0\.1: boundary amplitude"),
     ({"state": {"kind": "coherent", "q": -2.5, "p": 1e308}}, "propagate", 3,
      r"numerical abort: scenario 'mini', hbar=0\.1: .* has norm nan on the grid"),
-    ({"hbars": [1e-320]}, "certify", 3,
+    ({"hbars": [1e-320], "state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0]]}},
+     "certify", 3,
      r"numerical abort: scenario 'mini', hbar=9\.99989e-321: .* has norm nan on the grid"),
     ({"numerics": {"n": 512, "length": 1e-320}}, "certify", 2,
      r"config error: \$\.numerics\.length: length = 1e-320 gives a cell volume"),
@@ -437,6 +465,76 @@ def test_cli_malformed_phase_grid_exits_2(tmp_path):
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
     assert "config error: $.numerics.phase_grid.q" in res.stderr
+    # on the shipped config: a reversed q axis exited 0 with a negative
+    # integral, and a 2e5 x 2e5 window exited 1 asking numpy for 298 GiB
+    for grid, message in [({"q": [-2, -3, 41], "p": [1, 1.5, 1]},
+                           "$.numerics.phase_grid.q: needs lo < hi, got [-2, -3]"),
+                          ({"q": [-3, -2, 2e5], "p": [0.5, 2, 2e5]},
+                           "$.numerics.phase_grid: a window of 4e+10 (q, p) nodes, more than "
+                           f"{phasespace.MAX_HUSIMI_NODES}")]:
+        cfg = json.loads((ROOT / "configs" / "free_coherent.json").read_text())
+        cfg["numerics"]["phase_grid"] = grid
+        cfg_path.write_text(json.dumps(cfg))
+        res = run_cli(["husimi", "--config", str(cfg_path), "--out", str(tmp_path / "h")],
+                      cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"config error: {message}"), res.stderr
+        assert not (tmp_path / "h").exists()
+
+
+def test_cli_husimi_lattice_over_the_cap_exits_2(tmp_path):
+    # the 2-D benchmark config at hbar = 0.005 on a 512^2 grid ran the whole
+    # propagation, then exited 1 asking numpy for 1.63 GiB for the 86^4-node
+    # refined Husimi lattice
+    cfg = json.loads((ROOT / "bench" / "configs" / "grid2d" /
+                      "harmonic2d_coherent.json").read_text())
+    cfg.update(hbars=[0.005], T=0.2)
+    cfg["numerics"]["n"] = 512
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                  cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: $.hbars[0]: hbar = 0.005 gives $.K.boxes a "
+                                 "Husimi lattice of 5.84e+07 nodes"), res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_husimi_caps_admit_their_limits(monkeypatch):
+    # quadrature_nodes counts the rows of the two lattices husimi_mass_refined
+    # builds, without building them
+    cfg = json.loads((ROOT / "bench" / "configs" / "grid2d" /
+                      "harmonic2d_coherent.json").read_text())
+    K = parse(cfg).K
+    for hbar in (0.2, 0.05):
+        h = phasespace.quadrature_spacing(hbar)
+        assert phasespace.quadrature_nodes(K, hbar) == (len(K.sample_grid(h))
+                                                        + len(K.sample_grid(h / 2)))
+    # an hbar whose lattices hold as many nodes as the cap parses, and is
+    # refused one node below it
+    cfg["hbars"] = [0.2, 0.026]
+    nodes = phasespace.quadrature_nodes(K, 0.026)
+    monkeypatch.setattr(phasespace, "MAX_HUSIMI_NODES", nodes)
+    parse(cfg)
+    monkeypatch.setattr(phasespace, "MAX_HUSIMI_NODES", nodes - 1)
+    with pytest.raises(ConfigError, match=r"^\$\.hbars\[1\]: hbar = 0\.026 gives"):
+        parse(cfg)
+    monkeypatch.undo()
+    # a Toeplitz state takes no Husimi mass: no hbar cap
+    parse(base_config(hbars=[1e-5], state={"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0]]}))
+    # a husimi window of MAX_HUSIMI_NODES nodes parses, one q node more does
+    # not; an axis left out counts PHASE_GRID_COUNT nodes
+    assert 3000 * 1000 == phasespace.MAX_HUSIMI_NODES
+    for q_count, p_spec, ok in [(3000, [0.5, 2, 1000], True), (3001, [0.5, 2, 1000], False),
+                                (46153, None, True), (46154, None, False)]:
+        cfg = base_config(numerics={"phase_grid": {"q": [-3, -2, q_count], "p": p_spec}})
+        if ok:
+            parse(cfg)
+        else:
+            with pytest.raises(ConfigError, match=r"^\$\.numerics\.phase_grid: a window of "
+                                                  r"3e\+06 \(q, p\) nodes, more than 3000000"):
+                parse(cfg)
 
 
 @pytest.mark.parametrize("dt", [1.0, 2.0])
