@@ -369,7 +369,7 @@ def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
     ``geo`` is the problem: ``classical.geometric_summary`` of
     (V, K, omega, T, deltas), which it carries.
     """
-    if any(abs(psi.norm - 1.0) > 1e-8 for psi in psis):
+    if not all(abs(psi.norm - 1.0) <= 1e-8 for psi in psis):     # NaN fails too
         raise ValueError("initial state must be normalized")
     sweep = _Sweep.measure(geo, [[(psi, 1.0, f"hbar={psi.hbar:g}")] for psi in psis],
                            dt=dt, scenario=scenario)

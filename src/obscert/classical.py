@@ -437,6 +437,12 @@ class GeometricSummary:
     table: OccupationResult      # the indicator pass (one cutoff column)
 
 
+def flow_nodes(K: CompactSet) -> float:
+    """The node count of ``geometric_summary``'s flow pass: K's sample
+    lattice and its half-spacing refinement, without building them."""
+    return K.sample_size() + K.sample_size(K.spacing / 2)
+
+
 def geometric_summary(V: Potential, K: CompactSet, omega: Region, T: float,
                       deltas: Sequence[float], dt: float) -> GeometricSummary:
     """The summary of the problem (V, K, omega, T, deltas): the problem

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import CompactSet, lattice_axis, lattice_points
+from .classical import CompactSet, lattice_axis, lattice_points, lattice_size
 from . import quantum
 from .quantum import Grid, WaveFunction
 
@@ -66,9 +66,9 @@ def _overlap_sq_points(psi: WaveFunction, phase_points: Array) -> Array:
         rows = amp.reshape(-1, grid.n)
         out = np.empty((len(qs), len(rows), len(ps)), dtype=complex)
         step = max(1, len(qs) // len(rows))
-        for i in range(0, len(qs), step):
-            block = (gauss[i:i + step, None, :] * rows).reshape(-1, grid.n)
-            out[i:i + step] = (block @ kernel).reshape(-1, len(rows), len(ps))
+        for i in range(0, len(qs), step):           # one block alive at a time
+            out[i:i + step] = ((gauss[i:i + step, None, :] * rows).reshape(-1, grid.n)
+                               @ kernel).reshape(-1, len(rows), len(ps))
         amp = np.moveaxis(out.reshape(len(qs), *amp.shape[:-1], len(ps)), -1, 1)
     amp = np.abs(amp * grid.cell_volume * (np.pi * hbar) ** (-d / 4)) ** 2
     return amp[tuple(index)]
@@ -123,6 +123,29 @@ def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
 MAX_HUSIMI_NODES = 3 * 10 ** 6
 
 
+# The most bytes of the tables of one _overlap_sq_points call (overlap_bytes),
+# which the count predicts to within 10% of the measured peak: at 1.5 GiB, a
+# 1-D lattice of 32000 x 2 nodes on 2048 points peaks at about 1.6 GB and takes
+# 1.5 s on a 2-core box, and a 2-D one of (2, 560) x (2, 360) nodes on 128^2
+# points (1.2 GiB counted) at 1.36 GB in 2.5 s
+MAX_OVERLAP_BYTES = 3 * 2 ** 29
+
+
+def overlap_bytes(counts: Sequence[tuple[float, float]], n: int) -> float:
+    """The most bytes ``_overlap_sq_points`` holds at once in its tables on
+    a lattice of ``counts`` = (distinct q, distinct p) nodes per axis and a
+    grid of n nodes per axis, without building them: while an axis is
+    contracted, its input (twice: the last output and its rows, copied when
+    not contiguous), Gaussian table, plane-wave kernel, product block and
+    output."""
+    most, rows = 0.0, float(n) ** (len(counts) - 1)
+    for q, p in reversed([(float(q), float(p)) for q, p in counts]):
+        block = max(q, rows)            # Gaussian rows times input rows, per block
+        held = 32 * rows * n + 8 * q * n + 16 * n * p + 16 * block * (n + p) + 16 * q * rows * p
+        most, rows = max(most, held), q * rows * p / n
+    return most
+
+
 def quadrature_spacing(hbar: float) -> float:
     """The spacing of the Husimi quadrature's lattice on K at hbar: sqrt(hbar)/5."""
     return math.sqrt(hbar) / 5.0
@@ -133,6 +156,15 @@ def quadrature_nodes(K: CompactSet, hbar: float) -> float:
     hbar, without building them."""
     h = quadrature_spacing(hbar)
     return K.sample_size(h) + K.sample_size(h / 2.0)
+
+
+def quadrature_bytes(K: CompactSet, hbar: float, n: int) -> float:
+    """The ``overlap_bytes`` of ``husimi_mass_refined`` on K at hbar, on a
+    grid of n nodes per axis: the most of any box at either spacing."""
+    h, d = quadrature_spacing(hbar), K.dim
+    return max(overlap_bytes([(lattice_size(*box[a], s), lattice_size(*box[d + a], s))
+                              for a in range(d)], n)
+               for box in K.boxes for s in (h, h / 2.0))
 
 
 def husimi_mass(psi: WaveFunction, K: CompactSet, spacing: float) -> float:

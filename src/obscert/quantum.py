@@ -2,7 +2,8 @@
 
 States live on a uniform periodic lattice over [-L/2, L/2)^d with a power-of-two
 number of points per axis.  The box must be large enough that every state keeps
-boundary amplitude below 1e-12 for the whole run; a monitor aborts otherwise.
+boundary amplitude below 1e-12 for the whole run; one edge monitor, the grid's,
+aborts otherwise, at each step and in the one normalize-and-check of a built state.
 Time stepping is Strang splitting: half potential phase, exact kinetic factor
 in Fourier space, half potential phase (unitary, global error O(dt^2)).  One
 propagator steps a batch of states on one grid, each with its own hbar.
@@ -10,6 +11,7 @@ propagator steps a batch of states on one grid, each with its own hbar.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -113,11 +115,21 @@ class Grid:
         """All grid nodes as an (n^dim, dim) array."""
         return np.stack([m.ravel() for m in self.meshes()], axis=-1)
 
+    @functools.cached_property
     def boundary_cells(self) -> Array:
-        """Flat (row-major) indices of the cells on the faces of the box."""
+        """Flat (row-major) indices of the cells on the faces of the box,
+        built once per grid, read-only."""
         interior = np.zeros(self.shape, dtype=bool)
         interior[(slice(1, -1),) * self.dim] = True
-        return np.flatnonzero(~interior)
+        cells = np.flatnonzero(~interior)
+        cells.flags.writeable = False
+        return cells
+
+    def edge_amplitude(self, values: Array) -> Array:
+        """The largest |value| on the face cells of each state of a stack
+        (..., *shape): an array of shape (...)."""
+        flat = values.reshape(values.shape[:values.ndim - self.dim] + (-1,))
+        return np.abs(np.take(flat, self.boundary_cells, axis=-1)).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -138,33 +150,21 @@ class WaveFunction:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
-    def normalized(self) -> "WaveFunction":
-        n = self.norm
-        if n == 0:
-            raise ValueError("cannot normalize the zero state")
-        return WaveFunction(self.grid, self.values / n, self.hbar)
-
     def density(self) -> Array:
         return np.abs(self.values) ** 2
 
     def boundary_amplitude(self) -> float:
-        return float(np.abs(self.values.reshape(-1)[self.grid.boundary_cells()]).max())
+        return float(self.grid.edge_amplitude(self.values))
 
-    def check_boundary(self):
-        amp = self.boundary_amplitude()
-        if amp > BOUNDARY_TOL:
-            raise BoundaryLeakError(f"hbar={self.hbar:g}: boundary amplitude {amp:.3e} "
-                                    f"exceeds {BOUNDARY_TOL:.0e}; enlarge the box")
-
-    def spectral_tail_mass(self, fraction: float = 0.9) -> float:
-        """Mass carried by modes with |k| beyond `fraction` of the Nyquist band."""
+    def spectral_tail_mass(self) -> float:
+        """Mass carried by modes with |k| beyond 0.9 of the Nyquist band."""
         ft = np.fft.fftn(self.values)
         power = np.abs(ft) ** 2
         total = power.sum()
         if total == 0:
             return 0.0
         kmax = np.pi / self.grid.dx
-        outer = np.maximum.reduce([np.abs(k) for k in self.grid.k_meshes()]) > fraction * kmax
+        outer = np.maximum.reduce([np.abs(k) for k in self.grid.k_meshes()]) > 0.9 * kmax
         return float(power[outer].sum() / total)
 
 
@@ -252,14 +252,8 @@ def gaussian_state(grid: Grid, hbar: float, q, p, sigma: float) -> WaveFunction:
         r2 = sum((m - qi) ** 2 for m, qi in zip(meshes, q))
         phase = sum(pi * (m - qi) for m, pi, qi in zip(meshes, p, q))
         values = np.exp(-r2 / width + 1j * phase / hbar)
-    norm = WaveFunction(grid, values, hbar).norm
-    if not 0 < norm < math.inf:
-        raise NumericsError(f"hbar={hbar:g}: the packet at q = {q.tolist()}, p = {p.tolist()} "
-                            f"of width {sigma:g} has norm {norm} on the grid (off the box, "
-                            "or overflow)")
-    psi = WaveFunction(grid, values / norm, hbar)
-    psi.check_boundary()
-    return psi
+    return _normalized(WaveFunction(grid, values, hbar),
+                       f"the packet at q = {q.tolist()}, p = {p.tolist()} of width {sigma:g}")
 
 
 def coherent_state(grid: Grid, hbar: float, q, p) -> WaveFunction:
@@ -270,10 +264,25 @@ def coherent_state(grid: Grid, hbar: float, q, p) -> WaveFunction:
 def superposition(states: Sequence[WaveFunction], amplitudes: Sequence[complex]) -> WaveFunction:
     if len(states) != len(amplitudes) or not states:
         raise ValueError("need matching, nonempty states and amplitudes")
-    grid, hbar = states[0].grid, states[0].hbar
-    values = sum(a * s.values for a, s in zip(amplitudes, states))
-    psi = WaveFunction(grid, values, hbar).normalized()
-    psi.check_boundary()
+    with np.errstate(all="ignore"):     # an overflow is refused below
+        values = sum(a * s.values for a, s in zip(amplitudes, states))
+    return _normalized(WaveFunction(states[0].grid, values, states[0].hbar),
+                       f"the superposition of {len(states)} packets")
+
+
+def _normalized(psi: WaveFunction, what: str) -> WaveFunction:
+    """psi divided by its norm; a norm not finite and positive (``what``
+    names psi) or a boundary amplitude above BOUNDARY_TOL is a numerical abort."""
+    with np.errstate(all="ignore"):     # |values|^2 may overflow: norm inf
+        norm = psi.norm
+    if not 0 < norm < math.inf:
+        raise NumericsError(f"hbar={psi.hbar:g}: {what} has norm {norm} on the grid "
+                            "(off the box, or overflow)")
+    psi = WaveFunction(psi.grid, psi.values / norm, psi.hbar)
+    amp = psi.boundary_amplitude()
+    if amp > BOUNDARY_TOL:
+        raise BoundaryLeakError(f"hbar={psi.hbar:g}: boundary amplitude {amp:.3e} "
+                                f"exceeds {BOUNDARY_TOL:.0e}; enlarge the box")
     return psi
 
 
@@ -328,34 +337,24 @@ def _block_steps(step_bytes: int, n_steps: int) -> int:
 
 class _Stepper:
     """Precomputed Strang factors, one row per hbar, from the grid fields of
-    :func:`grid_fields`; consecutive half potential phases are fused.  Each
-    row's factors are built in place by a lone row's operations, in its
-    order, so a batch steps every row bit for bit as it would alone."""
+    :func:`grid_fields`; consecutive half potential phases are fused.  A lone
+    row's operations, in its order, build the factors in place, broadcast over
+    the hbar column: a batch steps every row bit for bit as it would alone."""
 
     def __init__(self, grid: Grid, fields: tuple[Array, Array], hbars: Sequence[float],
                  h: float):
         vgrid, k2 = fields
-        self.half = np.empty((len(hbars),) + grid.shape, dtype=complex)
-        self.kinetic = np.empty_like(self.half)
-        for half, kinetic, hbar in zip(self.half, self.kinetic, hbars):
-            # half = exp(-0.5j * vgrid * h / hbar), kinetic = exp(-0.5j * hbar * k2 * h)
-            np.multiply(-0.5j, vgrid, out=half)
-            np.multiply(half, h, out=half)
-            np.divide(half, hbar, out=half)
-            np.exp(half, out=half)
-            np.multiply(-0.5j * hbar, k2, out=kinetic)
-            np.multiply(kinetic, h, out=kinetic)
-            np.exp(kinetic, out=kinetic)
+        hbar = np.asarray(hbars, dtype=float).reshape((-1,) + (1,) * grid.dim)
+        half = self.half = np.empty(hbar.shape[:1] + grid.shape, dtype=complex)
+        kinetic = self.kinetic = np.empty_like(half)
+        # half = exp(-0.5j * vgrid * h / hbar), kinetic = exp(-0.5j * hbar * k2 * h)
+        np.exp(np.divide(np.multiply(np.multiply(-0.5j, vgrid, out=half), h, out=half),
+                         hbar, out=half), out=half)
+        np.exp(np.multiply(np.multiply(-0.5j * hbar, k2, out=kinetic), h, out=kinetic),
+               out=kinetic)
         self.full = self.half * self.half
-        self.edge = grid.boundary_cells()
         self.axes = range(-1, -grid.dim - 1, -1)       # np.fft.fftn's order: last axis first
         self.transform_first = self.kinetic[0].nbytes >= _ELIDE_BYTES
-
-    def edge_amplitude(self, states: Array) -> Array:
-        """Boundary amplitude of every row of every synchronized state of a
-        block (b, rows, *grid.shape), from the edge cells alone: (b, rows)."""
-        flat = states.reshape(states.shape[:2] + (-1,))
-        return np.abs(np.take(flat, self.edge, axis=-1)).max(axis=-1)
 
     def kinetic_step(self, v: Array) -> None:
         """Apply the exact kinetic factor in Fourier space to every row of v,
@@ -415,7 +414,7 @@ def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
             np.multiply(current, stepper.half, out=out)
             if step < n_steps - 1:
                 np.multiply(current, stepper.full, out=current)
-        amp = stepper.edge_amplitude(synced)
+        amp = psi.grid.edge_amplitude(synced)
         leaks = np.flatnonzero(amp > BOUNDARY_TOL)      # step-major, then row order
         clean = len(synced) if leaks.size == 0 else leaks[0] // amp.shape[1]
         for step, out in enumerate(synced[:clean], start):

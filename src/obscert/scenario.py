@@ -143,6 +143,12 @@ class Numerics:
 PHASE_GRID_COUNT = 65
 
 
+def _window_counts(phase_grid: dict) -> tuple[float, float]:
+    """The (q, p) node counts of a husimi window; an axis left out counts
+    PHASE_GRID_COUNT."""
+    return tuple(float(phase_grid.get(axis, [0, 0, PHASE_GRID_COUNT])[2]) for axis in "qp")
+
+
 def _phase_grid(raw, where: str) -> Optional[dict]:
     if raw is None:
         return None
@@ -154,7 +160,7 @@ def _phase_grid(raw, where: str) -> Optional[dict]:
             if not lo < hi:
                 raise ConfigError(f"{where}.{axis}: needs lo < hi, got [{lo:g}, {hi:g}]")
             out[axis] = [float(lo), float(hi), positive_int(count, f"{where}.{axis}[2]")]
-    nodes = math.prod(float(out.get(axis, [0, 0, PHASE_GRID_COUNT])[2]) for axis in ("q", "p"))
+    nodes = math.prod(_window_counts(out))
     if nodes > phasespace.MAX_HUSIMI_NODES:
         raise ConfigError(f"{where}: a window of {nodes:.3g} (q, p) nodes, more than "
                           f"{phasespace.MAX_HUSIMI_NODES}, the most one husimi field takes")
@@ -205,7 +211,7 @@ def build_compact_set(cfg: dict, dim: int) -> CompactSet:
         K = CompactSet(boxes=boxes, spacing=spacing)
     except ValueError as exc:
         raise ConfigError(f"$.K: {exc}") from None
-    nodes = K.sample_size() + K.sample_size(spacing / 2)    # the lattices of one flow pass
+    nodes = classical.flow_nodes(K)
     if nodes > classical.MAX_LATTICE_NODES:
         raise ConfigError(f"$.K.spacing: {spacing:g} gives $.K.boxes a sample lattice of "
                           f"{nodes:.3g} nodes with its half-spacing refinement, more than "
@@ -366,6 +372,7 @@ def parse(cfg) -> Scenario:
         raise ConfigError(f"$.numerics.dt: T = {sc.T:g} at dt = {sc.numerics.dt:g} takes 1 "
                           "quantum step; the propagation error needs at least 2")
     _step_count(sc.T, sc.numerics.dt_flow, "$.numerics.dt_flow")
+    n, most = sc.numerics.n, phasespace.MAX_OVERLAP_BYTES
     if isinstance(sc.state, PureState):         # certify takes its Husimi mass on K
         for i, value in enumerate(cfg["hbars"]):
             hbar = positive(value, f"$.hbars[{i}]")
@@ -375,6 +382,18 @@ def parse(cfg) -> Scenario:
                                   f"lattice of {nodes:.3g} nodes with its half-spacing "
                                   f"refinement, more than {phasespace.MAX_HUSIMI_NODES}, "
                                   "the most one Husimi quadrature takes")
+            held = phasespace.quadrature_bytes(K, hbar, n)
+            if held > most:
+                raise ConfigError(f"$.hbars[{i}]: hbar = {hbar:g} gives $.K.boxes Husimi "
+                                  f"overlap tables of {held:.3g} bytes at n = {n}, more than "
+                                  f"{most}, the most one Husimi quadrature takes")
+    if sc.numerics.phase_grid is not None:      # the husimi command's window
+        q, p = _window_counts(sc.numerics.phase_grid)
+        held = phasespace.overlap_bytes([(q, p)], n)
+        if held > most:
+            raise ConfigError(f"$.numerics.phase_grid: a window of {q:.3g} x {p:.3g} (q, p) "
+                              f"nodes has Husimi overlap tables of {held:.3g} bytes at "
+                              f"n = {n}, more than {most}, the most one husimi field takes")
     return sc
 
 

@@ -396,10 +396,14 @@ def test_stiff_potential_yields_vacuous_not_nan(dwell):
 
 def test_unnormalized_state_rejected(free):
     psi = coherent_state(GRID, 0.05, -2.5, 1.25)
-    bad = quantum.WaveFunction(psi.grid, 2.0 * psi.values, psi.hbar)
     geo = classical.geometric_summary(free, K_FREE, OM_FREE, 2.0, [2.0], 2e-3)
-    with pytest.raises(ValueError, match="normalized"):
-        certify_pure_sweep(geo, [bad], dt=2e-3)
+    # a NaN norm fails every comparison: it passed a `> 1e-8` test
+    nan = psi.values.copy()
+    nan[0] = np.nan
+    for values in (2.0 * psi.values, nan):
+        bad = quantum.WaveFunction(psi.grid, values, psi.hbar)
+        with pytest.raises(ValueError, match="normalized"):
+            certify_pure_sweep(geo, [psi, bad], dt=2e-3)
 
 
 def test_certify_pure_dim2_pipeline():

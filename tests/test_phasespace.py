@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,28 @@ def test_overlap_points_match_closed_form_2d():
     exact = [coherent_overlap_sq(hbar, z[:2], z[2:], [0.3, -0.2], [0.5, -0.4]) for z in pts]
     np.testing.assert_allclose(phasespace._overlap_sq_points(psi, pts), exact,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim, n, qs, ps, tight", [
+    (1, 512, [4000], [3], True), (2, 32, [2, 200], [2, 100], True),
+    (2, 32, [200, 2], [100, 2], False),
+], ids=["1d_tall", "2d_wide_last_axis", "2d_wide_first_axis"])
+def test_overlap_bytes_bound_the_tables(dim, n, qs, ps, tight):
+    # the numpy arrays _overlap_sq_points allocates peak within its counted
+    # tables plus what the node cap bounds (point indices, the final |.|^2);
+    # the tight lattices are all tables, and the count is close there
+    grid = quantum.Grid(dim=dim, n=n, length=20.0)
+    psi = coherent_state(grid, 0.05, [0.0] * dim, [0.5] * dim)
+    pts = lattice_points([np.linspace(-1, 1, c) for c in qs] + [np.linspace(0, 1, c) for c in ps])
+    counted = phasespace.overlap_bytes(list(zip(qs, ps)), n)
+    tracemalloc.start()
+    try:
+        phasespace._overlap_sq_points(psi, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted + 64 * len(pts) + 2 ** 20
+    assert peak >= 0.9 * counted or not tight
 
 
 def test_husimi_mass_whole_box(grid512):

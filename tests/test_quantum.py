@@ -112,14 +112,16 @@ def test_boundary_monitor_sees_mid_run_leaks(grid1024, harm):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_step_monitor_reads_the_synchronized_edges(dim, rng):
+    # the monitor of propagate_series reads a block (steps, rows, *grid) at once
     grid = Grid(dim=dim, n=16, length=8.0)
-    V = potentials.harmonic(dim=dim)
-    stepper = quantum._Stepper(grid, quantum.grid_fields(V, grid), [HBAR, 0.2], 0.1)
     shape = (3, 2) + grid.shape
     block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    amp = stepper.edge_amplitude(block)
+    on_face = np.ones(grid.shape, dtype=bool)
+    on_face[(slice(1, -1),) * dim] = False
+    amp = grid.edge_amplitude(block)
     assert amp.shape == (3, 2)
     for i, r in np.ndindex(amp.shape):
+        assert amp[i, r] == np.abs(block[i, r][on_face]).max()
         assert amp[i, r] == quantum.WaveFunction(grid, block[i, r], HBAR).boundary_amplitude()
 
 
@@ -171,7 +173,9 @@ def test_grid_boundary_cells_are_the_faces(dim):
     for ax in range(dim):
         on_face[(slice(None),) * ax + (0,)] = True
         on_face[(slice(None),) * ax + (-1,)] = True
-    np.testing.assert_array_equal(grid.boundary_cells(), np.flatnonzero(on_face))
+    np.testing.assert_array_equal(grid.boundary_cells, np.flatnonzero(on_face))
+    assert grid.boundary_cells is grid.boundary_cells           # built once per grid
+    assert not grid.boundary_cells.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +707,7 @@ def stepwise_reference(V, psi, T, dt, weights, cells, observer=lambda t: None):
     half = np.stack([np.exp(-0.5j * vgrid * h / hbar) for hbar in psi.hbars])
     full = half * half
     kinetic = np.stack([np.exp(-0.5j * hbar * k2 * h) for hbar in psi.hbars])
-    edge = grid.boundary_cells()
+    edge = grid.boundary_cells
     edge_half = half.reshape(rows, -1)[:, edge]
     series = np.empty((rows, n_steps + 1, len(weights)))
     cell_mass = np.empty((rows, n_steps + 1, len(cells)))

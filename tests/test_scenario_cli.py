@@ -216,6 +216,24 @@ OVER_THE_CAPS = {
                             r"\$\.K\.spacing: 1e-100 .* lattice of inf nodes"),
     "2d_hbar_1e-300": ({**config_2d(64), "hbars": [1e-300]},
                        r"\$\.hbars\[0\]: hbar = 1e-300 .* Husimi lattice of inf nodes"),
+    # Husimi lattices under the node cap whose overlap tables are not: a
+    # 3e6 x 1 window (husimi exited 1 asking numpy for 45.8 GiB at n = 2048),
+    # a K box 9000 wide and 0.001 tall at hbar = 0.01 (2.7e6 nodes, a
+    # Gaussian table of 900001 x 512 on the fine lattice), and a 2-D K box
+    # thin in (q0, p0) whose first contraction holds 719 x 128 x 719 values
+    "phase_grid_3e6_by_1": ({"numerics": {"phase_grid": {"q": [-3, -2, 3e6],
+                                                         "p": [0.5, 2, 1]}}},
+                            r"\$\.numerics\.phase_grid: a window of 3e\+06 x 1 \(q, p\) "
+                            r"nodes has Husimi overlap tables of 7\.38e\+10 bytes at n = 1024"),
+    "K_9000_by_0.001": ({"K": {"boxes": [[[-3.1, 8996.9], [1.25, 1.251]]], "spacing": 0.2},
+                         "hbars": [0.01]},
+                        r"\$\.hbars\[0\]: hbar = 0\.01 gives \$\.K\.boxes Husimi overlap "
+                        r"tables of 1\.11e\+10 bytes at n = 512, more than 1610612736"),
+    "2d_K_thin_in_q0_p0": ({**config_2d(128), "hbars": [0.007],
+                            "K": {"boxes": [[[-2.5, -2.4999], [-3, 3], [1.25, 1.2501], [-3, 3]]],
+                                  "spacing": 0.3}},
+                           r"\$\.hbars\[0\]: hbar = 0\.007 gives \$\.K\.boxes Husimi overlap "
+                           r"tables of 3\.23e\+09 bytes at n = 128"),
 }
 
 
@@ -232,7 +250,11 @@ def test_cli_inputs_over_a_cap_exit_2(name, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_caps_admit_their_limits():
+class Counted(Exception):
+    """Raised by a stand-in pass with the number of nodes it was given."""
+
+
+def test_caps_admit_their_limits(monkeypatch):
     # K.sample_size counts sample_grid's rows without building them, and
     # split_steps takes exactly MAX_STEPS steps and refuses one more
     K = classical.CompactSet(np.array([[[-3.1, -1.9], [0.65, 1.85]], [[0.0, 0.2], [0.0, 0.0]]]),
@@ -244,8 +266,16 @@ def test_caps_admit_their_limits():
         quantum.split_steps((quantum.MAX_STEPS + 1) * 1e-3, 1e-3)
     # a square K at spacing 2e-3 takes 301^2 + 601^2 nodes, at 1e-3 601^2 + 1201^2
     cfg = base_config(K={"boxes": [[[0.0, 0.6], [0.0, 0.6]]], "spacing": 2e-3})
-    K = parse(cfg).K
-    assert K.sample_size() + K.sample_size(1e-3) == 451802 <= classical.MAX_LATTICE_NODES
+    sc = parse(cfg)
+    assert classical.flow_nodes(sc.K) == 451802 <= classical.MAX_LATTICE_NODES
+
+    def occupation_batch(V, points, *args):
+        raise Counted(len(points))
+
+    monkeypatch.setattr(classical, "occupation_batch", occupation_batch)
+    with pytest.raises(Counted) as counted:     # flow_nodes counts the pass's nodes
+        sc.geometric_summary()
+    assert counted.value.args == (451802,)
     cfg["K"]["spacing"] = 1e-3
     with pytest.raises(ConfigError, match=r"^\$\.K\.spacing: 0\.001 .* 1\.8e\+06 nodes"):
         parse(cfg)
@@ -414,6 +444,19 @@ UNBUILDABLE_STATES = [
     ({"hbars": [1e-320], "state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0]]}},
      "certify", 3,
      r"numerical abort: scenario 'mini', hbar=9\.99989e-321: .* has norm nan on the grid"),
+    # superpositions whose amplitudes overflow the grid's sum: the first exited
+    # 1 ("initial state must be normalized"), the second, on the shipped
+    # config, exited 0 with a report of NaN bounds and RuntimeWarnings
+    ({"state": {"kind": "superposition", "components": [
+        {"q": -2.6, "p": 1.2}, {"q": -2.4, "p": 1.3, "amplitude": 1e308}]}}, "certify", 3,
+     r"numerical abort: scenario 'mini', hbar=0\.1: the superposition of 2 packets has "
+     r"norm inf on the grid \(off the box, or overflow\)\n$"),
+    ({**json.loads((ROOT / "configs" / "free_coherent.json").read_text()), "hbars": [0.01],
+      "deltas": [2.0], "state": {"kind": "superposition", "components": [
+          {"q": -2.5, "p": 1.25, "amplitude": 1e308},
+          {"q": -2.4, "p": 1.25, "amplitude": 1e308}]}}, "certify", 3,
+     r"numerical abort: scenario 'free_coherent', hbar=0\.01: the superposition of 2 "
+     r"packets has norm inf on the grid \(off the box, or overflow\)\n$"),
     ({"numerics": {"n": 512, "length": 1e-320}}, "certify", 2,
      r"config error: \$\.numerics\.length: length = 1e-320 gives a cell volume"),
     ({**config_2d(64), "numerics": {"n": 64, "length": 1e308}}, "certify", 2,
@@ -423,7 +466,9 @@ UNBUILDABLE_STATES = [
 
 @pytest.mark.parametrize("override, command, code, message", UNBUILDABLE_STATES,
                          ids=["packet_off_the_box", "atoms_off_the_box", "sigma_1e308",
-                              "p_1e308", "hbar_1e-320", "length_1e-320", "2d_length_1e308"])
+                              "p_1e308", "hbar_1e-320", "superposition_1e308",
+                              "free_coherent_superposition_1e308", "length_1e-320",
+                              "2d_length_1e308"])
 def test_cli_unbuildable_state_exits_2_or_3(override, command, code, message, tmp_path,
                                             capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -521,6 +566,20 @@ def test_husimi_caps_admit_their_limits(monkeypatch):
     with pytest.raises(ConfigError, match=r"^\$\.hbars\[1\]: hbar = 0\.026 gives"):
         parse(cfg)
     monkeypatch.undo()
+    # the same for the overlap tables: quadrature_bytes counts the most of the
+    # lattices husimi_mass_refined builds, box by box and spacing by spacing
+    h, n = phasespace.quadrature_spacing(0.026), cfg["numerics"]["n"]
+    held = phasespace.quadrature_bytes(K, 0.026, n)
+    assert held == max(phasespace.overlap_bytes(
+        [(len(classical.lattice_axis(*box[a], s)), len(classical.lattice_axis(*box[2 + a], s)))
+         for a in range(2)], n) for box in K.boxes for s in (h, h / 2))
+    monkeypatch.setattr(phasespace, "MAX_OVERLAP_BYTES", held)
+    parse(cfg)
+    monkeypatch.setattr(phasespace, "MAX_OVERLAP_BYTES", held - 1)
+    with pytest.raises(ConfigError, match=r"^\$\.hbars\[1\]: hbar = 0\.026 gives \$\.K\.boxes "
+                                          r"Husimi overlap tables"):
+        parse(cfg)
+    monkeypatch.undo()
     # a Toeplitz state takes no Husimi mass: no hbar cap
     parse(base_config(hbars=[1e-5], state={"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0]]}))
     # a husimi window of MAX_HUSIMI_NODES nodes parses, one q node more does
@@ -535,6 +594,16 @@ def test_husimi_caps_admit_their_limits(monkeypatch):
             with pytest.raises(ConfigError, match=r"^\$\.numerics\.phase_grid: a window of "
                                                   r"3e\+06 \(q, p\) nodes, more than 3000000"):
                 parse(cfg)
+    # and a window whose overlap tables hold MAX_OVERLAP_BYTES parses, one
+    # byte below it does not
+    cfg = base_config(numerics={"n": 512, "phase_grid": {"q": [-3, -2, 3000]}})
+    held = phasespace.overlap_bytes([(3000, scenario.PHASE_GRID_COUNT)], 512)
+    monkeypatch.setattr(phasespace, "MAX_OVERLAP_BYTES", held)
+    parse(cfg)
+    monkeypatch.setattr(phasespace, "MAX_OVERLAP_BYTES", held - 1)
+    with pytest.raises(ConfigError, match=r"^\$\.numerics\.phase_grid: a window of 3e\+03 x "
+                                          r"65 \(q, p\) nodes has Husimi overlap tables"):
+        parse(cfg)
 
 
 @pytest.mark.parametrize("dt", [1.0, 2.0])
@@ -1064,9 +1133,12 @@ def test_fuzz_mutated_configs_parse_or_raise_config_error():
     # the first) or aborts with NumericsError.  The classes it found, now named
     # cases: T/dt overflowing split_steps (test_bad_numerics_rejected), an
     # unhashable potential.kind (kind_list, kind_dict), and states the grid
-    # cannot hold (test_cli_unbuildable_state_exits_2_or_3)
+    # cannot hold (test_cli_unbuildable_state_exits_2_or_3).  A built pure
+    # state is normalized: a superposition whose amplitudes overflowed was
+    # built with norm 0 (superposition_1e308 there)
     assert len(FUZZ_CONFIGS) >= 13
     docs = {str(p.relative_to(ROOT)): json.loads(p.read_text()) for p in FUZZ_CONFIGS}
+    docs["superposition"] = base_config(state=STATES["superposition"])
     for name, doc, path, value in mutations(docs):
         try:
             sc = parse(doc)
@@ -1076,6 +1148,8 @@ def test_fuzz_mutated_configs_parse_or_raise_config_error():
                     for j in range(len(state.symbol.weights)):
                         state.atom_state(j, sc.grid)
                     break
+                if not abs(state.norm - 1.0) <= 1e-8:
+                    pytest.fail(f"{name} {list(path)} = {value!r}: norm {state.norm}")
         except (ConfigError, quantum.NumericsError):
             pass
         except Exception as exc:
