@@ -120,14 +120,22 @@ def zero_lip_candidate(T: float) -> tuple[float, float]:
     return lam0, _growth_objective(T, 0.0, lam0)
 
 
+def explicit_toeplitz_candidate(T: float, lip: float) -> tuple[float, float]:
+    """(lambda, bound value) of the explicit choice that caps the Toeplitz
+    coefficient: lam = lip for lip > 0, ``zero_lip_candidate`` at lip = 0."""
+    if lip > 0:
+        return lip, _growth_objective(T, lip, lip)
+    return zero_lip_candidate(T)
+
+
 def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[float]]:
     """(value, minimizer lambda) of the Toeplitz correction coefficient
     inf_{lam > 0} ``_growth_objective``(T, lip, lam).
 
-    Log-grid scan plus golden-section refinement; the explicit candidates
-    lam = lip (lip > 0) and ``zero_lip_candidate`` (lip = 0) are upper
-    bounds of the infimum and cap the result.  When every candidate
-    overflows to +inf no lambda attains anything: (inf, None).
+    Log-grid scan plus golden-section refinement; the
+    ``explicit_toeplitz_candidate`` is an upper bound of the infimum and
+    caps the result.  When both overflow to +inf no lambda attains
+    anything: (inf, None).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -156,13 +164,8 @@ def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[
             fd = _growth_objective(T, lip, math.exp(d))
     lam_star = math.exp(0.5 * (a + b))
     best = _growth_objective(T, lip, lam_star)
-    candidates = [(best, lam_star)]
-    if lip > 0:
-        candidates.append((_growth_objective(T, lip, lip), lip))
-    else:
-        lam0, val0 = zero_lip_candidate(T)
-        candidates.append((val0, lam0))
-    value, lam = min(candidates, key=lambda t: t[0])
+    lam_c, val_c = explicit_toeplitz_candidate(T, lip)
+    value, lam = min([(best, lam_star), (val_c, lam_c)], key=lambda t: t[0])
     if math.isinf(value):
         return math.inf, None
     return float(value), float(lam)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .potentials import Potential
-from .quantum import NumericsError, split_steps
+from .quantum import NumericsError, _block_steps, split_steps
 
 Array = np.ndarray
 
@@ -283,11 +283,6 @@ def flow(V: Potential, p0: PhasePoint, t: float, dt: float) -> PhasePoint:
 # occupation times with event bracketing
 # ---------------------------------------------------------------------------
 
-# Sample-steps per block: the Verlet loop fills a block of positions, then each
-# cutoff, crossing bisection and occupation sum runs once over the whole block.
-_BLOCK_SAMPLE_STEPS = 8192
-
-
 def _bisect_crossings(V: Potential, x0: Array, xi0: Array, h: float, chi: IndicatorCutoff,
                       inside_before: Array, tol: float) -> Array:
     """Crossing times s* in (0, h) of the indicator along the steps that start
@@ -328,14 +323,15 @@ def occupation_batch(V: Potential, points: Array, T: float,
     Indicator cutoffs get exact crossing splits (bisection to dt*1e-3);
     smooth cutoffs use trapezoid weights at the integrator substeps.  Only the
     Verlet step and each cutoff's running time-ordered sum run once per step;
-    the finiteness check, cutoffs and bisections run once per block of steps.
+    the finiteness check, cutoffs and bisections run once per block of steps,
+    whose positions and momenta fill the propagator's block budget.
     The ramp cutoffs on one region share one distance to it per block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, dim = len(pts), pts.shape[1] // 2
     n, h = split_steps(T, dt)
     tol = h * 1e-3
-    nb = max(1, _BLOCK_SAMPLE_STEPS // max(m, 1))
+    nb = _block_steps(16 * max(m, 1) * dim, n)
     # row 0 holds the state at the block's start time ts[0]; row i the state
     # after i steps, at ts[i]
     X = np.empty((nb + 1, m, dim))

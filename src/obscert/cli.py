@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, phasespace, quantum, scenario
-from .certify import CertificationReport, _json_ready
+from .certify import _json_ready
 from .scenario import ConfigError
 
 
@@ -34,8 +34,14 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _report_filename(r: CertificationReport) -> str:
-    return f"{r.scenario}_h{r.hbar:g}_d{r.delta:g}.json"
+def _out_dir(args) -> Path:
+    """The --out directory, created; one that cannot be is an input error."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create {out} ({exc.strerror or exc})") from None
+    return out
 
 
 def _print_reports(reports) -> None:
@@ -47,48 +53,60 @@ def _print_reports(reports) -> None:
               f"{r.lower_bound:>12.5g}{r.measured:>12.5g}{r.margin:>12.5g}  {r.verdict}")
 
 
+# the columns of the sweep table, the hbar/delta tradeoff view: the ones
+# between the first and the last are numbers
+SWEEP_FIELDS = ("scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict")
+# the JSON strings certify writes for the non-finite numbers (certify._json_ready)
+_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _sweep_row(data: dict, where) -> dict:
+    """The sweep row of a report's ``to_dict()``, with the values certify put
+    in it.  A report that lacks a column, or has a non-number in a number
+    column, is an input error naming ``where``."""
+    missing = [k for k in SWEEP_FIELDS if k not in data]
+    if missing:
+        raise ConfigError(f"{where}: report lacks {', '.join(missing)}")
+    row = {k: data[k] for k in SWEEP_FIELDS}
+    for k in SWEEP_FIELDS[1:-1]:
+        value = _NON_FINITE.get(row[k], row[k]) if isinstance(row[k], str) else row[k]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: {k}: expected a number, got {row[k]!r}")
+        row[k] = value
+    return row
+
+
 def _write_sweep(path: Path, rows) -> None:
-    _write_csv(path, scenario.SWEEP_FIELDS,
-               [[row[k] for k in scenario.SWEEP_FIELDS] for row in rows])
+    """The sweep table of the rows, sorted by (hbar, delta)."""
+    rows = sorted(rows, key=lambda r: (r["hbar"], r["delta"]))
+    _write_csv(path, SWEEP_FIELDS, [[row[k] for k in SWEEP_FIELDS] for row in rows])
 
 
 def cmd_certify(args) -> int:
-    reports = scenario.run_scenario(scenario.load_config(args.config), jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sc = scenario.load_config(args.config)
+    out = _out_dir(args)
+    reports = scenario.run_scenario(sc, jobs=args.jobs)
+    rows = []
     for r in reports:
-        _write_json(out / _report_filename(r), r.to_dict())
-    _write_sweep(out / "sweep.csv", scenario.sweep_rows(reports))
+        path = out / scenario.report_filename(r.scenario, r.hbar, r.delta)
+        data = r.to_dict()
+        _write_json(path, data)
+        rows.append(_sweep_row(data, path))
+    _write_sweep(out / "sweep.csv", rows)
     _print_reports(reports)
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 
-# the report fields that are numbers, and the JSON strings certify writes for
-# the non-finite ones (certify._json_ready)
-_REPORT_NUMBERS = ("hbar", "delta", "lower_bound", "measured", "margin")
-_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
-
-
 def _report_row(path: Path):
-    """The sweep row of a report file, with the values certify put in it; None
-    for other JSON files (no ``lower_bound``).  An unreadable or incomplete
-    report, or one with a non-number in a number column, is an input error."""
+    """The sweep row of a report file; None for other JSON files (no
+    ``lower_bound``).  An unreadable report is an input error."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: unreadable report ({exc})") from None
     if not isinstance(data, dict) or "lower_bound" not in data:
         return None
-    missing = [k for k in scenario.SWEEP_FIELDS if k not in data]
-    if missing:
-        raise ConfigError(f"{path}: report lacks {', '.join(missing)}")
-    row = {k: data[k] for k in scenario.SWEEP_FIELDS}
-    for k in _REPORT_NUMBERS:
-        value = _NON_FINITE.get(row[k], row[k]) if isinstance(row[k], str) else row[k]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: {k}: expected a number, got {row[k]!r}")
-        row[k] = value
-    return row
+    return _sweep_row(data, path)
 
 
 def cmd_sweep(args) -> int:
@@ -97,9 +115,7 @@ def cmd_sweep(args) -> int:
     if not rows:
         print("no reports found", file=sys.stderr)
         return 2
-    rows.sort(key=lambda r: (r["hbar"], r["delta"]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_sweep(out / "sweep.csv", rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
@@ -107,8 +123,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gcc(args) -> int:
     sc = scenario.load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     geo = sc.geometric_summary()
     t = geo.table
     rows = [[*(float(v) for v in pt), float(occ), "" if math.isnan(hit) else float(hit)]
@@ -141,8 +156,7 @@ def cmd_propagate(args) -> int:
         raise ConfigError(f"$.numerics.slices: {num.slices} slices need at least "
                           f"{num.slices - 1} steps, but T = {sc.T:g} at dt = {num.dt:g} "
                           f"takes {n_steps}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     times = np.linspace(0.0, sc.T, num.slices)
     rows = []
     saved = [0]
@@ -172,6 +186,7 @@ def cmd_husimi(args) -> int:
         raise ConfigError("$.potential.dim: husimi fields are emitted for dim 1 only")
     if isinstance(sc.state, phasespace.AtomicMeasure):
         raise ConfigError("$.state.kind: husimi needs a pure state")
+    out = _out_dir(args)
     hbar = sc.hbars[0]
     with scenario.named_aborts(sc.name):
         state = scenario.build_state(sc.state, sc.grid, hbar)
@@ -187,8 +202,6 @@ def cmd_husimi(args) -> int:
     q_axis = np.linspace(float(q_spec[0]), float(q_spec[1]), int(q_spec[2]))
     p_axis = np.linspace(float(p_spec[0]), float(p_spec[1]), int(p_spec[2]))
     field = phasespace.husimi(state, q_axis, p_axis)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [[float(q), float(p), float(field.values[i, j])]
             for i, q in enumerate(q_axis) for j, p in enumerate(p_axis)]
     _write_csv(out / "husimi.csv", ["x", "xi", "value"], rows)
@@ -197,7 +210,9 @@ def cmd_husimi(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    geo = scenario.load_config(args.config).geometric_summary()
+    sc = scenario.load_config(args.config)
+    out = _out_dir(args)
+    geo = sc.geometric_summary()
     lip = geo.lip
     c_tl, lam_star = certify.toeplitz_coefficient_details(geo.T, lip)
     payload = {
@@ -213,14 +228,12 @@ def cmd_constants(args) -> int:
             for lam in (0.5, 1.0, 2.0)
         },
     }
+    lam, value = certify.explicit_toeplitz_candidate(geo.T, lip)
     if lip > 0:
-        payload["lambda_equals_lip_bound"] = certify._growth_objective(geo.T, lip, lip)
+        payload["lambda_equals_lip_bound"] = value
     else:
-        lam0, val0 = certify.zero_lip_candidate(geo.T)
-        payload["zero_lip_lambda"] = lam0
-        payload["zero_lip_bound"] = val0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        payload["zero_lip_lambda"] = lam
+        payload["zero_lip_bound"] = value
     _write_json(out / "constants.json", payload)
     for key, value in payload.items():
         if not isinstance(value, dict):

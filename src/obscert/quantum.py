@@ -29,8 +29,6 @@ Array = np.ndarray
 
 BOUNDARY_TOL = 1e-12
 ALIAS_TOL = 1e-10
-# numpy evaluates a binary operation in a temporary operand from this size on
-_ELIDE_BYTES = 256 * 1024
 
 
 class NumericsError(RuntimeError):
@@ -323,9 +321,10 @@ def grid_fields(V: Potential, grid: Grid) -> tuple[Array, Array]:
     return vgrid, k2
 
 
-# Bytes of the block of synchronized states a propagation holds, and of the
-# block of densities the observer of observed_mass_series holds: the boundary
-# monitor and the density sums run once per block of steps.
+# Bytes of the block of steps each time loop holds: the synchronized states of
+# a propagation, the densities of observed_mass_series's observer, and the
+# positions and momenta of classical.occupation_batch.  The checks and sums
+# over the steps run once per block.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -354,25 +353,18 @@ class _Stepper:
                out=kinetic)
         self.full = self.half * self.half
         self.axes = range(-1, -grid.dim - 1, -1)       # np.fft.fftn's order: last axis first
-        self.transform_first = self.kinetic[0].nbytes >= _ELIDE_BYTES
 
     def kinetic_step(self, v: Array) -> None:
         """Apply the exact kinetic factor in Fourier space to every row of v,
         in place, with one transform over the stack per grid axis: each line
         is transformed on its own, so every row gets a lone row's ``fftn``.
-
-        A complex product rounds differently with its operands swapped, so
-        each row's product takes the order of a lone row's ``kinetic *
-        fftn(row)``: numpy evaluates that in the transform's temporary,
-        transform first, from 256 KiB a row on (2-D rows from 128^2), and
-        kinetic factor first below (every 1-D row, at most 64 KiB).
+        The product takes one operand order, kinetic factor first, in every
+        dimension: a complex product rounds differently with its operands
+        swapped.
         """
         for ax in self.axes:
             np.fft.fft(v, axis=ax, out=v)
-        if self.transform_first:
-            np.multiply(v, self.kinetic, out=v)
-        else:
-            np.multiply(self.kinetic, v, out=v)
+        np.multiply(self.kinetic, v, out=v)
         for ax in self.axes:
             np.fft.ifft(v, axis=ax, out=v)
 

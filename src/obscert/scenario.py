@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,7 +26,6 @@ from .phasespace import AtomicMeasure, ToeplitzState
 from .potentials import Potential
 from .quantum import Grid
 
-SWEEP_FIELDS = ("scenario", "hbar", "delta", "lower_bound", "measured", "margin", "verdict")
 # the factory of each potential kind, and the fields it reads besides dim and box
 _POTENTIALS = {"free": (potentials.free_particle, ()),
                "harmonic": (potentials.harmonic, ("stiffness",)),
@@ -103,14 +103,41 @@ def _object(raw, where: str, required=(), optional=(), kinds=None) -> dict:
     return raw
 
 
+def report_filename(name: str, hbar: float, delta: float) -> str:
+    """The file name of the (hbar, delta) report of scenario ``name``."""
+    return f"{name}_h{hbar:g}_d{delta:g}.json"
+
+
+# the longest file name, in bytes, that common file systems take
+MAX_FILENAME_BYTES = 255
+
+
 def _positive_list(values, where: str) -> tuple[float, ...]:
-    """Distinct positive values, sorted."""
+    """Distinct positive values, sorted, each its own report file name."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{where}: expected a nonempty list")
     out = [positive(v, f"{where}[{i}]") for i, v in enumerate(values)]
     if len({f"{v:g}" for v in out}) < len(out):
         raise ConfigError(f"{where}: values must differ in report file names (format :g)")
     return tuple(sorted(out))
+
+
+def _check_report_names(sc: Scenario) -> None:
+    """Every report file name of sc is one file in --out: the name holds no
+    path separator or NUL, and the longest file name is UTF-8 of at most
+    MAX_FILENAME_BYTES bytes."""
+    if any(c in sc.name for c in {"/", os.sep, "\0"}):
+        raise ConfigError(f"$.scenario: {sc.name!r} holds a path separator or NUL, which "
+                          "a report file name cannot")
+    longest = report_filename(sc.name, *(max(values, key=lambda v: len(f"{v:g}"))
+                                         for values in (sc.hbars, sc.deltas)))
+    try:
+        size = len(longest.encode("utf-8"))
+    except UnicodeEncodeError:
+        raise ConfigError(f"$.scenario: {sc.name!r} is not valid UTF-8") from None
+    if size > MAX_FILENAME_BYTES:
+        raise ConfigError(f"$.scenario: gives report file names of up to {size} bytes, "
+                          f"more than {MAX_FILENAME_BYTES}, the longest a file name takes")
 
 
 def _norm_boxes(raw, dim: int, where: str, finite: bool) -> np.ndarray:
@@ -364,6 +391,7 @@ def parse(cfg) -> Scenario:
         hbars=_positive_list(cfg["hbars"], "$.hbars"),
         state=parse_state(cfg["state"], V.dim, K),
     )
+    _check_report_names(sc)
     try:
         sc.grid                 # the dim is checked: Grid can refuse only n or length
     except quantum.GridError as exc:
@@ -450,10 +478,3 @@ def run_scenario(sc: Scenario, jobs: int = 1) -> list[CertificationReport]:
             groups = list(pool.map(_run_columns, [sc] * k, [geo] * k, chunks))
     return [r for group in groups for r in group]
 
-
-def sweep_rows(reports: Sequence[CertificationReport]) -> list[dict]:
-    """Sweep table rows sorted by (hbar, delta): the hbar/delta tradeoff view."""
-    if not reports:
-        raise ValueError("need at least one report")
-    return [{k: getattr(r, k) for k in SWEEP_FIELDS}
-            for r in sorted(reports, key=lambda r: (r.hbar, r.delta))]

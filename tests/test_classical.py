@@ -498,8 +498,9 @@ def test_kernel_matches_loop_at_block_edges(free, monkeypatch, budget):
     # and leaves it in step 6; with three steps per block that is the last step
     # of the first block and the first step of the third
     pts = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 2.0], [0.3, -1.0], [0.5, 0.0]])
-    steps = {"one": 1, "three": 3 * len(pts), "default": classical._BLOCK_SAMPLE_STEPS}
-    monkeypatch.setattr(classical, "_BLOCK_SAMPLE_STEPS", steps[budget])
+    # one step's positions and momenta take pts.nbytes
+    budgets = {"one": pts.nbytes, "three": 3 * pts.nbytes, "default": quantum._BLOCK_BYTES}
+    monkeypatch.setattr(quantum, "_BLOCK_BYTES", budgets[budget])
     res = assert_matches_loop(free, pts, 1.0, _cutoffs(interval(0.25, 0.65)), 0.1)
     assert 0.2 < res.first_hit[0, 0] < 0.3
     assert res.first_hit[0, 1] == pytest.approx(0.1)    # ramp positive from t = 0
@@ -562,9 +563,10 @@ def test_occupation_aborts_on_a_non_finite_gradient(T):
 
 
 def test_kernel_memory_on_the_shipped_lattice():
-    # one cutoff at a time over a block of at most 8192 sample-steps: the
-    # stacked lattice of free_coherent (872 samples) stays far below a full
-    # (steps x samples) history, which would take 14 MB per array
+    # one cutoff at a time over a block of positions and momenta of at most
+    # quantum._BLOCK_BYTES: the stacked lattice of free_coherent (872
+    # samples) stays far below a full (steps x samples) history, which would
+    # take 14 MB per array
     sc = scenario.load_config(CONFIGS / "free_coherent.json")
     V, K, om = sc.V, sc.K, sc.omega
     pts = np.concatenate([K.sample_grid(), K.sample_grid(K.spacing / 2)])

@@ -443,7 +443,7 @@ def single_row_reference(V, psi, T, weights, cells, dt):
     observe(psi.values)
     current = psi.values * half
     for step in range(n_steps):
-        current = np.fft.ifftn(kinetic * np.fft.fftn(current))
+        current = np.fft.ifftn(np.multiply(kinetic, np.fft.fftn(current)))
         if step == n_steps - 1:
             current = current * half
             observe(current)
@@ -500,8 +500,8 @@ def test_batch_toeplitz_atoms_match_single_rows(harm):
 
 @pytest.mark.parametrize("n, length", [(64, 8.0), (128, 12.0), (256, 16.0)])
 def test_batch_2d_rows_match_single_rows(n, length):
-    # a row takes 64 KiB at 64^2 and 1 MiB at 256^2; from 128^2 on (256 KiB)
-    # the single-row product runs in place, with the transform first
+    # a row takes 64 KiB at 64^2 and 1 MiB at 256^2: the two rows' block of
+    # synchronized states holds two steps at 64^2 and one from 128^2 on
     grid = Grid(dim=2, n=n, length=length)
     V2 = potentials.harmonic(dim=2)
     om = Region(np.array([[[-0.5, 1.0], [-1.0, 1.0]]]))
@@ -524,17 +524,14 @@ KINETIC_STACKS = ([pytest.param(2, 2, n, id=str(n)) for n in (32, 64, 128, 256)]
 def test_2d_kinetic_step_matches_a_lone_row(rows, dim, n, rng):
     # one transform per axis over the stack against a lone row's transform
     # pair, 1-D and 2-D.  Random rows, because no packet fits a 32-point axis
-    # with both its x and k tails below the boundary tolerance.  Every 1-D row
-    # (the 8 x 2048 stack takes 256 KiB) and the 32^2 and 64^2 rows lie below
-    # the 256 KiB from which a lone row's product swaps its operands, 128^2
-    # and 256^2 rows at and above it
+    # with both its x and k tails below the boundary tolerance
     grid = Grid(dim=dim, n=n, length=8.0)
     stepper = quantum._Stepper(grid, quantum.grid_fields(potentials.harmonic(dim=dim), grid),
                                np.linspace(0.2, 0.1, rows), 1e-2)
     shape = (rows,) + grid.shape
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fft, ifft = (np.fft.fft, np.fft.ifft) if dim == 1 else (np.fft.fftn, np.fft.ifftn)
-    expected = [ifft(k * fft(row)) for k, row in zip(stepper.kinetic, v)]
+    expected = [ifft(np.multiply(k, fft(row))) for k, row in zip(stepper.kinetic, v)]
     stepper.kinetic_step(v)
     np.testing.assert_array_equal(v, np.stack(expected))
 

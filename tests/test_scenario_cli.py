@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import obscert
 from obscert import classical, cli, phasespace, potentials, quantum, scenario
-from obscert.scenario import ConfigError, load_config, parse, run_scenario, sweep_rows
+from obscert.scenario import ConfigError, load_config, parse, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -856,10 +857,15 @@ def test_cli_lip_edge_cases_are_vacuous(override, tmp_path):
         assert constants["toeplitz_coefficient_lambda"] is None
 
 
-def test_sweep_rows_sorted():
-    cfg = base_config(deltas=[4.0, 1.0], hbars=[0.2, 0.1])
-    rows = sweep_rows(run_scenario(parse(cfg)))
-    assert [(r["hbar"], r["delta"]) for r in rows] == \
+def test_sweep_rows_sorted(tmp_path):
+    # the sweep.csv that certify writes, from a config that lists both in
+    # descending order
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(deltas=[4.0, 1.0], hbars=[0.2, 0.1])))
+    assert cli.main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["hbar"]), float(r["delta"])) for r in rows] == \
         [(0.1, 1.0), (0.1, 4.0), (0.2, 1.0), (0.2, 4.0)]
 
 
@@ -1061,6 +1067,65 @@ def test_cli_sweep_from_reports(tmp_path):
         assert (tmp_path / "s" / "sweep.csv").read_bytes() == written
         assert len(written.splitlines()) == 3
     assert b",-inf," in written
+
+
+# $.scenario values that are no report file name, on harmonic_toeplitz.json
+# at one cell: "a/b" exited 1 with a FileNotFoundError after the whole run,
+# "../escaped" exited 0 with its report in the parent of --out, a NUL exited 1
+# (embedded null byte), 300 dots exited 1 (File name too long), and a lone
+# surrogate cannot be written as UTF-8
+NO_FILE_NAMES = {"slash": "a/b", "parent": "../escaped", "nul": "x\u0000y",
+                 "300_dots": "." * 300, "lone_surrogate": "x\ud800"}
+
+
+@pytest.mark.parametrize("name", sorted(NO_FILE_NAMES))
+def test_cli_scenario_that_is_no_file_name_exits_2(name, tmp_path, capsys):
+    cfg = json.loads((ROOT / "configs" / "harmonic_toeplitz.json").read_text())
+    cfg.update(scenario=NO_FILE_NAMES[name], hbars=[0.2], deltas=[8.0], T=0.1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    work = tmp_path / "work"
+    work.mkdir()
+    assert cli.main(["certify", "--config", str(cfg_path), "--out", str(work / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: $.scenario: ")
+    assert list(work.iterdir()) == []
+
+
+def test_scenario_name_bound_is_the_longest_report_file_name_in_bytes():
+    # the longest file name of these cells ends "_h0.25_d10.json" (15 bytes),
+    # and "\u00e9" takes 2 bytes in UTF-8
+    cfg = base_config(hbars=[0.1, 0.25], deltas=[3.0, 10.0])
+    for fits, over in [("a" * 240, "a" * 241), ("\u00e9" * 120, "\u00e9" * 120 + "a")]:
+        assert parse({**cfg, "scenario": fits}).name == fits
+        with pytest.raises(ConfigError, match=r"^\$\.scenario: .* up to 256 bytes"):
+            parse({**cfg, "scenario": over})
+
+
+@pytest.mark.parametrize("command", ["certify", "gcc", "propagate", "husimi", "constants",
+                                     "sweep"])
+def test_cli_out_that_is_a_file_exits_2(command, tmp_path, capsys, monkeypatch):
+    # each exited 1 with a FileExistsError traceback, certify after the whole
+    # run; now each exits before it computes anything
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    if command == "sweep":
+        assert cli.main(["certify", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r")]) == 0
+        args = ["sweep", "--reports", str(tmp_path / "r")]
+    else:
+        args = [command, "--config", str(cfg_path)]
+
+    def computes(*args, **kwargs):
+        raise AssertionError("computed before --out was created")
+
+    monkeypatch.setattr(classical, "occupation_batch", computes)
+    monkeypatch.setattr(scenario, "build_state", computes)
+    out = tmp_path / "o"
+    out.write_text("kept")
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out: cannot create {out} ")
+    assert out.read_text() == "kept"
 
 
 SWEEP_ROW = {"scenario": "mini", "hbar": 0.1, "delta": 3.0, "lower_bound": 0.5,
