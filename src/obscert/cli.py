@@ -1,6 +1,7 @@
 """Command-line front end: scenario runs, field dumps and constant tables.
 
-Subcommands: certify, gcc, propagate, husimi, constants, sweep.
+Subcommands: certify, gcc, propagate, husimi, constants, sweep; propagate
+and husimi dump the state at the smallest hbar of the config only.
 All artifacts are UTF-8 JSON (reports, constants) and RFC-4180 CSV (fields,
 tables), written only after a run completes so failures leave no partial
 reports behind.
@@ -126,8 +127,8 @@ def cmd_gcc(args) -> int:
     out = _out_dir(args)
     geo = sc.geometric_summary()
     t = geo.table
-    rows = [[*(float(v) for v in pt), float(occ), "" if math.isnan(hit) else float(hit)]
-            for pt, occ, hit in zip(t.points, t.occupation[:, 0], t.first_hit[:, 0])]
+    rows = ([*(float(v) for v in pt), float(occ), "" if math.isnan(hit) else float(hit)]
+            for pt, occ, hit in zip(t.points, t.occupation[:, 0], t.first_hit[:, 0]))
     axes = range(1, sc.V.dim + 1)
     _write_csv(out / "gcc.csv", [f"x{i}" for i in axes] + [f"xi{i}" for i in axes]
                + ["occupation_time", "first_hit_time"], rows)
@@ -137,7 +138,7 @@ def cmd_gcc(args) -> int:
         "c_geo": geo.c_geo,
         "c_geo_refine_delta": geo.c_geo_refine_delta,
         "chi_geo": {str(d): c for d, c in zip(geo.deltas, geo.chi_geo)},
-        "samples": len(rows),
+        "samples": len(t.points),
     }
     _write_json(out / "gcc.json", summary)
     print(f"GC satisfied: {geo.gc_satisfied}   C_geo = {geo.c_geo:.6g} "
@@ -150,7 +151,7 @@ def cmd_propagate(args) -> int:
     if isinstance(sc.state, phasespace.AtomicMeasure):
         raise ConfigError("$.state.kind: propagate needs a pure state; pick a "
                           "coherent/gaussian/superposition state")
-    grid, hbar, num = sc.grid, sc.hbars[0], sc.numerics
+    grid, hbar, num = sc.grid, sc.hbars[0], sc.numerics    # the smallest: hbars are sorted
     n_steps, _ = quantum.split_steps(sc.T, num.dt)
     if n_steps < num.slices - 1:        # the observer saves at most one slice per step
         raise ConfigError(f"$.numerics.slices: {num.slices} slices need at least "
@@ -158,22 +159,21 @@ def cmd_propagate(args) -> int:
                           f"takes {n_steps}")
     out = _out_dir(args)
     times = np.linspace(0.0, sc.T, num.slices)
-    rows = []
-    saved = [0]
+    slices = []                         # (t, density of the row) per saved slice
 
-    def observer(t, batch):
-        if saved[0] < len(times) and t >= times[saved[0]] - 1e-12:
-            dens = batch.row(0).density()
-            for pt, d in zip(grid.points(), dens.reshape(-1)):
-                rows.append([float(t), *(float(v) for v in pt), float(d)])
-            saved[0] += 1
+    def observer(t, values):
+        if len(slices) < len(times) and t >= times[len(slices)] - 1e-12:
+            slices.append((t, (np.abs(values[0]) ** 2).reshape(-1)))
 
     with scenario.named_aborts(sc.name):
         state = scenario.build_state(sc.state, grid, hbar)
         final = quantum.propagate_series(sc.V, quantum.WaveBatch.of([state]), sc.T, num.dt,
                                          observer).row(0)
     header = ["t"] + [f"x{i+1}" for i in range(grid.dim)] + ["density"]
-    _write_csv(out / "density.csv", header, rows)
+    points = grid.points()
+    _write_csv(out / "density.csv", header,
+               ([t, *(float(v) for v in pt), float(d)]
+                for t, dens in slices for pt, d in zip(points, dens)))
     quantum.save_state(out / "final_state.qst", final, t=sc.T)
     print(f"wrote {out / 'density.csv'} and {out / 'final_state.qst'} "
           f"(hbar={hbar:g}, final norm {final.norm:.12f})")
@@ -187,7 +187,7 @@ def cmd_husimi(args) -> int:
     if isinstance(sc.state, phasespace.AtomicMeasure):
         raise ConfigError("$.state.kind: husimi needs a pure state")
     out = _out_dir(args)
-    hbar = sc.hbars[0]
+    hbar = sc.hbars[0]                  # the smallest: hbars are sorted
     with scenario.named_aborts(sc.name):
         state = scenario.build_state(sc.state, sc.grid, hbar)
     pg = sc.numerics.phase_grid or {}
@@ -202,9 +202,9 @@ def cmd_husimi(args) -> int:
     q_axis = np.linspace(float(q_spec[0]), float(q_spec[1]), int(q_spec[2]))
     p_axis = np.linspace(float(p_spec[0]), float(p_spec[1]), int(p_spec[2]))
     field = phasespace.husimi(state, q_axis, p_axis)
-    rows = [[float(q), float(p), float(field.values[i, j])]
-            for i, q in enumerate(q_axis) for j, p in enumerate(p_axis)]
-    _write_csv(out / "husimi.csv", ["x", "xi", "value"], rows)
+    _write_csv(out / "husimi.csv", ["x", "xi", "value"],
+               ([float(q), float(p), float(v)]
+                for q, row in zip(q_axis, field.values) for p, v in zip(p_axis, row)))
     print(f"wrote {out / 'husimi.csv'} (integral over window {field.integral():.6f})")
     return 0
 

@@ -119,7 +119,7 @@ def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
 # refinement together, and of a husimi field's (q, p) window: at 3 * 10^6 nodes
 # the 2-D quadrature peaks at about 390 MB and takes about 1.7 s on a 512^2
 # grid on a 2-core box (about 105 B per node of the finer lattice), and the
-# husimi command with its CSV rows at about 630 MB and 15 s
+# husimi command on a 3000 x 1000 window at about 365 MB and 12.5 s
 MAX_HUSIMI_NODES = 3 * 10 ** 6
 
 

@@ -206,13 +206,6 @@ class WaveBatch:
         """These rows, as a view of ``values``."""
         return WaveBatch(self.grid, self.values[rows], self.hbars[rows], self.labels[rows])
 
-    def with_values(self, values: Array) -> "WaveBatch":
-        """These rows with new values of the same shape, without re-checking
-        (once per Strang step)."""
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, values=values)
-        return out
-
 
 def inner(a: WaveFunction, b: WaveFunction) -> complex:
     if a.grid != b.grid:
@@ -370,20 +363,22 @@ class _Stepper:
 
 
 def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
-                     observer: Callable[[float, WaveBatch], None], *,
+                     observer: Callable[[float, Array], None], *,
                      fields: tuple[Array, Array] | None = None) -> WaveBatch:
-    """Propagate every row of a batch while calling observer(t, state) at
+    """Propagate every row of a batch while calling observer(t, values) at
     t = 0, dt, ..., T, once per step; the rows share the grid and the step
-    size.  ``fields`` are :func:`grid_fields` of (V, psi.grid), computed here
+    size.  ``values`` is the array (rows, *grid.shape) of the batch's rows at
+    t.  ``fields`` are :func:`grid_fields` of (V, psi.grid), computed here
     when not given.
 
     The run steps a state buffer of its own and never writes ``psi.values``.
     It writes each synchronized state (the half phase applied) into a block
     of its own of up to ``_BLOCK_BYTES``, and calls the observer for the
-    block's steps once the block is full.  The ``state`` passed to the
-    observer at t > 0 is a slot of that block and is overwritten by a later
-    step: it is valid only during the call, and an observer copies whatever
-    it keeps.  The state returned, the one last observed, is the run's own.
+    block's steps once the block is full.  The array passed to the observer
+    is valid only during the call, and an observer copies whatever it keeps:
+    at t = 0 it is the caller's own ``psi.values``, which nothing may write,
+    and at t > 0 a slot of the block, overwritten by a later step.  The batch
+    returned holds the last observed slot, the run's own.
 
     The boundary amplitude of every row's synchronized state is checked once
     per block, before the observer sees any of the block's states, and the
@@ -396,7 +391,7 @@ def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
     """
     n_steps, h = split_steps(T, dt)
     stepper = _Stepper(psi.grid, fields or grid_fields(V, psi.grid), psi.hbars, h)
-    observer(0.0, psi)
+    observer(0.0, psi.values)
     current = psi.values * stepper.half
     block = np.empty((_block_steps(current.nbytes, n_steps),) + current.shape, dtype=complex)
     for start in range(0, n_steps, len(block)):
@@ -410,8 +405,7 @@ def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
         leaks = np.flatnonzero(amp > BOUNDARY_TOL)      # step-major, then row order
         clean = len(synced) if leaks.size == 0 else leaks[0] // amp.shape[1]
         for step, out in enumerate(synced[:clean], start):
-            state = psi.with_values(out)
-            observer((step + 1) * h, state)
+            observer((step + 1) * h, out)
         if leaks.size:
             i, r = divmod(int(leaks[0]), amp.shape[1])
             _check_spectral_tail(WaveFunction(psi.grid, synced[i, r], psi.hbars[r]),
@@ -419,9 +413,10 @@ def propagate_series(V: Potential, psi: WaveBatch, T: float, dt: float,
             raise BoundaryLeakError(f"{psi.labels[r]}: boundary amplitude {amp[i, r]:.3e} "
                                     f"at t = {(start + i + 1) * h:.4g} exceeds "
                                     f"{BOUNDARY_TOL:.0e}; enlarge the box")
-    for r, label in enumerate(state.labels):
-        _check_spectral_tail(state.row(r), label)
-    return state
+    final = WaveBatch(psi.grid, out, psi.hbars, psi.labels)
+    for r, label in enumerate(final.labels):
+        _check_spectral_tail(final.row(r), label)
+    return final
 
 
 def _check_spectral_tail(state: WaveFunction, label: str) -> None:
@@ -530,10 +525,10 @@ def observed_mass_series(V: Potential, psi: WaveBatch, T: float, weights: Array,
         shape = (len(batch.hbars), grid.n ** grid.dim)        # one step's densities
         dens = np.empty((_block_steps(8 * math.prod(shape), n_t[i]),) + shape)
 
-        def observer(t, state, steps=itertools.count()):
+        def observer(t, values, steps=itertools.count()):
             k = next(steps)
             b = k % len(dens)
-            np.abs(state.values.reshape(dens.shape[1:]), out=dens[b])
+            np.abs(values.reshape(dens.shape[1:]), out=dens[b])
             if b == len(dens) - 1 or k == n_t[i] - 1:
                 reduce(slice(k - b, k + 1), dens[:b + 1])
 

@@ -653,7 +653,7 @@ def test_spectral_tail_of_one_row_aborts(free, case):
     edges = []
     with pytest.raises(SpectralAliasError, match=r"^hbar=0\.01: spectral tail"):
         quantum.propagate_series(free, WaveBatch.of([cool, hot]), T, dt,
-                                 lambda t, s: edges.append(s.row(1).boundary_amplitude()))
+                                 lambda t, s: edges.append(float(coarse.edge_amplitude(s[1]))))
     # the leaking row stops the run in its first step, before the observer
     assert len(edges) == (1 if case == "leaks" else 3)
     assert max(edges) < quantum.BOUNDARY_TOL
@@ -667,7 +667,7 @@ def test_propagation_leaves_the_callers_batch_alone(dim, harm):
     batch = WaveBatch.of([coherent_state(grid, 0.1, [q] * dim, [p] * dim) for q, p in centers])
     before = batch.values.copy()
     seen = []
-    final = quantum.propagate_series(V, batch, 0.05, 1e-2, lambda t, s: seen.append(s.values))
+    final = quantum.propagate_series(V, batch, 0.05, 1e-2, lambda t, s: seen.append(s))
     observed_mass_series(V, batch, 0.05, *sampled(grid, [everywhere(dim)]), (1e-2, 2e-2))
     np.testing.assert_array_equal(batch.values, before)
     assert seen[0] is batch.values
@@ -680,7 +680,7 @@ def test_batch_of_one_is_propagate(grid512, harm):
     psi = coherent_state(grid512, HBAR, 1.0, 0.0)
     seen = []
     out = quantum.propagate_series(harm, WaveBatch.of([psi]), 0.3, 1e-2,
-                                   lambda t, s: seen.append((t, s.values.shape)))
+                                   lambda t, s: seen.append((t, s.shape)))
     assert seen[0] == (0.0, (1, 512)) and len(seen) == 31
     np.testing.assert_array_equal(out.row(0).values, propagate(harm, psi, 0.3, 1e-2).values)
     reference = single_row_reference(harm, psi, 0.3, *sampled(grid512, [everywhere()]),
@@ -821,8 +821,8 @@ def test_observer_never_sees_the_leaking_state(monkeypatch, grid1024, harm):
     monkeypatch.setattr(quantum, "_BLOCK_BYTES", 4000 * batch.values.nbytes)
     seen = []
 
-    def observer(t, state):
-        seen.append((t, max(state.row(r).boundary_amplitude() for r in range(3))))
+    def observer(t, values):
+        seen.append((t, float(grid1024.edge_amplitude(values).max())))
 
     with pytest.raises(BoundaryLeakError, match=r"at t = (1\.\d+) exceeds") as err:
         quantum.propagate_series(harm, batch, np.pi, 1e-3, observer)

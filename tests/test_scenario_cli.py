@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -998,6 +999,28 @@ def test_cli_propagate_needs_a_step_per_slice(tmp_path):
     times = {line.split(",")[0]
              for line in (tmp_path / "p" / "density.csv").read_text().splitlines()[1:]}
     assert len(times) == 5
+
+
+def test_propagate_table_holds_no_row_lists(tmp_path):
+    # the saved slices stay density arrays until density.csv is written: a
+    # list per grid point and slice would hold about 31 MB here, 4x more with
+    # each doubling of n, about 9 GB at the 2-D limit of 2048^2
+    cfg = json.loads((ROOT / "bench" / "configs" / "grid2d" /
+                      "harmonic2d_coherent.json").read_text())
+    cfg.update(T=0.01)
+    cfg["numerics"].update(n=128, dt=0.001, slices=9)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        assert cli.main(["propagate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "p")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"propagate peaked at {peak / 1e6:.1f} MB"
+    with open(tmp_path / "p" / "density.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 9 * 128 ** 2
 
 
 def test_cli_husimi_field(tmp_path):
