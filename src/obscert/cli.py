@@ -1,10 +1,8 @@
-"""Command-line front end: scenario runs, field dumps and constant tables.
+"""Command-line front end: certification runs and constant tables.
 
-Subcommands: certify, gcc, propagate, husimi, constants, sweep; propagate
-and husimi dump the state at the smallest hbar of the config only.
-All artifacts are UTF-8 JSON (reports, constants) and RFC-4180 CSV (fields,
-tables), written only after a run completes so failures leave no partial
-reports behind.
+Subcommands: certify, gcc, constants, sweep.  All artifacts are UTF-8 JSON
+(reports, constants) and RFC-4180 CSV (tables), written only after a run
+completes so failures leave no partial reports behind.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import certify, phasespace, quantum, scenario
+from . import certify, quantum, scenario
 from .certify import _json_ready
 from .scenario import ConfigError
 
@@ -146,69 +142,6 @@ def cmd_gcc(args) -> int:
     return 0
 
 
-def cmd_propagate(args) -> int:
-    sc = scenario.load_config(args.config)
-    if isinstance(sc.state, phasespace.AtomicMeasure):
-        raise ConfigError("$.state.kind: propagate needs a pure state; pick a "
-                          "coherent/gaussian/superposition state")
-    grid, hbar, num = sc.grid, sc.hbars[0], sc.numerics    # the smallest: hbars are sorted
-    n_steps, _ = quantum.split_steps(sc.T, num.dt)
-    if n_steps < num.slices - 1:        # the observer saves at most one slice per step
-        raise ConfigError(f"$.numerics.slices: {num.slices} slices need at least "
-                          f"{num.slices - 1} steps, but T = {sc.T:g} at dt = {num.dt:g} "
-                          f"takes {n_steps}")
-    out = _out_dir(args)
-    times = np.linspace(0.0, sc.T, num.slices)
-    slices = []                         # (t, density of the row) per saved slice
-
-    def observer(t, values):
-        if len(slices) < len(times) and t >= times[len(slices)] - 1e-12:
-            slices.append((t, (np.abs(values[0]) ** 2).reshape(-1)))
-
-    with scenario.named_aborts(sc.name):
-        state = scenario.build_state(sc.state, grid, hbar)
-        final = quantum.propagate_series(sc.V, quantum.WaveBatch.of([state]), sc.T, num.dt,
-                                         observer).row(0)
-    header = ["t"] + [f"x{i+1}" for i in range(grid.dim)] + ["density"]
-    points = grid.points()
-    _write_csv(out / "density.csv", header,
-               ([t, *(float(v) for v in pt), float(d)]
-                for t, dens in slices for pt, d in zip(points, dens)))
-    quantum.save_state(out / "final_state.qst", final, t=sc.T)
-    print(f"wrote {out / 'density.csv'} and {out / 'final_state.qst'} "
-          f"(hbar={hbar:g}, final norm {final.norm:.12f})")
-    return 0
-
-
-def cmd_husimi(args) -> int:
-    sc = scenario.load_config(args.config)
-    if sc.V.dim != 1:
-        raise ConfigError("$.potential.dim: husimi fields are emitted for dim 1 only")
-    if isinstance(sc.state, phasespace.AtomicMeasure):
-        raise ConfigError("$.state.kind: husimi needs a pure state")
-    out = _out_dir(args)
-    hbar = sc.hbars[0]                  # the smallest: hbars are sorted
-    with scenario.named_aborts(sc.name):
-        state = scenario.build_state(sc.state, sc.grid, hbar)
-    pg = sc.numerics.phase_grid or {}
-    side = 4.0 * math.sqrt(hbar)
-    q_spec = pg.get("q")
-    p_spec = pg.get("p")
-    if q_spec is None or p_spec is None:
-        qm, _ = quantum.position_moments(state)
-        pm, _ = quantum.momentum_moments(state)
-        q_spec = q_spec or [qm[0] - side, qm[0] + side, scenario.PHASE_GRID_COUNT]
-        p_spec = p_spec or [pm[0] - side, pm[0] + side, scenario.PHASE_GRID_COUNT]
-    q_axis = np.linspace(float(q_spec[0]), float(q_spec[1]), int(q_spec[2]))
-    p_axis = np.linspace(float(p_spec[0]), float(p_spec[1]), int(p_spec[2]))
-    field = phasespace.husimi(state, q_axis, p_axis)
-    _write_csv(out / "husimi.csv", ["x", "xi", "value"],
-               ([float(q), float(p), float(v)]
-                for q, row in zip(q_axis, field.values) for p, v in zip(p_axis, row)))
-    print(f"wrote {out / 'husimi.csv'} (integral over window {field.integral():.6f})")
-    return 0
-
-
 def cmd_constants(args) -> int:
     sc = scenario.load_config(args.config)
     out = _out_dir(args)
@@ -254,8 +187,7 @@ def main(argv=None) -> int:
         description="Numerical certification of observability inequalities "
                     "for the semiclassical Schrodinger equation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("certify", cmd_certify), ("gcc", cmd_gcc), ("propagate", cmd_propagate),
-                     ("husimi", cmd_husimi), ("constants", cmd_constants),
+    for name, fn in [("certify", cmd_certify), ("gcc", cmd_gcc), ("constants", cmd_constants),
                      ("sweep", cmd_sweep)]:
         p = sub.add_parser(name)
         if name == "sweep":

@@ -1,5 +1,5 @@
-"""Phase-space representations: Husimi densities and masses, atomic measures
-and their Toeplitz states.
+"""Phase-space representations: Husimi masses, atomic measures and their
+Toeplitz states.
 
 The Husimi density is computed directly from coherent-state overlaps on the
 spatial grid (unconditionally nonnegative); its mass on a compact set K is a
@@ -74,19 +74,6 @@ def _overlap_sq_points(psi: WaveFunction, phase_points: Array) -> Array:
     return amp[tuple(index)]
 
 
-@dataclass(frozen=True)
-class HusimiField:
-    """Nonnegative phase-space density on a rectangular (q, p) lattice (dim 1)."""
-
-    q_axis: Array
-    p_axis: Array
-    values: Array
-    hbar: float
-
-    def integral(self) -> float:
-        return _trapezoid(self.values, [self.q_axis, self.p_axis])
-
-
 def _trapezoid_weights(axis: Array) -> Array:
     axis = np.asarray(axis, dtype=float)
     if axis.size == 1:
@@ -108,18 +95,10 @@ def _trapezoid(values: Array, axes: Sequence[Array]) -> float:
     return float(total[0])
 
 
-def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
-    """Husimi density |<q,p|psi>|^2/(2 pi hbar)^d sampled on a phase lattice."""
-    vals = coherent_overlaps(psi, np.asarray(q_axis, float), np.asarray(p_axis, float))
-    return HusimiField(np.asarray(q_axis, float), np.asarray(p_axis, float),
-                       vals / (2.0 * np.pi * psi.hbar), psi.hbar)
-
-
 # The most nodes of the Husimi quadrature's lattice on K and its half-spacing
-# refinement together, and of a husimi field's (q, p) window: at 3 * 10^6 nodes
-# the 2-D quadrature peaks at about 390 MB and takes about 1.7 s on a 512^2
-# grid on a 2-core box (about 105 B per node of the finer lattice), and the
-# husimi command on a 3000 x 1000 window at about 365 MB and 12.5 s
+# refinement together: at 3 * 10^6 nodes the 2-D quadrature peaks at about
+# 390 MB and takes about 1.7 s on a 512^2 grid on a 2-core box (about 105 B
+# per node of the finer lattice)
 MAX_HUSIMI_NODES = 3 * 10 ** 6
 
 

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import os
-import struct
 import sys
 import threading
 from dataclasses import dataclass
@@ -601,43 +600,3 @@ def _run_tasks(run: Callable, tasks: Sequence[tuple], workers: int) -> None:
     if failed:
         raise failed[min(failed)]
 
-
-# ---------------------------------------------------------------------------
-# binary state snapshots
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<iiddd")   # dim, n, length, hbar, t
-
-
-def save_state(path, psi: WaveFunction, t: float = 0.0):
-    """Write a state snapshot: little-endian header (dim, n, length, hbar, t)
-    followed by interleaved re/im float64 pairs in row-major node order."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(psi.grid.dim, psi.grid.n, psi.grid.length, psi.hbar, t))
-        fh.write(np.ascontiguousarray(psi.values, dtype="<c16").tobytes())
-
-
-def load_state(path) -> tuple[WaveFunction, float]:
-    """Read a :func:`save_state` snapshot.  A short header, a short payload
-    or trailing bytes raise ValueError naming the file and the expected and
-    found byte counts; a header whose grid, hbar or t is refused raises one
-    naming the file and the field."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: short header: expected {_HEADER.size} bytes, "
-                         f"found {len(raw)}")
-    dim, n, length, hbar, t = _HEADER.unpack_from(raw)
-    try:
-        grid = Grid(dim=dim, n=n, length=length)
-        if not (0 < hbar < math.inf and math.isfinite(t)):
-            raise ValueError(f"hbar must be finite and positive and t finite, "
-                             f"got hbar = {hbar!r}, t = {t!r}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad header: {exc}") from None
-    expected = _HEADER.size + 16 * n ** dim
-    if len(raw) != expected:
-        kind = "short payload" if len(raw) < expected else "trailing bytes"
-        raise ValueError(f"{path}: {kind}: expected {expected} bytes, found {len(raw)}")
-    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    return WaveFunction(grid, values.reshape(grid.shape).astype(complex), hbar), t

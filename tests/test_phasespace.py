@@ -7,9 +7,9 @@ from scipy.ndimage import gaussian_filter
 
 from obscert import certify, phasespace, quantum
 from obscert.classical import CompactSet, IndicatorCutoff, Region, lattice_points
-from obscert.phasespace import husimi, husimi_mass, quadrature_spacing, toeplitz_from_density
+from obscert.phasespace import husimi_mass, quadrature_spacing, toeplitz_from_density
 from obscert.quantum import coherent_state, gaussian_state, inner, superposition
-from oracles import SpectralBandError, coherent_husimi_mass, coherent_overlap_sq, wigner
+from oracles import SpectralBandError, coherent_husimi_mass, coherent_overlap_sq, husimi, wigner
 
 HBAR = 0.1
 

@@ -1,5 +1,4 @@
 import math
-import struct
 import sys
 import threading
 
@@ -11,9 +10,8 @@ from obscert.classical import IndicatorCutoff, PhasePoint, Region
 from obscert.phasespace import toeplitz_from_density
 from obscert.quantum import (
     BoundaryLeakError, Grid, SpectralAliasError, WaveBatch, coherent_state,
-    cost_expectation, gaussian_state, inner, load_state, momentum_moments,
-    observed_mass_series, position_moments, propagate, save_state, second_moment,
-    spread, superposition,
+    cost_expectation, gaussian_state, inner, momentum_moments, observed_mass_series,
+    position_moments, propagate, second_moment, spread, superposition,
 )
 
 HBAR = 0.1
@@ -345,67 +343,8 @@ def test_observed_mass_semiclassical_window(free):
 
 
 # ---------------------------------------------------------------------------
-# snapshots and dim 2
+# dim 2
 # ---------------------------------------------------------------------------
-
-def test_state_snapshot_roundtrip(tmp_path, grid512):
-    psi = gaussian_state(grid512, HBAR, 0.3, -0.2, 0.4)
-    path = tmp_path / "state.qst"
-    save_state(path, psi, t=1.25)
-    loaded, t = load_state(path)
-    assert t == 1.25
-    assert loaded.hbar == psi.hbar
-    assert loaded.grid == psi.grid
-    np.testing.assert_array_equal(loaded.values, psi.values)
-    # documented layout: little-endian header then interleaved re/im doubles
-    raw = path.read_bytes()
-    dim, n, length, hbar, t0 = struct.unpack_from("<iiddd", raw)
-    assert (dim, n, length, hbar, t0) == (1, 512, 16.0, HBAR, 1.25)
-    first = struct.unpack_from("<dd", raw, struct.calcsize("<iiddd"))
-    assert complex(*first) == psi.values[0]
-
-
-@pytest.mark.parametrize("case, size, expected", [
-    ("short header", 20, 32),
-    ("short payload", 32 + 16 * 511 + 8, 32 + 16 * 512),
-    ("trailing bytes", 32 + 16 * 512 + 3, 32 + 16 * 512),
-])
-def test_damaged_snapshot_names_the_file_and_byte_counts(tmp_path, grid512, case, size,
-                                                         expected):
-    path = tmp_path / "state.qst"
-    save_state(path, coherent_state(grid512, HBAR, 0.0, 0.0))
-    raw = path.read_bytes()
-    path.write_bytes((raw + b"\0" * 3)[:size])
-    with pytest.raises(ValueError) as err:
-        load_state(path)
-    msg = str(err.value)
-    assert str(path) in msg and case in msg
-    assert f"expected {expected} bytes, found {size}" in msg
-
-
-@pytest.mark.parametrize("fields, message", [
-    ({"length": math.nan}, "length must be finite"),
-    ({"length": math.inf}, "length must be finite"),
-    ({"hbar": math.nan}, "hbar must be finite"),
-    ({"hbar": -math.inf}, "hbar must be finite"),
-    ({"t": math.nan}, "t finite"),
-    ({"t": math.inf}, "t finite"),
-    ({"dim": 3}, "only dim 1 and 2"),
-    ({"n": 6}, "power of two"),
-    ({"dim": 2, "n": 4096}, "exceeds 2048"),
-], ids=["length=nan", "length=inf", "hbar=nan", "hbar=-inf", "t=nan", "t=inf", "dim=3",
-        "n=6", "2d-n=4096"])
-def test_refused_snapshot_header_names_the_file(tmp_path, fields, message):
-    # a header the grid or the state refuses used to raise without the file's
-    # name, and a NaN or infinite length, hbar or t was loaded
-    header = {"dim": 1, "n": 512, "length": 16.0, "hbar": HBAR, "t": 0.0, **fields}
-    path = tmp_path / "state.qst"
-    path.write_bytes(struct.pack("<iiddd", *header.values()) + bytes(16 * 512))
-    with pytest.raises(ValueError) as err:
-        load_state(path)
-    msg = str(err.value)
-    assert msg.startswith(f"{path}: bad header: ") and message in msg
-
 
 def test_dim2_coherent_and_propagation(harm):
     # n=256 keeps coarse-grid split-step residue at the box edge below 1e-12

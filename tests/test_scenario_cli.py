@@ -8,7 +8,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +94,7 @@ def test_missing_field_path_in_error(kind, path):
     assert str(err.value) == f"{config_path(path)}: missing required field"
 
 
-@pytest.mark.parametrize("numerics", ["omitted", None, {}, {"phase_grid": None}],
-                         ids=["omitted", "null", "empty", "null_optionals"])
+@pytest.mark.parametrize("numerics", ["omitted", None, {}], ids=["omitted", "null", "empty"])
 def test_numerics_defaults(numerics):
     cfg = base_config(numerics=numerics)
     if numerics == "omitted":
@@ -149,8 +147,7 @@ def test_bad_numerics_rejected():
         parse(base_config(deltas=[-1.0]))
     # integer fields: a config error, neither a traceback nor a truncation
     for numerics, where in [({"n": "abc"}, r"\$\.numerics\.n"),
-                            ({"n": 512.5}, r"\$\.numerics\.n"),
-                            ({"slices": 2.9}, r"\$\.numerics\.slices")]:
+                            ({"n": 512.5}, r"\$\.numerics\.n")]:
         with pytest.raises(ConfigError, match=where):
             parse(base_config(numerics=numerics))
     # a T/dt that overflows the step count of either step rule
@@ -202,15 +199,11 @@ OVER_THE_CAPS = {
                          r"\$\.K\.spacing: .* \$\.K\.boxes .* nodes"),
     "T_2^70": ({"T": 2.0 ** 70, "numerics": {"dt": 1e-3}}, r"\$\.numerics\.dt: .* steps"),
     "dt_flow_steps": ({"numerics": {"dt_flow": 1e-7}}, r"\$\.numerics\.dt_flow: .* steps"),
-    # the Husimi lattices: a pure state's quadrature on K at hbar = 1e-5
-    # (1.8e7 nodes), and a husimi window of 2e5 x 2e5 nodes (exit 1 after
-    # asking numpy for 298 GiB)
+    # the Husimi lattice: a pure state's quadrature on K at hbar = 1e-5
+    # (1.8e7 nodes)
     "hbar_1e-5": ({"hbars": [0.1, 1e-5]},
                   r"\$\.hbars\[1\]: hbar = 1e-05 gives \$\.K\.boxes a Husimi lattice of "
                   r"1\.8e\+07 nodes"),
-    "phase_grid_2e5_squared": ({"numerics": {"phase_grid": {"q": [-3, -2, 2e5],
-                                                            "p": [0.5, 2, 2e5]}}},
-                               r"\$\.numerics\.phase_grid: a window of 4e\+10 \(q, p\) nodes"),
     # in 2-D the four axes' node counts multiply past the float range: K at
     # spacing 1e-100 exited 1 with an OverflowError from the count's format
     "2d_K_spacing_1e-100": ({**config_2d(64),
@@ -218,15 +211,10 @@ OVER_THE_CAPS = {
                             r"\$\.K\.spacing: 1e-100 .* lattice of inf nodes"),
     "2d_hbar_1e-300": ({**config_2d(64), "hbars": [1e-300]},
                        r"\$\.hbars\[0\]: hbar = 1e-300 .* Husimi lattice of inf nodes"),
-    # Husimi lattices under the node cap whose overlap tables are not: a
-    # 3e6 x 1 window (husimi exited 1 asking numpy for 45.8 GiB at n = 2048),
-    # a K box 9000 wide and 0.001 tall at hbar = 0.01 (2.7e6 nodes, a
-    # Gaussian table of 900001 x 512 on the fine lattice), and a 2-D K box
-    # thin in (q0, p0) whose first contraction holds 719 x 128 x 719 values
-    "phase_grid_3e6_by_1": ({"numerics": {"phase_grid": {"q": [-3, -2, 3e6],
-                                                         "p": [0.5, 2, 1]}}},
-                            r"\$\.numerics\.phase_grid: a window of 3e\+06 x 1 \(q, p\) "
-                            r"nodes has Husimi overlap tables of 7\.38e\+10 bytes at n = 1024"),
+    # Husimi lattices under the node cap whose overlap tables are not: a K
+    # box 9000 wide and 0.001 tall at hbar = 0.01 (2.7e6 nodes, a Gaussian
+    # table of 900001 x 512 on the fine lattice), and a 2-D K box thin in
+    # (q0, p0) whose first contraction holds 719 x 128 x 719 values
     "K_9000_by_0.001": ({"K": {"boxes": [[[-3.1, 8996.9], [1.25, 1.251]]], "spacing": 0.2},
                          "hbars": [0.01]},
                         r"\$\.hbars\[0\]: hbar = 0\.01 gives \$\.K\.boxes Husimi overlap "
@@ -356,24 +344,20 @@ UNKNOWN_FIELDS = [
     ({"K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]]], "spacing": 0.2, "spacng": 0.1}},
      r"\$\.K\.spacng: unknown field"),
     ({"omega": {"boxes": [[-2.7, 8.0]], "inflate": 1.0}}, r"\$\.omega\.inflate: unknown field"),
-    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"x": [0, 1, 5]}}},
-     r"\$\.numerics\.phase_grid\.x: unknown field"),
     ({"hbar": [0.1]}, r"\$\.hbar: unknown field"),
-    # a field that was read once: the Husimi quadrature spacing is sqrt(hbar)/5
+    # fields that were read once: the Husimi quadrature spacing is
+    # sqrt(hbar)/5, and no subcommand dumps density slices or a Husimi window
+    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"x": [0, 1, 5]}}},
+     r"\$\.numerics\.phase_grid: unknown field"),
     ({"numerics": {"n": 512, "length": 20.0, "husimi_spacing": 0.05}},
      r"\$\.numerics\.husimi_spacing: unknown field"),
+    ({"numerics": {"n": 512, "length": 20.0, "slices": 9}},
+     r"\$\.numerics\.slices: unknown field"),
 ]
 UNKNOWN_FIELD_IDS = ["potential_stifness", "numerics_dt_flw", "free_stiffness",
                      "coherent_sigma", "uniform_atoms", "component_amp", "K_spacng",
-                     "omega_inflate", "phase_grid_x", "top_level_hbar",
-                     "numerics_husimi_spacing"]
-
-PHASE_GRID_TWO_ENTRIES = ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"q": [0, 1]}}},
-                          r"\$\.numerics\.phase_grid\.q")
-# a reversed axis ran, and printed a negative integral over the window
-PHASE_GRID_REVERSED = ({"numerics": {"n": 512, "length": 20.0,
-                                     "phase_grid": {"q": [-2, -3, 41], "p": [1, 1.5, 1]}}},
-                       r"\$\.numerics\.phase_grid\.q: needs lo < hi, got \[-2, -3\]")
+                     "omega_inflate", "top_level_hbar", "phase_grid_x",
+                     "numerics_husimi_spacing", "numerics_slices"]
 
 # each is rejected by load_config with its path, before any flow pass
 MALFORMED = [
@@ -398,10 +382,6 @@ MALFORMED = [
     ({"potential": {"kind": "morse"}}, r"\$\.potential\.kind: unknown 'morse'"),
     ({"potential": {"kind": "free", "dim": 3, "box": [-10.0, 10.0]}},
      r"\$\.potential\.dim: only dimensions 1 and 2"),
-    PHASE_GRID_TWO_ENTRIES,
-    PHASE_GRID_REVERSED,
-    ({"numerics": {"n": 512, "length": 20.0, "phase_grid": {"p": [1.5, 1.5, 3]}}},
-     r"\$\.numerics\.phase_grid\.p: needs lo < hi, got \[1\.5, 1\.5\]"),
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1e308], [-2.4, 1.3, 1e308]]}},
      r"\$\.state\.atoms: weights must have a finite positive total"),
     *UNKNOWN_FIELDS,
@@ -413,7 +393,6 @@ MALFORMED = [
     "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
     "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
     "dt_flow_underflows", "kind_list", "kind_dict", "kind_morse", "dim_3",
-    "phase_grid_two_entries", "phase_grid_q_reversed", "phase_grid_p_empty",
     "weights_overflow", *UNKNOWN_FIELD_IDS])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
@@ -433,15 +412,15 @@ def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatc
 # a length whose cell volume is not a normal float is a config error.  (A pure
 # state at hbar = 1e-320 is a config error too: the Husimi cap refuses it.)
 UNBUILDABLE_STATES = [
-    ({"state": {"kind": "coherent", "q": 1e308, "p": 1.25}}, "propagate", 3,
+    ({"state": {"kind": "coherent", "q": 1e308, "p": 1.25}}, "certify", 3,
      r"numerical abort: scenario 'mini', hbar=0\.1: the packet at q = \[1e\+308\], "
      r"p = \[1\.25\] of width 0\.316228 has norm 0\.0 on the grid"),
     ({"K": {"boxes": [[[1e6, 1e6 + 1.2], [0.65, 1.85]]], "spacing": 0.2},
       "state": {"kind": "toeplitz_uniform"}}, "certify", 3,
      r"numerical abort: scenario 'mini', hbar=0\.1: the packet at q = \[1000000\.2\]"),
-    ({"state": {"kind": "gaussian", "q": -2.5, "p": 1.25, "sigma": 1e308}}, "propagate", 3,
+    ({"state": {"kind": "gaussian", "q": -2.5, "p": 1.25, "sigma": 1e308}}, "certify", 3,
      r"numerical abort: scenario 'mini', hbar=0\.1: boundary amplitude"),
-    ({"state": {"kind": "coherent", "q": -2.5, "p": 1e308}}, "propagate", 3,
+    ({"state": {"kind": "coherent", "q": -2.5, "p": 1e308}}, "certify", 3,
      r"numerical abort: scenario 'mini', hbar=0\.1: .* has norm nan on the grid"),
     ({"hbars": [1e-320], "state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0]]}},
      "certify", 3,
@@ -503,32 +482,6 @@ def test_cli_unknown_field_exits_2(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
-def test_cli_malformed_phase_grid_exits_2(tmp_path):
-    override, where = PHASE_GRID_TWO_ENTRIES
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(**override)))
-    res = run_cli(["husimi", "--config", str(cfg_path), "--out", str(tmp_path / "h")],
-                  cwd=tmp_path)
-    assert res.returncode == 2, res.stderr
-    assert "Traceback" not in res.stderr
-    assert "config error: $.numerics.phase_grid.q" in res.stderr
-    # on the shipped config: a reversed q axis exited 0 with a negative
-    # integral, and a 2e5 x 2e5 window exited 1 asking numpy for 298 GiB
-    for grid, message in [({"q": [-2, -3, 41], "p": [1, 1.5, 1]},
-                           "$.numerics.phase_grid.q: needs lo < hi, got [-2, -3]"),
-                          ({"q": [-3, -2, 2e5], "p": [0.5, 2, 2e5]},
-                           "$.numerics.phase_grid: a window of 4e+10 (q, p) nodes, more than "
-                           f"{phasespace.MAX_HUSIMI_NODES}")]:
-        cfg = json.loads((ROOT / "configs" / "free_coherent.json").read_text())
-        cfg["numerics"]["phase_grid"] = grid
-        cfg_path.write_text(json.dumps(cfg))
-        res = run_cli(["husimi", "--config", str(cfg_path), "--out", str(tmp_path / "h")],
-                      cwd=tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith(f"config error: {message}"), res.stderr
-        assert not (tmp_path / "h").exists()
-
-
 def test_cli_husimi_lattice_over_the_cap_exits_2(tmp_path):
     # the 2-D benchmark config at hbar = 0.005 on a 512^2 grid ran the whole
     # propagation, then exited 1 asking numpy for 1.63 GiB for the 86^4-node
@@ -584,28 +537,6 @@ def test_husimi_caps_admit_their_limits(monkeypatch):
     monkeypatch.undo()
     # a Toeplitz state takes no Husimi mass: no hbar cap
     parse(base_config(hbars=[1e-5], state={"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1.0]]}))
-    # a husimi window of MAX_HUSIMI_NODES nodes parses, one q node more does
-    # not; an axis left out counts PHASE_GRID_COUNT nodes
-    assert 3000 * 1000 == phasespace.MAX_HUSIMI_NODES
-    for q_count, p_spec, ok in [(3000, [0.5, 2, 1000], True), (3001, [0.5, 2, 1000], False),
-                                (46153, None, True), (46154, None, False)]:
-        cfg = base_config(numerics={"phase_grid": {"q": [-3, -2, q_count], "p": p_spec}})
-        if ok:
-            parse(cfg)
-        else:
-            with pytest.raises(ConfigError, match=r"^\$\.numerics\.phase_grid: a window of "
-                                                  r"3e\+06 \(q, p\) nodes, more than 3000000"):
-                parse(cfg)
-    # and a window whose overlap tables hold MAX_OVERLAP_BYTES parses, one
-    # byte below it does not
-    cfg = base_config(numerics={"n": 512, "phase_grid": {"q": [-3, -2, 3000]}})
-    held = phasespace.overlap_bytes([(3000, scenario.PHASE_GRID_COUNT)], 512)
-    monkeypatch.setattr(phasespace, "MAX_OVERLAP_BYTES", held)
-    parse(cfg)
-    monkeypatch.setattr(phasespace, "MAX_OVERLAP_BYTES", held - 1)
-    with pytest.raises(ConfigError, match=r"^\$\.numerics\.phase_grid: a window of 3e\+03 x "
-                                          r"65 \(q, p\) nodes has Husimi overlap tables"):
-        parse(cfg)
 
 
 @pytest.mark.parametrize("dt", [1.0, 2.0])
@@ -642,12 +573,15 @@ def test_jobs_below_one_exits_2(command, jobs, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, message", [
     (["flow", "--config", "cfg.json"], "invalid choice: 'flow'"),
+    (["propagate", "--config", "cfg.json"], "invalid choice: 'propagate'"),
+    (["husimi", "--config", "cfg.json"], "invalid choice: 'husimi'"),
     (["sweep", "--config", "cfg.json"], "required: --reports"),
     (["sweep", "--reports", "r", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
-], ids=["flow", "sweep_config", "sweep_jobs"])
+], ids=["flow", "propagate", "husimi", "sweep_config", "sweep_jobs"])
 def test_removed_command_paths_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     # gcc writes the per-sample table and certify writes sweep.csv's rows;
-    # sweep only tabulates the reports certify wrote
+    # sweep only tabulates the reports certify wrote; no subcommand dumps
+    # density slices or a Husimi field
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--out", "o"])
@@ -684,19 +618,6 @@ def test_scenario_pickle_round_trip(kind):
         np.testing.assert_array_equal(b.symbol.weights, a.symbol.weights)
     else:
         np.testing.assert_array_equal(b.values, a.values)
-
-
-@pytest.mark.parametrize("command, override, message", [
-    ("propagate", {"state": STATES["toeplitz"]}, "$.state.kind: propagate needs a pure state"),
-    ("husimi", {"state": STATES["toeplitz_uniform"]}, "$.state.kind: husimi needs a pure state"),
-    ("husimi", config_2d(64), "$.potential.dim: husimi fields are emitted for dim 1 only"),
-], ids=["propagate_toeplitz", "husimi_toeplitz", "husimi_2d"])
-def test_subcommand_refusals_are_config_errors(command, override, message, tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(**override)))
-    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not (tmp_path / "o").exists()
 
 
 def test_toeplitz_weights_normalized_once():
@@ -772,7 +693,7 @@ def test_cli_propagate_abort_names_the_scenario(tmp_path):
     cfg = base_config(numerics={"n": 512, "length": 6.0, "dt": 5e-3, "dt_flow": 5e-3})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    res = run_cli(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
                   cwd=tmp_path)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("numerical abort: scenario 'mini', hbar=0.1: boundary "
@@ -970,70 +891,6 @@ def test_cli_gcc_table(tmp_path):
     assert b"\r\n" in gcc_csv         # RFC-4180 line endings
 
 
-def test_cli_propagate_and_snapshot(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config()))
-    res = run_cli(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
-                  cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    dens = (tmp_path / "p" / "density.csv").read_text().splitlines()
-    assert dens[0] == "t,x1,density"
-    psi, t = quantum.load_state(tmp_path / "p" / "final_state.qst")
-    assert t == 1.0
-    assert abs(psi.norm - 1.0) < 1e-10
-
-
-def test_cli_propagate_needs_a_step_per_slice(tmp_path):
-    # T = 1 at dt = 0.25 takes 4 steps: 5 slices fit, 6 do not
-    cfg = base_config(numerics={"n": 512, "length": 20.0, "dt": 0.25, "slices": 6})
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    res = run_cli(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
-                  cwd=tmp_path)
-    assert res.returncode == 2
-    assert "$.numerics.slices" in res.stderr and "Traceback" not in res.stderr
-    assert not (tmp_path / "p").exists()
-    cfg["numerics"]["slices"] = 5
-    cfg_path.write_text(json.dumps(cfg))
-    assert cli.main(["propagate", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
-    times = {line.split(",")[0]
-             for line in (tmp_path / "p" / "density.csv").read_text().splitlines()[1:]}
-    assert len(times) == 5
-
-
-def test_propagate_table_holds_no_row_lists(tmp_path):
-    # the saved slices stay density arrays until density.csv is written: a
-    # list per grid point and slice would hold about 31 MB here, 4x more with
-    # each doubling of n, about 9 GB at the 2-D limit of 2048^2
-    cfg = json.loads((ROOT / "bench" / "configs" / "grid2d" /
-                      "harmonic2d_coherent.json").read_text())
-    cfg.update(T=0.01)
-    cfg["numerics"].update(n=128, dt=0.001, slices=9)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    tracemalloc.start()
-    try:
-        assert cli.main(["propagate", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "p")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6, f"propagate peaked at {peak / 1e6:.1f} MB"
-    with open(tmp_path / "p" / "density.csv", encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) == 1 + 9 * 128 ** 2
-
-
-def test_cli_husimi_field(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config()))
-    res = run_cli(["husimi", "--config", str(cfg_path), "--out", str(tmp_path / "h")],
-                  cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    lines = (tmp_path / "h" / "husimi.csv").read_text().splitlines()
-    assert lines[0] == "x,xi,value"
-    assert all(float(line.split(",")[2]) >= 0 for line in lines[1:])
-
-
 CONSTANTS_KEYS = {"T", "lip_grad", "d_K", "spread_coefficient", "toeplitz_coefficient",
                   "toeplitz_coefficient_lambda", "balanced_growth_root", "growth_factors"}
 
@@ -1124,8 +981,7 @@ def test_scenario_name_bound_is_the_longest_report_file_name_in_bytes():
             parse({**cfg, "scenario": over})
 
 
-@pytest.mark.parametrize("command", ["certify", "gcc", "propagate", "husimi", "constants",
-                                     "sweep"])
+@pytest.mark.parametrize("command", ["certify", "gcc", "constants", "sweep"])
 def test_cli_out_that_is_a_file_exits_2(command, tmp_path, capsys, monkeypatch):
     # each exited 1 with a FileExistsError traceback, certify after the whole
     # run; now each exits before it computes anything
