@@ -33,7 +33,7 @@ from .classical import GeometricSummary
 from .phasespace import ToeplitzState
 from .quantum import Grid, WaveFunction
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def saturating_square(x: float) -> float:
@@ -171,37 +171,15 @@ def toeplitz_coefficient_details(T: float, lip: float) -> tuple[float, Optional[
     return float(value), float(lam)
 
 
-@dataclass(frozen=True)
-class MinimalDelta:
-    baseline: float
-    state_dependent: Optional[float] = None
-
-
-def minimal_delta(T: float, lip: float, hbar: float, dim: int, c_geo: float,
-                  c_obs: float, diam_K: float,
-                  spread: Optional[float] = None,
-                  husimi_mass: Optional[float] = None) -> MinimalDelta:
-    """Smallest delta for which the admissible set of states is nonempty.
-
-    baseline uses the coherent-state tail estimate with the set diameter;
-    the sharper state-dependent threshold replaces the tail by the actual
-    phase-space mass on K and the minimal spread by the state's spread.
-    """
-    if c_geo <= 0:
-        raise ValueError("c_geo must be positive")
-    D = spread_coefficient(T, lip)
-    tail = math.exp(-diam_K ** 2 / (4.0 * hbar)) / (4.0 * math.pi) ** dim
-    denom = c_geo * (1.0 - tail) + 1.0 / c_obs
-    if denom <= 0:
-        raise ValueError("nonpositive denominator: inconsistent (c_obs, c_geo)")
-    baseline = D * math.sqrt(dim * hbar) / denom
-    state = None
-    if spread is not None and husimi_mass is not None:
-        denom_s = c_geo * (1.0 - husimi_mass) + 1.0 / c_obs
-        if denom_s <= 0:
-            raise ValueError("nonpositive denominator in state-dependent threshold")
-        state = D * spread / denom_s
-    return MinimalDelta(baseline=baseline, state_dependent=state)
+def delta_min_state(T: float, lip: float, c_geo: float, lower_bound: float,
+                    spread: float, husimi_mass: float) -> Optional[float]:
+    """The state-dependent minimal delta D(T, lip) * spread /
+    (c_geo (1 - husimi_mass) + lower_bound) of a pure-state cell; None where
+    the lower bound or the denominator is not positive."""
+    denom = c_geo * (1.0 - husimi_mass) + lower_bound
+    if not (lower_bound > 0 and denom > 0):
+        return None
+    return spread_coefficient(T, lip) * spread / denom
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +216,6 @@ class CertificationReport:
     correction_factor4: Optional[float] = None
     correction_factor1: Optional[float] = None
     c_tl: Optional[float] = None
-    admissible: Optional[bool] = None
-    implied_c_obs: Optional[float] = None
-    c_obs_times_T: Optional[float] = None
-    ct_above_one: Optional[bool] = None
-    ct_marginal: Optional[bool] = None
-    delta_min_baseline: Optional[float] = None
     delta_min_state: Optional[float] = None
     left_box: bool = False
 
@@ -342,22 +314,18 @@ class _Sweep:
         """Report of cell (column c, delta j): the shared fields plus the
         kind's own ``fields``.  ``err_budget`` holds the propagation, time
         and space terms, then the kind's own ``terms``, and ``eps_num`` is
-        their sum, left to right."""
+        their ``math.fsum``: correctly rounded, so the same in any key order."""
         geo = self.geo
         budget = {k: float(v[c, j]) for k, v in self.terms.items()}
         budget.update(terms)
-        eps = sum(budget.values())
-        if lower > 0:
-            ct = 1.0 / lower * geo.T
-            fields.update(implied_c_obs=1.0 / lower, c_obs_times_T=ct,
-                          ct_above_one=bool(ct > 1.0), ct_marginal=bool(abs(ct - 1.0) <= 0.1))
+        eps = math.fsum(budget.values())
         m = float(self.measured[c, j])
         return CertificationReport(
             schema_version=SCHEMA_VERSION, scenario=self.scenario, kind=kind, T=geo.T,
             delta=geo.deltas[j], lip_grad=geo.lip, d_K=geo.K.diameter,
             gc_satisfied=geo.gc_satisfied, c_geo=geo.c_geo,
             c_geo_refine_delta=geo.c_geo_refine_delta, chi_geo=geo.chi_geo[j],
-            lower_bound=lower, measured=m, margin=m - lower, eps_num=float(eps),
+            lower_bound=lower, measured=m, margin=m - lower, eps_num=eps,
             verdict=_verdict(lower, m, eps), err_budget=budget, left_box=geo.left_box,
             **fields)
 
@@ -387,14 +355,6 @@ def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
         for j, delta in enumerate(geo.deltas):
             corr_used = 8.0 * D * delta_psi / delta
             lower = c_geo * h_K - corr_used
-            dm_base = dm_state = None
-            if lower > 0:
-                try:
-                    dm = minimal_delta(geo.T, geo.lip, psi.hbar, dim, c_geo, 1.0 / lower,
-                                       geo.K.diameter, spread=delta_psi, husimi_mass=h_K)
-                    dm_base, dm_state = dm.baseline, dm.state_dependent
-                except ValueError:
-                    pass
             reports.append(sweep.report(
                 c, j, "pure", lower, {"c_geo_refinement": float(c_geo_delta * h_K),
                                       "husimi_refinement": float(c_geo * h_delta)},
@@ -403,7 +363,7 @@ def certify_pure_sweep(geo: GeometricSummary, psis: Sequence[WaveFunction], *,
                 d_const=D, correction_used=corr_used,
                 correction_factor4=0.5 * corr_used,
                 correction_factor1=D * delta_psi / delta,
-                delta_min_baseline=dm_base, delta_min_state=dm_state))
+                delta_min_state=delta_min_state(geo.T, geo.lip, c_geo, lower, delta_psi, h_K)))
     return reports
 
 
@@ -433,5 +393,5 @@ def certify_toeplitz_sweep(geo: GeometricSummary, Rs: Sequence[ToeplitzState],
             lower = c_geo - c_tl * math.sqrt(2.0 * dim * R.hbar) / delta
             reports.append(sweep.report(
                 c, j, "toeplitz", lower, {"c_geo_refinement": float(c_geo_delta)},
-                dim=dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl, admissible=bool(lower > 0)))
+                dim=dim, hbar=R.hbar, lam=lam_star, c_tl=c_tl))
     return reports

@@ -121,8 +121,9 @@ def _double_well_lip(box: Array) -> float:
     # is max(|12 r^2 - 4|, |4(r^2 - 1)|) over the attained radii r.
     lo, hi = box[:, 0], box[:, 1]
     r2_max = float(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2))
-    contains_zero = bool(np.all((lo <= 0.0) & (0.0 <= hi)))
-    r2_min = 0.0 if contains_zero else float(np.sum(np.minimum(np.abs(lo), np.abs(hi)) ** 2))
+    # the least radius: an axis whose interval holds 0 adds nothing to it
+    nearest = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    r2_min = float(np.sum(nearest ** 2))
     candidates = [abs(12.0 * r2 - 4.0) for r2 in (r2_min, r2_max)]
     candidates += [abs(4.0 * (r2 - 1.0)) for r2 in (r2_min, r2_max)]
     # |12 r^2 - 4| dips to zero inside (r2_min, r2_max) when 1/3 lies in range
