@@ -674,19 +674,30 @@ def test_toeplitz_uniform_scenario_runs():
 
 
 def test_numerics_abort_exit_code(tmp_path):
-    # a box too small for the state aborts with the numerical-error exit code,
-    # a message that names the scenario and the column, and no report
-    cfg = base_config(numerics={"n": 512, "length": 6.0, "dt": 5e-3, "dt_flow": 5e-3})
+    # a box too small for the state aborts with the numerical-error exit code
+    cfg = base_config(numerics={"n": 512, "length": 6.0, "dt": 5e-3,
+                                "dt_flow": 5e-3})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     res = run_cli(["certify", "--config", str(cfg_path), "--out", str(out)],
                   cwd=tmp_path)
     assert res.returncode == 3, res.stderr
+    assert "numerical abort" in res.stderr
+    assert not out.exists() or not list(out.glob("*.json"))
+
+
+def test_cli_propagate_abort_names_the_scenario(tmp_path):
+    # the box of test_numerics_abort_exit_code is too small for the state
+    cfg = base_config(numerics={"n": 512, "length": 6.0, "dt": 5e-3, "dt_flow": 5e-3})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = run_cli(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "p")],
+                  cwd=tmp_path)
+    assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("numerical abort: scenario 'mini', hbar=0.1: boundary "
                                  "amplitude"), res.stderr
     assert "Traceback" not in res.stderr
-    assert not out.exists() or not list(out.glob("*.json"))
 
 
 def test_mid_run_boundary_leak_exit_code(tmp_path):
