@@ -6,16 +6,19 @@ A potential carries an explicit working box and a closed-form bound
 analytic, so it never depends on sampling luck: sampled difference quotients
 serve only as a test oracle for it.
 
-This module holds the potential type, the built-in factories
-(``free_particle``, ``harmonic``, ``double_well``) and their bounds, and
-nothing else: ``value_fn`` and ``grad_fn`` take (m, dim) position arrays
-unchecked, and ``scenario.build_potential`` reads a config's ``potential``.
+The built-ins (``free_particle``, ``harmonic``, ``double_well``) are all
+radial, V(x) = f(|x|^2) with f of degree at most 2 in t = |x|^2 - c: f = 0,
+f = k |x|^2 / 2, and f = t^2 with c = 1.  One private class computes the
+value, the gradient 2 f'(|x|^2) x and the range of the Hessian's eigenvalues
+on a box from the two coefficients of f', and ``lip_on_box`` is the larger
+modulus of that range.  ``value_fn`` and ``grad_fn`` take (m, dim) position
+arrays unchecked, and ``scenario.build_potential`` reads a config's
+``potential``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,7 +27,8 @@ Array = np.ndarray
 
 
 def _box_array(box, dim: int) -> Array:
-    """Normalize a box spec to shape (dim, 2) with lo < hi allowed degenerate."""
+    """A box spec as a (dim, 2) array of (lo, hi) rows with lo <= hi; a
+    (lo, hi) pair stands for the same interval on every axis."""
     b = np.asarray(box, dtype=float)
     if b.ndim == 1:
         if b.size != 2:
@@ -68,85 +72,74 @@ class Potential:
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
 
-# The built-ins use module-level functions (bound with functools.partial) rather
-# than lambdas, so that a Potential pickles into worker processes.
+@dataclass(frozen=True)
+class _Radial:
+    """V(x) = f(|x|^2) held by the coefficients of g = 2 f', affine in
+    t = |x|^2 - c: g = g0 + g1 t, so f = g0 t / 2 + g1 t^2 / 4 and
+    grad V(x) = g x.  Holding g rather than f keeps the harmonic force k x
+    exact for every k: 2 (k / 2) x loses an odd subnormal k's last bit.
 
-def _constant_lip(value: float, _box: Array) -> float:
-    return value
+    Its bound methods are a Potential's functions, and pickle with it into
+    worker processes.
+    """
+
+    g0: float
+    g1: float = 0.0
+    c: float = 0.0
+
+    def value(self, p: Array) -> Array:
+        t = np.sum(p * p, axis=-1) - self.c
+        return t * (0.5 * self.g0 + 0.25 * self.g1 * t)
+
+    def grad(self, p: Array) -> Array:
+        # Verlet calls this twice per step: no array pass for a zero term
+        if not self.g1:
+            return self.g0 * p if self.g0 else np.zeros_like(p)
+        g = self.g1 * (np.sum(p * p, axis=-1, keepdims=True) - self.c)
+        return (g + self.g0 if self.g0 else g) * p
+
+    def hessian_range(self, box: Array) -> tuple[float, float]:
+        """The least and the greatest eigenvalue of V's Hessian on a (dim, 2) box.
+
+        The Hessian g I + 2 g1 x x^T has the eigenvalues g across x (dim - 1
+        times) and g + 2 g1 |x|^2 along x.  Both are affine in s = |x|^2,
+        a + b s with a = g at s = 0, so on the box they range between their
+        values at the ends of the range [s_min, s_max] of s.
+        """
+        lo, hi = box[:, 0], box[:, 1]
+        # an axis whose interval holds 0 adds nothing to the least s
+        nearest = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        with np.errstate(over="ignore"):        # an s past the largest float is +inf
+            s_max = float(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2))
+            s_min = float(np.sum(nearest ** 2))
+        # a + b s rounds as the double well's closed forms 12 s - 4 and 4 (s - 1)
+        a = self.g0 - self.g1 * self.c
+        slopes = [3.0 * self.g1] if len(box) == 1 else [3.0 * self.g1, self.g1]
+        # a zero slope leaves s out: 0 * inf is NaN on an unbounded box
+        ends = [a + b * s if b else a for b in slopes for s in (s_min, s_max)]
+        return min(ends), max(ends)
+
+    def lip_on_box(self, box: Array) -> float:
+        lo, hi = self.hessian_range(box)
+        return max(abs(lo), abs(hi))
 
 
-def _free_value(p: Array) -> Array:
-    return np.zeros(len(p))
-
-
-def _free_grad(p: Array) -> Array:
-    return np.zeros_like(p)
+def _radial(name: str, f: _Radial, dim: int, box) -> Potential:
+    return Potential(name=name, dim=dim, value_fn=f.value, grad_fn=f.grad,
+                     working_box=_box_array(box, dim), lip_on_box=f.lip_on_box)
 
 
 def free_particle(dim: int = 1, box=(-8.0, 8.0)) -> Potential:
-    return Potential(
-        name="free",
-        dim=dim,
-        value_fn=_free_value,
-        grad_fn=_free_grad,
-        working_box=_box_array(box, dim),
-        lip_on_box=partial(_constant_lip, 0.0),
-    )
-
-
-def _harmonic_value(k: float, p: Array) -> Array:
-    return 0.5 * k * np.sum(p * p, axis=-1)
-
-
-def _harmonic_grad(k: float, p: Array) -> Array:
-    return k * p
+    """V = 0: no force, so its Lipschitz constant is 0."""
+    return _radial("free", _Radial(0.0), dim, box)
 
 
 def harmonic(stiffness: float = 1.0, dim: int = 1, box=(-8.0, 8.0)) -> Potential:
     """V(x) = k |x|^2 / 2 with k = stiffness, so the force field k x has
     Lipschitz constant |k| (a negative k is an inverted oscillator)."""
-    k = float(stiffness)
-    return Potential(
-        name="harmonic",
-        dim=dim,
-        value_fn=partial(_harmonic_value, k),
-        grad_fn=partial(_harmonic_grad, k),
-        working_box=_box_array(box, dim),
-        lip_on_box=partial(_constant_lip, abs(k)),
-    )
-
-
-def _double_well_lip(box: Array) -> float:
-    # Hessian of (|x|^2-1)^2 is 4(|x|^2-1)I + 8 x x^T; its spectral norm on a box
-    # is max(|12 r^2 - 4|, |4(r^2 - 1)|) over the attained radii r.
-    lo, hi = box[:, 0], box[:, 1]
-    r2_max = float(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2))
-    # the least radius: an axis whose interval holds 0 adds nothing to it
-    nearest = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    r2_min = float(np.sum(nearest ** 2))
-    candidates = [abs(12.0 * r2 - 4.0) for r2 in (r2_min, r2_max)]
-    candidates += [abs(4.0 * (r2 - 1.0)) for r2 in (r2_min, r2_max)]
-    # |12 r^2 - 4| dips to zero inside (r2_min, r2_max) when 1/3 lies in range
-    if r2_min < 1.0 / 3.0 < r2_max:
-        candidates.append(abs(4.0 * (1.0 / 3.0 - 1.0)))
-    return max(candidates)
-
-
-def _double_well_value(p: Array) -> Array:
-    return (np.sum(p * p, axis=-1) - 1.0) ** 2
-
-
-def _double_well_grad(p: Array) -> Array:
-    return 4.0 * (np.sum(p * p, axis=-1, keepdims=True) - 1.0) * p
+    return _radial("harmonic", _Radial(float(stiffness)), dim, box)
 
 
 def double_well(dim: int = 1, box=(-2.0, 2.0)) -> Potential:
     """V(x) = (|x|^2 - 1)^2 with wells on the unit sphere and a barrier at the origin."""
-    return Potential(
-        name="double_well",
-        dim=dim,
-        value_fn=_double_well_value,
-        grad_fn=_double_well_grad,
-        working_box=_box_array(box, dim),
-        lip_on_box=_double_well_lip,
-    )
+    return _radial("double_well", _Radial(0.0, 4.0, 1.0), dim, box)

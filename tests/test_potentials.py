@@ -126,6 +126,112 @@ def test_two_dimensional_double_well():
     assert V.lip_grad == pytest.approx(12.0 * 8.0 - 4.0)
 
 
+# today's closed forms, written out: (factory, value, gradient, Hessian at a point x)
+CLOSED_FORMS = {
+    "free": (lambda dim: potentials.free_particle(dim=dim),
+             lambda p: np.zeros(len(p)), lambda p: np.zeros_like(p),
+             lambda x: np.zeros((len(x), len(x)))),
+    "double_well": (lambda dim: potentials.double_well(dim=dim),
+                    lambda p: (np.sum(p * p, axis=-1) - 1.0) ** 2,
+                    lambda p: 4.0 * (np.sum(p * p, axis=-1, keepdims=True) - 1.0) * p,
+                    lambda x: 4.0 * (x @ x - 1.0) * np.eye(len(x)) + 8.0 * np.outer(x, x)),
+}
+for k in (1.0, -2.0, 2.5, 1e-320):
+    CLOSED_FORMS[f"harmonic{k:g}"] = (
+        lambda dim, k=k: potentials.harmonic(stiffness=k, dim=dim),
+        lambda p, k=k: 0.5 * k * np.sum(p * p, axis=-1), lambda p, k=k: k * p,
+        lambda x, k=k: k * np.eye(len(x)))
+
+
+def hessian_range(V, box):
+    """The (lo, hi) eigenvalue range the built-in certifies on a box."""
+    return V.lip_on_box.__self__.hessian_range(potentials._box_array(box, V.dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+def test_value_and_grad_are_the_closed_forms_bit_for_bit(form, dim):
+    make, value, grad, _ = CLOSED_FORMS[form]
+    V = make(dim)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.uniform(-9.0, 9.0, (500, dim)), rng.normal(0.0, 1e-3, (50, dim)),
+                          np.zeros((1, dim)), np.ones((1, dim)), 1e50 * np.ones((1, dim))])
+    np.testing.assert_array_equal(V.value_fn(pts), value(pts))
+    np.testing.assert_array_equal(V.grad_fn(pts), grad(pts))
+
+
+def oracle_boxes(dim, rng):
+    """Random boxes, boxes that hold 0 on one axis only, and boxes with
+    infinite bounds, as (dim, 2) arrays."""
+    boxes = [np.sort(rng.uniform(-3.0, 3.0, (dim, 2)), axis=1) for _ in range(40)]
+    boxes += [np.sort(rng.uniform(0.05, 2.0, (dim, 2)), axis=1) * rng.choice([-1, 1], (dim, 1))
+              for _ in range(20)]                        # off the origin on every axis
+    boxes = [np.sort(b, axis=1) for b in boxes]
+    if dim == 2:
+        boxes += [np.array([[-0.5, 0.5], [0.1, 0.2]]), np.array([[0.3, 1.2], [-2.0, 0.0]])]
+    for bound in ([-np.inf, np.inf], [-np.inf, -0.5], [0.2, np.inf]):
+        box = np.tile([-1.0, 1.5], (dim, 1))
+        box[-1] = bound
+        boxes.append(box)
+    return boxes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+def test_hessian_range_oracle(form, dim):
+    # every eigenvalue of the analytic Hessian at points of the box lies in
+    # [lo, hi]; the points include the box's corners and its point nearest
+    # the origin, where |x|^2 takes its extremes, so on a finite box the
+    # sampled eigenvalues reach lo and hi
+    make, _, grad, hessian = CLOSED_FORMS[form]
+    V = make(dim)
+    rng = np.random.default_rng(11)
+    for box in oracle_boxes(dim, rng):
+        lo, hi = hessian_range(V, box)
+        lip = V.lip_on_box(box)
+        assert lo <= hi and lip == max(abs(lo), abs(hi)), box
+        finite = np.clip(box, -10.0, 10.0)
+        corners = np.stack(np.meshgrid(*finite, indexing="ij"), axis=-1).reshape(-1, dim)
+        pts = np.concatenate([corners, np.clip(0.0, finite[:, 0], finite[:, 1])[None],
+                              finite[:, 0] + rng.random((64, dim)) * np.diff(finite).T])
+        eig = np.array([np.linalg.eigvalsh(hessian(x)) for x in pts])
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi)) if np.isfinite(hi) else 0.0
+        assert lo - tol <= eig.min() and eig.max() <= hi + tol, box
+        if np.all(np.isfinite(box)):
+            assert eig.min() == pytest.approx(lo, rel=1e-12, abs=1e-12), box
+            assert eig.max() == pytest.approx(hi, rel=1e-12, abs=1e-12), box
+            assert sampled_lip(V, box=box, n_samples=64) <= lip * (1.0 + 1e-12), box
+    # the analytic Hessian is the Jacobian of grad_fn, by central differences
+    x, h = rng.uniform(-1.5, 1.5, dim), 1e-5
+    fd = np.stack([(grad((x + h * e)[None]) - grad((x - h * e)[None]))[0] / (2 * h)
+                   for e in np.eye(dim)], axis=-1)
+    np.testing.assert_allclose(fd, hessian(x), rtol=1e-8, atol=1e-8)
+
+
+def test_unbounded_boxes_give_no_nan():
+    # +-inf bounds, and finite ones whose |x|^2 overflows (it warned, an error
+    # under the tests' warning filter): the constant bounds stay |k| and 0,
+    # the double well's is inf
+    for bound in ([-np.inf, np.inf], [-np.inf, -1.0], [1.0, np.inf], [np.inf, np.inf],
+                  [-1e308, 1e308], [1e200, 1e300]):
+        for dim in (1, 2):
+            box = np.tile(bound, (dim, 1))
+            assert potentials.free_particle(dim=dim).lip_on_box(box) == 0.0
+            assert potentials.harmonic(stiffness=-2.0, dim=dim).lip_on_box(box) == 2.0
+            assert potentials.double_well(dim=dim).lip_on_box(box) == np.inf
+
+
+def test_double_well_hessian_range_pins():
+    assert hessian_range(double_well(), (-2.0, 2.0)) == (-4.0, 44.0)
+    assert hessian_range(double_well(), (-8.0, 8.0)) == (-4.0, 764.0)
+    assert hessian_range(double_well(dim=2), (-2.0, 2.0)) == (-4.0, 92.0)
+    # in 1-D off the origin the bound is max |V''| = |12 x^2 - 4|: 4 (|x|^2 - 1)
+    # is an eigenvalue only in 2-D and up
+    assert double_well().lip_on_box(np.array([[0.1, 0.4]])) == pytest.approx(3.88, rel=1e-15)
+    assert double_well(dim=2).lip_on_box(np.array([[0.1, 0.4], [0.0, 0.0]])) == pytest.approx(
+        3.96, rel=1e-15)
+
+
 @pytest.mark.parametrize("V", [
     potentials.free_particle(), potentials.harmonic(stiffness=2.5), potentials.double_well(),
     potentials.harmonic(dim=2, box=[[-6.0, 6.0], [-6.0, 6.0]]), potentials.double_well(dim=2),

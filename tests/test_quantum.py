@@ -511,14 +511,27 @@ def test_2d_leak_first_in_row_order_is_raised(monkeypatch, threads):
     # rows 1 and 2 leak, row 2 earlier in time (t = 0.11 against 0.32): a
     # call at (dt, 2 dt) fails as the loop over step sizes, then rows, fails;
     # every thread that is free again finds a failed row at dt, so no row
-    # starts at 2 dt
+    # starts at 2 dt.  On one or two threads that holds in any timing; on
+    # three, the dt runs start together, one a thread, and row 0's waits
+    # until rows 1 and 2 have raised (else row 0's thread, done first, could
+    # start a 2 dt row before either leak)
     monkeypatch.setattr(quantum, "cores", lambda: threads)
     started = []
+    together = threading.Barrier(3)
+    leaked = threading.Semaphore(0)
     propagate_series = quantum.propagate_series
 
     def recording(V, psi, T, dt, observer, **kwargs):
         started.append((dt, psi.labels))
-        return propagate_series(V, psi, T, dt, observer, **kwargs)
+        if threads == 3 and dt == 1e-2:
+            together.wait(timeout=60)
+            if psi.labels == ("row 0",):
+                assert leaked.acquire(timeout=60) and leaked.acquire(timeout=60)
+        try:
+            return propagate_series(V, psi, T, dt, observer, **kwargs)
+        except BoundaryLeakError:
+            leaked.release()
+            raise
 
     monkeypatch.setattr(quantum, "propagate_series", recording)
     grid = Grid(dim=2, n=64, length=4.0)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import obscert
-from obscert import classical, cli, phasespace, potentials, quantum, scenario
+from obscert import certify, classical, cli, phasespace, potentials, quantum, scenario
 from obscert.scenario import ConfigError, load_config, parse, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1081,13 +1081,21 @@ def test_fuzz_mutated_configs_parse_or_raise_config_error():
     # unhashable potential.kind (kind_list, kind_dict), and states the grid
     # cannot hold (test_cli_unbuildable_state_exits_2_or_3).  A built pure
     # state is normalized: a superposition whose amplitudes overflowed was
-    # built with norm 0 (superposition_1e308 there)
+    # built with norm 0 (superposition_1e308 there).  A parsed one's lip_grad
+    # and the two coefficients at its T neither raise nor give NaN: a box
+    # bound of 1e308 overflowed |x|^2 with a warning, an error here
+    # (test_potentials.py's test_unbounded_boxes_give_no_nan)
     assert len(FUZZ_CONFIGS) >= 13
     docs = {str(p.relative_to(ROOT)): json.loads(p.read_text()) for p in FUZZ_CONFIGS}
     docs["superposition"] = base_config(state=STATES["superposition"])
     for name, doc, path, value in mutations(docs):
         try:
             sc = parse(doc)
+            lip = sc.V.lip_grad
+            values = (lip, certify.spread_coefficient(sc.T, lip),
+                      *certify.toeplitz_coefficient_details(sc.T, lip))
+            if any(v is not None and math.isnan(v) for v in values):
+                pytest.fail(f"{name} {list(path)} = {value!r}: NaN in {values}")
             for hbar in sc.hbars:
                 state = scenario.build_state(sc.state, sc.grid, hbar)
                 if isinstance(state, phasespace.ToeplitzState):
