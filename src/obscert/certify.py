@@ -235,10 +235,6 @@ def _json_ready(obj):
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
         return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -288,23 +284,25 @@ class _Sweep:
         values are its row's), a Toeplitz state its nonzero-weight atoms.
         Every row goes to one ``observed_mass_series`` call at the step sizes
         dt and 2 dt; by linearity a column sums its weighted rows in order.
-        The space term is T times the peak mass on Omega_delta's edge cells
-        (none, and nothing sampled, when Omega_delta holds the whole grid)."""
+        Omega_delta is the grid's cells at distance below delta from omega,
+        one distance serving every delta.  The space term is T times the peak
+        mass on Omega_delta's edge cells: 0 when it has none, as an empty set
+        of cells sums to 0."""
         rows = [(c, *row) for c, col in enumerate(columns) for row in col]
         batch = quantum.WaveBatch.of([s for _, s, _, _ in rows], [lab for *_, lab in rows])
-        pts = batch.grid.points()
-        weights = np.stack([geo.omega.enlarged(d).indicator(pts) for d in geo.deltas])
+        with np.errstate(over="ignore"):    # a distance past the float range: in no Omega_delta
+            dist = geo.omega.distance(batch.grid.points())
+        weights = np.stack([(dist < d).astype(float) for d in geo.deltas])
         edges = [_edge_cells(w.reshape(batch.grid.shape)) for w in weights]
-        edged = [j for j, idx in enumerate(edges) if idx.size]
         (fine, edge_mass), (coarse, _) = quantum.observed_mass_series(
-            geo.V, batch, geo.T, weights, [edges[j] for j in edged], (dt, 2.0 * dt))
+            geo.V, batch, geo.T, weights, edges, (dt, 2.0 * dt))
         measured, coarse_sum, time_sum, space_sum = np.zeros((4, len(columns), len(weights)))
         for r, (c, _, w, _) in enumerate(rows):
             mass, time_error = _trapezoid(fine[r], geo.T)
             measured[c] += w * mass
             coarse_sum[c] += w * _trapezoid(coarse[r], geo.T)[0]
             time_sum[c] += w * time_error
-            space_sum[c, edged] += w * geo.T * edge_mass[r].max(axis=0)
+            space_sum[c] += w * geo.T * edge_mass[r].max(axis=0)
         terms = {"propagation": np.abs(measured - coarse_sum) / 3.0,
                  "time_quadrature": time_sum, "space_quadrature": space_sum}
         return cls(scenario, geo, measured, terms)

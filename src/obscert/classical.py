@@ -161,44 +161,25 @@ class CompactSet:
 
 @dataclass(frozen=True)
 class Region:
-    """Open observation region in position space: a union of open boxes,
-    optionally enlarged by ``inflate`` in Euclidean distance.
+    """Open observation region in position space: a union of open boxes.
 
-    With inflate = 0 the indicator is 'strictly inside some box' (boundary
-    counts as outside); with inflate = delta > 0 it is dist(x, base) < delta,
-    which is the delta-enlargement of the base region.
+    ``indicator`` is 'strictly inside some box' (a boundary counts as
+    outside) and ``distance`` the Euclidean distance to the closed union.
+    The delta-enlargement {x : dist(x, region) < delta} is ``distance <
+    delta``, taken where it is measured (``certify._Sweep.measure``).
     """
 
     boxes: Array
-    inflate: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", _boxes_array(self.boxes))
-        if self.inflate < 0:
-            raise ValueError("inflate must be nonnegative")
 
     @property
     def dim(self) -> int:
         return self.boxes.shape[1]
 
-    def _dist_to_boxes(self, p: Array) -> Array:
-        # Euclidean distance to the closed union; p has shape (m, dim).  The
-        # squared gaps are summed one axis at a time, in axis order: the bits
-        # of np.linalg.norm over the axes, without a reduction over a short axis
-        d = np.full(len(p), np.inf)
-        for box in self.boxes:
-            gaps = [np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
-                    for x, (lo, hi) in zip(p.T, box)]
-            d2 = gaps[0] * gaps[0]
-            for gap in gaps[1:]:
-                d2 += gap * gap
-            d = np.minimum(d, np.sqrt(d2))
-        return d
-
     def indicator(self, points) -> Array:
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.inflate > 0:
-            return (self._dist_to_boxes(p) < self.inflate).astype(float)
         inside = np.zeros(len(p), dtype=bool)
         for box in self.boxes:
             in_box = np.ones(len(p), dtype=bool)
@@ -208,13 +189,19 @@ class Region:
         return inside.astype(float)
 
     def distance(self, points) -> Array:
+        # the squared gaps are summed one axis at a time, in axis order: the
+        # bits of np.linalg.norm over the axes, without a reduction over a
+        # short axis
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.maximum(self._dist_to_boxes(p) - self.inflate, 0.0)
-
-    def enlarged(self, delta: float) -> "Region":
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        return Region(self.boxes, inflate=self.inflate + delta)
+        d = np.full(len(p), np.inf)
+        for box in self.boxes:
+            gaps = [np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+                    for x, (lo, hi) in zip(p.T, box)]
+            d2 = gaps[0] * gaps[0]
+            for gap in gaps[1:]:
+                d2 += gap * gap
+            d = np.minimum(d, np.sqrt(d2))
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +292,9 @@ def _bisect_crossings(V: Potential, x0: Array, xi0: Array, h: float, chi: Indica
 class OccupationResult:
     points: Array            # (m, 2*dim) initial phase points
     occupation: Array        # (m, k) time spent weighted by each of the k cutoffs
-    first_hit: Array         # (m, k) first time with chi > 0 (nan if never)
+    first_hit: Array         # (m, k) first time with chi > 0, t = 0 included (nan if never)
     left_box: Array          # (m,) trajectory left the potential's working box
     hull: Array              # (m, dim, 2) per-axis [min, max] of the trajectory's positions
-
-
-def _region_key(region: Region) -> tuple:
-    return region.boxes.shape, region.boxes.tobytes(), region.inflate
 
 
 def occupation_batch(V: Potential, points: Array, T: float,
@@ -324,8 +307,10 @@ def occupation_batch(V: Potential, points: Array, T: float,
     smooth cutoffs use trapezoid weights at the integrator substeps.  Only the
     Verlet step and each cutoff's running time-ordered sum run once per step;
     the finiteness check, cutoffs and bisections run once per block of steps,
-    whose positions and momenta fill the propagator's block budget.
-    The ramp cutoffs on one region share one distance to it per block.
+    whose positions and momenta fill the propagator's block budget.  Each
+    block reads every cutoff on its start state and its steps, so t = 0 is
+    read with the first block.  The ramp cutoffs on one region object share
+    one distance to it per block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, dim = len(pts), pts.shape[1] // 2
@@ -341,14 +326,8 @@ def occupation_batch(V: Potential, points: Array, T: float,
     x, xi = X[0], XI[0]
     occ = np.zeros((m, len(chi)))
     first_hit = np.full(occ.shape, np.nan)
-    vals = [c(x) for c in chi]
-    for j, c in enumerate(chi):
-        if c.is_indicator:
-            first_hit[vals[j] > 0.5, j] = 0.0
     hull = np.stack([x, x], axis=-1)
-    # the ramps' regions, keyed by value: a block's distance to each is taken once
-    keys = [_region_key(c.region) if isinstance(c, RampCutoff) else None for c in chi]
-    regions = {key: c.region for key, c in zip(keys, chi) if key is not None}
+    regions = {id(c.region): c.region for c in chi if not c.is_indicator}
 
     t = 0.0
     done = 0
@@ -370,15 +349,12 @@ def occupation_batch(V: Potential, points: Array, T: float,
                 raise FlowBlowupError("flow blew up: dt too large or pathological potential")
             np.minimum(hull[..., 0], path.min(axis=0), out=hull[..., 0])
             np.maximum(hull[..., 1], path.max(axis=0), out=hull[..., 1])
-            flat = path.reshape(-1, dim)
+            flat = X[:b + 1].reshape(-1, dim)
             dist = {key: region.distance(flat) for key, region in regions.items()}
             for j, c in enumerate(chi):
-                v = np.empty((b + 1, m))
-                v[0] = vals[j]
-                v[1:] = (c(flat) if keys[j] is None
-                         else c.of_distance(dist[keys[j]])).reshape(b, m)
                 if c.is_indicator:
-                    inside = v > 0.5
+                    inside = (c(flat) > 0.5).reshape(b + 1, m)
+                    first_hit[np.isnan(first_hit[:, j]) & inside[0], j] = ts[0]
                     inc = np.where(inside[:-1] & inside[1:], h, 0.0)
                     k, i = np.nonzero(inside[:-1] != inside[1:])     # step-major order
                     if len(k):
@@ -392,15 +368,15 @@ def occupation_batch(V: Potential, points: Array, T: float,
                         fresh = np.isnan(first_hit[i_in, j])
                         first_hit[i_in[fresh], j] = hit[fresh]
                 else:
+                    v = c.of_distance(dist[id(c.region)]).reshape(b + 1, m)
                     inc = 0.5 * h * (v[:-1] + v[1:])
-                    positive = v[1:] > 0
+                    positive = v > 0
                     fresh = np.isnan(first_hit[:, j]) & positive.any(axis=0)
-                    first_hit[fresh, j] = ts[positive.argmax(axis=0)[fresh] + 1]
+                    first_hit[fresh, j] = ts[positive.argmax(axis=0)[fresh]]
                 # add the steps in time order (np.sum would pair them)
                 acc = occ[:, j]
                 for row in inc:
                     acc += row
-                vals[j] = v[-1]
             X[0], XI[0] = X[b], XI[b]
 
     np.clip(occ, 0.0, T, out=occ)

@@ -129,10 +129,15 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     LP (LP duality), so the result is the full LP's optimum.
 
     HiGHS solves without presolve, which on these LPs removes no simplex
-    iteration.  Raises ValueError when lam is not positive with a finite
-    square, or when the cost matrix overflows to a non-finite value, and
-    RuntimeError, with the smallest and largest cost, when HiGHS fails (a
-    finite C of wide range can: largest costs of 1e18 already do).
+    iteration.  It refuses some finite C of wide range (largest costs of
+    1e18 already): then that LP and the later rounds solve C scaled by the
+    exact power of two 2^-e, e = frexp(max C)[1], and its duals are scaled
+    back by 2^e before pricing.  HiGHS's tolerances then apply to costs
+    below 1, so the plan is optimal only up to those tolerances times the
+    largest cost (1e-9 of it, with a far atom at 1e9).  Raises ValueError
+    when lam is not positive with a finite square, or when the cost matrix
+    overflows to a non-finite value, and RuntimeError, with the smallest and
+    largest cost, when HiGHS fails on the scaled costs too.
     """
     n, m = len(f.weights), len(mu.weights)
     if n > MAX_ATOMS or m > MAX_ATOMS:
@@ -151,6 +156,7 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
     mask[np.argpartition(R, k - 1, axis=0)[:k], np.arange(m)] = True
     b_eq = np.concatenate([f.weights, mu.weights[:m - 1]])
     tol = -1e-12 * max(1.0, float(C.max()))
+    scale = 1.0
     while True:
         rows, cols = np.nonzero(mask)                      # row-major order
         # row sums of the plan, then column sums but the last (redundant)
@@ -160,12 +166,16 @@ def transport_plan(f: AtomicMeasure, mu: AtomicMeasure, lam: float = 1.0):
             (np.ones(len(rows) + np.count_nonzero(kept)),
              (np.concatenate([rows, n + cols[kept]]), np.concatenate([edge, edge[kept]]))),
             shape=(n + m - 1, len(rows)))
-        res = linprog(C[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options={"presolve": False})
+        lp = dict(A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"presolve": False})
+        res = linprog(scale * C[rows, cols], **lp)
+        if res.status != 0 and scale == 1.0:
+            scale = math.ldexp(1.0, -math.frexp(float(C.max()))[1])
+            res = linprog(scale * C[rows, cols], **lp)
         if res.status != 0:
             raise RuntimeError(f"transport LP failed on costs in [{C.min():.3g}, "
                                f"{C.max():.3g}]: {res.message}")
-        duals = res.eqlin.marginals
+        duals = res.eqlin.marginals / scale
         reduced = C - duals[:n, None] - np.append(duals[n:], 0.0)[None, :]
         entering = (reduced < tol) & ~mask
         if not entering.any():

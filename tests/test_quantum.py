@@ -789,8 +789,8 @@ def test_cell_sums_gather_along_the_last_axis():
     # row's cells as a lone row's dens[idx].sum() does; the gather of a middle
     # axis, dens[:, idx].sum(axis=1), adds them in another order
     grid = Grid(dim=2, n=128, length=12.0)
-    omega = Region(np.array([[[0.2, 2.0], [0.2, 2.0]]])).enlarged(1.0)
-    idx = certify._edge_cells(omega.indicator(grid.points()).reshape(grid.shape))
+    omega = Region(np.array([[[0.2, 2.0], [0.2, 2.0]]]))
+    idx = certify._edge_cells((omega.distance(grid.points()) < 1.0).reshape(grid.shape))
     assert idx.size == 274
     psi = coherent_state(grid, 0.2, [0.9, 0.9], [-0.1, 0.1])
     dens = np.stack([psi.density().reshape(-1) * grid.cell_volume * (1 + 0.01 * k)

@@ -383,6 +383,9 @@ MALFORMED = [
      r"\$\.potential\.dim: only dimensions 1 and 2"),
     ({"state": {"kind": "toeplitz", "atoms": [[-2.5, 1.25, 1e308], [-2.4, 1.3, 1e308]]}},
      r"\$\.state\.atoms: weights must have a finite positive total"),
+    ({"K": {"boxes": [[[-3.1, -1.9], [0.65, 1.85]], [[-2.5, -1.5], [1.0, 2.0]]],
+            "spacing": 0.2}},
+     r"\$\.K: CompactSet boxes must have disjoint interiors"),
     *UNKNOWN_FIELDS,
 ]
 
@@ -392,7 +395,7 @@ MALFORMED = [
     "weight_not_a_number", "K_infinite", "K_nan", "K_string", "omega_nan",
     "potential_box_nan", "stiffness_null", "stiffness_nan", "dim_fraction", "dim_bool",
     "dt_flow_underflows", "kind_list", "kind_dict", "kind_morse", "dim_3",
-    "weights_overflow", *UNKNOWN_FIELD_IDS])
+    "weights_overflow", "K_overlapping", *UNKNOWN_FIELD_IDS])
 def test_malformed_config_rejected_at_load(override, where, tmp_path, monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("flow pass on an unchecked config")
@@ -717,6 +720,26 @@ def test_mid_run_boundary_leak_exit_code(tmp_path):
     assert not out.exists() or not list(out.glob("*.json"))
 
 
+@pytest.mark.parametrize("command", ["certify", "gcc", "constants"])
+def test_cli_omega_far_from_K_exits_0(command, tmp_path, capsys):
+    # omega near 1e200: the squared distance to it overflows.  The flow pass
+    # read t = 0 outside its np.errstate, the measured side took its
+    # distances outside any, and the overflow warning, an error here, exited 1
+    cfg = json.loads((ROOT / "configs" / "free_coherent.json").read_text())
+    cfg.update(omega={"boxes": [[1e200, 1e201]]}, T=0.2, hbars=[0.2])
+    cfg["numerics"]["n"] = 256
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "certify":
+        reports = sorted((tmp_path / "o").glob("free_coherent_*.json"))
+        assert len(reports) == len(cfg["deltas"])
+        for path in reports:
+            r = json.loads(path.read_text())
+            assert (r["measured"], r["c_geo"], r["chi_geo"]) == (0.0, 0.0, 0.0)
+
+
 def test_cli_flow_blowup_exits_3(tmp_path):
     # a stiff oscillator under a coarse dt_flow: the classical pass blows up,
     # a numerical abort (exit 3), not the exit code of a violated verdict; the
@@ -1009,6 +1032,16 @@ def test_cli_out_that_is_a_file_exits_2(command, tmp_path, capsys, monkeypatch):
     assert out.read_text() == "kept"
 
 
+def test_cli_sweep_without_reports_exits_2(tmp_path, capsys):
+    reports = tmp_path / "r"
+    reports.mkdir()
+    (reports / "gcc.json").write_text('{"c_geo": 0.5}')        # not a report
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--reports", str(reports), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "no reports found\n"
+    assert not (out / "sweep.csv").exists()
+
+
 SWEEP_ROW = {"scenario": "mini", "hbar": 0.1, "delta": 3.0, "lower_bound": 0.5,
              "measured": 1.0, "margin": 0.5, "verdict": "certified"}
 
@@ -1088,6 +1121,7 @@ def test_fuzz_mutated_configs_parse_or_raise_config_error():
     assert len(FUZZ_CONFIGS) >= 13
     docs = {str(p.relative_to(ROOT)): json.loads(p.read_text()) for p in FUZZ_CONFIGS}
     docs["superposition"] = base_config(state=STATES["superposition"])
+    problems = set()
     for name, doc, path, value in mutations(docs):
         try:
             sc = parse(doc)
@@ -1096,6 +1130,10 @@ def test_fuzz_mutated_configs_parse_or_raise_config_error():
                       *certify.toeplitz_coefficient_details(sc.T, lip))
             if any(v is not None and math.isnan(v) for v in values):
                 pytest.fail(f"{name} {list(path)} = {value!r}: NaN in {values}")
+            problem = pickle.dumps((sc.V, sc.K, sc.omega, sc.T, sc.deltas))
+            if problem not in problems:
+                problems.add(problem)
+                classical.geometric_summary(sc.V, sc.K, sc.omega, sc.T, sc.deltas, sc.T / 16)
             for hbar in sc.hbars:
                 state = scenario.build_state(sc.state, sc.grid, hbar)
                 if isinstance(state, phasespace.ToeplitzState):

@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,13 +125,45 @@ def test_overflowing_cost_fails_by_name(monkeypatch):
             transport_plan(f, mu, 1.0)
 
 
-def test_failed_lp_names_its_cost_range():
-    # finite costs up to about 1e306 pass the overflow check, and HiGHS fails
-    f = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [1e153, 0.0]]), np.ones(3))
-    mu = AtomicMeasure(np.array([[0.5, 0.0], [2.0, 0.0], [-1.0, 0.0]]), np.ones(3))
+def far_atom_pair(far):
+    """Three atoms each side, one of f at x = far: costs from 0.25 to far^2."""
+    return (AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [far, 0.0]]), np.ones(3)),
+            AtomicMeasure(np.array([[0.5, 0.0], [2.0, 0.0], [-1.0, 0.0]]), np.ones(3)))
+
+
+@pytest.mark.parametrize("far", [1e9, 1e153])
+def test_wide_cost_range_solves_with_scaled_costs(far, monkeypatch):
+    # HiGHS refuses largest costs of 1e18 and 1e306 as given; the second solve
+    # scales them by a power of two.  Scaled, the costs but the far atom's
+    # fall below HiGHS's tolerances, so the plan is optimal to about 1e-9
+    # of the cost, not to the last bit
+    calls = counted_linprog(monkeypatch)
+    f, mu = far_atom_pair(far)
+    C = cost_matrix(f, mu, 1.0)
+    cost, plan = transport_plan(f, mu, 1.0)
+    assert len(calls) == 2
+    assert_marginals(plan, f, mu, 1e-9)
+    assert cost == float(np.sum(plan * C))
+    optimum = float(C[0, 2] + C[1, 0] + C[2, 1]) / 3.0
+    assert optimum <= cost <= optimum * (1.0 + 1e-8)
+
+
+def test_failed_lp_names_its_cost_range(monkeypatch):
+    # an LP that fails as given and scaled is refused with the cost range
+    calls = []
+
+    def failing(costs, **kwargs):
+        calls.append(costs)
+        return SimpleNamespace(status=4, message="(HiGHS Status 4: Solve error)")
+
+    monkeypatch.setattr(transport, "linprog", failing)
+    f, mu = far_atom_pair(1e153)
     with pytest.raises(RuntimeError,
-                       match=r"^transport LP failed on costs in \[0\.25, 1e\+306\]: .*HiGHS"):
+                       match=r"^transport LP failed on costs in \[0\.25, 1e\+306\]: "):
         transport_plan(f, mu, 1.0)
+    assert len(calls) == 2
+    scaled = calls[1] / calls[0]
+    assert np.all(scaled == 2.0 ** -1017)
 
 
 @pytest.mark.parametrize("lam", [-1.0, 0.0, 1e200, math.nan, math.inf])
